@@ -4,6 +4,8 @@ The canonical bracket {f, g} = sum_i (df/dq_i dg/dp_i - dg/dq_i df/dp_i) is
 evaluated from analytic gradients only, which keeps residual thresholds at
 1e-9 meaningful.  Residuals are reported raw and normalized by
 1 + |grad f| |grad g| so that large-coordinate samples do not fail spuriously.
+An involution table evaluates the gradient (and its norm) of each quantity
+once per sample point and shares it among all pairs the quantity is in.
 
 Functional independence is certified by the numerical rank of the stacked
 gradient rows at sampled points: independence is a generic-point property,
@@ -12,8 +14,8 @@ so the certificate takes the maximum rank over the sample.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Optional, Sequence
 
 import numpy as np
@@ -40,13 +42,23 @@ def poisson_bracket(f: ConservedQuantity, g: ConservedQuantity, x: PhasePoint) -
     return float(fq @ gp - gq @ fp)
 
 
+def _gradient_with_norm(f: ConservedQuantity, x: PhasePoint):
+    """(dF/dq, dF/dp, |grad F|) at x."""
+    dq, dp = f.gradient(x)
+    return dq, dp, np.sqrt(dq @ dq + dp @ dp)
+
+
+def _residual(df, dg):
+    """(raw, normalized) |{f, g}| from two _gradient_with_norm results."""
+    fq, fp, f_norm = df
+    gq, gp, g_norm = dg
+    raw = abs(float(fq @ gp - gq @ fp))
+    return raw, raw / (1.0 + f_norm * g_norm)
+
+
 def bracket_with_scale(f: ConservedQuantity, g: ConservedQuantity, x: PhasePoint):
     """(raw, normalized) bracket residual magnitudes at one point."""
-    fq, fp = f.gradient(x)
-    gq, gp = g.gradient(x)
-    raw = abs(float(fq @ gp - gq @ fp))
-    scale = np.sqrt(fq @ fq + fp @ fp) * np.sqrt(gq @ gq + gp @ gp)
-    return raw, raw / (1.0 + scale)
+    return _residual(_gradient_with_norm(f, x), _gradient_with_norm(g, x))
 
 
 def max_bracket_residual(f, g, points: Sequence[PhasePoint]):
@@ -142,7 +154,6 @@ def involution_table(
     *,
     rng=0,
     tolerance: float = 1e-9,
-    threads: int = 1,
 ) -> BracketResidualTable:
     """Residuals of every asserted bracket: H against each universal
     integral, and all pairs within the left and within the right family.
@@ -154,27 +165,32 @@ def involution_table(
         raise SamplingError("sample_points must be >= 1")
     points = sample_for_spec(spec, sample_points, rng)
     h = energy_quantity(spec)
-    left = list(integrals.left)
+    quantities = [h, *integrals.all]
+    # Indices into `quantities`, which lists H, then integrals.left, then
+    # integrals.right.
+    n_left = len(integrals.left)
+    left = list(range(1, n_left + 1))
     # C_(N) coincides with C^(N): the right family in involution includes it.
-    right = list(integrals.right) + [integrals.left[-1]]
-    jobs: list[tuple[ConservedQuantity, ConservedQuantity]] = []
-    for c in integrals.all:
-        jobs.append((h, c))
-    for fam in (left, right):
-        for i in range(len(fam)):
-            for j in range(i + 1, len(fam)):
-                jobs.append((fam[i], fam[j]))
+    right = list(range(n_left + 1, len(quantities))) + [n_left]
+    jobs = [(0, k) for k in range(1, len(quantities))]
+    jobs += combinations(left, 2)
+    jobs += combinations(right, 2)
 
-    def run(job):
-        f, g = job
-        raw, norm = max_bracket_residual(f, g, points)
-        return PairResidual(f.name, g.name, raw, norm)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            pairs = tuple(ex.map(run, jobs))
-    else:
-        pairs = tuple(run(job) for job in jobs)
+    # One pass over the sample in order: each gradient and its norm once per
+    # point, then the same residual and running maxima as
+    # max_bracket_residual, so every entry is bitwise the pairwise one.
+    raw_max = [0.0] * len(jobs)
+    norm_max = [0.0] * len(jobs)
+    for x in points:
+        grads = [_gradient_with_norm(c, x) for c in quantities]
+        for k, (a, b) in enumerate(jobs):
+            raw, norm = _residual(grads[a], grads[b])
+            raw_max[k] = max(raw_max[k], raw)
+            norm_max[k] = max(norm_max[k], norm)
+    pairs = tuple(
+        PairResidual(quantities[a].name, quantities[b].name, raw_max[k], norm_max[k])
+        for k, (a, b) in enumerate(jobs)
+    )
     return BracketResidualTable(pairs, sample_points, tolerance)
 
 
@@ -202,7 +218,6 @@ def independence_rank(
     kappa: float = 0.0,
     space: str = "euclidean",
     points: Optional[Sequence[PhasePoint]] = None,
-    threads: int = 1,
 ) -> IndependenceCertificate:
     """Certify functional independence of a set of observables.
 
@@ -227,11 +242,7 @@ def independence_rank(
             rows[i, ndim:] = dp
         return np.linalg.svd(rows, compute_uv=False)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as ex:
-            sigmas = tuple(ex.map(run, points))
-    else:
-        sigmas = tuple(run(x) for x in points)
+    sigmas = tuple(run(x) for x in points)
     rank = 0
     for s in sigmas:
         if s.size and s[0] > 0.0:

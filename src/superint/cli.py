@@ -1,10 +1,10 @@
 """Command-line front end: verify, simulate, catalog.
 
 Exit codes: 0 all asserted properties pass, 1 verification/simulation
-failure, 2 configuration or usage error.  Reports and trajectories are
-plain text with round-trip-safe floats (shortest repr by default,
-hexadecimal with --hex-floats), so identical config + seed gives byte
-identical output.
+failure, 2 configuration or usage error, or output that cannot be written
+(e.g. --out below a regular file).  Reports and trajectories are plain text
+with round-trip-safe floats (shortest repr by default, hexadecimal with
+--hex-floats), so identical config + seed gives byte identical output.
 """
 
 from __future__ import annotations
@@ -43,8 +43,7 @@ def _classification(cfg: ExperimentConfig, ms_established: bool) -> str:
     return base
 
 
-def cmd_verify(config_path: Path, out_dir: Path, seed_override, threads: int,
-               hex_floats: bool) -> int:
+def cmd_verify(config_path: Path, out_dir: Path, seed_override, hex_floats: bool) -> int:
     cfg = load_config(config_path)
     seed = cfg.seed if seed_override is None else seed_override
     spec = build(cfg.descriptor)
@@ -54,14 +53,13 @@ def cmd_verify(config_path: Path, out_dir: Path, seed_override, threads: int,
     rng = np.random.default_rng(seed)
 
     table = involution_table(
-        spec, uni, ver.sample_points, rng=rng, tolerance=ver.bracket_tol,
-        threads=threads,
+        spec, uni, ver.sample_points, rng=rng, tolerance=ver.bracket_tol
     )
     h = energy_quantity(spec)
     cert = independence_rank(
         [h, *uni.all], ver.sample_points, rng=rng,
         rank_tolerance=ver.rank_tol, kappa=cfg.descriptor.kappa,
-        space=cfg.descriptor.space, threads=threads,
+        space=cfg.descriptor.space,
     )
     expected_rank = 2 * n - 2
     rank_ok = cert.numerical_rank == expected_rank
@@ -77,7 +75,7 @@ def cmd_verify(config_path: Path, out_dir: Path, seed_override, threads: int,
         cert_x = independence_rank(
             [h, *uni.all, quantity], ver.sample_points, rng=rng,
             rank_tolerance=ver.rank_tol, kappa=cfg.descriptor.kappa,
-            space=cfg.descriptor.space, threads=threads,
+            space=cfg.descriptor.space,
         )
         ok = norm < ver.bracket_tol and cert_x.numerical_rank == 2 * n - 1
         extras_ok &= ok
@@ -160,8 +158,7 @@ def _build_monitors(cfg: ExperimentConfig, spec, uni):
     return monitors
 
 
-def cmd_simulate(config_path: Path, out_dir: Path, seed_override, threads: int,
-                 hex_floats: bool) -> int:
+def cmd_simulate(config_path: Path, out_dir: Path, seed_override, hex_floats: bool) -> int:
     cfg = load_config(config_path)
     if cfg.simulation is None:
         raise ConfigError("a [simulation] section is required for simulate")
@@ -266,8 +263,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, default=None,
                         help="output directory (default: $SUPERINT_OUT or the "
                         "current directory)")
-    parser.add_argument("--threads", type=int, default=1,
-                        help="worker threads for sample sweeps")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("verify", "simulate"):
         p = sub.add_parser(name)
@@ -288,10 +283,8 @@ def main(argv=None) -> int:
             return cmd_catalog()
         out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "verify":
-            return cmd_verify(args.config, out_dir, args.seed, args.threads,
-                              args.hex_floats)
-        return cmd_simulate(args.config, out_dir, args.seed, args.threads,
-                            args.hex_floats)
+            return cmd_verify(args.config, out_dir, args.seed, args.hex_floats)
+        return cmd_simulate(args.config, out_dir, args.seed, args.hex_floats)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -301,6 +294,9 @@ def main(argv=None) -> int:
     except SuperintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

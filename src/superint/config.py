@@ -17,6 +17,7 @@ Unknown sections or keys are rejected so typos fail loudly.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
@@ -235,6 +236,13 @@ def _simulation(sec, n: int) -> SimulationSettings:
     step = _one_float(sec["step"], "step")
     if step <= 0.0:
         raise ConfigError("step must be positive")
+    ratio = t_final / step
+    if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * ratio:
+        # The integrator takes whole steps only, so the grid would end past t_final.
+        raise ConfigError(
+            f"t_final / step must be a whole number of steps, got "
+            f"{t_final!r} / {step!r} = {ratio!r}"
+        )
     method = sec.get("method", "gl2")
     if method not in ("gl2", "rk4"):
         raise ConfigError(f"method must be gl2 or rk4, got {method!r}")

@@ -1,9 +1,13 @@
+from dataclasses import replace
+from itertools import combinations
+
 import numpy as np
 import pytest
 
 from superint import (
     ConservedQuantity,
     DimensionMismatch,
+    IntegralSet,
     PhasePoint,
     SamplingError,
     SL2Realization,
@@ -11,13 +15,16 @@ from superint import (
     independence_rank,
     involution_table,
     left_integral,
-    make_garnier,
     make_sw,
+    max_bracket_residual,
     poisson_bracket,
+    sample_for_spec,
     sample_regular_points,
     sw_extra_integral,
     universal_set,
 )
+from superint import brackets
+from superint.brackets import PairResidual
 from superint.integrals import _window_gradient, _window_value
 from conftest import central_gradient
 
@@ -137,13 +144,42 @@ def test_involution_table_minimal_dimension():
     assert table.passed
 
 
-def test_involution_table_threads_match_serial():
-    spec = make_garnier("beltrami", mass=1.0, omega=0.8, delta=0.2,
-                        b_tilde=[0.3, 0.5, 0.2], kappa=-0.5)
+@pytest.mark.parametrize("n", [2, 4, 14])
+@pytest.mark.parametrize("space,kappa", [
+    ("euclidean", 0.0), ("beltrami", 0.5), ("beltrami", -0.5),
+    ("poincare", 0.5), ("poincare", -0.5),
+])
+def test_involution_table_exact_and_one_gradient_per_point(n, space, kappa, monkeypatch):
+    bt = np.random.default_rng(n).uniform(0.1, 0.8, n)
+    spec = make_sw(space, mass=1.1, omega=0.9, b_tilde=bt, kappa=kappa)
     uni = universal_set(spec.realization)
-    serial = involution_table(spec, uni, 10, rng=123)
-    threaded = involution_table(spec, uni, 10, rng=123, threads=3)
-    assert serial == threaded
+    h = energy_quantity(spec)
+    seed, samples = 1234 + n, 20
+
+    pts = sample_for_spec(spec, samples, seed)
+    expected = [(h, c) for c in uni.all]
+    expected += combinations(uni.left, 2)
+    expected += combinations(uni.right + uni.left[-1:], 2)
+    table = involution_table(spec, uni, samples, rng=seed)
+    assert len(table.pairs) == len(expected) == 2 * n - 3 + (n - 1) * (n - 2)
+    for pair, (f, g) in zip(table.pairs, expected):
+        assert pair == PairResidual(f.name, g.name, *max_bracket_residual(f, g, pts))
+
+    calls = []
+
+    def counted(q):
+        def gradient_fn(qq, pp):
+            calls.append(q.name)
+            return q.gradient_fn(qq, pp)
+
+        return replace(q, gradient_fn=gradient_fn)
+
+    monkeypatch.setattr(brackets, "energy_quantity", lambda s: counted(energy_quantity(s)))
+    wrapped = IntegralSet(tuple(map(counted, uni.left)), tuple(map(counted, uni.right)),
+                          uni.realization)
+    assert involution_table(spec, wrapped, samples, rng=seed) == table
+    assert len(calls) == samples * (2 * n - 2)
+    assert all(calls.count(q.name) == samples for q in (h, *uni.all))
 
 
 def test_independence_full_rank():

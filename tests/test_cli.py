@@ -96,15 +96,6 @@ def test_verify_is_deterministic(tmp_path):
         == (out_b / "sw_n4.report.txt").read_bytes()
 
 
-def test_verify_threads_match_serial(tmp_path):
-    cfg = write(tmp_path, "sw_n4.cfg", SW_N4)
-    out_a, out_b = tmp_path / "a", tmp_path / "b"
-    assert main(["--out", str(out_a), "verify", str(cfg)]) == 0
-    assert main(["--out", str(out_b), "--threads", "3", "verify", str(cfg)]) == 0
-    assert (out_a / "sw_n4.report.txt").read_bytes() \
-        == (out_b / "sw_n4.report.txt").read_bytes()
-
-
 def test_verify_weak_superintegrable_label(tmp_path):
     cfg = write(tmp_path, "garnier_n3.cfg", GARNIER_N3)
     assert main(["--out", str(tmp_path), "verify", str(cfg)]) == 0
@@ -192,6 +183,23 @@ def test_simulate_halts_on_singularity(tmp_path, capsys):
     code = main(["--out", str(tmp_path), "simulate", str(cfg)])
     assert code == 1
     assert "halted" in (tmp_path / "infall.traj.txt").read_text()
+
+
+def test_simulate_rejects_partial_last_step(tmp_path, capsys):
+    # 1.0 / 0.3 steps would end the grid at t = 1.2.
+    text = SW_N4.replace("step = 0.001", "step = 0.3")
+    cfg = write(tmp_path, "overrun.cfg", text)
+    assert main(["--out", str(tmp_path), "simulate", str(cfg)]) == 2
+    assert "whole number of steps" in capsys.readouterr().err
+    assert not (tmp_path / "overrun.traj.txt").exists()
+
+
+def test_unwritable_out_is_a_usage_error(tmp_path, capsys):
+    cfg = write(tmp_path, "sw_n4.cfg", SW_N4)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["--out", str(blocker / "sub"), "verify", str(cfg)]) == 2
+    assert "error: cannot write output:" in capsys.readouterr().err
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):
