@@ -1,8 +1,10 @@
 """Command-line front end: verify, simulate, catalog.
 
 Exit codes: 0 all asserted properties pass, 1 verification/simulation
-failure, 2 configuration or usage error, or output that cannot be written
-(e.g. --out below a regular file).  Reports and trajectories are plain text
+failure (a simulation halted by a singular approach or a stage iteration
+that does not converge still writes its trajectory up to the halt), 2
+configuration or usage error, or output that cannot be written (e.g. --out
+below a regular file).  Reports and trajectories are plain text
 with round-trip-safe floats (shortest repr by default, hexadecimal with
 --hex-floats), so identical config + seed gives byte identical output.
 """
@@ -22,7 +24,13 @@ from .catalog import EUCLIDEAN, FAMILIES, build, extra_integral
 from .config import ExperimentConfig, load_config
 from .core import energy_quantity
 from .dynamics import IntegratorConfig, detect_closure, integrate
-from .errors import ConfigError, InsufficientData, SingularApproach, SuperintError
+from .errors import (
+    ConfigError,
+    InsufficientData,
+    NonConvergence,
+    SingularApproach,
+    SuperintError,
+)
 from .integrals import universal_set
 
 
@@ -177,7 +185,7 @@ def cmd_simulate(config_path: Path, out_dir: Path, seed_override, hex_floats: bo
     halted = None
     try:
         traj = integrate(spec, x0, sim.t_final, icfg, monitors)
-    except SingularApproach as err:
+    except (SingularApproach, NonConvergence) as err:
         traj = getattr(err, "trajectory", None)
         halted = err
         if traj is None:

@@ -76,9 +76,13 @@ class ExperimentConfig:
 
 def _floats(raw: str, key: str) -> tuple[float, ...]:
     try:
-        return tuple(float(tok) for tok in raw.replace(",", " ").split())
+        vals = tuple(float(tok) for tok in raw.replace(",", " ").split())
     except ValueError as exc:
         raise ConfigError(f"{key}: expected floats, got {raw!r}") from exc
+    if not all(map(math.isfinite, vals)):
+        # inf and nan would pass the range checks below (nan compares false)
+        raise ConfigError(f"{key}: expected finite numbers, got {raw!r}")
+    return vals
 
 
 def _one_float(raw: str, key: str) -> float:

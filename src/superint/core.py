@@ -11,6 +11,12 @@ which close the Poisson brackets {J3, J+} = 2 J+, {J3, J-} = -2 J-,
 {J-, J+} = 4 J3.  A Hamiltonian is any smooth function H(J-, J+, J3); its
 phase-space gradient is assembled exactly by the chain rule from the three
 partials of H and the analytic gradients of the J's.
+
+`sl2_kernel` evaluates the three generators and dJ+/dq, the only gradient
+that is not q or p times a constant, in one pass over raw arrays; the
+barrier mask it needs is computed once per `SL2Realization`.
+`HamiltonianSpec.gradient_qp` folds the chain rule into two vector
+expressions, without building the gradient vectors of the J's.
 """
 
 from __future__ import annotations
@@ -59,33 +65,78 @@ class PhasePoint:
 
 @dataclass(frozen=True)
 class SL2Realization:
-    """Centrifugal coefficients b = (b_1 ... b_N) of the realization."""
+    """Centrifugal coefficients b = (b_1 ... b_N) of the realization.
+
+    The barrier sites are found once here: `active` masks the sites with
+    b_i != 0, `b_active` holds their coefficients (None when there is no
+    barrier) and `all_active` says whether every site has one.  The sl(2)
+    kernel and every axis guard read these instead of rebuilding the mask;
+    `b` is stored as a read-only copy so they cannot go stale.
+    """
 
     b: np.ndarray
+    active: np.ndarray = field(init=False, repr=False, compare=False)
+    b_active: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    all_active: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "b", _as_vector(self.b, "b"))
+        b = _as_vector(self.b, "b").copy()
+        b.flags.writeable = False
+        active = b != 0.0
+        object.__setattr__(self, "b", b)
+        object.__setattr__(self, "active", active)
+        object.__setattr__(self, "b_active", b[active] if active.any() else None)
+        object.__setattr__(self, "all_active", bool(active.all()))
 
     @property
     def n(self) -> int:
         return self.b.size
+
+    def at_barriers(self, q: np.ndarray) -> np.ndarray:
+        """The entries of q on the barrier sites (q itself when all are)."""
+        return q if self.all_active else q[self.active]
+
+    def spread(self, values: np.ndarray) -> np.ndarray:
+        """Inverse of at_barriers: a length-N vector, zero off the barriers."""
+        if self.all_active:
+            return values
+        full = np.zeros(self.n)
+        full[self.active] = values
+        return full
 
     def check_point(self, x: PhasePoint) -> None:
         if x.n != self.n:
             raise DimensionMismatch(
                 f"realization has {self.n} sites but phase point has {x.n}"
             )
-        guard_axes(self.b, x.q)
+        guard_axes(self, x.q)
 
 
-def guard_axes(b: np.ndarray, q: np.ndarray) -> None:
+def guard_axes(realization: SL2Realization, q: np.ndarray) -> None:
     """Raise DomainError if any q_i with b_i != 0 sits on its coordinate plane."""
-    bad = (b != 0.0) & (np.abs(q) < AXIS_GUARD_RADIUS)
-    if np.any(bad):
+    bad = realization.active & (np.abs(q) < AXIS_GUARD_RADIUS)
+    if bad.any():
         i = int(np.argmax(bad))
         raise DomainError(
             f"q_{i + 1} = {q[i]!r} lies on a coordinate plane with b_{i + 1} != 0"
         )
+
+
+# A barrier coordinate with q_i**2 below this may be within the guard
+# radius; only then is the exact (and slower) guard_axes test run.
+_NEAR_AXIS_SQ = (2.0 * AXIS_GUARD_RADIUS) ** 2
+
+
+def barrier_squares(realization: SL2Realization, q: np.ndarray) -> np.ndarray:
+    """q_i**2 on the barrier sites, after the axis guard has passed.
+
+    Callers divide by these, so a point on a guarded coordinate plane
+    raises DomainError before any division happens.
+    """
+    qa2 = realization.at_barriers(q) ** 2
+    if qa2.min() < _NEAR_AXIS_SQ:
+        guard_axes(realization, q)
+    return qa2
 
 
 @dataclass(frozen=True)
@@ -102,28 +153,28 @@ class SL2Values:
     grad_p: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
-def _sl2_scalars(b: np.ndarray, q: np.ndarray, p: np.ndarray) -> tuple[float, float, float]:
-    guard_axes(b, q)
+def sl2_kernel(realization: SL2Realization, q: np.ndarray, p: np.ndarray,
+               gradient: bool = False):
+    """J-, J+, J3 at (q, p) and dJ+/dq, on raw arrays.
+
+    Returns (J-, J+, J3, dJ+/dq).  dJ+/dq_i = -2 b_i / q_i**3 is computed
+    only when `gradient` is set; it is the scalar 0.0 when there is no
+    barrier (or no gradient was asked for), which broadcasts to the same
+    numbers as a zero vector.  The other gradients are plain: dJ-/dq = 2q,
+    dJ+/dp = 2p, dJ3/dq = p, dJ3/dp = q, dJ-/dp = 0.  Raises DomainError
+    on a guarded coordinate plane; nothing else is validated.
+    """
     j_minus = float(q @ q)
     j3 = float(q @ p)
-    active = b != 0.0
     j_plus = float(p @ p)
-    if np.any(active):
-        j_plus += float(np.sum(b[active] / q[active] ** 2))
-    return j_minus, j_plus, j3
-
-
-def _sl2_raw(b, q, p):
-    """Scalars plus gradients, on raw arrays (no validation beyond the guard)."""
-    j_minus, j_plus, j3 = _sl2_scalars(b, q, p)
-    n = q.size
-    djp_dq = np.zeros(n)
-    active = b != 0.0
-    if np.any(active):
-        djp_dq[active] = -2.0 * b[active] / q[active] ** 3
-    grad_q = (2.0 * q, djp_dq, p.copy())
-    grad_p = (np.zeros(n), 2.0 * p, q.copy())
-    return j_minus, j_plus, j3, grad_q, grad_p
+    djp_dq = 0.0
+    ba = realization.b_active
+    if ba is not None:
+        qa2 = barrier_squares(realization, q)
+        j_plus += float((ba / qa2).sum())
+        if gradient:
+            djp_dq = realization.spread(-2.0 * ba / realization.at_barriers(q) ** 3)
+    return j_minus, j_plus, j3, djp_dq
 
 
 def evaluate_sl2(realization: SL2Realization, x: PhasePoint) -> SL2Values:
@@ -133,7 +184,12 @@ def evaluate_sl2(realization: SL2Realization, x: PhasePoint) -> SL2Values:
     dJ3/dq_i = p_i, dJ3/dp_i = q_i, dJ-/dp_i = 0.
     """
     realization.check_point(x)
-    j_minus, j_plus, j3, grad_q, grad_p = _sl2_raw(realization.b, x.q, x.p)
+    q, p = x.q, x.p
+    j_minus, j_plus, j3, djp_dq = sl2_kernel(realization, q, p, gradient=True)
+    if not isinstance(djp_dq, np.ndarray):
+        djp_dq = np.zeros(q.size)
+    grad_q = (2.0 * q, djp_dq, p.copy())
+    grad_p = (np.zeros(q.size), 2.0 * p, q.copy())
     return SL2Values(j_minus, j_plus, j3, grad_q, grad_p)
 
 
@@ -169,14 +225,21 @@ class HamiltonianSpec:
         return self.realization.n
 
     def value_qp(self, q: np.ndarray, p: np.ndarray) -> float:
-        jm, jp, j3 = _sl2_scalars(self.realization.b, q, p)
+        jm, jp, j3, _ = sl2_kernel(self.realization, q, p)
         return float(self.h(jm, jp, j3))
 
     def gradient_qp(self, q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        jm, jp, j3, gq, gp = _sl2_raw(self.realization.b, q, p)
+        """(dH/dq, dH/dp) by the chain rule through the sl(2) kernel.
+
+        dH/dq = h- * 2q + h+ * dJ+/dq + h3 * p and
+        dH/dp = (h- * 0 + h+ * 2p) + h3 * q, summed left to right.  The
+        h- * 0 term keeps the signed zeros (and NaNs) that a zero dJ-/dp
+        vector would give.
+        """
+        jm, jp, j3, djp_dq = sl2_kernel(self.realization, q, p, gradient=True)
         hm, hp, h3 = self.h_partials(jm, jp, j3)
-        dq = hm * gq[0] + hp * gq[1] + h3 * gq[2]
-        dp = hm * gp[0] + hp * gp[1] + h3 * gp[2]
+        dq = hm * (2.0 * q) + hp * djp_dq + h3 * p
+        dp = (hm * 0.0 + hp * (2.0 * p)) + h3 * q
         return dq, dp
 
     def value(self, x: PhasePoint) -> float:

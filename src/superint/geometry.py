@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhasePoint, _as_vector, _sl2_scalars
+from .core import PhasePoint, SL2Realization, _as_vector, sl2_kernel
 from .errors import ChartBoundary, ConfigError, DimensionMismatch, DomainError
 
 POINCARE = "poincare"
@@ -255,7 +255,7 @@ def kinetic_energy(chart: str, kappa: float, mass: float, x: PhasePoint, b=None)
     b_arr = np.zeros(x.n) if b is None else _as_vector(b, "b")
     if b_arr.size != x.n:
         raise DimensionMismatch("b must match the phase-point dimension")
-    jm, jp, j3 = _sl2_scalars(b_arr, x.q, x.p)
+    jm, jp, j3, _ = sl2_kernel(SL2Realization(b_arr), x.q, x.p)
     one = 1.0 + kappa * jm
     if chart == POINCARE:
         return one ** 2 * jp / (2.0 * mass)

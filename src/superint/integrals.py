@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConservedQuantity, SL2Realization, guard_axes
+from .core import ConservedQuantity, SL2Realization, barrier_squares
 from .errors import ConfigError, DimensionMismatch, DomainError, RangeError
 
 _CHARTS = ("poincare", "beltrami")
@@ -48,33 +48,35 @@ def _check_chart(chart: str) -> str:
 # Universal window Casimirs
 # ---------------------------------------------------------------------------
 
-def _window_value(b, q, p, lo, hi) -> float:
-    qw, pw, bw = q[lo:hi], p[lo:hi], b[lo:hi]
-    guard_axes(bw, qw)
-    L = np.outer(qw, pw) - np.outer(pw, qw)
-    val = 0.5 * float(np.sum(L * L))
-    active = bw != 0.0
-    if np.any(active):
+def _window_value(w: SL2Realization, bsum: float, q, p, lo, hi) -> float:
+    qw, pw = q[lo:hi], p[lo:hi]
+    # qw[:, None] * pw is np.outer(qw, pw), without the wrapper call
+    L = qw[:, None] * pw - pw[:, None] * qw
+    val = 0.5 * float((L * L).sum())
+    if w.b_active is not None:
+        qa2 = barrier_squares(w, qw)
         s2 = float(qw @ qw)
-        qa2 = qw[active] ** 2
-        val += float(np.sum(bw[active] * (s2 - qa2) / qa2))
-    return val + float(np.sum(bw))
+        val += float((w.b_active * (s2 - qa2) / qa2).sum())
+    return val + bsum
 
 
-def _window_gradient(b, q, p, lo, hi):
-    qw, pw, bw = q[lo:hi], p[lo:hi], b[lo:hi]
-    guard_axes(bw, qw)
-    L = np.outer(qw, pw) - np.outer(pw, qw)
+def _window_gradient(w: SL2Realization, q, p, lo, hi):
+    qw, pw = q[lo:hi], p[lo:hi]
+    L = qw[:, None] * pw - pw[:, None] * qw
     dqw = 2.0 * (L @ pw)
     dpw = -2.0 * (L @ qw)
-    active = bw != 0.0
-    if np.any(active):
+    ba = w.b_active
+    if ba is not None:
+        qa2 = barrier_squares(w, qw)
         s2 = float(qw @ qw)
-        t = np.zeros_like(qw)
-        t[active] = bw[active] / qw[active] ** 2
-        bsum = float(np.sum(t))
+        t = w.spread(ba / qa2)
+        bsum = float(t.sum())
         dqw += 2.0 * qw * (bsum - t)
-        dqw[active] -= 2.0 * bw[active] * (s2 - qw[active] ** 2) / qw[active] ** 3
+        corr = 2.0 * ba * (s2 - qa2) / w.at_barriers(qw) ** 3
+        if w.all_active:
+            dqw -= corr
+        else:
+            dqw[w.active] -= corr
     dq = np.zeros_like(q)
     dp = np.zeros_like(p)
     dq[lo:hi] = dqw
@@ -83,13 +85,14 @@ def _window_gradient(b, q, p, lo, hi):
 
 
 def _window_quantity(realization: SL2Realization, lo: int, hi: int, name: str) -> ConservedQuantity:
-    b = realization.b
+    w = SL2Realization(realization.b[lo:hi])
+    bsum = float(np.sum(w.b))
 
-    def value(q, p, _b=b, _lo=lo, _hi=hi):
-        return _window_value(_b, q, p, _lo, _hi)
+    def value(q, p):
+        return _window_value(w, bsum, q, p, lo, hi)
 
-    def gradient(q, p, _b=b, _lo=lo, _hi=hi):
-        return _window_gradient(_b, q, p, _lo, _hi)
+    def gradient(q, p):
+        return _window_gradient(w, q, p, lo, hi)
 
     return ConservedQuantity(name, realization.n, value, gradient)
 
@@ -272,21 +275,27 @@ def _radius(q: np.ndarray) -> float:
     return r
 
 
-def _barrier_sum(bt, q, axis):
-    """sum_{l != axis} bt_l / q_l^2 plus the bt_l / q_l^3 terms it needs.
+def _other_barriers(bt: np.ndarray, axis: int) -> SL2Realization:
+    """The barriers bt_l for l != axis, as a realization (for its mask)."""
+    others = bt.copy()
+    others[axis] = 0.0
+    return SL2Realization(others)
 
-    Returns (tsum, cube) with cube_l = bt_l / q_l^3 for active l != axis and
-    zero elsewhere, so callers never divide by an inactive q_l.
-    """
-    mask = bt != 0.0
-    mask[axis] = False
-    cube = np.zeros_like(q)
-    tsum = 0.0
-    if np.any(mask):
-        guard_axes(np.where(mask, bt, 0.0), q)
-        tsum = float(np.sum(bt[mask] / q[mask] ** 2))
-        cube[mask] = bt[mask] / q[mask] ** 3
-    return tsum, cube
+
+def _barrier_sum(bars: SL2Realization, q) -> float:
+    """sum_{l != axis} bt_l / q_l^2 over the barriers of _other_barriers."""
+    if bars.b_active is None:
+        return 0.0
+    return float((bars.b_active / barrier_squares(bars, q)).sum())
+
+
+def _barrier_cube(bars: SL2Realization, q):
+    """bt_l / q_l^3 for active l != axis and zero elsewhere (the scalar 0.0
+    without barriers), so callers never divide by an inactive q_l.  Call
+    after _barrier_sum, which runs the axis guard."""
+    if bars.b_active is None:
+        return 0.0
+    return bars.spread(bars.b_active / bars.at_barriers(q) ** 3)
 
 
 def kc_extra_integral(axis: int, *, mass: float, k: float, b_tilde) -> ConservedQuantity:
@@ -307,16 +316,18 @@ def _kc_extra_unchecked(axis: int, *, mass: float, k: float, b_tilde) -> Conserv
     _check_axis(axis, n)
     m, kc = float(mass), float(k)
     i = axis
+    bars = _other_barriers(bt, i)
 
     def value(q, p):
         r = _radius(q)
-        tsum, _ = _barrier_sum(bt, q, i)
+        tsum = _barrier_sum(bars, q)
         s = float(q @ p) * p[i] - q[i] * float(p @ p)
         return float(s + kc * m * q[i] / r - m * q[i] * tsum)
 
     def gradient(q, p):
         r = _radius(q)
-        tsum, cube = _barrier_sum(bt, q, i)
+        tsum = _barrier_sum(bars, q)
+        cube = _barrier_cube(bars, q)
         dq = p * p[i] + kc * m * (-q[i] * q / r ** 3)
         dq[i] += -float(p @ p) + kc * m / r - m * tsum
         dq += 2.0 * m * q[i] * cube
@@ -349,12 +360,13 @@ def _curved_kc_extra_unchecked(axis, *, mass, k, b_tilde, kappa, chart):
     _check_axis(axis, n)
     m, kc, kp = float(mass), float(k), float(kappa)
     i = axis
+    bars = _other_barriers(bt, i)
 
     if chart == "beltrami":
 
         def value(q, p):
             r = _radius(q)
-            tsum, _ = _barrier_sum(bt, q, i)
+            tsum = _barrier_sum(bars, q)
             dd = float(q @ p)
             qq = float(q @ q)
             pp = float(p @ p)
@@ -363,7 +375,8 @@ def _curved_kc_extra_unchecked(axis, *, mass, k, b_tilde, kappa, chart):
 
         def gradient(q, p):
             r = _radius(q)
-            tsum, cube = _barrier_sum(bt, q, i)
+            tsum = _barrier_sum(bars, q)
+            cube = _barrier_cube(bars, q)
             dd = float(q @ p)
             qq = float(q @ q)
             pp = float(p @ p)
@@ -381,7 +394,7 @@ def _curved_kc_extra_unchecked(axis, *, mass, k, b_tilde, kappa, chart):
 
         def value(q, p):
             r = _radius(q)
-            tsum, _ = _barrier_sum(bt, q, i)
+            tsum = _barrier_sum(bars, q)
             dd = float(q @ p)
             qq = float(q @ q)
             pp = float(p @ p)
@@ -391,7 +404,8 @@ def _curved_kc_extra_unchecked(axis, *, mass, k, b_tilde, kappa, chart):
 
         def gradient(q, p):
             r = _radius(q)
-            tsum, cube = _barrier_sum(bt, q, i)
+            tsum = _barrier_sum(bars, q)
+            cube = _barrier_cube(bars, q)
             dd = float(q @ p)
             qq = float(q @ q)
             pp = float(p @ p)

@@ -25,7 +25,7 @@ from superint import (
 )
 from superint import brackets
 from superint.brackets import PairResidual
-from superint.integrals import _window_gradient, _window_value
+from superint.integrals import _window_quantity
 from conftest import central_gradient
 
 RNG = np.random.default_rng(31)
@@ -121,14 +121,7 @@ def test_involution_table_catches_corruption():
     flipped[0] = -flipped[0]
     bad_b = spec.realization.b.copy()
     bad_b[0] = -bad_b[0]
-
-    def value(q, p):
-        return _window_value(bad_b, q, p, 0, 2)
-
-    def gradient(q, p):
-        return _window_gradient(bad_b, q, p, 0, 2)
-
-    corrupted = ConservedQuantity("C^2", 3, value, gradient)
+    corrupted = _window_quantity(SL2Realization(bad_b), 0, 2, "C^2")
     bad_set = type(uni)((corrupted,) + uni.left[1:], uni.right, spec.realization)
     table = involution_table(spec, bad_set, 20, rng=RNG)
     assert not table.passed

@@ -1,3 +1,5 @@
+import pytest
+
 from superint.cli import main
 
 SW_N4 = """
@@ -192,6 +194,49 @@ def test_simulate_rejects_partial_last_step(tmp_path, capsys):
     assert main(["--out", str(tmp_path), "simulate", str(cfg)]) == 2
     assert "whole number of steps" in capsys.readouterr().err
     assert not (tmp_path / "overrun.traj.txt").exists()
+
+
+def test_simulate_keeps_partial_run_on_nonconvergence(tmp_path, capsys):
+    # a step of 10 is far too large for the stage fixed point to converge
+    text = SW_N4.replace("step = 0.001", "step = 10.0").replace(
+        "t_final = 1.0", "t_final = 100.0")
+    cfg = write(tmp_path, "diverge.cfg", text)
+    assert main(["--out", str(tmp_path), "simulate", str(cfg)]) == 1
+    assert "HALTED: stage fixed point did not reach" in capsys.readouterr().err
+    lines = (tmp_path / "diverge.traj.txt").read_text().splitlines()
+    rows = [line for line in lines if not line.startswith("#")]
+    assert len(rows) == 1 and rows[0].startswith("0.0 0.7 0.8 0.9 1.0 ")
+    assert "# halted = stage fixed point did not reach 1e-13 in 100 iterations" in lines
+
+
+@pytest.mark.parametrize("old, new", [
+    ("step = 0.001", "step = inf"),
+    ("step = 0.001", "step = nan"),
+    ("output_stride = 50", "output_stride = 50\nfixed_point_tol = inf"),
+    ("output_stride = 50", "output_stride = 50\nfixed_point_tol = nan"),
+    ("output_stride = 50", "output_stride = 50\nclosure_tol = nan"),
+    ("omega = 1.0", "omega = inf"),
+    ("n = 4", "n = inf"),
+    ("seed = 77", "seed = nan"),
+    ("x0 = 0.7", "x0 = nan"),
+])
+def test_simulate_rejects_non_finite_numbers(tmp_path, capsys, old, new):
+    cfg = write(tmp_path, "bad.cfg", SW_N4.replace(old, new))
+    assert main(["--out", str(tmp_path), "simulate", str(cfg)]) == 2
+    key = new.splitlines()[-1].split(" = ")[0]
+    assert f"config error: {key}: expected finite numbers" in capsys.readouterr().err
+    assert not (tmp_path / "bad.traj.txt").exists()
+
+
+@pytest.mark.parametrize("key", ["step", "fixed_point_tol"])
+def test_simulate_rejects_non_positive_step_and_tolerance(tmp_path, capsys, key):
+    if key == "step":
+        text = SW_N4.replace("step = 0.001", "step = 0.0")
+    else:
+        text = SW_N4 + "fixed_point_tol = -1e-13\n"
+    cfg = write(tmp_path, "bad.cfg", text)
+    assert main(["--out", str(tmp_path), "simulate", str(cfg)]) == 2
+    assert f"{key} must be positive" in capsys.readouterr().err
 
 
 def test_unwritable_out_is_a_usage_error(tmp_path, capsys):

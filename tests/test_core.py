@@ -200,3 +200,107 @@ def test_energy_quantity_wraps_spec():
     dq_s, dp_s = spec.gradient(x)
     assert np.array_equal(dq_h, dq_s)
     assert np.array_equal(dp_h, dp_s)
+
+
+# ---------------------------------------------------------------------------
+# Bit-exactness of the sl(2) kernel against the tuple-form chain rule
+# ---------------------------------------------------------------------------
+
+def reference_gradient_qp(spec, q, p):
+    """dH/dq, dH/dp as first written: explicit (J-, J+, J3) gradient vectors
+    combined term by term.  The kernel must reproduce it bit for bit."""
+    b = spec.realization.b
+    n = q.size
+    active = b != 0.0
+    jm, j3, jp = float(q @ q), float(q @ p), float(p @ p)
+    djp_dq = np.zeros(n)
+    if np.any(active):
+        jp += float(np.sum(b[active] / q[active] ** 2))
+        djp_dq[active] = -2.0 * b[active] / q[active] ** 3
+    gq = (2.0 * q, djp_dq, p.copy())
+    gp = (np.zeros(n), 2.0 * p, q.copy())
+    hm, hp, h3 = spec.h_partials(jm, jp, j3)
+    dq = hm * gq[0] + hp * gq[1] + h3 * gq[2]
+    dp = hm * gp[0] + hp * gp[1] + h3 * gp[2]
+    return dq, dp
+
+
+def assert_same_bits(a, b):
+    assert np.array_equal(a, b)
+    assert np.array_equal(np.signbit(a), np.signbit(b))
+
+
+_PARAMS = {"mass": 1.1, "omega": 0.9, "delta": 0.2, "k": 0.8, "charge": 0.7}
+_PROFILES = {
+    "potential": (0.0, 0.3, -0.05),
+    "vector": (0.2, 0.1),
+    "mass_profile": (1.0, 0.1),
+    "deltas": (0.1, 0.02),
+}
+
+
+def catalog_specs(b_tilde):
+    """One spec per family x space x sign(kappa) of the catalog."""
+    from superint import SystemDescriptor, build
+    from superint.catalog import EUCLIDEAN, FAMILIES
+
+    for family, info in FAMILIES.items():
+        for space in info["spaces"]:
+            for kappa in (0.0,) if space == EUCLIDEAN else (0.5, -0.5):
+                params = {key: _PARAMS[key] for key in info["params"]}
+                params["kappa"] = kappa
+                profiles = {key: _PROFILES[key] for key in info["profiles"]}
+                yield build(SystemDescriptor(family, space, params, b_tilde,
+                                             profiles=profiles))
+
+
+@pytest.mark.parametrize("b_tilde", [
+    [0.0, 0.0, 0.0],
+    [0.4, 0.0, 0.3],
+    [0.4, 0.2, 0.3],
+], ids=["no_barrier", "some_barriers", "all_barriers"])
+def test_gradient_qp_is_bitwise_the_tuple_form(b_tilde):
+    checked = 0
+    for spec in catalog_specs(b_tilde):
+        for x in sample_regular_points(8, 3, 11, kappa=spec.params.get("kappa", 0.0),
+                                       space=spec.descriptor.space):
+            # signed zeros in p on a negative-q site tell (+0) from (-0) sums
+            q = x.q.copy()
+            q[1] = -abs(q[1])
+            for p1 in (x.p[1], 0.0, -0.0):
+                p = x.p.copy()
+                p[1] = p1
+                dq, dp = spec.gradient_qp(q, p)
+                rq, rp = reference_gradient_qp(spec, q, p)
+                assert_same_bits(dq, rq)
+                assert_same_bits(dp, rp)
+                checked += 1
+    assert checked == 27 * 8 * 3  # 5 families x 5 (space, sign) + 2 flat-only
+
+
+def test_free_particle_gradient_keeps_signed_zeros():
+    # h- = h3 = 0 here, so dH/dp_i = (0 * 0 + h+ * 2 p_i) + 0 * q_i: with
+    # p_i = -0 and q_i < 0 that is +0, which dropping the h- * 0 term flips.
+    spec = make_evans("euclidean", lambda s: 0.0, lambda s: 0.0,
+                      mass=1.0, b_tilde=[0.0, 0.0])
+    q, p = np.array([-0.5, 0.7]), np.array([-0.0, 1.0])
+    dq, dp = spec.gradient_qp(q, p)
+    rq, rp = reference_gradient_qp(spec, q, p)
+    assert_same_bits(dq, rq)
+    assert_same_bits(dp, rp)
+    assert not np.signbit(dp[0])
+
+
+def test_realization_caches_its_barrier_mask():
+    realization = SL2Realization([0.5, 0.0, -0.2])
+    assert realization.active.tolist() == [True, False, True]
+    assert realization.b_active.tolist() == [0.5, -0.2]
+    assert not realization.all_active
+    assert SL2Realization([0.0, 0.0]).b_active is None
+    with pytest.raises(ValueError):
+        realization.b[1] = 1.0  # read-only, so the mask cannot go stale
+    # the cheap near-axis test still hands over to the exact guard message
+    spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.5, 0.0, -0.2])
+    with pytest.raises(DomainError, match=r"q_3 = .*1e-11\)? lies on a coordinate plane with b_3 != 0"):
+        spec.gradient_qp(np.array([1.0, 0.0, 1e-11]), np.zeros(3))
+    assert np.isfinite(spec.value_qp(np.array([1.0, 0.0, 3e-10]), np.zeros(3)))

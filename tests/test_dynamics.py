@@ -114,9 +114,37 @@ def test_singular_approach_on_radial_infall():
 
 def test_nonconvergence_for_oversized_step():
     spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.0, 0.0])
-    with pytest.raises(NonConvergence):
-        integrate(spec, PhasePoint([1.0, 0.2], [0.1, -0.4]), 100.0,
-                  IntegratorConfig(step=10.0))
+    x0 = PhasePoint([1.0, 0.2], [0.1, -0.4])
+    with pytest.raises(NonConvergence) as info:
+        integrate(spec, x0, 100.0, IntegratorConfig(step=10.0),
+                  monitors=[energy_quantity(spec)])
+    # the run up to the last accepted state is kept
+    traj = info.value.trajectory
+    assert traj.n_states == 1
+    assert np.array_equal(traj.q[0], x0.q)
+    assert traj.drift["H"] == 0.0
+    assert np.array_equal(info.value.state.p, x0.p)
+
+
+def test_step_count_does_not_overrun_t_final():
+    from superint.dynamics import step_count
+
+    assert 32.2 / 1e-3 > 32200.0  # rounding puts the ratio above the integer
+    assert step_count(32.2, 1e-3) == 32200
+    assert step_count(1.0, 0.3) == 4  # not a whole number: ceil, as before
+    assert step_count(0.0, 1e-3) == 0
+    spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.0, 0.0])
+    traj = integrate(spec, PhasePoint([1.0, 0.2], [0.1, -0.4]), 32.2,
+                     IntegratorConfig(method="rk4", step=1e-3))
+    assert traj.n_states == 32201
+    assert traj.times[-1] == pytest.approx(32.2, rel=1e-12)
+
+
+@pytest.mark.parametrize("field", ["step", "fixed_point_tol", "guard_radius"])
+@pytest.mark.parametrize("value", [0.0, -1e-3, math.inf, math.nan])
+def test_integrator_config_rejects_bad_numbers(field, value):
+    with pytest.raises(ValueError, match="finite and positive"):
+        IntegratorConfig(**{field: value})
 
 
 def test_chart_boundary_halts_runaway_sphere_orbit():
@@ -191,3 +219,122 @@ def test_monitor_series_recorded():
     assert traj.monitors["H"].size == traj.n_states
     assert traj.times[0] == 0.0
     assert np.all(np.diff(traj.times) > 0.0)
+
+
+# ---------------------------------------------------------------------------
+# Bit-exactness of the stacked steppers against separate q and p arrays
+# ---------------------------------------------------------------------------
+
+_SQRT3 = math.sqrt(3.0)
+_A11, _A12 = 0.25, 0.25 - _SQRT3 / 6.0
+_A21, _A22 = 0.25 + _SQRT3 / 6.0, 0.25
+
+
+def _reference_gl2_step(f, q, p, h, k_seed, tol, max_iters):
+    """GL2 step on four stage arrays (q and p parts of two stages)."""
+    k1q, k1p, k2q, k2p = k_seed
+    for _ in range(max_iters):
+        y1q = q + h * (_A11 * k1q + _A12 * k2q)
+        y1p = p + h * (_A11 * k1p + _A12 * k2p)
+        y2q = q + h * (_A21 * k1q + _A22 * k2q)
+        y2p = p + h * (_A21 * k1p + _A22 * k2p)
+        n1q, n1p = f(y1q, y1p)
+        n2q, n2p = f(y2q, y2p)
+        delta = max(
+            float(np.max(np.abs(n1q - k1q))),
+            float(np.max(np.abs(n1p - k1p))),
+            float(np.max(np.abs(n2q - k2q))),
+            float(np.max(np.abs(n2p - k2p))),
+        )
+        k1q, k1p, k2q, k2p = n1q, n1p, n2q, n2p
+        if delta <= tol:
+            qn = q + 0.5 * h * (k1q + k2q)
+            pn = p + 0.5 * h * (k1p + k2p)
+            return qn, pn, (k1q, k1p, k2q, k2p)
+    raise AssertionError("reference stage iteration did not converge")
+
+
+def _reference_rk4_step(f, q, p, h):
+    k1q, k1p = f(q, p)
+    k2q, k2p = f(q + 0.5 * h * k1q, p + 0.5 * h * k1p)
+    k3q, k3p = f(q + 0.5 * h * k2q, p + 0.5 * h * k2p)
+    k4q, k4p = f(q + h * k3q, p + h * k3p)
+    qn = q + (h / 6.0) * (k1q + 2.0 * k2q + 2.0 * k3q + k4q)
+    pn = p + (h / 6.0) * (k1p + 2.0 * k2p + 2.0 * k3p + k4p)
+    return qn, pn
+
+
+def _reference_window_value(b, q, p, lo, hi):
+    """Window Casimir through np.outer and np.sum."""
+    qw, pw, bw = q[lo:hi], p[lo:hi], b[lo:hi]
+    L = np.outer(qw, pw) - np.outer(pw, qw)
+    val = 0.5 * float(np.sum(L * L))
+    active = bw != 0.0
+    if np.any(active):
+        s2 = float(qw @ qw)
+        qa2 = qw[active] ** 2
+        val += float(np.sum(bw[active] * (s2 - qa2) / qa2))
+    return val + float(np.sum(bw))
+
+
+def _reference_sl2(b, q, p):
+    active = b != 0.0
+    jp = float(p @ p)
+    if np.any(active):
+        jp += float(np.sum(b[active] / q[active] ** 2))
+    return float(q @ q), jp, float(q @ p)
+
+
+def _reference_run(spec, x0, n_steps, cfg):
+    def f(q, p):
+        dq, dp = spec.gradient_qp(q, p)
+        return dp, -dq
+
+    q, p = x0.q.copy(), x0.p.copy()
+    qs, ps = [q], [p]
+    if cfg.method == "gl2":
+        dq0, dp0 = f(q, p)
+        k_seed = (dq0.copy(), dp0.copy(), dq0.copy(), dp0.copy())
+    for _ in range(n_steps):
+        if cfg.method == "gl2":
+            q, p, k_seed = _reference_gl2_step(
+                f, q, p, cfg.step, k_seed, cfg.fixed_point_tol, cfg.max_fixed_point_iters
+            )
+        else:
+            q, p = _reference_rk4_step(f, q, p, cfg.step)
+        qs.append(q)
+        ps.append(p)
+    qs, ps = np.array(qs), np.array(ps)
+    b, n = spec.realization.b, spec.n
+    windows = {f"C^{m}": (0, m) for m in range(2, n + 1)}
+    windows.update({f"C_{m}": (n - m, n) for m in range(2, n)})
+    series = {"H": np.array([spec.h(*_reference_sl2(b, qi, pi)) for qi, pi in zip(qs, ps)])}
+    for name, (lo, hi) in windows.items():
+        series[name] = np.array([_reference_window_value(b, qi, pi, lo, hi)
+                                 for qi, pi in zip(qs, ps)])
+    return qs, ps, series
+
+
+def _bit_systems():
+    bt = [0.3, 0.0, 0.2]
+    for space, kappa in (("euclidean", 0.0), ("beltrami", 0.4), ("beltrami", -0.4),
+                         ("poincare", 0.4), ("poincare", -0.4)):
+        yield make_sw(space, mass=1.0, omega=1.1, b_tilde=bt, kappa=kappa)
+        yield make_kepler_coulomb(space, mass=1.0, k=0.9, b_tilde=bt, kappa=kappa)
+        yield make_garnier(space, mass=1.0, omega=1.0, delta=0.2, b_tilde=bt, kappa=kappa)
+
+
+@pytest.mark.parametrize("method, n_steps", [("gl2", 200), ("rk4", 100)])
+def test_stacked_steppers_are_bitwise_the_split_form(method, n_steps):
+    cfg = IntegratorConfig(method=method, step=2e-3)
+    x0 = PhasePoint([0.5, 0.4, 0.3], [0.2, -0.3, 0.25])
+    for spec in _bit_systems():
+        monitors = [energy_quantity(spec), *universal_set(spec.realization).all]
+        traj = integrate(spec, x0, n_steps * cfg.step, cfg, monitors)
+        qs, ps, series = _reference_run(spec, x0, n_steps, cfg)
+        assert traj.n_states == n_steps + 1
+        assert np.array_equal(traj.q, qs), spec.name
+        assert np.array_equal(traj.p, ps), spec.name
+        assert set(traj.monitors) == set(series)
+        for name, values in series.items():
+            assert np.array_equal(traj.monitors[name], values), (spec.name, name)
