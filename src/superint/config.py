@@ -25,6 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import FAMILIES, SPACES, EUCLIDEAN, SystemDescriptor
+from .dynamics import whole_steps
 from .errors import ConfigError
 
 _SECTIONS = {"run", "system", "verification", "simulation"}
@@ -240,12 +241,11 @@ def _simulation(sec, n: int) -> SimulationSettings:
     step = _one_float(sec["step"], "step")
     if step <= 0.0:
         raise ConfigError("step must be positive")
-    ratio = t_final / step
-    if not math.isfinite(ratio) or abs(ratio - round(ratio)) > 1e-9 * ratio:
+    if whole_steps(t_final, step) is None:
         # The integrator takes whole steps only, so the grid would end past t_final.
         raise ConfigError(
             f"t_final / step must be a whole number of steps, got "
-            f"{t_final!r} / {step!r} = {ratio!r}"
+            f"{t_final!r} / {step!r} = {t_final / step!r}"
         )
     method = sec.get("method", "gl2")
     if method not in ("gl2", "rk4"):

@@ -68,16 +68,15 @@ class SL2Realization:
     """Centrifugal coefficients b = (b_1 ... b_N) of the realization.
 
     The barrier sites are found once here: `active` masks the sites with
-    b_i != 0, `b_active` holds their coefficients (None when there is no
-    barrier) and `all_active` says whether every site has one.  The sl(2)
-    kernel and every axis guard read these instead of rebuilding the mask;
-    `b` is stored as a read-only copy so they cannot go stale.
+    b_i != 0 and `b_active` holds their coefficients (None when there is no
+    barrier).  The sl(2) kernel and every axis guard read these instead of
+    rebuilding the mask; `b` is stored as a read-only copy so they cannot
+    go stale.
     """
 
     b: np.ndarray
     active: np.ndarray = field(init=False, repr=False, compare=False)
     b_active: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
-    all_active: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = _as_vector(self.b, "b").copy()
@@ -86,20 +85,17 @@ class SL2Realization:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "active", active)
         object.__setattr__(self, "b_active", b[active] if active.any() else None)
-        object.__setattr__(self, "all_active", bool(active.all()))
 
     @property
     def n(self) -> int:
         return self.b.size
 
     def at_barriers(self, q: np.ndarray) -> np.ndarray:
-        """The entries of q on the barrier sites (q itself when all are)."""
-        return q if self.all_active else q[self.active]
+        """The entries of q on the barrier sites."""
+        return q[self.active]
 
     def spread(self, values: np.ndarray) -> np.ndarray:
         """Inverse of at_barriers: a length-N vector, zero off the barriers."""
-        if self.all_active:
-            return values
         full = np.zeros(self.n)
         full[self.active] = values
         return full

