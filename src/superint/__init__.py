@@ -20,9 +20,6 @@ from .brackets import (
     sample_regular_points,
 )
 from .catalog import (
-    BELTRAMI,
-    EUCLIDEAN,
-    POINCARE,
     EMFields,
     SystemDescriptor,
     build,
@@ -47,8 +44,6 @@ from .core import (
     SL2Values,
     energy_quantity,
     evaluate_sl2,
-    hamiltonian_gradient,
-    hamiltonian_value,
 )
 from .dynamics import (
     ClosureReport,
@@ -70,6 +65,9 @@ from .errors import (
     SuperintError,
 )
 from .geometry import (
+    BELTRAMI,
+    EUCLIDEAN,
+    POINCARE,
     AmbientPoint,
     ChartPoint,
     ambient_to_beltrami,
@@ -89,8 +87,6 @@ from .geometry import (
 )
 from .integrals import (
     IntegralSet,
-    curved_kc_extra_integral,
-    curved_sw_extra_integral,
     kc_extra_integral,
     left_integral,
     right_integral,

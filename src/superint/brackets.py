@@ -16,12 +16,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .core import ConservedQuantity, HamiltonianSpec, PhasePoint, energy_quantity
 from .errors import DimensionMismatch, SamplingError
+from .geometry import CHARTS, EUCLIDEAN, POINCARE
 from .integrals import IntegralSet
 
 Q_LOW, Q_HIGH = 0.2, 1.5
@@ -77,7 +78,7 @@ def sample_regular_points(
     rng=0,
     *,
     kappa: float = 0.0,
-    space: str = "euclidean",
+    space: str = EUCLIDEAN,
     max_draws: int = 1000,
 ) -> list[PhasePoint]:
     """Random phase points away from coordinate planes and chart boundaries.
@@ -87,9 +88,9 @@ def sample_regular_points(
     """
     gen = _rng(rng)
     q2_limit = None
-    if space == "poincare" and kappa > 0.0:
+    if space == POINCARE and kappa > 0.0:
         q2_limit = 1.0 / kappa
-    elif space in ("poincare", "beltrami") and kappa < 0.0:
+    elif space in CHARTS and kappa < 0.0:
         q2_limit = 1.0 / (-kappa)
     scale = 1.0
     if q2_limit is not None:
@@ -114,12 +115,12 @@ def sample_regular_points(
 
 
 def sample_for_spec(spec: HamiltonianSpec, n_points: int, rng=0) -> list[PhasePoint]:
-    """Regular sample respecting the spec's space and curvature."""
-    space = "euclidean"
-    if spec.descriptor is not None:
-        space = spec.descriptor.space
-    kappa = float(spec.params.get("kappa", 0.0))
-    return sample_regular_points(n_points, spec.n, rng, kappa=kappa, space=space)
+    """Regular sample respecting the spec's space and curvature (flat space
+    when the spec has no descriptor)."""
+    desc = spec.descriptor
+    if desc is None:
+        return sample_regular_points(n_points, spec.n, rng)
+    return sample_regular_points(n_points, spec.n, rng, kappa=desc.kappa, space=desc.space)
 
 
 @dataclass(frozen=True)
@@ -211,15 +212,11 @@ class IndependenceCertificate:
 
 def independence_rank(
     functions: Sequence[ConservedQuantity],
-    num_points: int,
+    points: Sequence[PhasePoint],
     *,
-    rng=0,
     rank_tolerance: float = 1e-8,
-    kappa: float = 0.0,
-    space: str = "euclidean",
-    points: Optional[Sequence[PhasePoint]] = None,
 ) -> IndependenceCertificate:
-    """Certify functional independence of a set of observables.
+    """Certify functional independence of a set of observables at the points.
 
     The per-point rank counts singular values above rank_tolerance * sigma_max;
     the certificate takes the maximum over the sample (a single full-rank
@@ -229,10 +226,8 @@ def independence_rank(
     if len(ndims) != 1:
         raise DimensionMismatch(f"functions live on different dimensions: {ndims}")
     ndim = ndims.pop()
-    if points is None:
-        if num_points < 1:
-            raise SamplingError("num_points must be >= 1")
-        points = sample_regular_points(num_points, ndim, rng, kappa=kappa, space=space)
+    if not points:
+        raise SamplingError("independence needs at least one sample point")
 
     def run(x: PhasePoint) -> np.ndarray:
         rows = np.empty((len(functions), 2 * ndim))

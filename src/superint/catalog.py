@@ -20,28 +20,42 @@ import numpy as np
 
 from .core import Guard, HamiltonianSpec, SL2Realization, _as_vector
 from .errors import ConfigError, DimensionMismatch, DomainError
-
-EUCLIDEAN = "euclidean"
-POINCARE = "poincare"
-BELTRAMI = "beltrami"
-SPACES = (EUCLIDEAN, POINCARE, BELTRAMI)
+from .geometry import BELTRAMI, CHARTS, EUCLIDEAN, POINCARE, SPACES, check_space
 
 Profile = Callable[[float], float]
 
 
 @dataclass(frozen=True)
 class SystemDescriptor:
-    """What a catalog system is: family, space, parameters, barriers."""
+    """What a catalog system is: family, space, parameters, barriers.
+
+    Construction validates it against FAMILIES: a known family on one of
+    its spaces, kappa = 0 on flat space, finite parameters and profile
+    coefficients, and a positive mass where the family has one.
+    """
 
     family: str
     space: str
     params: Mapping[str, float]
     b_tilde: np.ndarray
-    ms_axes: tuple[int, ...] = ()
     profiles: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         object.__setattr__(self, "b_tilde", _as_vector(self.b_tilde, "b_tilde"))
+        info = FAMILIES.get(self.family)
+        if info is None:
+            raise ConfigError(f"unknown family {self.family!r}; known: {sorted(FAMILIES)}")
+        for key, value in self.params.items():
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
+        for key, coeffs in self.profiles.items():
+            if not all(map(math.isfinite, coeffs)):
+                raise ConfigError(f"{key} must be finite, got {coeffs!r}")
+        check_space(self.space, self.kappa)
+        if self.space not in info["spaces"]:
+            raise ConfigError(f"family {self.family!r} is not defined on space {self.space!r}")
+        if "mass" in info["params"]:
+            _check_mass(self.params["mass"])
 
     @property
     def n(self) -> int:
@@ -51,12 +65,11 @@ class SystemDescriptor:
     def kappa(self) -> float:
         return float(self.params.get("kappa", 0.0))
 
-
-def _check_space(space: str, kappa: float) -> None:
-    if space not in SPACES:
-        raise ConfigError(f"space must be one of {SPACES}, got {space!r}")
-    if space == EUCLIDEAN and kappa != 0.0:
-        raise ConfigError("euclidean space has kappa = 0")
+    @property
+    def ms_axes(self) -> tuple[int, ...]:
+        """The axes that carry an extra integral (none outside sw and kepler_coulomb)."""
+        rule = FAMILIES[self.family].get("extra_axes")
+        return () if rule is None else tuple(int(i) for i in rule(self.b_tilde))
 
 
 def _check_mass(mass: float) -> float:
@@ -66,11 +79,11 @@ def _check_mass(mass: float) -> float:
     return mass
 
 
-def _realization(mass: float, b_tilde) -> tuple[SL2Realization, np.ndarray]:
-    bt = _as_vector(b_tilde, "b_tilde")
-    if bt.size < 1:
+def _realization(desc: SystemDescriptor) -> SL2Realization:
+    """The realization b = m * bt of a family with a constant mass."""
+    if desc.n < 1:
         raise DimensionMismatch("b_tilde must have at least one entry")
-    return SL2Realization(mass * bt), bt
+    return SL2Realization(desc.params["mass"] * desc.b_tilde)
 
 
 def _kinetic(space: str, kappa: float, mass: float):
@@ -132,27 +145,22 @@ def _guards(space: str, kappa: float, *, origin: bool = False) -> tuple[Guard, .
     if space == BELTRAMI and kappa > 0.0:
         # the equator sits at |z| -> inf; clearance is the ambient height x0^2
         guards.append(Guard("chart_boundary", lambda q: 1.0 / (1.0 + kappa * float(q @ q))))
-    if space in (POINCARE, BELTRAMI) and kappa < 0.0:
+    if space in CHARTS and kappa < 0.0:
         guards.append(Guard("chart_boundary", lambda q: 1.0 + kappa * float(q @ q)))
     return tuple(guards)
 
 
 def _radial_spec(
-    name: str,
-    space: str,
-    kappa: float,
-    mass: float,
-    b_tilde,
+    desc: SystemDescriptor,
     profile: Profile,
     profile_deriv: Profile,
-    params: dict,
-    descriptor: SystemDescriptor,
     *,
     origin_guard: bool = False,
 ) -> HamiltonianSpec:
     """Kinetic term plus a radial profile of the tangent-distance squared."""
-    realization, _ = _realization(mass, b_tilde)
-    t_val, t_par = _kinetic(space, kappa, mass)
+    space, kappa = desc.space, desc.kappa
+    realization = _realization(desc)
+    t_val, t_par = _kinetic(space, kappa, desc.params["mass"])
     s_val, s_der = _radial_argument(space, kappa)
 
     def h(jm, jp, j3):
@@ -163,12 +171,11 @@ def _radial_spec(
         return tm + profile_deriv(s_val(jm)) * s_der(jm), tp, t3
 
     return HamiltonianSpec(
-        name=name,
+        name=f"{desc.family}.{space}",
         realization=realization,
         h=h,
         h_partials=h_partials,
-        params=params,
-        descriptor=descriptor,
+        descriptor=desc,
         guards=_guards(space, kappa, origin=origin_guard),
     )
 
@@ -191,13 +198,8 @@ def make_evans(
     The caller supplies the radial profile and its derivative; the argument
     is the squared tangent-distance (plain q^2 in the flat case).
     """
-    mass = _check_mass(mass)
-    _check_space(space, kappa)
-    desc = SystemDescriptor("evans", space, {"mass": mass, "kappa": kappa}, b_tilde)
-    return _radial_spec(
-        f"evans.{space}", space, kappa, mass, b_tilde, profile, profile_deriv,
-        {"mass": mass, "kappa": kappa}, desc,
-    )
+    desc = SystemDescriptor("evans", space, {"mass": float(mass), "kappa": kappa}, b_tilde)
+    return _radial_spec(desc, profile, profile_deriv)
 
 
 def make_sw(
@@ -212,19 +214,11 @@ def make_sw(
 
     Maximally superintegrable: every axis carries an extra integral I_i.
     """
-    mass = _check_mass(mass)
-    _check_space(space, kappa)
-    w2 = float(omega) ** 2
-    bt = _as_vector(b_tilde, "b_tilde")
     desc = SystemDescriptor(
-        "sw", space, {"mass": mass, "omega": float(omega), "kappa": kappa},
-        bt, ms_axes=tuple(range(bt.size)),
+        "sw", space, {"mass": float(mass), "omega": float(omega), "kappa": kappa}, b_tilde
     )
-    return _radial_spec(
-        f"sw.{space}", space, kappa, mass, bt,
-        lambda s: w2 * s, lambda s: w2,
-        {"mass": mass, "omega": float(omega), "kappa": kappa}, desc,
-    )
+    w2 = desc.params["omega"] ** 2
+    return _radial_spec(desc, lambda s: w2 * s, lambda s: w2)
 
 
 def make_garnier(
@@ -237,18 +231,13 @@ def make_garnier(
     kappa: float = 0.0,
 ) -> HamiltonianSpec:
     """Quartic oscillator w^2 r_t^2 + delta r_t^4 with barriers (QMS)."""
-    mass = _check_mass(mass)
-    _check_space(space, kappa)
-    w2, d = float(omega) ** 2, float(delta)
     desc = SystemDescriptor(
         "garnier", space,
-        {"mass": mass, "omega": float(omega), "delta": d, "kappa": kappa}, b_tilde,
+        {"mass": float(mass), "omega": float(omega), "delta": float(delta), "kappa": kappa},
+        b_tilde,
     )
-    return _radial_spec(
-        f"garnier.{space}", space, kappa, mass, b_tilde,
-        lambda s: w2 * s + d * s * s, lambda s: w2 + 2.0 * d * s,
-        {"mass": mass, "omega": float(omega), "delta": d, "kappa": kappa}, desc,
-    )
+    w2, d = desc.params["omega"] ** 2, desc.params["delta"]
+    return _radial_spec(desc, lambda s: w2 * s + d * s * s, lambda s: w2 + 2.0 * d * s)
 
 
 def make_nonlinear_oscillator(
@@ -264,10 +253,12 @@ def make_nonlinear_oscillator(
 
     `deltas` lists delta_1..delta_K; any finite truncation is admissible.
     """
-    mass = _check_mass(mass)
-    _check_space(space, kappa)
-    w2 = float(omega) ** 2
-    ds = tuple(float(d) for d in deltas)
+    desc = SystemDescriptor(
+        "oscillator", space, {"mass": float(mass), "omega": float(omega), "kappa": kappa},
+        b_tilde, profiles={"deltas": tuple(float(d) for d in deltas)},
+    )
+    w2 = desc.params["omega"] ** 2
+    ds = desc.profiles["deltas"]
 
     def f(s):
         val = w2 * s
@@ -285,15 +276,7 @@ def make_nonlinear_oscillator(
             val += (j + 1) * d * sk
         return val
 
-    desc = SystemDescriptor(
-        "oscillator", space,
-        {"mass": mass, "omega": float(omega), "kappa": kappa}, b_tilde,
-        profiles={"deltas": ds},
-    )
-    return _radial_spec(
-        f"oscillator.{space}", space, kappa, mass, b_tilde, f, fp,
-        {"mass": mass, "omega": float(omega), "kappa": kappa}, desc,
-    )
+    return _radial_spec(desc, f, fp)
 
 
 def make_kepler_coulomb(
@@ -309,10 +292,10 @@ def make_kepler_coulomb(
     Maximally superintegrable when at least one bt_i = 0; each such axis
     carries a Laplace-Runge-Lenz component L_i.
     """
-    mass = _check_mass(mass)
-    _check_space(space, kappa)
-    kc = float(k)
-    bt = _as_vector(b_tilde, "b_tilde")
+    desc = SystemDescriptor(
+        "kepler_coulomb", space, {"mass": float(mass), "k": float(k), "kappa": kappa}, b_tilde
+    )
+    kc = desc.params["k"]
 
     def f(s):
         if s <= 0.0:
@@ -324,15 +307,7 @@ def make_kepler_coulomb(
             raise DomainError("attractive center reached (q^2 = 0)")
         return 0.5 * kc * s ** -1.5
 
-    desc = SystemDescriptor(
-        "kepler_coulomb", space, {"mass": mass, "k": kc, "kappa": kappa},
-        bt, ms_axes=tuple(int(i) for i in np.flatnonzero(bt == 0.0)),
-    )
-    return _radial_spec(
-        f"kepler_coulomb.{space}", space, kappa, mass, bt, f, fp,
-        {"mass": mass, "k": kc, "kappa": kappa}, desc,
-        origin_guard=True,
-    )
+    return _radial_spec(desc, f, fp, origin_guard=True)
 
 
 def make_electromagnetic(
@@ -346,9 +321,12 @@ def make_electromagnetic(
     b_tilde,
 ) -> HamiltonianSpec:
     """Flat momenta-dependent family J+/2m - (e/m) J3 G(J-) + e F(J-)."""
-    mass = _check_mass(mass)
-    e = float(charge)
-    realization, bt = _realization(mass, b_tilde)
+    desc = SystemDescriptor(
+        "electromagnetic", EUCLIDEAN,
+        {"mass": float(mass), "charge": float(charge), "kappa": 0.0}, b_tilde,
+    )
+    mass, e = desc.params["mass"], desc.params["charge"]
+    realization = _realization(desc)
     inv2m = 1.0 / (2.0 * mass)
 
     def h(jm, jp, j3):
@@ -361,15 +339,11 @@ def make_electromagnetic(
             -(e / mass) * vector_profile(jm),
         )
 
-    desc = SystemDescriptor(
-        "electromagnetic", EUCLIDEAN, {"mass": mass, "charge": e, "kappa": 0.0}, bt
-    )
     return HamiltonianSpec(
         name="electromagnetic.euclidean",
         realization=realization,
         h=h,
         h_partials=h_partials,
-        params={"mass": mass, "charge": e, "kappa": 0.0},
         descriptor=desc,
     )
 
@@ -388,7 +362,8 @@ def make_variable_mass(
     The chart kinetic energies are the special cases M = m/(1 + kappa s)^2
     (Poincare) of this form.
     """
-    realization = SL2Realization(_as_vector(b, "b"))
+    desc = SystemDescriptor("variable_mass", EUCLIDEAN, {"kappa": 0.0}, _as_vector(b, "b"))
+    realization = SL2Realization(desc.b_tilde)
 
     def h(jm, jp, j3):
         mval = mass_profile(jm)
@@ -406,15 +381,11 @@ def make_variable_mass(
             0.0,
         )
 
-    desc = SystemDescriptor(
-        "variable_mass", EUCLIDEAN, {"kappa": 0.0}, realization.b
-    )
     return HamiltonianSpec(
         name="variable_mass.euclidean",
         realization=realization,
         h=h,
         h_partials=h_partials,
-        params={"kappa": 0.0},
         descriptor=desc,
     )
 
@@ -477,6 +448,9 @@ def em_fields(
 # Config-driven construction
 # ---------------------------------------------------------------------------
 
+# Per family: the parameters and polynomial profiles a config gives, the
+# spaces it is defined on, what it is known to be, and, for the two maximally
+# superintegrable families, which axes carry an extra integral given b_tilde.
 FAMILIES: dict[str, dict] = {
     "evans": {
         "params": ("mass",),
@@ -489,6 +463,7 @@ FAMILIES: dict[str, dict] = {
         "profiles": (),
         "spaces": SPACES,
         "ms": "maximally superintegrable; N extra integrals I_1..I_N, one per axis",
+        "extra_axes": lambda bt: range(bt.size),
     },
     "garnier": {
         "params": ("mass", "omega", "delta"),
@@ -508,6 +483,7 @@ FAMILIES: dict[str, dict] = {
         "spaces": SPACES,
         "ms": "maximally superintegrable when at least one bt_i = 0; "
         "extra integral L_i for every axis with bt_i = 0",
+        "extra_axes": lambda bt: np.flatnonzero(bt == 0.0),
     },
     "electromagnetic": {
         "params": ("mass", "charge"),
@@ -539,14 +515,10 @@ def build(descriptor: SystemDescriptor) -> HamiltonianSpec:
     `descriptor.profiles`.
     """
     family = descriptor.family
-    if family not in FAMILIES:
-        raise ConfigError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
     space = descriptor.space
-    params = dict(descriptor.params)
-    kappa = float(params.get("kappa", 0.0))
+    params = descriptor.params
+    kappa = descriptor.kappa
     bt = descriptor.b_tilde
-    if space not in FAMILIES[family]["spaces"]:
-        raise ConfigError(f"family {family!r} is not defined on space {space!r}")
 
     if family == "sw":
         return make_sw(space, mass=params["mass"], omega=params["omega"],
@@ -594,21 +566,13 @@ def extra_integral(descriptor: SystemDescriptor, axis: int):
     """
     from . import integrals
 
-    family, space = descriptor.family, descriptor.space
-    params = descriptor.params
-    if family == "sw":
-        if space == EUCLIDEAN:
-            return integrals.sw_extra_integral(
-                axis, mass=params["mass"], omega=params["omega"],
-                b_tilde=descriptor.b_tilde)
-        return integrals.curved_sw_extra_integral(
-            axis, mass=params["mass"], omega=params["omega"],
-            b_tilde=descriptor.b_tilde, kappa=descriptor.kappa, chart=space)
-    if family == "kepler_coulomb":
-        if space == EUCLIDEAN:
-            return integrals.kc_extra_integral(
-                axis, mass=params["mass"], k=params["k"], b_tilde=descriptor.b_tilde)
-        return integrals.curved_kc_extra_integral(
-            axis, mass=params["mass"], k=params["k"],
-            b_tilde=descriptor.b_tilde, kappa=descriptor.kappa, chart=space)
-    raise ConfigError(f"family {family!r} has no extra integrals")
+    params, bt = descriptor.params, descriptor.b_tilde
+    kappa, space = descriptor.kappa, descriptor.space
+    if descriptor.family == "sw":
+        return integrals.sw_extra_integral(
+            axis, mass=params["mass"], omega=params["omega"], b_tilde=bt,
+            kappa=kappa, space=space)
+    if descriptor.family == "kepler_coulomb":
+        return integrals.kc_extra_integral(
+            axis, mass=params["mass"], k=params["k"], b_tilde=bt, kappa=kappa, space=space)
+    raise ConfigError(f"family {descriptor.family!r} has no extra integrals")

@@ -19,7 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .brackets import independence_rank, involution_table, max_bracket_residual
+from .brackets import (
+    independence_rank,
+    involution_table,
+    max_bracket_residual,
+    sample_for_spec,
+)
 from .catalog import EUCLIDEAN, FAMILIES, build, extra_integral
 from .config import ExperimentConfig, load_config
 from .core import energy_quantity
@@ -65,25 +70,21 @@ def cmd_verify(config_path: Path, out_dir: Path, seed_override, hex_floats: bool
     )
     h = energy_quantity(spec)
     cert = independence_rank(
-        [h, *uni.all], ver.sample_points, rng=rng,
-        rank_tolerance=ver.rank_tol, kappa=cfg.descriptor.kappa,
-        space=cfg.descriptor.space,
+        [h, *uni.all], sample_for_spec(spec, ver.sample_points, rng),
+        rank_tolerance=ver.rank_tol,
     )
     expected_rank = 2 * n - 2
     rank_ok = cert.numerical_rank == expected_rank
 
     extras = []
     extras_ok = True
-    from .brackets import sample_for_spec
-
     points = sample_for_spec(spec, ver.sample_points, rng)
     for axis in cfg.extra_axes:
         quantity = extra_integral(cfg.descriptor, axis)
         raw, norm = max_bracket_residual(h, quantity, points)
         cert_x = independence_rank(
-            [h, *uni.all, quantity], ver.sample_points, rng=rng,
-            rank_tolerance=ver.rank_tol, kappa=cfg.descriptor.kappa,
-            space=cfg.descriptor.space,
+            [h, *uni.all, quantity], sample_for_spec(spec, ver.sample_points, rng),
+            rank_tolerance=ver.rank_tol,
         )
         ok = norm < ver.bracket_tol and cert_x.numerical_rank == 2 * n - 1
         extras_ok &= ok
@@ -279,6 +280,8 @@ def main(argv=None) -> int:
                        help="write floats as hexadecimal literals")
     sub.add_parser("catalog")
     args = parser.parse_args(argv)
+    if args.seed is not None and args.seed < 0:
+        parser.error(f"--seed must be >= 0, got {args.seed}")
 
     if args.out is not None:
         out_dir = args.out

@@ -24,9 +24,10 @@ from typing import Optional
 
 import numpy as np
 
-from .catalog import FAMILIES, SPACES, EUCLIDEAN, SystemDescriptor
+from .catalog import FAMILIES, SystemDescriptor
 from .dynamics import whole_steps
 from .errors import ConfigError
+from .geometry import EUCLIDEAN
 
 _SECTIONS = {"run", "system", "verification", "simulation"}
 _RUN_KEYS = {"seed"}
@@ -131,6 +132,8 @@ def load_config(path) -> ExperimentConfig:
     seed = 0
     if "run" in parser and "seed" in parser["run"]:
         seed = _one_int(parser["run"]["seed"], "seed")
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
 
     descriptor, extra_axes = _system(parser["system"])
     verification = _verification(parser["verification"]) if "verification" in parser \
@@ -142,13 +145,8 @@ def load_config(path) -> ExperimentConfig:
 
 def _system(sec) -> tuple[SystemDescriptor, tuple[int, ...]]:
     family = sec.get("family")
-    if family not in FAMILIES:
-        raise ConfigError(f"family must be one of {sorted(FAMILIES)}, got {family!r}")
-    space = sec.get("space", EUCLIDEAN)
-    if space not in SPACES:
-        raise ConfigError(f"space must be one of {SPACES}, got {space!r}")
-    if space not in FAMILIES[family]["spaces"]:
-        raise ConfigError(f"family {family!r} is not defined on space {space!r}")
+    # SystemDescriptor rejects an unknown family; it has no keys to read here
+    info = FAMILIES.get(family, {"params": (), "profiles": ()})
 
     if "n" not in sec:
         raise ConfigError("[system] n is required")
@@ -166,37 +164,19 @@ def _system(sec) -> tuple[SystemDescriptor, tuple[int, ...]]:
         raise ConfigError(f"{barrier_key} must list n = {n} values, got {bt.size}")
 
     kappa = _one_float(sec["kappa"], "kappa") if "kappa" in sec else 0.0
-    if space == EUCLIDEAN and kappa != 0.0:
-        raise ConfigError("euclidean space has kappa = 0")
-
     params: dict[str, float] = {"kappa": kappa}
     profiles: dict[str, tuple[float, ...]] = {}
-    needed = FAMILIES[family]["params"]
-    if "mass" in needed:
-        params["mass"] = _one_float(sec["mass"], "mass") if "mass" in sec else 1.0
-        if params["mass"] <= 0.0:
-            raise ConfigError(f"mass must be positive, got {params['mass']}")
-    if "omega" in needed:
-        params["omega"] = _one_float(sec["omega"], "omega") if "omega" in sec else 1.0
-    if "delta" in needed:
-        params["delta"] = _one_float(sec["delta"], "delta") if "delta" in sec else 0.0
-    if "k" in needed:
-        params["k"] = _one_float(sec["k"], "k") if "k" in sec else 1.0
-    if "charge" in needed:
-        params["charge"] = _one_float(sec["charge"], "charge") if "charge" in sec else 1.0
-    for key in FAMILIES[family]["profiles"]:
+    defaults = {"mass": 1.0, "omega": 1.0, "delta": 0.0, "k": 1.0, "charge": 1.0}
+    for key in info["params"]:
+        params[key] = _one_float(sec[key], key) if key in sec else defaults[key]
+    for key in info["profiles"]:
         if key == "deltas":
             profiles["deltas"] = _floats(sec["deltas"], "deltas") if "deltas" in sec else ()
             continue
         if key not in sec:
             raise ConfigError(f"family {family!r} needs polynomial coefficients {key!r}")
         profiles[key] = _floats(sec[key], key)
-
-    ms_axes: tuple[int, ...] = ()
-    if family == "sw":
-        ms_axes = tuple(range(n))
-    elif family == "kepler_coulomb":
-        ms_axes = tuple(int(i) for i in np.flatnonzero(bt == 0.0))
+    descriptor = SystemDescriptor(family, sec.get("space", EUCLIDEAN), params, bt, profiles)
 
     extra_axes: tuple[int, ...] = ()
     if "extra_integrals" in sec:
@@ -204,16 +184,15 @@ def _system(sec) -> tuple[SystemDescriptor, tuple[int, ...]]:
         if any(not 1 <= s <= n for s in sites):
             raise ConfigError(f"extra_integrals sites must be in [1, {n}], got {sites}")
         extra_axes = tuple(s - 1 for s in sites)
-        if family not in ("sw", "kepler_coulomb"):
+        if "extra_axes" not in info:
             raise ConfigError(f"family {family!r} has no extra integrals")
+        ms_axes = descriptor.ms_axes
         invalid = [a + 1 for a in extra_axes if a not in ms_axes]
         if invalid:
             raise ConfigError(
                 f"extra integrals requested on axes {invalid} where the validity "
                 f"condition fails (kepler_coulomb needs b_tilde = 0 on the axis)"
             )
-
-    descriptor = SystemDescriptor(family, space, params, bt, ms_axes, profiles)
     return descriptor, extra_axes
 
 

@@ -22,7 +22,7 @@ expressions, without building the gradient vectors of the J's.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -212,7 +212,6 @@ class HamiltonianSpec:
     realization: SL2Realization
     h: Callable[[float, float, float], float]
     h_partials: Callable[[float, float, float], tuple[float, float, float]]
-    params: Mapping[str, float] = field(default_factory=dict)
     descriptor: Optional[object] = None
     guards: tuple[Guard, ...] = ()
 
@@ -245,14 +244,6 @@ class HamiltonianSpec:
     def gradient(self, x: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
         self.realization.check_point(x)
         return self.gradient_qp(x.q, x.p)
-
-
-def hamiltonian_value(spec: HamiltonianSpec, x: PhasePoint) -> float:
-    return spec.value(x)
-
-
-def hamiltonian_gradient(spec: HamiltonianSpec, x: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
-    return spec.gradient(x)
 
 
 @dataclass(frozen=True)

@@ -25,9 +25,11 @@ import numpy as np
 from .core import PhasePoint, SL2Realization, _as_vector, sl2_kernel
 from .errors import ChartBoundary, ConfigError, DimensionMismatch, DomainError
 
+EUCLIDEAN = "euclidean"
 POINCARE = "poincare"
 BELTRAMI = "beltrami"
 CHARTS = (POINCARE, BELTRAMI)
+SPACES = (EUCLIDEAN, *CHARTS)
 
 AMBIENT_CONSTRAINT_TOL = 1e-12
 
@@ -36,6 +38,14 @@ def _check_chart(chart: str) -> str:
     if chart not in CHARTS:
         raise ConfigError(f"chart must be one of {CHARTS}, got {chart!r}")
     return chart
+
+
+def check_space(space: str, kappa: float) -> None:
+    """Raise ConfigError unless `space` is one of SPACES, with kappa = 0 when flat."""
+    if space not in SPACES:
+        raise ConfigError(f"space must be one of {SPACES}, got {space!r}")
+    if space == EUCLIDEAN and kappa != 0.0:
+        raise ConfigError("euclidean space has kappa = 0")
 
 
 @dataclass(frozen=True)

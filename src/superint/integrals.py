@@ -22,8 +22,10 @@ generalized Laplace-Runge-Lenz component
     L_i = sum_l p_l (q_l p_i - q_i p_l) + k m q_i/|q|
           - m sum_{l != i} bt_l q_i / q_l^2.
 
-Their curved counterparts (Poincare and Beltrami charts) are provided as
-well; all quantities carry hand-derived analytic gradients.
+One constructor per extra integral takes the space (Euclidean, or the
+Poincare or Beltrami chart of curvature kappa) and picks that space's
+formula once, at construction; all quantities carry hand-derived analytic
+gradients.
 """
 
 from __future__ import annotations
@@ -32,16 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConservedQuantity, SL2Realization, barrier_squares
+from .core import AXIS_GUARD_RADIUS, ConservedQuantity, SL2Realization, barrier_squares
 from .errors import ConfigError, DimensionMismatch, DomainError, RangeError
-
-_CHARTS = ("poincare", "beltrami")
-
-
-def _check_chart(chart: str) -> str:
-    if chart not in _CHARTS:
-        raise ConfigError(f"chart must be one of {_CHARTS}, got {chart!r}")
-    return chart
+from .geometry import BELTRAMI, EUCLIDEAN, check_space
 
 
 # ---------------------------------------------------------------------------
@@ -159,55 +154,55 @@ def _check_axis(axis: int, n: int) -> None:
 
 
 def _axis_barrier_guard(axis: int, bt_i: float, q: np.ndarray) -> None:
-    if bt_i != 0.0 and abs(q[axis]) < 1e-10:
+    if bt_i != 0.0 and abs(q[axis]) < AXIS_GUARD_RADIUS:
         raise DomainError(f"q_{axis + 1} on its coordinate plane with bt_{axis + 1} != 0")
 
 
-def sw_extra_integral(axis: int, *, mass: float, omega: float, b_tilde) -> ConservedQuantity:
-    """Flat oscillator extra I_i = p_i^2 + 2 m w^2 q_i^2 + m bt_i / q_i^2."""
-    bt = np.asarray(b_tilde, dtype=float)
-    n = bt.size
-    _check_axis(axis, n)
-    m, w2, bti = float(mass), float(omega) ** 2, float(bt[axis])
-
-    def value(q, p):
-        _axis_barrier_guard(axis, bti, q)
-        val = p[axis] ** 2 + 2.0 * m * w2 * q[axis] ** 2
-        if bti != 0.0:
-            val += m * bti / q[axis] ** 2
-        return float(val)
-
-    def gradient(q, p):
-        _axis_barrier_guard(axis, bti, q)
-        dq = np.zeros(n)
-        dp = np.zeros(n)
-        dq[axis] = 4.0 * m * w2 * q[axis]
-        if bti != 0.0:
-            dq[axis] -= 2.0 * m * bti / q[axis] ** 3
-        dp[axis] = 2.0 * p[axis]
-        return dq, dp
-
-    return ConservedQuantity(f"I_{axis + 1}", n, value, gradient)
+def _extra_name(letter: str, axis: int, space: str) -> str:
+    """I_i or L_i, marked ^B or ^P on a chart."""
+    name = f"{letter}_{axis + 1}"
+    return name if space == EUCLIDEAN else f"{name}^{space[0].upper()}"
 
 
-def curved_sw_extra_integral(
-    axis: int, *, mass: float, omega: float, b_tilde, kappa: float, chart: str
+def sw_extra_integral(
+    axis: int, *, mass: float, omega: float, b_tilde, kappa: float = 0.0,
+    space: str = EUCLIDEAN,
 ) -> ConservedQuantity:
-    """Curved oscillator extra on the chosen chart.
+    """Oscillator extra integral I_i on the given space.
 
+    Euclidean: p_i^2 + 2 m w^2 q_i^2 + m bt_i / q_i^2
     Beltrami:  (p_i + kp (q.p) q_i)^2 + 2 m w^2 q_i^2 + m bt_i / q_i^2
     Poincare:  (p_i (1 - kp q^2) + 2 kp (q.p) q_i)^2
                + 8 m w^2 q_i^2 / (1 - kp q^2)^2
                + m bt_i (1 - kp q^2)^2 / q_i^2
     """
-    _check_chart(chart)
+    check_space(space, kappa)
     bt = np.asarray(b_tilde, dtype=float)
     n = bt.size
     _check_axis(axis, n)
     m, w2, bti, kp = float(mass), float(omega) ** 2, float(bt[axis]), float(kappa)
     i = axis
 
-    if chart == "beltrami":
+    if space == EUCLIDEAN:
+
+        def value(q, p):
+            _axis_barrier_guard(i, bti, q)
+            val = p[i] ** 2 + 2.0 * m * w2 * q[i] ** 2
+            if bti != 0.0:
+                val += m * bti / q[i] ** 2
+            return float(val)
+
+        def gradient(q, p):
+            _axis_barrier_guard(i, bti, q)
+            dq = np.zeros(n)
+            dp = np.zeros(n)
+            dq[i] = 4.0 * m * w2 * q[i]
+            if bti != 0.0:
+                dq[i] -= 2.0 * m * bti / q[i] ** 3
+            dp[i] = 2.0 * p[i]
+            return dq, dp
+
+    elif space == BELTRAMI:
 
         def value(q, p):
             _axis_barrier_guard(i, bti, q)
@@ -258,7 +253,7 @@ def curved_sw_extra_integral(
             dp[i] += 2.0 * u * a
             return dq, dp
 
-    return ConservedQuantity(f"I_{axis + 1}^{chart[0].upper()}", n, value, gradient)
+    return ConservedQuantity(_extra_name("I", axis, space), n, value, gradient)
 
 
 # ---------------------------------------------------------------------------
@@ -295,63 +290,26 @@ def _barrier_cube(bars: SL2Realization, q):
     return bars.spread(bars.b_active / bars.at_barriers(q) ** 3)
 
 
-def kc_extra_integral(axis: int, *, mass: float, k: float, b_tilde) -> ConservedQuantity:
-    """Flat Coulomb extra L_i; requires bt_i = 0 on the chosen axis."""
-    bt = np.asarray(b_tilde, dtype=float)
-    _check_axis(axis, bt.size)
-    if bt[axis] != 0.0:
-        raise ConfigError(
-            f"L_{axis + 1} is conserved only when bt_{axis + 1} = 0, got {bt[axis]}"
-        )
-    return _kc_extra_unchecked(axis, mass=mass, k=k, b_tilde=bt)
-
-
-def _kc_extra_unchecked(axis: int, *, mass: float, k: float, b_tilde) -> ConservedQuantity:
-    """L_i built from the formula regardless of bt_i (testing/mutation path)."""
-    bt = np.asarray(b_tilde, dtype=float)
-    n = bt.size
-    _check_axis(axis, n)
-    m, kc = float(mass), float(k)
-    i = axis
-    bars = _other_barriers(bt, i)
-
-    def value(q, p):
-        r = _radius(q)
-        tsum = _barrier_sum(bars, q)
-        s = float(q @ p) * p[i] - q[i] * float(p @ p)
-        return float(s + kc * m * q[i] / r - m * q[i] * tsum)
-
-    def gradient(q, p):
-        r = _radius(q)
-        tsum = _barrier_sum(bars, q)
-        cube = _barrier_cube(bars, q)
-        dq = p * p[i] + kc * m * (-q[i] * q / r ** 3)
-        dq[i] += -float(p @ p) + kc * m / r - m * tsum
-        dq += 2.0 * m * q[i] * cube
-        dp = q * p[i] - 2.0 * q[i] * p
-        dp[i] += float(q @ p)
-        return dq, dp
-
-    return ConservedQuantity(f"L_{axis + 1}", n, value, gradient)
-
-
-def curved_kc_extra_integral(
-    axis: int, *, mass: float, k: float, b_tilde, kappa: float, chart: str
+def kc_extra_integral(
+    axis: int, *, mass: float, k: float, b_tilde, kappa: float = 0.0,
+    space: str = EUCLIDEAN,
 ) -> ConservedQuantity:
-    """Curved Coulomb extra on the chosen chart; requires bt_i = 0."""
-    _check_chart(chart)
+    """Coulomb extra L_i on the given space; requires bt_i = 0 on the chosen axis."""
+    check_space(space, kappa)
     bt = np.asarray(b_tilde, dtype=float)
     _check_axis(axis, bt.size)
     if bt[axis] != 0.0:
         raise ConfigError(
             f"L_{axis + 1} is conserved only when bt_{axis + 1} = 0, got {bt[axis]}"
         )
-    return _curved_kc_extra_unchecked(
-        axis, mass=mass, k=k, b_tilde=bt, kappa=kappa, chart=chart
-    )
+    return _kc_extra_unchecked(axis, mass=mass, k=k, b_tilde=bt, kappa=kappa, space=space)
 
 
-def _curved_kc_extra_unchecked(axis, *, mass, k, b_tilde, kappa, chart):
+def _kc_extra_unchecked(
+    axis: int, *, mass: float, k: float, b_tilde, kappa: float = 0.0,
+    space: str = EUCLIDEAN,
+) -> ConservedQuantity:
+    """L_i built from the formula regardless of bt_i (testing/mutation path)."""
     bt = np.asarray(b_tilde, dtype=float)
     n = bt.size
     _check_axis(axis, n)
@@ -359,7 +317,26 @@ def _curved_kc_extra_unchecked(axis, *, mass, k, b_tilde, kappa, chart):
     i = axis
     bars = _other_barriers(bt, i)
 
-    if chart == "beltrami":
+    if space == EUCLIDEAN:
+
+        def value(q, p):
+            r = _radius(q)
+            tsum = _barrier_sum(bars, q)
+            s = float(q @ p) * p[i] - q[i] * float(p @ p)
+            return float(s + kc * m * q[i] / r - m * q[i] * tsum)
+
+        def gradient(q, p):
+            r = _radius(q)
+            tsum = _barrier_sum(bars, q)
+            cube = _barrier_cube(bars, q)
+            dq = p * p[i] + kc * m * (-q[i] * q / r ** 3)
+            dq[i] += -float(p @ p) + kc * m / r - m * tsum
+            dq += 2.0 * m * q[i] * cube
+            dp = q * p[i] - 2.0 * q[i] * p
+            dp[i] += float(q @ p)
+            return dq, dp
+
+    elif space == BELTRAMI:
 
         def value(q, p):
             r = _radius(q)
@@ -424,4 +401,4 @@ def _curved_kc_extra_unchecked(axis, *, mass, k, b_tilde, kappa, chart):
             dp[i] += a * dd + 2.0 * kp * dd * qq
             return dq, dp
 
-    return ConservedQuantity(f"L_{axis + 1}^{chart[0].upper()}", n, value, gradient)
+    return ConservedQuantity(_extra_name("L", axis, space), n, value, gradient)

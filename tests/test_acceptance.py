@@ -17,8 +17,6 @@ from superint import (
     chart_to_ambient,
     ambient_to_chart,
     conjugate_momenta,
-    curved_kc_extra_integral,
-    curved_sw_extra_integral,
     detect_closure,
     energy_quantity,
     extra_integral,
@@ -131,7 +129,8 @@ def test_c03_universal_independence():
         spec = make_sw("euclidean", mass=1.0, omega=0.9,
                        b_tilde=rng.uniform(0.1, 1.0, n))
         functions = [energy_quantity(spec), *universal_set(spec.realization).all]
-        cert = independence_rank(functions, 20, rng=rng, rank_tolerance=1e-8)
+        cert = independence_rank(functions, sample_regular_points(20, n, rng),
+                                 rank_tolerance=1e-8)
         ranks[n] = (cert.numerical_rank, 2 * n - 2)
     ok = all(got == want for got, want in ranks.values())
     report(3, ok, f"rank(H + universal) = {ranks} (want 2N-2)")
@@ -153,7 +152,7 @@ def test_c04_oscillator_maximal_superintegrability():
         extra = sw_extra_integral(axis, mass=mass, omega=omega, b_tilde=bt)
         _, norm = max_bracket_residual(h, extra, points)
         worst_bracket = max(worst_bracket, norm)
-        cert = independence_rank([h, *uni.all, extra], 20, rng=rng)
+        cert = independence_rank([h, *uni.all, extra], sample_regular_points(20, n, rng))
         rank_ok &= cert.numerical_rank == 2 * n - 1
 
     identity_worst = 0.0
@@ -171,13 +170,13 @@ def test_c04_oscillator_maximal_superintegrability():
             h_c = energy_quantity(spec)
             pts = sample_for_spec(spec, 20, rng)
             for axis in range(n):
-                extra = curved_sw_extra_integral(
+                extra = sw_extra_integral(
                     axis, mass=mass, omega=omega, b_tilde=bt, kappa=kappa,
-                    chart=chart)
+                    space=chart)
                 _, norm = max_bracket_residual(h_c, extra, pts)
                 worst_bracket = max(worst_bracket, norm)
-                cert = independence_rank([h_c, *uni_c.all, extra], 20, rng=rng,
-                                         kappa=kappa, space=chart)
+                cert = independence_rank([h_c, *uni_c.all, extra],
+                                         sample_for_spec(spec, 20, rng))
                 rank_ok &= cert.numerical_rank == 2 * n - 1
 
     ok = worst_bracket < 1e-9 and rank_ok and identity_worst < 1e-12
@@ -206,8 +205,8 @@ def test_c05_coulomb_conditional_superintegrability():
             spec = make_kepler_coulomb(chart, mass=mass, k=k, b_tilde=bt_good,
                                        kappa=kappa)
             pts_c = sample_for_spec(spec, 20, rng)
-            extra = curved_kc_extra_integral(0, mass=mass, k=k, b_tilde=bt_good,
-                                             kappa=kappa, chart=chart)
+            extra = kc_extra_integral(0, mass=mass, k=k, b_tilde=bt_good,
+                                      kappa=kappa, space=chart)
             _, norm = max_bracket_residual(energy_quantity(spec), extra, pts_c)
             conserved_worst = max(conserved_worst, norm)
 

@@ -179,7 +179,7 @@ def test_independence_full_rank():
     bt = RNG.uniform(0.1, 1.0, 4)
     spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=bt)
     functions = [energy_quantity(spec), *universal_set(spec.realization).all]
-    cert = independence_rank(functions, 20, rng=RNG)
+    cert = independence_rank(functions, sample_regular_points(20, 4, RNG))
     assert cert.numerical_rank == 6  # 2N - 2 for N = 4
     assert cert.passed
 
@@ -189,7 +189,7 @@ def test_independence_detects_duplicates():
     spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=bt)
     uni = universal_set(spec.realization)
     functions = [energy_quantity(spec), *uni.all, uni.left[0]]
-    cert = independence_rank(functions, 20, rng=RNG)
+    cert = independence_rank(functions, sample_regular_points(20, 4, RNG))
     assert cert.numerical_rank == len(functions) - 1
     assert not cert.passed
 
@@ -201,10 +201,11 @@ def test_independence_with_extra_reaches_ceiling():
     h = energy_quantity(spec)
     extra1 = sw_extra_integral(0, mass=1.0, omega=1.0, b_tilde=bt)
     extra2 = sw_extra_integral(1, mass=1.0, omega=1.0, b_tilde=bt)
-    cert = independence_rank([h, *uni.all, extra1], 20, rng=RNG)
+    cert = independence_rank([h, *uni.all, extra1], sample_regular_points(20, 3, RNG))
     assert cert.numerical_rank == 5  # 2N - 1 for N = 3
     # the ceiling: one more conserved quantity cannot raise the rank further
-    cert2 = independence_rank([h, *uni.all, extra1, extra2], 20, rng=RNG)
+    cert2 = independence_rank([h, *uni.all, extra1, extra2],
+                              sample_regular_points(20, 3, RNG))
     assert cert2.numerical_rank == 5
 
 
@@ -212,7 +213,7 @@ def test_independence_rejects_mixed_dimensions():
     a = coordinate("q", 0, 2)
     b = coordinate("q", 0, 3)
     with pytest.raises(DimensionMismatch):
-        independence_rank([a, b], 5, rng=RNG)
+        independence_rank([a, b], sample_regular_points(5, 2, RNG))
 
 
 def test_sampling_respects_bounds_and_charts():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -287,11 +289,55 @@ def test_constructor_validation():
         make_sw("klein", mass=1.0, omega=1.0, b_tilde=[0.0, 0.0])
 
 
+# family -> (constructor, keyword arguments); every argument but `space` is
+# a parameter or profile the descriptor must see as finite
+_FINITE_CASES = {
+    "evans": (lambda **kw: make_evans(profile=lambda s: s, profile_deriv=lambda s: 1.0, **kw),
+              {"space": "beltrami", "mass": 1.0, "kappa": 0.5}),
+    "sw": (make_sw, {"space": "beltrami", "mass": 1.0, "omega": 1.0, "kappa": 0.5}),
+    "garnier": (make_garnier, {"space": "poincare", "mass": 1.0, "omega": 1.0,
+                               "delta": 0.1, "kappa": -0.5}),
+    "oscillator": (make_nonlinear_oscillator, {"space": "poincare", "mass": 1.0, "omega": 1.0,
+                                               "deltas": (0.1, 0.2), "kappa": 0.5}),
+    "kepler_coulomb": (make_kepler_coulomb, {"space": "beltrami", "mass": 1.0, "k": 1.0,
+                                             "kappa": -0.5}),
+    "electromagnetic": (
+        lambda **kw: make_electromagnetic(
+            scalar_profile=lambda s: s, scalar_profile_deriv=lambda s: 1.0,
+            vector_profile=lambda s: s, vector_profile_deriv=lambda s: 1.0, **kw),
+        {"mass": 1.0, "charge": 1.0}),
+}
+
+
+@pytest.mark.parametrize("bad", [math.inf, math.nan], ids=["inf", "nan"])
+@pytest.mark.parametrize("family,key", [
+    (family, key) for family, (_, kwargs) in _FINITE_CASES.items()
+    for key in kwargs if key != "space"
+])
+def test_constructors_reject_non_finite_parameters(family, key, bad):
+    make, kwargs = _FINITE_CASES[family]
+    kwargs = dict(kwargs)
+    kwargs[key] = (kwargs[key][0], bad) if key == "deltas" else bad
+    with pytest.raises(ConfigError, match=rf"^{key} must be finite"):
+        make(b_tilde=[0.2, 0.0, 0.3], **kwargs)
+
+
 def test_descriptor_extra_axes():
     sw = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.2, 0.3, 0.4])
     assert sw.descriptor.ms_axes == (0, 1, 2)
     kc = make_kepler_coulomb("euclidean", mass=1.0, k=1.0, b_tilde=[0.5, 0.0, 0.7])
     assert kc.descriptor.ms_axes == (1,)
+    # built directly, a descriptor derives the same axes as its constructor
+    direct = SystemDescriptor("sw", "euclidean", {"mass": 1.0, "omega": 1.0}, [0.2, 0.3])
+    assert direct.ms_axes == (0, 1)
+    assert direct.ms_axes == build(direct).descriptor.ms_axes
+    direct_kc = SystemDescriptor("kepler_coulomb", "beltrami",
+                                 {"mass": 1.0, "k": 1.0, "kappa": 0.5}, [0.0, 0.4, 0.0])
+    assert direct_kc.ms_axes == (0, 2)
+    assert direct_kc.ms_axes == build(direct_kc).descriptor.ms_axes
+    garnier = SystemDescriptor("garnier", "euclidean",
+                               {"mass": 1.0, "omega": 1.0, "delta": 0.1}, [0.0, 0.0])
+    assert garnier.ms_axes == ()
 
 
 def test_build_round_trips_each_family():
@@ -328,13 +374,15 @@ def test_build_round_trips_each_family():
 
 
 def test_extra_integral_dispatch():
-    sw = make_sw("beltrami", mass=1.0, omega=1.0, b_tilde=[0.2, 0.3], kappa=0.5)
-    quantity = extra_integral(sw.descriptor, 0)
-    assert quantity.name.startswith("I_1")
-    kc = make_kepler_coulomb("euclidean", mass=1.0, k=1.0, b_tilde=[0.0, 0.5])
-    assert extra_integral(kc.descriptor, 0).name == "L_1"
-    with pytest.raises(ConfigError):
-        extra_integral(kc.descriptor, 1)
+    # the names appear in verify reports and trajectory headers
+    for space, kappa, suffix in (("euclidean", 0.0, ""), ("beltrami", 0.5, "^B"),
+                                 ("poincare", -0.5, "^P")):
+        sw = make_sw(space, mass=1.0, omega=1.0, b_tilde=[0.2, 0.3], kappa=kappa)
+        assert extra_integral(sw.descriptor, 1).name == "I_2" + suffix
+        kc = make_kepler_coulomb(space, mass=1.0, k=1.0, b_tilde=[0.0, 0.5], kappa=kappa)
+        assert extra_integral(kc.descriptor, 0).name == "L_1" + suffix
+        with pytest.raises(ConfigError):
+            extra_integral(kc.descriptor, 1)
     garnier = make_garnier("euclidean", mass=1.0, omega=1.0, delta=0.1,
                            b_tilde=[0.0, 0.0])
     with pytest.raises(ConfigError):

@@ -268,6 +268,22 @@ def test_seed_override_changes_report(tmp_path):
     assert text_a != text_b
 
 
+def test_negative_config_seed_is_a_config_error(tmp_path, capsys):
+    cfg = write(tmp_path, "neg.cfg", SW_N4.replace("seed = 77", "seed = -3"))
+    assert main(["--out", str(tmp_path), "verify", str(cfg)]) == 2
+    assert "config error: seed must be >= 0, got -3" in capsys.readouterr().err
+    assert not (tmp_path / "neg.report.txt").exists()
+
+
+def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
+    cfg = write(tmp_path, "sw_n4.cfg", SW_N4)
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(tmp_path), "--seed", "-1", "verify", str(cfg)])
+    assert exc.value.code == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not (tmp_path / "sw_n4.report.txt").exists()
+
+
 def test_catalog_lists_all_families(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out

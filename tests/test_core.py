@@ -9,8 +9,6 @@ from superint import (
     SL2Realization,
     energy_quantity,
     evaluate_sl2,
-    hamiltonian_gradient,
-    hamiltonian_value,
     make_evans,
     make_garnier,
     make_kepler_coulomb,
@@ -149,8 +147,8 @@ def test_free_particle_value_and_gradient():
     spec = make_evans("euclidean", lambda s: 0.0, lambda s: 0.0,
                       mass=1.0, b_tilde=[0.0, 0.0])
     x = PhasePoint([0.4, -0.2], [3.0, 4.0])
-    assert hamiltonian_value(spec, x) == pytest.approx(12.5)
-    dq, dp = hamiltonian_gradient(spec, x)
+    assert spec.value(x) == pytest.approx(12.5)
+    dq, dp = spec.gradient(x)
     assert np.allclose(dq, 0.0)
     assert np.allclose(dp, x.p)
 
@@ -181,7 +179,7 @@ def test_chain_rule_matches_differences():
     ]
     for spec in specs:
         space = spec.descriptor.space
-        kappa = spec.params["kappa"]
+        kappa = spec.descriptor.kappa
         points = sample_regular_points(20, 3, RNG, kappa=kappa, space=space)
         for x in points:
             dq, dp = spec.gradient(x)
@@ -266,7 +264,7 @@ def test_gradient_qp_is_bitwise_the_tuple_form(b_tilde):
                       mass=1.0, b_tilde=b_tilde)
     checked = 0
     for spec in (*catalog_specs(b_tilde), free):
-        for x in sample_regular_points(8, 3, 11, kappa=spec.params.get("kappa", 0.0),
+        for x in sample_regular_points(8, 3, 11, kappa=spec.descriptor.kappa,
                                        space=spec.descriptor.space):
             # signed zeros in p on a negative-q site tell (+0) from (-0) sums
             q = x.q.copy()

@@ -10,10 +10,10 @@ from superint import (
     PhasePoint,
     SingularApproach,
     Trajectory,
-    curved_kc_extra_integral,
     detect_closure,
     energy_quantity,
     integrate,
+    kc_extra_integral,
     make_evans,
     make_garnier,
     make_kepler_coulomb,
@@ -236,10 +236,10 @@ def test_extra_integrals_conserved_along_sphere_orbit():
     spec = make_kepler_coulomb("poincare", mass=1.0, k=2.0, b_tilde=bt, kappa=1.0)
     monitors = [
         energy_quantity(spec),
-        curved_kc_extra_integral(0, mass=1.0, k=2.0, b_tilde=bt, kappa=1.0,
-                                 chart="poincare"),
-        curved_kc_extra_integral(1, mass=1.0, k=2.0, b_tilde=bt, kappa=1.0,
-                                 chart="poincare"),
+        kc_extra_integral(0, mass=1.0, k=2.0, b_tilde=bt, kappa=1.0,
+                          space="poincare"),
+        kc_extra_integral(1, mass=1.0, k=2.0, b_tilde=bt, kappa=1.0,
+                          space="poincare"),
     ]
     x0 = PhasePoint([0.3, 0.25, 0.3], [0.2, -0.3, 0.15])
     traj = integrate(spec, x0, 10.0, IntegratorConfig(step=5e-4), monitors=monitors)

@@ -7,8 +7,6 @@ from superint import (
     PhasePoint,
     RangeError,
     SL2Realization,
-    curved_kc_extra_integral,
-    curved_sw_extra_integral,
     energy_quantity,
     kc_extra_integral,
     left_integral,
@@ -184,10 +182,10 @@ def test_curved_oscillator_extras_reduce_at_zero_curvature():
     mass, omega = 1.1, 0.8
     bt = np.array([0.4, 0.0])
     flat = sw_extra_integral(0, mass=mass, omega=omega, b_tilde=bt)
-    beltrami = curved_sw_extra_integral(
-        0, mass=mass, omega=omega, b_tilde=bt, kappa=0.0, chart="beltrami")
-    poincare = curved_sw_extra_integral(
-        0, mass=mass, omega=omega, b_tilde=bt, kappa=0.0, chart="poincare")
+    beltrami = sw_extra_integral(
+        0, mass=mass, omega=omega, b_tilde=bt, kappa=0.0, space="beltrami")
+    poincare = sw_extra_integral(
+        0, mass=mass, omega=omega, b_tilde=bt, kappa=0.0, space="poincare")
     for x in sample_regular_points(10, 2, RNG):
         assert beltrami.value(x) == flat.value(x)
         # the stereographic distance convention quadruples the oscillator term
@@ -205,8 +203,8 @@ def test_curved_oscillator_extras_commute(kappa, chart):
     h = energy_quantity(spec)
     points = sample_regular_points(20, 3, RNG, kappa=kappa, space=chart)
     for i in range(3):
-        quantity = curved_sw_extra_integral(
-            i, mass=mass, omega=omega, b_tilde=bt, kappa=kappa, chart=chart)
+        quantity = sw_extra_integral(
+            i, mass=mass, omega=omega, b_tilde=bt, kappa=kappa, space=chart)
         _, norm = max_bracket_residual(h, quantity, points)
         assert norm < 1e-9
 
@@ -234,8 +232,8 @@ def test_coulomb_extra_validity_condition():
     with pytest.raises(ConfigError):
         kc_extra_integral(0, mass=1.0, k=1.0, b_tilde=[0.5, 0.0])
     with pytest.raises(ConfigError):
-        curved_kc_extra_integral(
-            0, mass=1.0, k=1.0, b_tilde=[0.5, 0.0], kappa=0.5, chart="beltrami")
+        kc_extra_integral(
+            0, mass=1.0, k=1.0, b_tilde=[0.5, 0.0], kappa=0.5, space="beltrami")
 
 
 def test_coulomb_extras_commute_with_energy():
@@ -264,8 +262,8 @@ def test_curved_coulomb_extras_reduce_at_zero_curvature():
     mass, k = 1.0, 0.9
     bt = np.array([0.0, 0.7])
     flat = kc_extra_integral(0, mass=mass, k=k, b_tilde=bt)
-    beltrami = curved_kc_extra_integral(
-        0, mass=mass, k=k, b_tilde=bt, kappa=0.0, chart="beltrami")
+    beltrami = kc_extra_integral(
+        0, mass=mass, k=k, b_tilde=bt, kappa=0.0, space="beltrami")
     for x in sample_regular_points(10, 2, RNG):
         assert beltrami.value(x) == pytest.approx(flat.value(x), rel=1e-15)
 
@@ -279,8 +277,8 @@ def test_curved_coulomb_extras_commute(kappa, chart):
     h = energy_quantity(spec)
     points = sample_regular_points(20, 3, RNG, kappa=kappa, space=chart)
     for i in range(3):
-        quantity = curved_kc_extra_integral(
-            i, mass=mass, k=k, b_tilde=bt, kappa=kappa, chart=chart)
+        quantity = kc_extra_integral(
+            i, mass=mass, k=k, b_tilde=bt, kappa=kappa, space=chart)
         _, norm = max_bracket_residual(h, quantity, points)
         assert norm < 1e-9
 
@@ -297,9 +295,9 @@ def test_extra_gradients_match_differences():
     for chart in ("poincare", "beltrami"):
         for kappa in (1.0, -0.5):
             points = sample_regular_points(6, 3, RNG, kappa=kappa, space=chart)
-            sw_q = curved_sw_extra_integral(
-                0, mass=1.3, omega=0.8, b_tilde=bt, kappa=kappa, chart=chart)
-            kc_q = curved_kc_extra_integral(
-                1, mass=1.3, k=0.7, b_tilde=bt, kappa=kappa, chart=chart)
+            sw_q = sw_extra_integral(
+                0, mass=1.3, omega=0.8, b_tilde=bt, kappa=kappa, space=chart)
+            kc_q = kc_extra_integral(
+                1, mass=1.3, k=0.7, b_tilde=bt, kappa=kappa, space=chart)
             assert gradient_mismatch(sw_q, points) < 1e-6
             assert gradient_mismatch(kc_q, points) < 1e-6
