@@ -10,8 +10,10 @@ __version__ = "0.1.0"
 
 from .brackets import (
     BracketResidualTable,
+    Certificate,
     IndependenceCertificate,
-    bracket_with_scale,
+    certify,
+    gradient_tensor,
     independence_rank,
     involution_table,
     max_bracket_residual,

@@ -1,29 +1,41 @@
-"""Numerical Poisson brackets, involution tables, and independence ranks.
+"""Numerical Poisson brackets, involution tables, independence ranks and
+the certificate behind `superint verify`.
 
 The canonical bracket {f, g} = sum_i (df/dq_i dg/dp_i - dg/dq_i df/dp_i) is
 evaluated from analytic gradients only, which keeps residual thresholds at
 1e-9 meaningful.  Residuals are reported raw and normalized by
 1 + |grad f| |grad g| so that large-coordinate samples do not fail spuriously.
-An involution table evaluates the gradient (and its norm) of each quantity
-once per sample point and shares it among all pairs the quantity is in.
 
 Functional independence is certified by the numerical rank of the stacked
 gradient rows at sampled points: independence is a generic-point property,
 so the certificate takes the maximum rank over the sample.
+
+Both rest on a gradient tensor G[P, K, 2N], the gradient rows of K
+quantities at P sample points.  `gradient_tensor` evaluates each universal
+integral's gradient once, over the whole stacked sample, and H's once per
+point; any other quantity adds its rows one gradient per point.  The
+brackets of every asserted pair then come from one bracket matrix per
+point, summed left to right over the coordinates, and each rank is one
+batched SVD.  `certify` draws one sample, in its involution table, and
+takes every number of a verify report from the one tensor on it: the
+table, the rank of H with the universal integrals, each extra integral's
+bracket with H and rank, and the flat oscillator's sum identity.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
+from .catalog import SystemDescriptor, build, extra_integral
+from .config import VerificationSettings
 from .core import ConservedQuantity, HamiltonianSpec, PhasePoint, energy_quantity
 from .errors import DimensionMismatch, SamplingError
 from .geometry import CHARTS, EUCLIDEAN, POINCARE
-from .integrals import IntegralSet
+from .integrals import IntegralSet, universal_set
 
 Q_LOW, Q_HIGH = 0.2, 1.5
 P_HIGH = 1.5
@@ -43,33 +55,42 @@ def poisson_bracket(f: ConservedQuantity, g: ConservedQuantity, x: PhasePoint) -
     return float(fq @ gp - gq @ fp)
 
 
-def _gradient_with_norm(f: ConservedQuantity, x: PhasePoint):
-    """(dF/dq, dF/dp, |grad F|) at x."""
-    dq, dp = f.gradient(x)
-    return dq, dp, np.sqrt(dq @ dq + dp @ dp)
+def _split(G: np.ndarray):
+    """(dF/dq, dF/dp, |grad F|) of gradient rows G[..., 2N]."""
+    n = G.shape[-1] // 2
+    return G[..., :n], G[..., n:], np.sqrt((G * G).sum(axis=-1))
+
+
+def _dot(x, y):
+    """sum_i x[i] * y[i] over the first axis, added left to right, so every
+    entry of a batched sum is bitwise the sum over one pair of rows."""
+    total = x[0] * y[0]
+    for xi, yi in zip(x[1:], y[1:]):
+        total += xi * yi
+    return total
 
 
 def _residual(df, dg):
-    """(raw, normalized) |{f, g}| from two _gradient_with_norm results."""
+    """(raw, normalized) |{f, g}| from two _split rows (dF/dq, dF/dp,
+    |grad F|)."""
     fq, fp, f_norm = df
     gq, gp, g_norm = dg
-    raw = abs(float(fq @ gp - gq @ fp))
+    raw = abs(_dot(fq, gp) - _dot(gq, fp))
     return raw, raw / (1.0 + f_norm * g_norm)
 
 
-def bracket_with_scale(f: ConservedQuantity, g: ConservedQuantity, x: PhasePoint):
-    """(raw, normalized) bracket residual magnitudes at one point."""
-    return _residual(_gradient_with_norm(f, x), _gradient_with_norm(g, x))
-
-
-def max_bracket_residual(f, g, points: Sequence[PhasePoint]):
-    """Max raw and normalized |{f, g}| over a sample."""
-    raw_max = norm_max = 0.0
-    for x in points:
-        raw, norm = bracket_with_scale(f, g, x)
-        raw_max = max(raw_max, raw)
-        norm_max = max(norm_max, norm)
-    return raw_max, norm_max
+def _max_residuals(G: np.ndarray, a, b):
+    """Max over the sample of the (raw, normalized) _residual of each row
+    pair (a[j], b[j]) of the gradient tensor G[P, K, 2N]; two arrays of
+    len(a)."""
+    n = G.shape[-1] // 2
+    rows = np.moveaxis(G, -1, 0)  # (2N, P, K)
+    # B[p, k, l] = dF_k/dq . dF_l/dp at point p, so {F_k, F_l} = B_kl - B_lk
+    B = _dot(rows[:n, :, :, None], rows[n:, :, None, :])
+    norm = _split(G)[2]
+    raw = np.abs(B[:, a, b] - B[:, b, a])
+    normalized = raw / (1.0 + norm[:, a] * norm[:, b])
+    return raw.max(axis=0), normalized.max(axis=0)
 
 
 def sample_regular_points(
@@ -83,8 +104,11 @@ def sample_regular_points(
 ) -> list[PhasePoint]:
     """Random phase points away from coordinate planes and chart boundaries.
 
-    |q_i| is uniform in [0.2, 1.5] (rescaled to fit inside a bounded chart)
-    with random sign, p_i uniform in [-1.5, 1.5].
+    |q_i| is uniform in [0.2, 1.5] with random sign and p_i uniform in
+    [-1.5, 1.5].  On a bounded chart q is scaled by s <= 1 to fit and p by
+    1/s: the chart bounds only q, and the (q_i p_j - q_j p_i)^2 terms of the
+    window Casimirs would otherwise shrink like s^2 against the
+    scale-free barrier terms, until their gradient rows look dependent.
     """
     gen = _rng(rng)
     q2_limit = None
@@ -107,7 +131,7 @@ def sample_regular_points(
         mag = gen.uniform(Q_LOW * scale, Q_HIGH * scale, size=ndim)
         sign = gen.choice([-1.0, 1.0], size=ndim)
         q = mag * sign
-        p = gen.uniform(-P_HIGH, P_HIGH, size=ndim)
+        p = gen.uniform(-P_HIGH / scale, P_HIGH / scale, size=ndim)
         if q2_limit is not None and float(q @ q) > 0.9 * q2_limit:
             continue
         points.append(PhasePoint(q, p))
@@ -123,6 +147,66 @@ def sample_for_spec(spec: HamiltonianSpec, n_points: int, rng=0) -> list[PhasePo
     return sample_regular_points(n_points, spec.n, rng, kappa=desc.kappa, space=desc.space)
 
 
+def _fill_per_point(G: np.ndarray, k: int, f: ConservedQuantity, points) -> None:
+    """Row k of G[P, K, 2N]: f's gradient, one gradient_fn call per point."""
+    n = G.shape[-1] // 2
+    for s, x in enumerate(points):
+        G[s, k, :n], G[s, k, n:] = f.gradient_fn(x.q, x.p)
+
+
+def _sample_ndim(functions: Sequence[ConservedQuantity], points) -> int:
+    """The N shared by the functions and the sample points."""
+    ndims = {f.ndim for f in functions}
+    if len(ndims) != 1:
+        raise DimensionMismatch(f"functions live on different dimensions: {ndims}")
+    ndim = ndims.pop()
+    if not points:
+        raise SamplingError("a gradient tensor needs at least one sample point")
+    sizes = {x.n for x in points}
+    if sizes != {ndim}:
+        raise DimensionMismatch(f"functions on {ndim} sites, sample points on {sizes}")
+    return ndim
+
+
+def _per_point_tensor(functions: Sequence[ConservedQuantity], points) -> np.ndarray:
+    """G[P, K, 2N] of any functions, one gradient_fn call per point each."""
+    n = _sample_ndim(functions, points)
+    G = np.empty((len(points), len(functions), 2 * n))
+    for k, f in enumerate(functions):
+        _fill_per_point(G, k, f, points)
+    return G
+
+
+def max_bracket_residual(f, g, points: Sequence[PhasePoint]):
+    """Max raw and normalized |{f, g}| over a sample."""
+    raw, normalized = _max_residuals(_per_point_tensor([f, g], points), [0], [1])
+    return float(raw[0]), float(normalized[0])
+
+
+def gradient_tensor(
+    spec: HamiltonianSpec,
+    integrals: IntegralSet,
+    points: Sequence[PhasePoint],
+) -> np.ndarray:
+    """G[P, K, 2N]: the gradient rows of H, then of integrals.all, at every
+    sample point.
+
+    Each universal integral's gradient_fn is called once, on the stacked
+    sample; H is called once per point.  The quantities are evaluated as
+    given, never rebuilt from the realization.
+    """
+    h = energy_quantity(spec)
+    universal = integrals.all
+    n = _sample_ndim([h, *universal], points)
+    G = np.empty((len(points), 1 + len(universal), 2 * n))
+    _fill_per_point(G, 0, h, points)
+    q = np.array([x.q for x in points])
+    p = np.array([x.p for x in points])
+    for k, c in enumerate(universal, start=1):
+        G[:, k, :n], G[:, k, n:] = c.gradient_fn(q, p)
+    return G
+
+
 @dataclass(frozen=True)
 class PairResidual:
     name_a: str
@@ -133,11 +217,18 @@ class PairResidual:
 
 @dataclass(frozen=True)
 class BracketResidualTable:
-    """Max |{A, B}| over a sample, for every asserted pair."""
+    """Max |{A, B}| over a sample, for every asserted pair.
+
+    `points` and `gradients` are the sample and its gradient tensor over
+    [H, *integrals.all] the residuals come from, kept so that a certificate
+    can rank and bracket more quantities on the same sample.
+    """
 
     pairs: tuple[PairResidual, ...]
     samples: int
     tolerance: float
+    points: tuple[PhasePoint, ...] = field(default=(), repr=False, compare=False)
+    gradients: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -157,42 +248,32 @@ def involution_table(
     tolerance: float = 1e-9,
 ) -> BracketResidualTable:
     """Residuals of every asserted bracket: H against each universal
-    integral, and all pairs within the left and within the right family.
+    integral, and all pairs within the left and within the right family,
+    over a sample drawn for the spec, from one gradient tensor.
 
     Cross-family pairs are not asserted (they need not vanish) and are not
     tabulated.
     """
     if sample_points < 1:
         raise SamplingError("sample_points must be >= 1")
-    points = sample_for_spec(spec, sample_points, rng)
-    h = energy_quantity(spec)
-    quantities = [h, *integrals.all]
-    # Indices into `quantities`, which lists H, then integrals.left, then
-    # integrals.right.
+    points = tuple(sample_for_spec(spec, sample_points, rng))
+    G = gradient_tensor(spec, integrals, points)
     n_left = len(integrals.left)
     left = list(range(1, n_left + 1))
     # C_(N) coincides with C^(N): the right family in involution includes it.
-    right = list(range(n_left + 1, len(quantities))) + [n_left]
-    jobs = [(0, k) for k in range(1, len(quantities))]
+    right = list(range(n_left + 1, integrals.count + 1)) + [n_left]
+    jobs = [(0, k) for k in range(1, integrals.count + 1)]
     jobs += combinations(left, 2)
     jobs += combinations(right, 2)
-
-    # One pass over the sample in order: each gradient and its norm once per
-    # point, then the same residual and running maxima as
-    # max_bracket_residual, so every entry is bitwise the pairwise one.
-    raw_max = [0.0] * len(jobs)
-    norm_max = [0.0] * len(jobs)
-    for x in points:
-        grads = [_gradient_with_norm(c, x) for c in quantities]
-        for k, (a, b) in enumerate(jobs):
-            raw, norm = _residual(grads[a], grads[b])
-            raw_max[k] = max(raw_max[k], raw)
-            norm_max[k] = max(norm_max[k], norm)
+    a, b = (list(rows) for rows in zip(*jobs))
+    raw, normalized = _max_residuals(G, a, b)
+    names = ["H", *(c.name for c in integrals.all)]
     pairs = tuple(
-        PairResidual(quantities[a].name, quantities[b].name, raw_max[k], norm_max[k])
-        for k, (a, b) in enumerate(jobs)
+        PairResidual(names[i], names[j], float(r), float(m))
+        for (i, j), r, m in zip(jobs, raw, normalized)
     )
-    return BracketResidualTable(pairs, sample_points, tolerance)
+    return BracketResidualTable(pairs, len(points), tolerance, points, G)
+
 
 
 @dataclass(frozen=True)
@@ -210,38 +291,126 @@ class IndependenceCertificate:
         return self.numerical_rank == len(self.functions)
 
 
+def _rank(G: np.ndarray, rows: Sequence[int], names: Sequence[str],
+          rank_tolerance: float) -> IndependenceCertificate:
+    """Rank of the rows of G[P, K, 2N], from one batched SVD.
+
+    The per-point rank counts singular values above rank_tolerance *
+    sigma_max; the certificate takes the maximum over the sample (a single
+    full-rank point establishes generic independence).
+    """
+    sigmas = np.linalg.svd(G[:, rows], compute_uv=False)
+    top = sigmas[:, 0]
+    counts = np.sum(sigmas > rank_tolerance * top[:, None], axis=1)
+    rank = int(counts[top > 0.0].max(initial=0))
+    return IndependenceCertificate(
+        tuple(names), G.shape[0], tuple(sigmas), rank, rank_tolerance
+    )
+
+
 def independence_rank(
     functions: Sequence[ConservedQuantity],
     points: Sequence[PhasePoint],
     *,
     rank_tolerance: float = 1e-8,
 ) -> IndependenceCertificate:
-    """Certify functional independence of a set of observables at the points.
+    """Certify functional independence of a set of observables at the points."""
+    G = _per_point_tensor(functions, points)
+    return _rank(G, range(len(functions)), [f.name for f in functions], rank_tolerance)
 
-    The per-point rank counts singular values above rank_tolerance * sigma_max;
-    the certificate takes the maximum over the sample (a single full-rank
-    point establishes generic independence).
+
+IDENTITY_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class ExtraCheck:
+    """One extra integral: max |{H, I}| over the sample and the rank of the
+    universal rows with I added."""
+
+    name: str
+    max_raw: float
+    max_normalized: float
+    rank: int
+    passed: bool
+
+
+@dataclass(frozen=True)
+class Certificate:
+    """Everything `superint verify` reports, computed on one shared sample.
+
+    `identity_residual` is the worst relative residual of sum_i I_i = 2 m H
+    on the flat oscillator and None for every other system.
     """
-    ndims = {f.ndim for f in functions}
-    if len(ndims) != 1:
-        raise DimensionMismatch(f"functions live on different dimensions: {ndims}")
-    ndim = ndims.pop()
-    if not points:
-        raise SamplingError("independence needs at least one sample point")
 
-    def run(x: PhasePoint) -> np.ndarray:
-        rows = np.empty((len(functions), 2 * ndim))
-        for i, f in enumerate(functions):
-            dq, dp = f.gradient(x)
-            rows[i, :ndim] = dq
-            rows[i, ndim:] = dp
-        return np.linalg.svd(rows, compute_uv=False)
+    universal_count: int
+    table: BracketResidualTable
+    independence: IndependenceCertificate
+    expected_rank: int
+    extras: tuple[ExtraCheck, ...]
+    identity_residual: Optional[float]
 
-    sigmas = tuple(run(x) for x in points)
-    rank = 0
-    for s in sigmas:
-        if s.size and s[0] > 0.0:
-            rank = max(rank, int(np.sum(s > rank_tolerance * s[0])))
-    return IndependenceCertificate(
-        tuple(f.name for f in functions), len(points), sigmas, rank, rank_tolerance
-    )
+    @property
+    def rank_passed(self) -> bool:
+        return self.independence.numerical_rank == self.expected_rank
+
+    @property
+    def extras_passed(self) -> bool:
+        identity_ok = self.identity_residual is None or self.identity_residual < IDENTITY_TOL
+        return identity_ok and all(e.passed for e in self.extras)
+
+    @property
+    def passed(self) -> bool:
+        return self.table.passed and self.rank_passed and self.extras_passed
+
+
+def certify(
+    descriptor: SystemDescriptor,
+    settings: VerificationSettings = VerificationSettings(),
+    *,
+    extra_axes: Sequence[int] = (),
+    rng=0,
+) -> Certificate:
+    """Certify a system on one sample of settings.sample_points points.
+
+    The involution table draws the sample and its gradient tensor over
+    [H, universal integrals]; the requested extras add one row each, one
+    gradient per point.  That one tensor gives the rank 2N-2 of H with the
+    universal integrals, and for each extra its bracket with H and the rank
+    2N-1 with it added.  On the flat oscillator the sample also checks the
+    exact identity sum_i I_i = 2 m H over all N axes.
+    """
+    spec = build(descriptor)
+    uni = universal_set(spec.realization)
+    extras = [extra_integral(descriptor, axis) for axis in extra_axes]
+    table = involution_table(spec, uni, settings.sample_points, rng=rng,
+                             tolerance=settings.bracket_tol)
+    points, G = table.points, table.gradients
+    if extras:
+        G = np.concatenate([G, _per_point_tensor(extras, points)], axis=1)
+    names = ["H", *(c.name for c in uni.all)]
+    universal_rows = list(range(len(names)))
+    n = spec.n
+
+    rank = _rank(G, universal_rows, names, settings.rank_tol)
+    checks = []
+    raw, normalized = _max_residuals(G, [0] * len(extras),
+                                     list(range(len(names), G.shape[1])))
+    for j, extra in enumerate(extras):
+        row = len(names) + j
+        with_extra = _rank(G, universal_rows + [row], names + [extra.name], settings.rank_tol)
+        ok = normalized[j] < settings.bracket_tol and with_extra.numerical_rank == 2 * n - 1
+        checks.append(ExtraCheck(extra.name, float(raw[j]), float(normalized[j]),
+                                 with_extra.numerical_rank, bool(ok)))
+
+    identity = None
+    if descriptor.family == "sw" and descriptor.space == EUCLIDEAN:
+        # sum_i I_i = 2 m H is an exact linear identity of the flat oscillator.
+        h = energy_quantity(spec)
+        two_m = 2.0 * descriptor.params["mass"]
+        all_extras = [extra_integral(descriptor, a) for a in range(n)]
+        identity = 0.0
+        for x in points:
+            total = sum(e.value(x) for e in all_extras)
+            target = two_m * h.value(x)
+            identity = max(identity, abs(total - target) / max(1.0, abs(target)))
+    return Certificate(uni.count, table, rank, 2 * n - 2, tuple(checks), identity)

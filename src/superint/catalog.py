@@ -46,8 +46,7 @@ class SystemDescriptor:
         if info is None:
             raise ConfigError(f"unknown family {self.family!r}; known: {sorted(FAMILIES)}")
         for key, value in self.params.items():
-            if not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value!r}")
+            _check_finite(key, value)
         for key, coeffs in self.profiles.items():
             if not all(map(math.isfinite, coeffs)):
                 raise ConfigError(f"{key} must be finite, got {coeffs!r}")
@@ -70,6 +69,11 @@ class SystemDescriptor:
         """The axes that carry an extra integral (none outside sw and kepler_coulomb)."""
         rule = FAMILIES[self.family].get("extra_axes")
         return () if rule is None else tuple(int(i) for i in rule(self.b_tilde))
+
+
+def _check_finite(key: str, value: float) -> None:
+    if not math.isfinite(value):
+        raise ConfigError(f"{key} must be finite, got {value!r}")
 
 
 def _check_mass(mass: float) -> float:
@@ -423,6 +427,8 @@ def em_fields(
     bt = _as_vector(b_tilde, "b_tilde")
     if q.size != 3 or bt.size != 3:
         raise DimensionMismatch("the electromagnetic reading needs N = 3")
+    _check_finite("mass", mass)
+    _check_finite("charge", charge)
     e = float(charge)
     if e == 0.0:
         raise ConfigError("charge must be nonzero to form the potentials")

@@ -16,16 +16,9 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
-from .brackets import (
-    independence_rank,
-    involution_table,
-    max_bracket_residual,
-    sample_for_spec,
-)
-from .catalog import EUCLIDEAN, FAMILIES, build, extra_integral
+from .brackets import certify
+from .catalog import FAMILIES, build, extra_integral
 from .config import ExperimentConfig, load_config
 from .core import energy_quantity
 from .dynamics import IntegratorConfig, detect_closure, integrate
@@ -59,51 +52,11 @@ def _classification(cfg: ExperimentConfig, ms_established: bool) -> str:
 def cmd_verify(config_path: Path, out_dir: Path, seed_override, hex_floats: bool) -> int:
     cfg = load_config(config_path)
     seed = cfg.seed if seed_override is None else seed_override
-    spec = build(cfg.descriptor)
-    uni = universal_set(spec.realization)
-    ver = cfg.verification
+    cert = certify(cfg.descriptor, cfg.verification, extra_axes=cfg.extra_axes, rng=seed)
+    table, rank = cert.table, cert.independence
     n = cfg.n
-    rng = np.random.default_rng(seed)
 
-    table = involution_table(
-        spec, uni, ver.sample_points, rng=rng, tolerance=ver.bracket_tol
-    )
-    h = energy_quantity(spec)
-    cert = independence_rank(
-        [h, *uni.all], sample_for_spec(spec, ver.sample_points, rng),
-        rank_tolerance=ver.rank_tol,
-    )
-    expected_rank = 2 * n - 2
-    rank_ok = cert.numerical_rank == expected_rank
-
-    extras = []
-    extras_ok = True
-    points = sample_for_spec(spec, ver.sample_points, rng)
-    for axis in cfg.extra_axes:
-        quantity = extra_integral(cfg.descriptor, axis)
-        raw, norm = max_bracket_residual(h, quantity, points)
-        cert_x = independence_rank(
-            [h, *uni.all, quantity], sample_for_spec(spec, ver.sample_points, rng),
-            rank_tolerance=ver.rank_tol,
-        )
-        ok = norm < ver.bracket_tol and cert_x.numerical_rank == 2 * n - 1
-        extras_ok &= ok
-        extras.append((quantity.name, raw, norm, cert_x.numerical_rank, ok))
-
-    identity_residual = None
-    if cfg.descriptor.family == "sw" and cfg.descriptor.space == EUCLIDEAN:
-        # sum_i I_i = 2 m H is an exact linear identity of the flat oscillator.
-        mass = cfg.descriptor.params["mass"]
-        all_extras = [extra_integral(cfg.descriptor, a) for a in range(n)]
-        worst = 0.0
-        for x in points:
-            total = sum(e.value(x) for e in all_extras)
-            hval = h.value(x)
-            worst = max(worst, abs(total - 2.0 * mass * hval) / max(1.0, abs(2.0 * mass * hval)))
-        identity_residual = worst
-        extras_ok &= worst < 1e-12
-
-    passed = table.passed and rank_ok and extras_ok
+    passed = cert.passed
     lines = ["[meta]"]
     lines.append(f"tool = superint {__version__} verify")
     lines.append(f"config = {config_path.name}")
@@ -111,8 +64,10 @@ def cmd_verify(config_path: Path, out_dir: Path, seed_override, hex_floats: bool
     lines.append(f"family = {cfg.descriptor.family}")
     lines.append(f"space = {cfg.descriptor.space}")
     lines.append(f"n = {n}")
-    lines.append(f"universal_integrals = {uni.count}")
-    lines.append(f"classification = {_classification(cfg, extras_ok and bool(extras))}")
+    lines.append(f"universal_integrals = {cert.universal_count}")
+    lines.append(
+        f"classification = {_classification(cfg, cert.extras_passed and bool(cert.extras))}"
+    )
     lines.append("")
     lines.append("[involution]")
     lines.append(f"samples = {table.samples}")
@@ -127,23 +82,25 @@ def cmd_verify(config_path: Path, out_dir: Path, seed_override, hex_floats: bool
     lines.append(f"pass = {str(table.passed).lower()}")
     lines.append("")
     lines.append("[independence]")
-    lines.append(f"functions = {' '.join(cert.functions)}")
-    lines.append(f"rank = {cert.numerical_rank}")
-    lines.append(f"expected = {expected_rank}")
-    lines.append(f"rank_tolerance = {_fmt(cert.rank_tolerance, hex_floats)}")
-    lines.append(f"pass = {str(rank_ok).lower()}")
-    if extras or identity_residual is not None:
+    lines.append(f"functions = {' '.join(rank.functions)}")
+    lines.append(f"rank = {rank.numerical_rank}")
+    lines.append(f"expected = {cert.expected_rank}")
+    lines.append(f"rank_tolerance = {_fmt(rank.rank_tolerance, hex_floats)}")
+    lines.append(f"pass = {str(cert.rank_passed).lower()}")
+    if cert.extras or cert.identity_residual is not None:
         lines.append("")
         lines.append("[extras]")
-        for name, raw, norm, rank, ok in extras:
+        for extra in cert.extras:
             lines.append(
-                f"bracket {name} = {_fmt(raw, hex_floats)} {_fmt(norm, hex_floats)}"
+                f"bracket {extra.name} = {_fmt(extra.max_raw, hex_floats)} "
+                f"{_fmt(extra.max_normalized, hex_floats)}"
             )
-            lines.append(f"rank_with {name} = {rank} (ceiling {2 * n - 1})")
-            lines.append(f"pass {name} = {str(ok).lower()}")
-        if identity_residual is not None:
+            lines.append(f"rank_with {extra.name} = {extra.rank} (ceiling {2 * n - 1})")
+            lines.append(f"pass {extra.name} = {str(extra.passed).lower()}")
+        if cert.identity_residual is not None:
             lines.append(
-                f"oscillator_sum_identity_residual = {_fmt(identity_residual, hex_floats)}"
+                "oscillator_sum_identity_residual = "
+                f"{_fmt(cert.identity_residual, hex_floats)}"
             )
     lines.append("")
     lines.append("[result]")

@@ -56,24 +56,40 @@ def _window_value(w: SL2Realization, bsum: float, q, p, lo, hi) -> float:
 
 
 def _window_gradient(w: SL2Realization, q, p, lo, hi):
-    qw, pw = q[lo:hi], p[lo:hi]
-    L = qw[:, None] * pw - pw[:, None] * qw
-    dqw = 2.0 * (L @ pw)
-    dpw = -2.0 * (L @ qw)
+    """(dC/dq, dC/dp) of one window Casimir at a point (N,) or at every row
+    of a stacked sample (M, N)."""
+    qw, pw = q[..., lo:hi], p[..., lo:hi]
+    L = qw[..., :, None] * pw[..., None, :] - pw[..., :, None] * qw[..., None, :]
+    dqw = 2.0 * (L @ pw[..., None])[..., 0]
+    dpw = -2.0 * (L @ qw[..., None])[..., 0]
     ba = w.b_active
     if ba is not None:
-        qa2 = barrier_squares(w, qw)
-        s2 = float(qw @ qw)
-        t = w.spread(ba / qa2)
-        bsum = float(t.sum())
-        dqw += 2.0 * qw * (bsum - t)
-        corr = 2.0 * ba * (s2 - qa2) / w.at_barriers(qw) ** 3
-        dqw[w.active] -= corr
+        qa = qw[..., w.active]
+        _guard_rows(qa, np.flatnonzero(w.active) + lo)
+        qa2 = qa * qa
+        s2 = (qw * qw).sum(axis=-1)[..., None]
+        t = np.zeros_like(qw)
+        t[..., w.active] = ba / qa2
+        dqw += 2.0 * qw * (t.sum(axis=-1)[..., None] - t)
+        dqw[..., w.active] -= 2.0 * ba * (s2 - qa2) / qa ** 3
     dq = np.zeros_like(q)
     dp = np.zeros_like(p)
-    dq[lo:hi] = dqw
-    dp[lo:hi] = dpw
+    dq[..., lo:hi] = dqw
+    dp[..., lo:hi] = dpw
     return dq, dp
+
+
+def _guard_rows(qa, sites) -> None:
+    """Raise DomainError naming the point and coordinate where a barrier
+    coordinate qa[..., j] (site sites[j]) is on its coordinate plane."""
+    bad = np.abs(qa) < AXIS_GUARD_RADIUS
+    if bad.any():
+        idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        i = int(sites[idx[-1]])
+        where = f"point {idx[0]}: " if qa.ndim > 1 else ""
+        raise DomainError(
+            f"{where}q_{i + 1} = {float(qa[idx])!r} lies on a coordinate plane with b_{i + 1} != 0"
+        )
 
 
 def _window_quantity(realization: SL2Realization, lo: int, hi: int, name: str) -> ConservedQuantity:
@@ -110,7 +126,9 @@ class IntegralSet:
     """The 2N-3 distinct universal integrals of one realization.
 
     `left` holds C^(2)..C^(N); `right` holds C_(2)..C_(N-1) (C_(N) is the
-    same function as C^(N) and is stored once, in `left`).
+    same function as C^(N) and is stored once, in `left`).  Every member's
+    `gradient_fn` also takes a stacked sample, q and p of shape (M, N), and
+    returns (M, N) gradients; certification calls it once per sample.
     """
 
     left: tuple[ConservedQuantity, ...]

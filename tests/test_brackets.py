@@ -7,16 +7,19 @@ import pytest
 from superint import (
     ConservedQuantity,
     DimensionMismatch,
+    DomainError,
     IntegralSet,
     PhasePoint,
     SamplingError,
     SL2Realization,
+    VerificationSettings,
+    certify,
     energy_quantity,
+    extra_integral,
     independence_rank,
     involution_table,
     left_integral,
     make_sw,
-    max_bracket_residual,
     poisson_bracket,
     sample_for_spec,
     sample_regular_points,
@@ -143,36 +146,89 @@ def test_involution_table_minimal_dimension():
     ("poincare", 0.5), ("poincare", -0.5),
 ])
 def test_involution_table_exact_and_one_gradient_per_point(n, space, kappa, monkeypatch):
-    bt = np.random.default_rng(n).uniform(0.1, 0.8, n)
-    spec = make_sw(space, mass=1.1, omega=0.9, b_tilde=bt, kappa=kappa)
-    uni = universal_set(spec.realization)
-    h = energy_quantity(spec)
+    """In a certificate each window gradient runs once, on the stacked
+    sample, and matches the per-point closure; H and the extras run once per
+    point; the table is exactly a per-pair _residual loop over the same
+    tensor rows."""
+    rng = np.random.default_rng(n)
     seed, samples = 1234 + n, 20
+    for zeros in (n, n // 2, 0):  # no, some and all barriers
+        bt = rng.uniform(0.1, 0.8, n)
+        bt[:zeros] = 0.0
+        spec = make_sw(space, mass=1.1, omega=0.9, b_tilde=bt, kappa=kappa)
+        uni = universal_set(spec.realization)
+        h = energy_quantity(spec)
+        axes = (0, n - 1)
+        extras = [extra_integral(spec.descriptor, a) for a in axes]
+        pts = sample_for_spec(spec, samples, seed)
+        q = np.array([x.q for x in pts])
+        p = np.array([x.p for x in pts])
 
-    pts = sample_for_spec(spec, samples, seed)
-    expected = [(h, c) for c in uni.all]
-    expected += combinations(uni.left, 2)
-    expected += combinations(uni.right + uni.left[-1:], 2)
-    table = involution_table(spec, uni, samples, rng=seed)
-    assert len(table.pairs) == len(expected) == 2 * n - 3 + (n - 1) * (n - 2)
-    for pair, (f, g) in zip(table.pairs, expected):
-        assert pair == PairResidual(f.name, g.name, *max_bracket_residual(f, g, pts))
+        for c in uni.all:
+            dq, dp = c.gradient_fn(q, p)
+            for s, x in enumerate(pts):
+                ref = np.concatenate(c.gradient(x))
+                got = np.concatenate([dq[s], dp[s]])
+                assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
 
-    calls = []
+        calls = []
 
-    def counted(q):
-        def gradient_fn(qq, pp):
-            calls.append(q.name)
-            return q.gradient_fn(qq, pp)
+        def counted(quantity):
+            def gradient_fn(qq, pp):
+                calls.append(quantity.name)
+                return quantity.gradient_fn(qq, pp)
 
-        return replace(q, gradient_fn=gradient_fn)
+            return replace(quantity, gradient_fn=gradient_fn)
 
-    monkeypatch.setattr(brackets, "energy_quantity", lambda s: counted(energy_quantity(s)))
-    wrapped = IntegralSet(tuple(map(counted, uni.left)), tuple(map(counted, uni.right)),
-                          uni.realization)
-    assert involution_table(spec, wrapped, samples, rng=seed) == table
-    assert len(calls) == samples * (2 * n - 2)
-    assert all(calls.count(q.name) == samples for q in (h, *uni.all))
+        def counted_set(realization):
+            c = universal_set(realization)
+            return IntegralSet(tuple(map(counted, c.left)), tuple(map(counted, c.right)),
+                               realization)
+
+        with monkeypatch.context() as m:
+            m.setattr(brackets, "energy_quantity", lambda s: counted(energy_quantity(s)))
+            m.setattr(brackets, "universal_set", counted_set)
+            m.setattr(brackets, "extra_integral", lambda d, a: counted(extra_integral(d, a)))
+            cert = certify(spec.descriptor, VerificationSettings(samples), extra_axes=axes,
+                           rng=seed)
+        assert len(calls) == uni.count + samples * (1 + len(axes))
+        assert all(calls.count(c.name) == 1 for c in uni.all)
+        assert all(calls.count(f.name) == samples for f in (h, *extras))
+        assert cert.passed and [e.rank for e in cert.extras] == [2 * n - 1] * len(axes)
+        table = cert.table
+        assert table == involution_table(spec, uni, samples, rng=seed)
+        assert [x.q.tobytes() + x.p.tobytes() for x in table.points] \
+            == [x.q.tobytes() + x.p.tobytes() for x in pts]
+        G = table.gradients
+        for k, f in enumerate((h, *uni.all)):
+            for s, x in enumerate(pts):
+                assert np.array_equal(G[s, k], np.concatenate(f.gradient(x)))
+
+        expected = [(h, c) for c in uni.all]
+        expected += combinations(uni.left, 2)
+        expected += combinations(uni.right + uni.left[-1:], 2)
+        assert len(table.pairs) == len(expected) == 2 * n - 3 + (n - 1) * (n - 2)
+        rows = brackets._split(G)
+        index = {f.name: k for k, f in enumerate((h, *uni.all))}
+        for pair, (f, g) in zip(table.pairs, expected):
+            a, b = index[f.name], index[g.name]
+            raw_max = norm_max = 0.0
+            for s in range(samples):
+                raw, norm = brackets._residual(tuple(r[s, a] for r in rows),
+                                               tuple(r[s, b] for r in rows))
+                raw_max, norm_max = max(raw_max, raw), max(norm_max, norm)
+            assert pair == PairResidual(f.name, g.name, raw_max, norm_max)
+            worst = max(abs(poisson_bracket(f, g, x)) for x in pts)
+            scale = max(np.linalg.norm(rows[2][:, a] * rows[2][:, b]), 1.0)
+            assert abs(pair.max_raw - worst) <= 1e-14 * scale
+
+        if zeros < n:  # a row on a barrier plane names that point and coordinate
+            site = n - 1
+            bad = q.copy()
+            bad[3, site] = 0.0
+            for c in (uni.left[-1], *uni.right[:1]):  # windows from site 1 and from N-1
+                with pytest.raises(DomainError, match=rf"point 3: q_{site + 1} = 0\.0 "):
+                    c.gradient_fn(bad, p)
 
 
 def test_independence_full_rank():
@@ -207,6 +263,19 @@ def test_independence_with_extra_reaches_ceiling():
     cert2 = independence_rank([h, *uni.all, extra1, extra2],
                               sample_regular_points(20, 3, RNG))
     assert cert2.numerical_rank == 5
+
+
+def test_large_n_on_a_bounded_chart_keeps_full_rank():
+    """The sampler shrinks q by about 1/sqrt(N) to fit the chart; p must grow
+    by the same factor, or the (q_i p_j - q_j p_i)^2 terms fade against the
+    barrier terms and the rank reads 97."""
+    rng = np.random.default_rng(50)
+    bt = rng.uniform(0.1, 0.5, 50)
+    bt[0] = 0.0
+    spec = make_sw("poincare", mass=1.2, omega=0.9, b_tilde=bt, kappa=-0.6)
+    functions = [energy_quantity(spec), *universal_set(spec.realization).all]
+    cert = independence_rank(functions, sample_for_spec(spec, 20, rng))
+    assert cert.numerical_rank == 98
 
 
 def test_independence_rejects_mixed_dimensions():

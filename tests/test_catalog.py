@@ -205,6 +205,17 @@ def test_em_vector_potential_is_curl_free():
         assert np.max(np.abs(curl)) < 1e-7
 
 
+@pytest.mark.parametrize("key", ["mass", "charge"])
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_em_fields_reject_non_finite_parameters(key, value):
+    f, fp = poly_profile([0.0, 1.0])
+    params = {"mass": 1.0, "charge": 1.0, key: value}
+    with pytest.raises(ConfigError, match=f"{key} must be finite"):
+        em_fields([0.3, -0.5, 0.8], scalar_profile=f, scalar_profile_deriv=fp,
+                  vector_profile=f, vector_profile_deriv=fp, b_tilde=[0.0, 0.0, 0.0],
+                  **params)
+
+
 def test_em_fields_need_three_dimensions():
     zero = lambda s: 0.0
     with pytest.raises(DimensionMismatch):
