@@ -43,9 +43,7 @@ from .core import (
     HamiltonianSpec,
     PhasePoint,
     SL2Realization,
-    SL2Values,
     energy_quantity,
-    evaluate_sl2,
 )
 from .dynamics import (
     ClosureReport,
@@ -81,11 +79,9 @@ from .geometry import (
     conjugate_momenta,
     free_lagrangian,
     geodesic_distance,
-    kinetic_energy,
     metric_form,
     poincare_to_ambient,
     poincare_to_beltrami,
-    tangent_radius_sq,
 )
 from .integrals import (
     IntegralSet,

@@ -40,6 +40,8 @@ from .integrals import IntegralSet, universal_set
 Q_LOW, Q_HIGH = 0.2, 1.5
 P_HIGH = 1.5
 CHART_FILL = 0.8  # fraction of the squared chart radius the sampler may fill
+# SIGNS[gen.integers(0, 2)] draws what gen.choice([-1.0, 1.0]) draws, at half the cost
+SIGNS = np.array([-1.0, 1.0])
 
 
 def _rng(seed_or_rng) -> np.random.Generator:
@@ -129,7 +131,7 @@ def sample_regular_points(
             )
         draws += 1
         mag = gen.uniform(Q_LOW * scale, Q_HIGH * scale, size=ndim)
-        sign = gen.choice([-1.0, 1.0], size=ndim)
+        sign = SIGNS[gen.integers(0, 2, size=ndim)]
         q = mag * sign
         p = gen.uniform(-P_HIGH / scale, P_HIGH / scale, size=ndim)
         if q2_limit is not None and float(q @ q) > 0.9 * q2_limit:

@@ -25,7 +25,7 @@ from typing import Optional
 import numpy as np
 
 from .catalog import FAMILIES, SystemDescriptor
-from .dynamics import whole_steps
+from .dynamics import METHODS, whole_steps
 from .errors import ConfigError
 from .geometry import EUCLIDEAN
 
@@ -197,14 +197,13 @@ def _system(sec) -> tuple[SystemDescriptor, tuple[int, ...]]:
 
 
 def _verification(sec) -> VerificationSettings:
-    sample_points = _one_int(sec["sample_points"], "sample_points") \
-        if "sample_points" in sec else 20
-    bracket_tol = _one_float(sec["bracket_tol"], "bracket_tol") \
-        if "bracket_tol" in sec else 1e-9
-    rank_tol = _one_float(sec["rank_tol"], "rank_tol") if "rank_tol" in sec else 1e-8
-    if sample_points < 1 or bracket_tol <= 0.0 or rank_tol <= 0.0:
+    parsers = {"sample_points": _one_int, "bracket_tol": _one_float, "rank_tol": _one_float}
+    settings = VerificationSettings(
+        **{key: parse(sec[key], key) for key, parse in parsers.items() if key in sec}
+    )
+    if settings.sample_points < 1 or settings.bracket_tol <= 0.0 or settings.rank_tol <= 0.0:
         raise ConfigError("verification settings must be positive")
-    return VerificationSettings(sample_points, bracket_tol, rank_tol)
+    return settings
 
 
 def _simulation(sec, n: int) -> SimulationSettings:
@@ -226,25 +225,27 @@ def _simulation(sec, n: int) -> SimulationSettings:
             f"t_final / step must be a whole number of steps, got "
             f"{t_final!r} / {step!r} = {t_final / step!r}"
         )
-    method = sec.get("method", "gl2")
-    if method not in ("gl2", "rk4"):
-        raise ConfigError(f"method must be gl2 or rk4, got {method!r}")
-    monitors = tuple(sec.get("monitors", "energy universal").split())
-    bad = set(monitors) - _MONITOR_TOKENS
+    parsers = {
+        "method": lambda raw, key: raw,
+        "monitors": lambda raw, key: tuple(raw.split()),
+        "output_stride": _one_int,
+        "closure_tol": _one_float,
+        "fixed_point_tol": _one_float,
+    }
+    # keys left out take the SimulationSettings defaults
+    settings = SimulationSettings(
+        x0, t_final, step,
+        **{key: parse(sec[key], key) for key, parse in parsers.items() if key in sec},
+    )
+    if settings.method not in METHODS:
+        raise ConfigError(f"method must be {' or '.join(METHODS)}, got {settings.method!r}")
+    bad = set(settings.monitors) - _MONITOR_TOKENS
     if bad:
         raise ConfigError(f"unknown monitors {sorted(bad)}; allowed {sorted(_MONITOR_TOKENS)}")
-    stride = _one_int(sec["output_stride"], "output_stride") \
-        if "output_stride" in sec else 1
-    if stride < 1:
+    if settings.output_stride < 1:
         raise ConfigError("output_stride must be >= 1")
-    closure_tol = _one_float(sec["closure_tol"], "closure_tol") \
-        if "closure_tol" in sec else None
-    if closure_tol is not None and closure_tol <= 0.0:
+    if settings.closure_tol is not None and settings.closure_tol <= 0.0:
         raise ConfigError("closure_tol must be positive")
-    fp_tol = _one_float(sec["fixed_point_tol"], "fixed_point_tol") \
-        if "fixed_point_tol" in sec else 1e-13
-    if fp_tol <= 0.0:
+    if settings.fixed_point_tol <= 0.0:
         raise ConfigError("fixed_point_tol must be positive")
-    return SimulationSettings(
-        x0, t_final, step, method, monitors, stride, closure_tol, fp_tol
-    )
+    return settings

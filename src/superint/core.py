@@ -17,6 +17,11 @@ that is not q or p times a constant, in one pass over raw arrays; the
 barrier mask it needs is computed once per `SL2Realization`.
 `HamiltonianSpec.gradient_qp` folds the chain rule into two vector
 expressions, without building the gradient vectors of the J's.
+
+The centrifugal terms b_i / q_i**2 make every plane q_i = 0 with b_i != 0
+singular, for H and for every integral built on the same realization.
+`guard_axes` is the one check of that domain condition, and
+`SL2Realization.clearance` is the distance to it that dynamics watches.
 """
 
 from __future__ import annotations
@@ -100,6 +105,13 @@ class SL2Realization:
         full[self.active] = values
         return full
 
+    def clearance(self, q: np.ndarray) -> float:
+        """min |q_i| over the barrier sites: the distance to the nearest
+        barrier plane (inf when there is no barrier)."""
+        if self.b_active is None:
+            return np.inf
+        return float(np.abs(self.at_barriers(q)).min())
+
     def check_point(self, x: PhasePoint) -> None:
         if x.n != self.n:
             raise DimensionMismatch(
@@ -109,12 +121,19 @@ class SL2Realization:
 
 
 def guard_axes(realization: SL2Realization, q: np.ndarray) -> None:
-    """Raise DomainError if any q_i with b_i != 0 sits on its coordinate plane."""
+    """Raise DomainError if a q_i with b_i != 0 is within AXIS_GUARD_RADIUS
+    of its coordinate plane.  q is one point (N,) or a stacked sample
+    (M, N); the message names q_i by its index in the realization (and the
+    point of a stacked sample), so windows and one-axis integrals pass the
+    full realization masked to their sites."""
     bad = realization.active & (np.abs(q) < AXIS_GUARD_RADIUS)
     if bad.any():
-        i = int(np.argmax(bad))
+        idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
+        i = int(idx[-1])
+        where = f"point {idx[0]}: " if q.ndim > 1 else ""
         raise DomainError(
-            f"q_{i + 1} = {q[i]!r} lies on a coordinate plane with b_{i + 1} != 0"
+            f"{where}q_{i + 1} = {float(q[idx])!r} lies on a coordinate plane "
+            f"with b_{i + 1} != 0"
         )
 
 
@@ -133,20 +152,6 @@ def barrier_squares(realization: SL2Realization, q: np.ndarray) -> np.ndarray:
     if qa2.min() < _NEAR_AXIS_SQ:
         guard_axes(realization, q)
     return qa2
-
-
-@dataclass(frozen=True)
-class SL2Values:
-    """J-, J+, J3 and their analytic phase-space gradients.
-
-    Gradient tuples are ordered (J-, J+, J3); each entry is a length-N array.
-    """
-
-    j_minus: float
-    j_plus: float
-    j3: float
-    grad_q: tuple[np.ndarray, np.ndarray, np.ndarray]
-    grad_p: tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 def sl2_kernel(realization: SL2Realization, q: np.ndarray, p: np.ndarray,
@@ -171,22 +176,6 @@ def sl2_kernel(realization: SL2Realization, q: np.ndarray, p: np.ndarray,
         if gradient:
             djp_dq = realization.spread(-2.0 * ba / realization.at_barriers(q) ** 3)
     return j_minus, j_plus, j3, djp_dq
-
-
-def evaluate_sl2(realization: SL2Realization, x: PhasePoint) -> SL2Values:
-    """Evaluate J-, J+, J3 and all analytic gradients at a phase point.
-
-    dJ-/dq_i = 2 q_i, dJ+/dq_i = -2 b_i / q_i**3, dJ+/dp_i = 2 p_i,
-    dJ3/dq_i = p_i, dJ3/dp_i = q_i, dJ-/dp_i = 0.
-    """
-    realization.check_point(x)
-    q, p = x.q, x.p
-    j_minus, j_plus, j3, djp_dq = sl2_kernel(realization, q, p, gradient=True)
-    if not isinstance(djp_dq, np.ndarray):
-        djp_dq = np.zeros(q.size)
-    grad_q = (2.0 * q, djp_dq, p.copy())
-    grad_p = (np.zeros(q.size), 2.0 * p, q.copy())
-    return SL2Values(j_minus, j_plus, j3, grad_q, grad_p)
 
 
 @dataclass(frozen=True)

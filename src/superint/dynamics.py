@@ -12,6 +12,11 @@ Both steppers work on one stacked state z = [q, p] of length 2N, with
 stage vectors k = [dH/dp, -dH/dq] from one `spec.gradient_qp` call each.
 Stacking halves the numpy calls per stage; the arithmetic is elementwise,
 so every number is the same as with separate q and p arrays.
+
+Every accepted state is checked against one tuple of `Guard`s: the
+coordinate-plane barrier (`SL2Realization.clearance`) first, then the
+spec's own guards (origin, chart boundary).  The same tuple decides whether
+a stage-iteration failure counts as a singular approach.
 """
 
 from __future__ import annotations
@@ -22,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ConservedQuantity, HamiltonianSpec, PhasePoint
+from .core import ConservedQuantity, Guard, HamiltonianSpec, PhasePoint
 from .errors import DomainError, InsufficientData, NonConvergence, SingularApproach
 
 _SQRT3 = math.sqrt(3.0)
@@ -72,32 +77,6 @@ class Trajectory:
 
     def state(self, i: int) -> PhasePoint:
         return PhasePoint(self.q[i], self.p[i])
-
-
-def _barrier_clearance(spec: HamiltonianSpec, q: np.ndarray) -> float:
-    r = spec.realization
-    if r.b_active is None:
-        return math.inf
-    return float(np.abs(r.at_barriers(q)).min())
-
-
-def _min_clearance(spec: HamiltonianSpec, q: np.ndarray) -> float:
-    clearance = _barrier_clearance(spec, q)
-    for guard in spec.guards:
-        clearance = min(clearance, guard.clearance(q))
-    return clearance
-
-
-def _check_guards(spec: HamiltonianSpec, q: np.ndarray, radius: float, t: float, last=None):
-    if _barrier_clearance(spec, q) <= radius:
-        raise SingularApproach(
-            f"coordinate-plane barrier reached at t = {t:.6g}", time=t, state=last
-        )
-    for guard in spec.guards:
-        if guard.clearance(q) <= radius:
-            raise SingularApproach(
-                f"{guard.label} reached at t = {t:.6g}", time=t, state=last
-            )
 
 
 def _gl2_step(f, z, h, k1, k2, tol, max_iters):
@@ -169,7 +148,16 @@ def integrate(
     if not 0.0 <= t_final < math.inf:
         raise ValueError("t_final must be finite and nonnegative")
     spec.realization.check_point(x0)
-    _check_guards(spec, x0.q, cfg.guard_radius, 0.0, x0)
+    guards = (Guard("coordinate-plane barrier", spec.realization.clearance), *spec.guards)
+
+    def check_guards(q, t, last=None):
+        for guard in guards:
+            if guard.clearance(q) <= cfg.guard_radius:
+                raise SingularApproach(
+                    f"{guard.label} reached at t = {t:.6g}", time=t, state=last
+                )
+
+    check_guards(x0.q, 0.0, x0)
     n = x0.n
     gradient_qp = spec.gradient_qp
 
@@ -202,7 +190,8 @@ def integrate(
                     time=(step_idx - 1) * h,
                 )
             except NonConvergence as exc:
-                if _min_clearance(spec, zs[step_idx - 1, :n]) >= cfg.approach_horizon:
+                last_q = zs[step_idx - 1, :n]
+                if min(g.clearance(last_q) for g in guards) >= cfg.approach_horizon:
                     raise
                 raise SingularApproach(
                     f"stage iteration broke down near a guarded singularity "
@@ -211,7 +200,7 @@ def integrate(
                 )
             if not np.isfinite(z).all():
                 raise SingularApproach(f"state became non-finite at t = {t:.6g}", time=t)
-            _check_guards(spec, z[:n], cfg.guard_radius, t)
+            check_guards(z[:n], t)
         except (SingularApproach, NonConvergence) as err:
             err.state = PhasePoint(zs[step_idx - 1, :n].copy(), zs[step_idx - 1, n:].copy())
             err.trajectory = _finish(zs[:step_idx], n, h, monitors)

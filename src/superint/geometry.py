@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import PhasePoint, SL2Realization, _as_vector, sl2_kernel
+from .core import _as_vector
 from .errors import ChartBoundary, ConfigError, DimensionMismatch, DomainError
 
 EUCLIDEAN = "euclidean"
@@ -150,18 +150,6 @@ def _coords(point, chart: str) -> np.ndarray:
     return _as_vector(point, "coords")
 
 
-def tangent_radius_sq(chart: str, kappa: float, coords_sq: float) -> float:
-    """The squared tangent-distance tan^2(sqrt(kappa) r)/kappa of a chart point,
-    as a function of its squared coordinate norm."""
-    _check_chart(chart)
-    if chart == BELTRAMI:
-        return float(coords_sq)
-    denom = 1.0 - kappa * coords_sq
-    if abs(denom) < 1e-14:
-        raise ChartBoundary("kappa y^2 = 1: equator image in the stereographic chart")
-    return 4.0 * coords_sq / denom ** 2
-
-
 def geodesic_distance(point, kappa: float | None = None) -> float:
     """Radial geodesic distance from the origin.
 
@@ -183,7 +171,9 @@ def geodesic_distance(point, kappa: float | None = None) -> float:
             raise ConfigError("chart points need an explicit kappa")
         kp = float(kappa)
         cp = point if isinstance(point, ChartPoint) else ChartPoint(BELTRAMI, point)
-        rho2 = tangent_radius_sq(cp.chart, kp, float(cp.coords @ cp.coords))
+        # tan^2(sqrt(kappa) r)/kappa is z^2, in Beltrami coordinates z
+        z = cp.coords if cp.chart == BELTRAMI else poincare_to_beltrami(cp.coords, kp)
+        rho2 = float(z @ z)
     rho = math.sqrt(rho2)
     if kp == 0.0:
         return rho
@@ -251,27 +241,6 @@ def conjugate_momenta(chart: str, kappa: float, mass: float, pos, vel) -> np.nda
     if denom <= 0.0:
         raise ChartBoundary("1 + kappa z^2 <= 0: outside the central chart")
     return mass * (denom * vel - kappa * float(pos @ vel) * pos) / denom ** 2
-
-
-def kinetic_energy(chart: str, kappa: float, mass: float, x: PhasePoint, b=None) -> float:
-    """Free kinetic energy in the chart, written through the sl(2) generators.
-
-    Poincare: (1 + kappa J-)^2 J+ / (2 m)
-    Beltrami: (1 + kappa J-) (J+ + kappa J3^2) / (2 m)
-
-    A nonzero b in J+ contributes the curved centrifugal potentials.
-    """
-    _check_chart(chart)
-    b_arr = np.zeros(x.n) if b is None else _as_vector(b, "b")
-    if b_arr.size != x.n:
-        raise DimensionMismatch("b must match the phase-point dimension")
-    jm, jp, j3, _ = sl2_kernel(SL2Realization(b_arr), x.q, x.p)
-    one = 1.0 + kappa * jm
-    if chart == POINCARE:
-        return one ** 2 * jp / (2.0 * mass)
-    if one <= 0.0:
-        raise ChartBoundary("1 + kappa z^2 <= 0: outside the central chart")
-    return one * (jp + kappa * j3 ** 2) / (2.0 * mass)
 
 
 def centrifugal_ambient(b_tilde, a: AmbientPoint, chart: str) -> float:

@@ -25,7 +25,8 @@ generalized Laplace-Runge-Lenz component
 One constructor per extra integral takes the space (Euclidean, or the
 Poincare or Beltrami chart of curvature kappa) and picks that space's
 formula once, at construction; all quantities carry hand-derived analytic
-gradients.
+gradients.  Each quantity checks its barrier planes with `core.guard_axes`,
+on the full realization masked to the sites it divides by.
 """
 
 from __future__ import annotations
@@ -34,73 +35,61 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import AXIS_GUARD_RADIUS, ConservedQuantity, SL2Realization, barrier_squares
+from .core import (AXIS_GUARD_RADIUS, ConservedQuantity, SL2Realization, barrier_squares,
+                   guard_axes)
 from .errors import ConfigError, DimensionMismatch, DomainError, RangeError
 from .geometry import BELTRAMI, EUCLIDEAN, check_space
+
+
+def _masked(b: np.ndarray, sites) -> SL2Realization:
+    """The realization with b kept on `sites` (an index or mask) and zero
+    elsewhere: full length, so that its axis guard names global coordinates."""
+    kept = np.zeros(b.size)
+    kept[sites] = b[sites]
+    return SL2Realization(kept)
 
 
 # ---------------------------------------------------------------------------
 # Universal window Casimirs
 # ---------------------------------------------------------------------------
 
-def _window_value(w: SL2Realization, bsum: float, q, p, lo, hi) -> float:
-    qw, pw = q[lo:hi], p[lo:hi]
-    # qw[:, None] * pw is np.outer(qw, pw), without the wrapper call
-    L = qw[:, None] * pw - pw[:, None] * qw
-    val = 0.5 * float((L * L).sum())
-    if w.b_active is not None:
-        qa2 = barrier_squares(w, qw)
-        s2 = float(qw @ qw)
-        val += float((w.b_active * (s2 - qa2) / qa2).sum())
-    return val + bsum
-
-
-def _window_gradient(w: SL2Realization, q, p, lo, hi):
-    """(dC/dq, dC/dp) of one window Casimir at a point (N,) or at every row
-    of a stacked sample (M, N)."""
-    qw, pw = q[..., lo:hi], p[..., lo:hi]
-    L = qw[..., :, None] * pw[..., None, :] - pw[..., :, None] * qw[..., None, :]
-    dqw = 2.0 * (L @ pw[..., None])[..., 0]
-    dpw = -2.0 * (L @ qw[..., None])[..., 0]
-    ba = w.b_active
-    if ba is not None:
-        qa = qw[..., w.active]
-        _guard_rows(qa, np.flatnonzero(w.active) + lo)
-        qa2 = qa * qa
-        s2 = (qw * qw).sum(axis=-1)[..., None]
-        t = np.zeros_like(qw)
-        t[..., w.active] = ba / qa2
-        dqw += 2.0 * qw * (t.sum(axis=-1)[..., None] - t)
-        dqw[..., w.active] -= 2.0 * ba * (s2 - qa2) / qa ** 3
-    dq = np.zeros_like(q)
-    dp = np.zeros_like(p)
-    dq[..., lo:hi] = dqw
-    dp[..., lo:hi] = dpw
-    return dq, dp
-
-
-def _guard_rows(qa, sites) -> None:
-    """Raise DomainError naming the point and coordinate where a barrier
-    coordinate qa[..., j] (site sites[j]) is on its coordinate plane."""
-    bad = np.abs(qa) < AXIS_GUARD_RADIUS
-    if bad.any():
-        idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        i = int(sites[idx[-1]])
-        where = f"point {idx[0]}: " if qa.ndim > 1 else ""
-        raise DomainError(
-            f"{where}q_{i + 1} = {float(qa[idx])!r} lies on a coordinate plane with b_{i + 1} != 0"
-        )
-
-
 def _window_quantity(realization: SL2Realization, lo: int, hi: int, name: str) -> ConservedQuantity:
-    w = SL2Realization(realization.b[lo:hi])
-    bsum = float(np.sum(w.b))
+    w = _masked(realization.b, slice(lo, hi))
+    ba, active = w.b_active, w.active[lo:hi]
+    bsum = float(np.sum(realization.b[lo:hi]))
 
     def value(q, p):
-        return _window_value(w, bsum, q, p, lo, hi)
+        qw, pw = q[lo:hi], p[lo:hi]
+        # qw[:, None] * pw is np.outer(qw, pw), without the wrapper call
+        L = qw[:, None] * pw - pw[:, None] * qw
+        val = 0.5 * float((L * L).sum())
+        if ba is not None:
+            qa2 = barrier_squares(w, q)
+            s2 = float(qw @ qw)
+            val += float((ba * (s2 - qa2) / qa2).sum())
+        return val + bsum
 
     def gradient(q, p):
-        return _window_gradient(w, q, p, lo, hi)
+        """(dC/dq, dC/dp) at a point (N,) or at every row of a stacked
+        sample (M, N)."""
+        qw, pw = q[..., lo:hi], p[..., lo:hi]
+        L = qw[..., :, None] * pw[..., None, :] - pw[..., :, None] * qw[..., None, :]
+        dqw = 2.0 * (L @ pw[..., None])[..., 0]
+        dpw = -2.0 * (L @ qw[..., None])[..., 0]
+        if ba is not None:
+            guard_axes(w, q)
+            qa = qw[..., active]
+            qa2 = qa * qa
+            s2 = (qw * qw).sum(axis=-1)[..., None]
+            t = np.zeros_like(qw)
+            t[..., active] = ba / qa2
+            dqw += 2.0 * qw * (t.sum(axis=-1)[..., None] - t)
+            dqw[..., active] -= 2.0 * ba * (s2 - qa2) / qa ** 3
+        dq = np.zeros_like(q)
+        dp = np.zeros_like(p)
+        dq[..., lo:hi] = dqw
+        dp[..., lo:hi] = dpw
+        return dq, dp
 
     return ConservedQuantity(name, realization.n, value, gradient)
 
@@ -171,11 +160,6 @@ def _check_axis(axis: int, n: int) -> None:
         raise RangeError(f"axis must be in [0, {n}), got {axis}")
 
 
-def _axis_barrier_guard(axis: int, bt_i: float, q: np.ndarray) -> None:
-    if bt_i != 0.0 and abs(q[axis]) < AXIS_GUARD_RADIUS:
-        raise DomainError(f"q_{axis + 1} on its coordinate plane with bt_{axis + 1} != 0")
-
-
 def _extra_name(letter: str, axis: int, space: str) -> str:
     """I_i or L_i, marked ^B or ^P on a chart."""
     name = f"{letter}_{axis + 1}"
@@ -200,18 +184,24 @@ def sw_extra_integral(
     _check_axis(axis, n)
     m, w2, bti, kp = float(mass), float(omega) ** 2, float(bt[axis]), float(kappa)
     i = axis
+    own = _masked(bt, i)
+
+    def guard(q):
+        # the scalar pre-test keeps the shared guard off the monitor hot path
+        if abs(q[i]) < AXIS_GUARD_RADIUS:
+            guard_axes(own, q)
 
     if space == EUCLIDEAN:
 
         def value(q, p):
-            _axis_barrier_guard(i, bti, q)
+            guard(q)
             val = p[i] ** 2 + 2.0 * m * w2 * q[i] ** 2
             if bti != 0.0:
                 val += m * bti / q[i] ** 2
             return float(val)
 
         def gradient(q, p):
-            _axis_barrier_guard(i, bti, q)
+            guard(q)
             dq = np.zeros(n)
             dp = np.zeros(n)
             dq[i] = 4.0 * m * w2 * q[i]
@@ -223,7 +213,7 @@ def sw_extra_integral(
     elif space == BELTRAMI:
 
         def value(q, p):
-            _axis_barrier_guard(i, bti, q)
+            guard(q)
             u = p[i] + kp * (q @ p) * q[i]
             val = u * u + 2.0 * m * w2 * q[i] ** 2
             if bti != 0.0:
@@ -231,7 +221,7 @@ def sw_extra_integral(
             return float(val)
 
         def gradient(q, p):
-            _axis_barrier_guard(i, bti, q)
+            guard(q)
             d = float(q @ p)
             u = p[i] + kp * d * q[i]
             dq = 2.0 * u * kp * (p * q[i])
@@ -245,7 +235,7 @@ def sw_extra_integral(
     else:  # poincare
 
         def value(q, p):
-            _axis_barrier_guard(i, bti, q)
+            guard(q)
             a = 1.0 - kp * float(q @ q)
             u = p[i] * a + 2.0 * kp * float(q @ p) * q[i]
             val = u * u + 8.0 * m * w2 * q[i] ** 2 / a ** 2
@@ -254,7 +244,7 @@ def sw_extra_integral(
             return float(val)
 
         def gradient(q, p):
-            _axis_barrier_guard(i, bti, q)
+            guard(q)
             d = float(q @ p)
             a = 1.0 - kp * float(q @ q)
             u = p[i] * a + 2.0 * kp * d * q[i]
@@ -285,15 +275,8 @@ def _radius(q: np.ndarray) -> float:
     return r
 
 
-def _other_barriers(bt: np.ndarray, axis: int) -> SL2Realization:
-    """The barriers bt_l for l != axis, as a realization (for its mask)."""
-    others = bt.copy()
-    others[axis] = 0.0
-    return SL2Realization(others)
-
-
 def _barrier_sum(bars: SL2Realization, q) -> float:
-    """sum_{l != axis} bt_l / q_l^2 over the barriers of _other_barriers."""
+    """sum_{l != axis} bt_l / q_l^2 over the barriers bars of the other axes."""
     if bars.b_active is None:
         return 0.0
     return float((bars.b_active / barrier_squares(bars, q)).sum())
@@ -333,7 +316,7 @@ def _kc_extra_unchecked(
     _check_axis(axis, n)
     m, kc, kp = float(mass), float(k), float(kappa)
     i = axis
-    bars = _other_barriers(bt, i)
+    bars = _masked(bt, np.arange(n) != i)
 
     if space == EUCLIDEAN:
 

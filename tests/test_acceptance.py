@@ -12,8 +12,10 @@ from superint import (
     ChartPoint,
     PhasePoint,
     IntegratorConfig,
+    SystemDescriptor,
     beltrami_to_ambient,
     centrifugal_ambient,
+    certify,
     chart_to_ambient,
     ambient_to_chart,
     conjugate_momenta,
@@ -25,7 +27,6 @@ from superint import (
     integrate,
     involution_table,
     kc_extra_integral,
-    kinetic_energy,
     make_electromagnetic,
     make_evans,
     make_garnier,
@@ -37,7 +38,6 @@ from superint import (
     poly_profile,
     sample_for_spec,
     sample_regular_points,
-    sw_extra_integral,
     universal_set,
 )
 from superint.geometry import free_lagrangian
@@ -143,41 +143,15 @@ def test_c04_oscillator_maximal_superintegrability():
     mass, omega = 1.2, 0.9
     worst_bracket = 0.0
     rank_ok = True
-
-    flat = make_sw("euclidean", mass=mass, omega=omega, b_tilde=bt)
-    uni = universal_set(flat.realization)
-    h = energy_quantity(flat)
-    points = sample_for_spec(flat, 20, rng)
-    for axis in range(n):
-        extra = sw_extra_integral(axis, mass=mass, omega=omega, b_tilde=bt)
-        _, norm = max_bracket_residual(h, extra, points)
-        worst_bracket = max(worst_bracket, norm)
-        cert = independence_rank([h, *uni.all, extra], sample_regular_points(20, n, rng))
-        rank_ok &= cert.numerical_rank == 2 * n - 1
-
-    identity_worst = 0.0
-    extras = [sw_extra_integral(i, mass=mass, omega=omega, b_tilde=bt)
-              for i in range(n)]
-    for x in points:
-        total = sum(e.value(x) for e in extras)
-        target = 2.0 * mass * h.value(x)
-        identity_worst = max(identity_worst, abs(total - target) / abs(target))
-
-    for kappa in (1.0, -0.5):
-        for chart in ("poincare", "beltrami"):
-            spec = make_sw(chart, mass=mass, omega=omega, b_tilde=bt, kappa=kappa)
-            uni_c = universal_set(spec.realization)
-            h_c = energy_quantity(spec)
-            pts = sample_for_spec(spec, 20, rng)
-            for axis in range(n):
-                extra = sw_extra_integral(
-                    axis, mass=mass, omega=omega, b_tilde=bt, kappa=kappa,
-                    space=chart)
-                _, norm = max_bracket_residual(h_c, extra, pts)
-                worst_bracket = max(worst_bracket, norm)
-                cert = independence_rank([h_c, *uni_c.all, extra],
-                                         sample_for_spec(spec, 20, rng))
-                rank_ok &= cert.numerical_rank == 2 * n - 1
+    identity_worst = None
+    for space, kappa in (("euclidean", 0.0), ("poincare", 1.0), ("beltrami", 1.0),
+                         ("poincare", -0.5), ("beltrami", -0.5)):
+        desc = SystemDescriptor("sw", space, {"mass": mass, "omega": omega, "kappa": kappa}, bt)
+        cert = certify(desc, extra_axes=range(n), rng=rng)
+        worst_bracket = max(worst_bracket, *(e.max_normalized for e in cert.extras))
+        rank_ok &= [e.rank for e in cert.extras] == [2 * n - 1] * n
+        if space == "euclidean":
+            identity_worst = cert.identity_residual
 
     ok = worst_bracket < 1e-9 and rank_ok and identity_worst < 1e-12
     report(4, ok,
@@ -273,6 +247,9 @@ def test_c07_legendre_consistency():
     worst = 0.0
     for kappa in (0.7, -0.7):
         for chart in ("poincare", "beltrami"):
+            # the kinetic term every catalog Hamiltonian uses
+            kinetic_spec = make_evans(chart, lambda s: 0.0, lambda s: 0.0, mass=mass,
+                                      b_tilde=np.zeros(3), kappa=kappa)
             count = 0
             while count < 100:
                 pos = rng.uniform(-1.0, 1.0, 3)
@@ -281,7 +258,7 @@ def test_c07_legendre_consistency():
                 count += 1
                 vel = rng.uniform(-1.5, 1.5, 3)
                 momenta = conjugate_momenta(chart, kappa, mass, pos, vel)
-                kinetic = kinetic_energy(chart, kappa, mass, PhasePoint(pos, momenta))
+                kinetic = kinetic_spec.value_qp(pos, momenta)
                 lagrangian = free_lagrangian(chart, kappa, mass, pos, vel)
                 worst = max(worst, abs(kinetic - lagrangian) / max(1.0, abs(lagrangian)))
     report(7, worst < 1e-10, f"worst Legendre mismatch {worst:.2e} (tol 1e-10)")

@@ -8,7 +8,6 @@ from superint import (
     PhasePoint,
     SL2Realization,
     energy_quantity,
-    evaluate_sl2,
     make_evans,
     make_garnier,
     make_kepler_coulomb,
@@ -16,21 +15,28 @@ from superint import (
     poisson_bracket,
     sample_regular_points,
 )
+from superint.core import sl2_kernel
 from conftest import central_gradient
 
 RNG = np.random.default_rng(2024)
+
+
+def sl2_values(realization, q, p):
+    """(J-, J+, J3) from sl2_kernel, and their (d/dq, d/dp) gradient pairs:
+    the plain ones written out, dJ+/dq from the kernel."""
+    jm, jp, j3, djp_dq = sl2_kernel(realization, q, p, gradient=True)
+    zeros = np.zeros(q.size)
+    return (jm, jp, j3), ((2.0 * q, zeros), (djp_dq + zeros, 2.0 * p), (p, q))
 
 
 def j_quantity(realization, index, name):
     """Wrap one generator (0: J-, 1: J+, 2: J3) as a ConservedQuantity."""
 
     def value(q, p):
-        v = evaluate_sl2(realization, PhasePoint(q, p))
-        return (v.j_minus, v.j_plus, v.j3)[index]
+        return sl2_values(realization, q, p)[0][index]
 
     def gradient(q, p):
-        v = evaluate_sl2(realization, PhasePoint(q, p))
-        return v.grad_q[index], v.grad_p[index]
+        return sl2_values(realization, q, p)[1][index]
 
     return ConservedQuantity(name, realization.n, value, gradient)
 
@@ -39,13 +45,13 @@ def casimir_quantity(realization):
     """C = J- J+ - J3^2 assembled by the chain rule."""
 
     def value(q, p):
-        v = evaluate_sl2(realization, PhasePoint(q, p))
-        return v.j_minus * v.j_plus - v.j3 ** 2
+        (jm, jp, j3), _ = sl2_values(realization, q, p)
+        return jm * jp - j3 ** 2
 
     def gradient(q, p):
-        v = evaluate_sl2(realization, PhasePoint(q, p))
-        dq = v.j_plus * v.grad_q[0] + v.j_minus * v.grad_q[1] - 2.0 * v.j3 * v.grad_q[2]
-        dp = v.j_plus * v.grad_p[0] + v.j_minus * v.grad_p[1] - 2.0 * v.j3 * v.grad_p[2]
+        (jm, jp, j3), (gm, gp, g3) = sl2_values(realization, q, p)
+        dq = jp * gm[0] + jm * gp[0] - 2.0 * j3 * g3[0]
+        dp = jp * gm[1] + jm * gp[1] - 2.0 * j3 * g3[1]
         return dq, dp
 
     return ConservedQuantity("C", realization.n, value, gradient)
@@ -61,19 +67,18 @@ def test_phase_point_validation():
 
 
 def test_sl2_direct_sums():
-    v = evaluate_sl2(SL2Realization([0.0, 0.0]), PhasePoint([1.0, 2.0], [3.0, 4.0]))
-    assert v.j_minus == 5.0
-    assert v.j_plus == 25.0
-    assert v.j3 == 11.0
+    jm, jp, j3, djp_dq = sl2_kernel(SL2Realization([0.0, 0.0]), np.array([1.0, 2.0]),
+                                    np.array([3.0, 4.0]), gradient=True)
+    assert (jm, jp, j3, djp_dq) == (5.0, 25.0, 11.0, 0.0)
 
 
 def test_sl2_barrier_term():
     q, p, b = [1.0, 2.0], [3.0, 4.0], [1.0, 1.0]
-    v = evaluate_sl2(SL2Realization(b), PhasePoint(q, p))
-    assert v.j_plus == pytest.approx(26.25, abs=0.0)
+    _, jp, _, _ = sl2_kernel(SL2Realization(b), np.array(q), np.array(p))
+    assert jp == pytest.approx(26.25, abs=0.0)
     # independent summation
     expected = sum(pi ** 2 + bi / qi ** 2 for qi, pi, bi in zip(q, p, b))
-    assert v.j_plus == pytest.approx(expected, rel=1e-15)
+    assert jp == pytest.approx(expected, rel=1e-15)
 
 
 def test_casimir_labels_one_site():
@@ -81,45 +86,44 @@ def test_casimir_labels_one_site():
         q1 = RNG.uniform(0.2, 2.0) * RNG.choice([-1.0, 1.0])
         p1 = RNG.uniform(-2.0, 2.0)
         b1 = RNG.uniform(-1.5, 1.5)
-        v = evaluate_sl2(SL2Realization([b1]), PhasePoint([q1], [p1]))
-        casimir = v.j_minus * v.j_plus - v.j3 ** 2
+        jm, jp, j3, _ = sl2_kernel(SL2Realization([b1]), np.array([q1]), np.array([p1]))
+        casimir = jm * jp - j3 ** 2
         assert casimir == pytest.approx(b1, rel=1e-12, abs=1e-12)
 
 
 def test_sl2_gradients_match_differences():
     realization = SL2Realization([0.7, 0.0, -0.4])
     for x in sample_regular_points(10, 3, RNG):
-        v = evaluate_sl2(realization, x)
+        _, grads = sl2_values(realization, x.q, x.p)
         for idx in range(3):
             def value(q, p, i=idx):
-                vv = evaluate_sl2(realization, PhasePoint(q, p))
-                return (vv.j_minus, vv.j_plus, vv.j3)[i]
+                return sl2_values(realization, q, p)[0][i]
 
             nq, npp = central_gradient(value, x.q, x.p)
-            assert np.allclose(v.grad_q[idx], nq, rtol=1e-6, atol=1e-6)
-            assert np.allclose(v.grad_p[idx], npp, rtol=1e-6, atol=1e-6)
+            assert np.allclose(grads[idx][0], nq, rtol=1e-6, atol=1e-6)
+            assert np.allclose(grads[idx][1], npp, rtol=1e-6, atol=1e-6)
 
 
 def test_sl2_explicit_gradients():
     q, p, b = np.array([0.5, -1.2]), np.array([0.3, 0.9]), np.array([0.8, 0.0])
-    v = evaluate_sl2(SL2Realization(b), PhasePoint(q, p))
-    assert np.array_equal(v.grad_q[0], 2.0 * q)
-    assert np.array_equal(v.grad_p[0], np.zeros(2))
-    assert np.allclose(v.grad_q[1], np.array([-2.0 * 0.8 / 0.5 ** 3, 0.0]))
-    assert np.array_equal(v.grad_p[1], 2.0 * p)
-    assert np.array_equal(v.grad_q[2], p)
-    assert np.array_equal(v.grad_p[2], q)
+    *_, djp_dq = sl2_kernel(SL2Realization(b), q, p, gradient=True)
+    assert np.array_equal(djp_dq, np.array([-2.0 * 0.8 / 0.5 ** 3, 0.0]))
+    *_, no_gradient = sl2_kernel(SL2Realization(b), q, p)
+    assert no_gradient == 0.0
 
 
 def test_domain_and_dimension_errors():
     realization = SL2Realization([1.0, 0.0])
     with pytest.raises(DomainError):
-        evaluate_sl2(realization, PhasePoint([0.0, 1.0], [0.0, 0.0]))
+        realization.check_point(PhasePoint([0.0, 1.0], [0.0, 0.0]))
+    with pytest.raises(DomainError):
+        sl2_kernel(realization, np.array([0.0, 1.0]), np.zeros(2))
     # a vanishing coordinate is fine when its coefficient is zero
-    v = evaluate_sl2(realization, PhasePoint([1.0, 0.0], [0.0, 0.0]))
-    assert v.j_plus == pytest.approx(1.0)
+    x = PhasePoint([1.0, 0.0], [0.0, 0.0])
+    realization.check_point(x)
+    assert sl2_kernel(realization, x.q, x.p)[1] == pytest.approx(1.0)
     with pytest.raises(DimensionMismatch):
-        evaluate_sl2(realization, PhasePoint([1.0, 1.0, 1.0], [0.0, 0.0, 0.0]))
+        realization.check_point(PhasePoint([1.0, 1.0, 1.0], [0.0, 0.0, 0.0]))
 
 
 def test_generator_bracket_closure():
@@ -128,10 +132,10 @@ def test_generator_bracket_closure():
     jp = j_quantity(realization, 1, "J+")
     j3 = j_quantity(realization, 2, "J3")
     for x in sample_regular_points(20, 4, RNG):
-        v = evaluate_sl2(realization, x)
-        assert abs(poisson_bracket(j3, jp, x) - 2.0 * v.j_plus) < 1e-9
-        assert abs(poisson_bracket(j3, jm, x) + 2.0 * v.j_minus) < 1e-9
-        assert abs(poisson_bracket(jm, jp, x) - 4.0 * v.j3) < 1e-9
+        j_minus, j_plus, j_3, _ = sl2_kernel(realization, x.q, x.p)
+        assert abs(poisson_bracket(j3, jp, x) - 2.0 * j_plus) < 1e-9
+        assert abs(poisson_bracket(j3, jm, x) + 2.0 * j_minus) < 1e-9
+        assert abs(poisson_bracket(jm, jp, x) - 4.0 * j_3) < 1e-9
 
 
 def test_casimir_commutes_with_generators():

@@ -112,6 +112,16 @@ def test_singular_approach_on_radial_infall():
     assert err.trajectory.n_states >= 1
 
 
+def test_start_inside_the_barrier_guard_radius_halts_at_t0():
+    spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.4, 0.0])
+    x0 = PhasePoint([5e-7, 0.8], [0.3, -0.2])
+    with pytest.raises(SingularApproach,
+                       match="^coordinate-plane barrier reached at t = 0$") as info:
+        integrate(spec, x0, 1.0, IntegratorConfig(step=1e-3))
+    assert info.value.time == 0.0
+    assert info.value.state is x0
+
+
 def test_nonconvergence_for_oversized_step():
     spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.0, 0.0])
     x0 = PhasePoint([1.0, 0.2], [0.1, -0.4])

@@ -4,6 +4,7 @@ import pytest
 from superint import (
     ConfigError,
     DimensionMismatch,
+    DomainError,
     PhasePoint,
     RangeError,
     SL2Realization,
@@ -301,3 +302,27 @@ def test_extra_gradients_match_differences():
                 1, mass=1.3, k=0.7, b_tilde=bt, kappa=kappa, space=chart)
             assert gradient_mismatch(sw_q, points) < 1e-6
             assert gradient_mismatch(kc_q, points) < 1e-6
+
+
+def test_every_barrier_check_names_the_global_coordinate():
+    """H, a right window, I_3 on each space and an L_i whose other barrier is
+    hit all reach the one axis guard, with the same message."""
+    b = [0.3, 0.4, 0.5, 0.6]
+    q, p = np.array([0.5, 0.7, 0.0, 0.9]), np.array([0.2, -0.1, 0.3, 0.4])
+    one = r"^q_3 = 0\.0 lies on a coordinate plane with b_3 != 0$"
+    qs = np.array([[0.5, 0.7, 0.6, 0.9], q, q])
+    ps = np.array([p, p, p])
+    spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=b)
+    window = right_integral(spec.realization, 2)
+    calls = [spec.value_qp, spec.gradient_qp, window.value_fn, window.gradient_fn]
+    for space, kappa in (("euclidean", 0.0), ("beltrami", 0.5), ("poincare", 0.5)):
+        extra = sw_extra_integral(2, mass=1.0, omega=1.0, b_tilde=b, kappa=kappa,
+                                  space=space)
+        lrl = kc_extra_integral(0, mass=1.0, k=1.0, b_tilde=[0.0, *b[1:]], kappa=kappa,
+                                space=space)
+        calls += [extra.value_fn, extra.gradient_fn, lrl.value_fn, lrl.gradient_fn]
+    for call in calls:
+        with pytest.raises(DomainError, match=one):
+            call(q, p)
+    with pytest.raises(DomainError, match=r"^point 1: " + one[1:]):
+        window.gradient_fn(qs, ps)
