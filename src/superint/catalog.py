@@ -1,4 +1,4 @@
-"""Constructors for the named Hamiltonian families.
+"""The named Hamiltonian families and the registry that builds them.
 
 Every family is a smooth function of the generators (J-, J+, J3) over a
 realization with centrifugal coefficients b_i = m * bt_i, evaluated on one
@@ -8,17 +8,23 @@ chart coordinates on the constant-curvature space of curvature kappa.
 Central potentials are given as radial profiles F of the squared
 tangent-distance, which is J- itself in the flat and Beltrami cases and
 4 J- / (1 - kappa J-)^2 in the Poincare chart.
+
+`FAMILIES` holds one `Family` record per family: its parameter defaults,
+profiles, spaces, builder and, where it has them, extra integrals.  `build`
+and `extra_integral` are lookups in it; each `make_*` constructor makes one
+descriptor and calls its family's builder with the caller's profiles.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
 
-from .core import Guard, HamiltonianSpec, SL2Realization, _as_vector
+from . import integrals
+from .core import ConservedQuantity, Guard, HamiltonianSpec, SL2Realization, _as_vector
 from .errors import ConfigError, DimensionMismatch, DomainError
 from .geometry import BELTRAMI, CHARTS, EUCLIDEAN, POINCARE, SPACES, check_space
 
@@ -30,8 +36,10 @@ class SystemDescriptor:
     """What a catalog system is: family, space, parameters, barriers.
 
     Construction validates it against FAMILIES: a known family on one of
-    its spaces, kappa = 0 on flat space, finite parameters and profile
-    coefficients, and a positive mass where the family has one.
+    its spaces, no parameter the family lacks (kappa aside), kappa = 0 on
+    flat space, finite parameters and profile coefficients, and a positive
+    mass where the family has one.  Parameters left out take the family
+    default (kappa 0.0); all are stored as floats.
     """
 
     family: str
@@ -45,16 +53,29 @@ class SystemDescriptor:
         info = FAMILIES.get(self.family)
         if info is None:
             raise ConfigError(f"unknown family {self.family!r}; known: {sorted(FAMILIES)}")
-        for key, value in self.params.items():
-            _check_finite(key, value)
+        defaults = {**info.params, "kappa": 0.0}
+        unknown = sorted(set(self.params) - set(defaults))
+        if unknown:
+            raise ConfigError(f"family {self.family!r} has no parameters {unknown}; "
+                              f"known: {sorted(defaults)}")
+        params = {}
+        for key, default in defaults.items():
+            value = self.params.get(key, default)
+            try:
+                params[key] = float(value)
+            except (TypeError, ValueError):
+                raise ConfigError(f"{key} must be a number, got {value!r}") from None
+            if not math.isfinite(params[key]):
+                raise ConfigError(f"{key} must be finite, got {value!r}")
+        object.__setattr__(self, "params", params)
         for key, coeffs in self.profiles.items():
             if not all(map(math.isfinite, coeffs)):
                 raise ConfigError(f"{key} must be finite, got {coeffs!r}")
         check_space(self.space, self.kappa)
-        if self.space not in info["spaces"]:
+        if self.space not in info.spaces:
             raise ConfigError(f"family {self.family!r} is not defined on space {self.space!r}")
-        if "mass" in info["params"]:
-            _check_mass(self.params["mass"])
+        if params.get("mass", 1.0) <= 0.0:
+            raise ConfigError(f"mass must be positive, got {params['mass']}")
 
     @property
     def n(self) -> int:
@@ -62,25 +83,13 @@ class SystemDescriptor:
 
     @property
     def kappa(self) -> float:
-        return float(self.params.get("kappa", 0.0))
+        return self.params["kappa"]
 
     @property
     def ms_axes(self) -> tuple[int, ...]:
         """The axes that carry an extra integral (none outside sw and kepler_coulomb)."""
-        rule = FAMILIES[self.family].get("extra_axes")
+        rule = FAMILIES[self.family].extra_axes
         return () if rule is None else tuple(int(i) for i in rule(self.b_tilde))
-
-
-def _check_finite(key: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ConfigError(f"{key} must be finite, got {value!r}")
-
-
-def _check_mass(mass: float) -> float:
-    mass = float(mass)
-    if mass <= 0.0:
-        raise ConfigError(f"mass must be positive, got {mass}")
-    return mass
 
 
 def _realization(desc: SystemDescriptor) -> SL2Realization:
@@ -154,16 +163,16 @@ def _guards(space: str, kappa: float, *, origin: bool = False) -> tuple[Guard, .
     return tuple(guards)
 
 
-def _radial_spec(
-    desc: SystemDescriptor,
-    profile: Profile,
-    profile_deriv: Profile,
-    *,
-    origin_guard: bool = False,
-) -> HamiltonianSpec:
-    """Kinetic term plus a radial profile of the tangent-distance squared."""
+# ---------------------------------------------------------------------------
+# Family builders: each takes the validated descriptor and, where the
+# family's profiles are functions, those functions
+# ---------------------------------------------------------------------------
+
+def _radial_spec(desc: SystemDescriptor, profile: Profile, profile_deriv: Profile, *,
+                 origin_guard: bool = False) -> HamiltonianSpec:
+    """Kinetic term plus a radial profile of the tangent-distance squared
+    (the evans builder, and the common form of the other radial families)."""
     space, kappa = desc.space, desc.kappa
-    realization = _realization(desc)
     t_val, t_par = _kinetic(space, kappa, desc.params["mass"])
     s_val, s_der = _radial_argument(space, kappa)
 
@@ -174,95 +183,14 @@ def _radial_spec(
         tm, tp, t3 = t_par(jm, jp, j3)
         return tm + profile_deriv(s_val(jm)) * s_der(jm), tp, t3
 
-    return HamiltonianSpec(
-        name=f"{desc.family}.{space}",
-        realization=realization,
-        h=h,
-        h_partials=h_partials,
-        descriptor=desc,
-        guards=_guards(space, kappa, origin=origin_guard),
-    )
+    return HamiltonianSpec(f"{desc.family}.{space}", _realization(desc), h, h_partials,
+                           desc, _guards(space, kappa, origin=origin_guard))
 
 
-# ---------------------------------------------------------------------------
-# Families
-# ---------------------------------------------------------------------------
-
-def make_evans(
-    space: str,
-    profile: Profile,
-    profile_deriv: Profile,
-    *,
-    mass: float = 1.0,
-    b_tilde,
-    kappa: float = 0.0,
-) -> HamiltonianSpec:
-    """Central potential F(r_t^2) plus N centrifugal barriers.
-
-    The caller supplies the radial profile and its derivative; the argument
-    is the squared tangent-distance (plain q^2 in the flat case).
-    """
-    desc = SystemDescriptor("evans", space, {"mass": float(mass), "kappa": kappa}, b_tilde)
-    return _radial_spec(desc, profile, profile_deriv)
-
-
-def make_sw(
-    space: str = EUCLIDEAN,
-    *,
-    mass: float = 1.0,
-    omega: float = 1.0,
-    b_tilde,
-    kappa: float = 0.0,
-) -> HamiltonianSpec:
-    """Isotropic oscillator (Higgs oscillator when curved) with barriers.
-
-    Maximally superintegrable: every axis carries an extra integral I_i.
-    """
-    desc = SystemDescriptor(
-        "sw", space, {"mass": float(mass), "omega": float(omega), "kappa": kappa}, b_tilde
-    )
+def _oscillator(desc: SystemDescriptor) -> HamiltonianSpec:
+    """w^2 s + sum_k delta_k s^(k+1); with no deltas (sw) exactly w^2 s."""
     w2 = desc.params["omega"] ** 2
-    return _radial_spec(desc, lambda s: w2 * s, lambda s: w2)
-
-
-def make_garnier(
-    space: str = EUCLIDEAN,
-    *,
-    mass: float = 1.0,
-    omega: float = 1.0,
-    delta: float = 0.0,
-    b_tilde,
-    kappa: float = 0.0,
-) -> HamiltonianSpec:
-    """Quartic oscillator w^2 r_t^2 + delta r_t^4 with barriers (QMS)."""
-    desc = SystemDescriptor(
-        "garnier", space,
-        {"mass": float(mass), "omega": float(omega), "delta": float(delta), "kappa": kappa},
-        b_tilde,
-    )
-    w2, d = desc.params["omega"] ** 2, desc.params["delta"]
-    return _radial_spec(desc, lambda s: w2 * s + d * s * s, lambda s: w2 + 2.0 * d * s)
-
-
-def make_nonlinear_oscillator(
-    space: str = EUCLIDEAN,
-    *,
-    mass: float = 1.0,
-    omega: float = 1.0,
-    deltas=(),
-    b_tilde,
-    kappa: float = 0.0,
-) -> HamiltonianSpec:
-    """Even-order oscillator w^2 r_t^2 + sum_k delta_k r_t^(2(k+1)) (QMS).
-
-    `deltas` lists delta_1..delta_K; any finite truncation is admissible.
-    """
-    desc = SystemDescriptor(
-        "oscillator", space, {"mass": float(mass), "omega": float(omega), "kappa": kappa},
-        b_tilde, profiles={"deltas": tuple(float(d) for d in deltas)},
-    )
-    w2 = desc.params["omega"] ** 2
-    ds = desc.profiles["deltas"]
+    ds = desc.profiles.get("deltas", ())
 
     def f(s):
         val = w2 * s
@@ -283,22 +211,12 @@ def make_nonlinear_oscillator(
     return _radial_spec(desc, f, fp)
 
 
-def make_kepler_coulomb(
-    space: str = EUCLIDEAN,
-    *,
-    mass: float = 1.0,
-    k: float = 1.0,
-    b_tilde,
-    kappa: float = 0.0,
-) -> HamiltonianSpec:
-    """Attractive -k / r_t potential with barriers.
+def _garnier(desc: SystemDescriptor) -> HamiltonianSpec:
+    w2, d = desc.params["omega"] ** 2, desc.params["delta"]
+    return _radial_spec(desc, lambda s: w2 * s + d * s * s, lambda s: w2 + 2.0 * d * s)
 
-    Maximally superintegrable when at least one bt_i = 0; each such axis
-    carries a Laplace-Runge-Lenz component L_i.
-    """
-    desc = SystemDescriptor(
-        "kepler_coulomb", space, {"mass": float(mass), "k": float(k), "kappa": kappa}, b_tilde
-    )
+
+def _kepler_coulomb(desc: SystemDescriptor) -> HamiltonianSpec:
     kc = desc.params["k"]
 
     def f(s):
@@ -314,84 +232,115 @@ def make_kepler_coulomb(
     return _radial_spec(desc, f, fp, origin_guard=True)
 
 
-def make_electromagnetic(
-    *,
-    mass: float = 1.0,
-    charge: float = 1.0,
-    scalar_profile: Profile,
-    scalar_profile_deriv: Profile,
-    vector_profile: Profile,
-    vector_profile_deriv: Profile,
-    b_tilde,
-) -> HamiltonianSpec:
-    """Flat momenta-dependent family J+/2m - (e/m) J3 G(J-) + e F(J-)."""
-    desc = SystemDescriptor(
-        "electromagnetic", EUCLIDEAN,
-        {"mass": float(mass), "charge": float(charge), "kappa": 0.0}, b_tilde,
-    )
+def _electromagnetic(desc: SystemDescriptor, f: Profile, fp: Profile,
+                     g: Profile, gp: Profile) -> HamiltonianSpec:
     mass, e = desc.params["mass"], desc.params["charge"]
-    realization = _realization(desc)
     inv2m = 1.0 / (2.0 * mass)
 
     def h(jm, jp, j3):
-        return jp * inv2m - (e / mass) * j3 * vector_profile(jm) + e * scalar_profile(jm)
+        return jp * inv2m - (e / mass) * j3 * g(jm) + e * f(jm)
 
     def h_partials(jm, jp, j3):
-        return (
-            -(e / mass) * j3 * vector_profile_deriv(jm) + e * scalar_profile_deriv(jm),
-            inv2m,
-            -(e / mass) * vector_profile(jm),
-        )
+        return -(e / mass) * j3 * gp(jm) + e * fp(jm), inv2m, -(e / mass) * g(jm)
 
-    return HamiltonianSpec(
-        name="electromagnetic.euclidean",
-        realization=realization,
-        h=h,
-        h_partials=h_partials,
-        descriptor=desc,
-    )
+    return HamiltonianSpec("electromagnetic.euclidean", _realization(desc), h, h_partials, desc)
 
 
-def make_variable_mass(
-    *,
-    mass_profile: Profile,
-    mass_profile_deriv: Profile,
-    potential: Profile,
-    potential_deriv: Profile,
-    b,
-) -> HamiltonianSpec:
+def _variable_mass(desc: SystemDescriptor, mpro: Profile, mder: Profile,
+                   f: Profile, fp: Profile) -> HamiltonianSpec:
+    def mass_at(jm):
+        mval = mpro(jm)
+        if mval <= 0.0:
+            raise DomainError(f"mass profile must stay positive, got {mval}")
+        return mval
+
+    def h(jm, jp, j3):
+        return jp / (2.0 * mass_at(jm)) + f(jm)
+
+    def h_partials(jm, jp, j3):
+        mval = mass_at(jm)
+        return -jp * mder(jm) / (2.0 * mval ** 2) + fp(jm), 1.0 / (2.0 * mval), 0.0
+
+    return HamiltonianSpec("variable_mass.euclidean", SL2Realization(desc.b_tilde),
+                           h, h_partials, desc)
+
+
+# ---------------------------------------------------------------------------
+# Keyword constructors
+# ---------------------------------------------------------------------------
+
+def make_evans(space: str, profile: Profile, profile_deriv: Profile, *,
+               mass: float = 1.0, b_tilde, kappa: float = 0.0) -> HamiltonianSpec:
+    """Central potential F(r_t^2) plus N centrifugal barriers.
+
+    The caller supplies the radial profile and its derivative; the argument
+    is the squared tangent-distance (plain q^2 in the flat case).
+    """
+    desc = SystemDescriptor("evans", space, {"mass": mass, "kappa": kappa}, b_tilde)
+    return _radial_spec(desc, profile, profile_deriv)
+
+
+def make_sw(space: str = EUCLIDEAN, *, mass: float = 1.0, omega: float = 1.0,
+            b_tilde, kappa: float = 0.0) -> HamiltonianSpec:
+    """Isotropic oscillator (Higgs oscillator when curved) with barriers.
+
+    Maximally superintegrable: every axis carries an extra integral I_i.
+    """
+    params = {"mass": mass, "omega": omega, "kappa": kappa}
+    return _oscillator(SystemDescriptor("sw", space, params, b_tilde))
+
+
+def make_garnier(space: str = EUCLIDEAN, *, mass: float = 1.0, omega: float = 1.0,
+                 delta: float = 0.0, b_tilde, kappa: float = 0.0) -> HamiltonianSpec:
+    """Quartic oscillator w^2 r_t^2 + delta r_t^4 with barriers (QMS)."""
+    params = {"mass": mass, "omega": omega, "delta": delta, "kappa": kappa}
+    return _garnier(SystemDescriptor("garnier", space, params, b_tilde))
+
+
+def make_nonlinear_oscillator(space: str = EUCLIDEAN, *, mass: float = 1.0,
+                              omega: float = 1.0, deltas=(), b_tilde,
+                              kappa: float = 0.0) -> HamiltonianSpec:
+    """Even-order oscillator w^2 r_t^2 + sum_k delta_k r_t^(2(k+1)) (QMS).
+
+    `deltas` lists delta_1..delta_K; any finite truncation is admissible.
+    """
+    params = {"mass": mass, "omega": omega, "kappa": kappa}
+    profiles = {"deltas": tuple(float(d) for d in deltas)}
+    return _oscillator(SystemDescriptor("oscillator", space, params, b_tilde, profiles))
+
+
+def make_kepler_coulomb(space: str = EUCLIDEAN, *, mass: float = 1.0, k: float = 1.0,
+                        b_tilde, kappa: float = 0.0) -> HamiltonianSpec:
+    """Attractive -k / r_t potential with barriers.
+
+    Maximally superintegrable when at least one bt_i = 0; each such axis
+    carries a Laplace-Runge-Lenz component L_i.
+    """
+    params = {"mass": mass, "k": k, "kappa": kappa}
+    return _kepler_coulomb(SystemDescriptor("kepler_coulomb", space, params, b_tilde))
+
+
+def make_electromagnetic(*, mass: float = 1.0, charge: float = 1.0,
+                         scalar_profile: Profile, scalar_profile_deriv: Profile,
+                         vector_profile: Profile, vector_profile_deriv: Profile,
+                         b_tilde) -> HamiltonianSpec:
+    """Flat momenta-dependent family J+/2m - (e/m) J3 G(J-) + e F(J-)."""
+    desc = SystemDescriptor("electromagnetic", EUCLIDEAN,
+                            {"mass": mass, "charge": charge}, b_tilde)
+    return _electromagnetic(desc, scalar_profile, scalar_profile_deriv,
+                            vector_profile, vector_profile_deriv)
+
+
+def make_variable_mass(*, mass_profile: Profile, mass_profile_deriv: Profile,
+                       potential: Profile, potential_deriv: Profile, b) -> HamiltonianSpec:
     """Coordinate-dependent mass family J+ / (2 M(J-)) + F(J-).
 
     `b` is given directly (not bt = b/m) since there is no constant mass.
     The chart kinetic energies are the special cases M = m/(1 + kappa s)^2
     (Poincare) of this form.
     """
-    desc = SystemDescriptor("variable_mass", EUCLIDEAN, {"kappa": 0.0}, _as_vector(b, "b"))
-    realization = SL2Realization(desc.b_tilde)
-
-    def h(jm, jp, j3):
-        mval = mass_profile(jm)
-        if mval <= 0.0:
-            raise DomainError(f"mass profile must stay positive, got {mval}")
-        return jp / (2.0 * mval) + potential(jm)
-
-    def h_partials(jm, jp, j3):
-        mval = mass_profile(jm)
-        if mval <= 0.0:
-            raise DomainError(f"mass profile must stay positive, got {mval}")
-        return (
-            -jp * mass_profile_deriv(jm) / (2.0 * mval ** 2) + potential_deriv(jm),
-            1.0 / (2.0 * mval),
-            0.0,
-        )
-
-    return HamiltonianSpec(
-        name="variable_mass.euclidean",
-        realization=realization,
-        h=h,
-        h_partials=h_partials,
-        descriptor=desc,
-    )
+    desc = SystemDescriptor("variable_mass", EUCLIDEAN, {}, _as_vector(b, "b"))
+    return _variable_mass(desc, mass_profile, mass_profile_deriv, potential, potential_deriv)
 
 
 # ---------------------------------------------------------------------------
@@ -406,17 +355,10 @@ class EMFields:
     A: np.ndarray
 
 
-def em_fields(
-    q,
-    *,
-    mass: float = 1.0,
-    charge: float = 1.0,
-    scalar_profile: Profile,
-    scalar_profile_deriv: Profile,
-    vector_profile: Profile,
-    vector_profile_deriv: Profile,
-    b_tilde,
-) -> EMFields:
+def em_fields(q, *, mass: float = 1.0, charge: float = 1.0,
+              scalar_profile: Profile, scalar_profile_deriv: Profile,
+              vector_profile: Profile, vector_profile_deriv: Profile,
+              b_tilde) -> EMFields:
     """Static fields of the electromagnetic family at a position in R^3.
 
     psi = F(q^2) - (e/2m) q^2 G(q^2)^2 + sum bt_i / (2 e q_i^2),
@@ -424,15 +366,13 @@ def em_fields(
     and E = -grad psi in closed form.
     """
     q = _as_vector(q, "q")
-    bt = _as_vector(b_tilde, "b_tilde")
+    desc = SystemDescriptor("electromagnetic", EUCLIDEAN,
+                            {"mass": mass, "charge": charge}, b_tilde)
+    bt, m, e = desc.b_tilde, desc.params["mass"], desc.params["charge"]
     if q.size != 3 or bt.size != 3:
         raise DimensionMismatch("the electromagnetic reading needs N = 3")
-    _check_finite("mass", mass)
-    _check_finite("charge", charge)
-    e = float(charge)
     if e == 0.0:
         raise ConfigError("charge must be nonzero to form the potentials")
-    m = _check_mass(mass)
     q2 = float(q @ q)
     g = vector_profile(q2)
     gp = vector_profile_deriv(q2)
@@ -451,61 +391,8 @@ def em_fields(
 
 
 # ---------------------------------------------------------------------------
-# Config-driven construction
+# The family registry
 # ---------------------------------------------------------------------------
-
-# Per family: the parameters and polynomial profiles a config gives, the
-# spaces it is defined on, what it is known to be, and, for the two maximally
-# superintegrable families, which axes carry an extra integral given b_tilde.
-FAMILIES: dict[str, dict] = {
-    "evans": {
-        "params": ("mass",),
-        "profiles": ("potential",),
-        "spaces": SPACES,
-        "ms": "generic radial profile: quasi-maximally superintegrable only",
-    },
-    "sw": {
-        "params": ("mass", "omega"),
-        "profiles": (),
-        "spaces": SPACES,
-        "ms": "maximally superintegrable; N extra integrals I_1..I_N, one per axis",
-        "extra_axes": lambda bt: range(bt.size),
-    },
-    "garnier": {
-        "params": ("mass", "omega", "delta"),
-        "profiles": (),
-        "spaces": SPACES,
-        "ms": "quasi-maximally superintegrable for any delta",
-    },
-    "oscillator": {
-        "params": ("mass", "omega"),
-        "profiles": ("deltas",),
-        "spaces": SPACES,
-        "ms": "quasi-maximally superintegrable for any delta_k truncation",
-    },
-    "kepler_coulomb": {
-        "params": ("mass", "k"),
-        "profiles": (),
-        "spaces": SPACES,
-        "ms": "maximally superintegrable when at least one bt_i = 0; "
-        "extra integral L_i for every axis with bt_i = 0",
-        "extra_axes": lambda bt: np.flatnonzero(bt == 0.0),
-    },
-    "electromagnetic": {
-        "params": ("mass", "charge"),
-        "profiles": ("potential", "vector"),
-        "spaces": (EUCLIDEAN,),
-        "ms": "quasi-maximally superintegrable (momenta-dependent potential)",
-    },
-    "variable_mass": {
-        "params": (),
-        "profiles": ("mass_profile", "potential"),
-        "spaces": (EUCLIDEAN,),
-        "ms": "quasi-maximally superintegrable; chart kinetic energies are "
-        "special cases of the mass profile",
-    },
-}
-
 
 def poly_profile(coeffs) -> tuple[Profile, Profile]:
     """Polynomial profile (value, derivative) from ascending coefficients."""
@@ -514,71 +401,104 @@ def poly_profile(coeffs) -> tuple[Profile, Profile]:
     return (lambda s: float(poly(s))), (lambda s: float(der(s)))
 
 
+def _poly(descriptor: SystemDescriptor, *keys: str) -> tuple[Profile, ...]:
+    """(value, derivative) of each named polynomial profile, in order."""
+    out: list[Profile] = []
+    for key in keys:
+        coeffs = descriptor.profiles.get(key)
+        if not coeffs:
+            raise ConfigError(f"family {descriptor.family!r} needs profile {key!r}")
+        out.extend(poly_profile(coeffs))
+    return tuple(out)
+
+
+@dataclass(frozen=True)
+class Family:
+    """What a family is and how to build it.
+
+    `params` maps each parameter to its default; `profiles` names the
+    polynomial profiles a config gives; `ms` says what the family is known
+    to be.  `spec` builds a descriptor's HamiltonianSpec; the maximally
+    superintegrable families also give `extra`, the extra integral on one
+    axis, and `extra_axes`, the axes that carry one given b_tilde.
+    """
+
+    params: Mapping[str, float]
+    profiles: tuple[str, ...]
+    spaces: tuple[str, ...]
+    ms: str
+    spec: Callable[[SystemDescriptor], HamiltonianSpec]
+    extra: Optional[Callable[[SystemDescriptor, int], ConservedQuantity]] = None
+    extra_axes: Optional[Callable[[np.ndarray], Iterable[int]]] = None
+
+
+# The extras name integrals.sw_extra_integral / kc_extra_integral at call
+# time, so a replacement installed on that module is the one called.
+FAMILIES: dict[str, Family] = {
+    "evans": Family(
+        {"mass": 1.0}, ("potential",), SPACES,
+        "generic radial profile: quasi-maximally superintegrable only",
+        spec=lambda d: _radial_spec(d, *_poly(d, "potential")),
+    ),
+    "sw": Family(
+        {"mass": 1.0, "omega": 1.0}, (), SPACES,
+        "maximally superintegrable; N extra integrals I_1..I_N, one per axis",
+        spec=_oscillator,
+        extra=lambda d, axis: integrals.sw_extra_integral(
+            axis, mass=d.params["mass"], omega=d.params["omega"], b_tilde=d.b_tilde,
+            kappa=d.kappa, space=d.space),
+        extra_axes=lambda bt: range(bt.size),
+    ),
+    "garnier": Family(
+        {"mass": 1.0, "omega": 1.0, "delta": 0.0}, (), SPACES,
+        "quasi-maximally superintegrable for any delta",
+        spec=_garnier,
+    ),
+    "oscillator": Family(
+        {"mass": 1.0, "omega": 1.0}, ("deltas",), SPACES,
+        "quasi-maximally superintegrable for any delta_k truncation",
+        spec=_oscillator,
+    ),
+    "kepler_coulomb": Family(
+        {"mass": 1.0, "k": 1.0}, (), SPACES,
+        "maximally superintegrable when at least one bt_i = 0; "
+        "extra integral L_i for every axis with bt_i = 0",
+        spec=_kepler_coulomb,
+        extra=lambda d, axis: integrals.kc_extra_integral(
+            axis, mass=d.params["mass"], k=d.params["k"], b_tilde=d.b_tilde,
+            kappa=d.kappa, space=d.space),
+        extra_axes=lambda bt: np.flatnonzero(bt == 0.0),
+    ),
+    "electromagnetic": Family(
+        {"mass": 1.0, "charge": 1.0}, ("potential", "vector"), (EUCLIDEAN,),
+        "quasi-maximally superintegrable (momenta-dependent potential)",
+        spec=lambda d: _electromagnetic(d, *_poly(d, "potential", "vector")),
+    ),
+    "variable_mass": Family(
+        {}, ("mass_profile", "potential"), (EUCLIDEAN,),
+        "quasi-maximally superintegrable; chart kinetic energies are "
+        "special cases of the mass profile",
+        spec=lambda d: _variable_mass(d, *_poly(d, "mass_profile", "potential")),
+    ),
+}
+
+
 def build(descriptor: SystemDescriptor) -> HamiltonianSpec:
     """Construct the HamiltonianSpec a descriptor names.
 
     Profile-bearing families read ascending polynomial coefficients from
     `descriptor.profiles`.
     """
-    family = descriptor.family
-    space = descriptor.space
-    params = descriptor.params
-    kappa = descriptor.kappa
-    bt = descriptor.b_tilde
-
-    if family == "sw":
-        return make_sw(space, mass=params["mass"], omega=params["omega"],
-                       b_tilde=bt, kappa=kappa)
-    if family == "garnier":
-        return make_garnier(space, mass=params["mass"], omega=params["omega"],
-                            delta=params.get("delta", 0.0), b_tilde=bt, kappa=kappa)
-    if family == "oscillator":
-        return make_nonlinear_oscillator(
-            space, mass=params["mass"], omega=params["omega"],
-            deltas=descriptor.profiles.get("deltas", ()), b_tilde=bt, kappa=kappa)
-    if family == "kepler_coulomb":
-        return make_kepler_coulomb(space, mass=params["mass"], k=params["k"],
-                                   b_tilde=bt, kappa=kappa)
-    if family == "evans":
-        f, fp = poly_profile(_profile_coeffs(descriptor, "potential"))
-        return make_evans(space, f, fp, mass=params["mass"], b_tilde=bt, kappa=kappa)
-    if family == "electromagnetic":
-        f, fp = poly_profile(_profile_coeffs(descriptor, "potential"))
-        g, gp = poly_profile(_profile_coeffs(descriptor, "vector"))
-        return make_electromagnetic(
-            mass=params["mass"], charge=params["charge"],
-            scalar_profile=f, scalar_profile_deriv=fp,
-            vector_profile=g, vector_profile_deriv=gp, b_tilde=bt)
-    # variable_mass
-    mpro, mder = poly_profile(_profile_coeffs(descriptor, "mass_profile"))
-    f, fp = poly_profile(_profile_coeffs(descriptor, "potential"))
-    return make_variable_mass(
-        mass_profile=mpro, mass_profile_deriv=mder,
-        potential=f, potential_deriv=fp, b=bt)
+    return FAMILIES[descriptor.family].spec(descriptor)
 
 
-def _profile_coeffs(descriptor: SystemDescriptor, key: str) -> tuple[float, ...]:
-    coeffs = descriptor.profiles.get(key)
-    if not coeffs:
-        raise ConfigError(f"family {descriptor.family!r} needs profile {key!r}")
-    return coeffs
-
-
-def extra_integral(descriptor: SystemDescriptor, axis: int):
+def extra_integral(descriptor: SystemDescriptor, axis: int) -> ConservedQuantity:
     """The extra ("lost") integral of an MS family on one axis.
 
     Raises ConfigError for families without extras or when the axis fails
     the validity condition.
     """
-    from . import integrals
-
-    params, bt = descriptor.params, descriptor.b_tilde
-    kappa, space = descriptor.kappa, descriptor.space
-    if descriptor.family == "sw":
-        return integrals.sw_extra_integral(
-            axis, mass=params["mass"], omega=params["omega"], b_tilde=bt,
-            kappa=kappa, space=space)
-    if descriptor.family == "kepler_coulomb":
-        return integrals.kc_extra_integral(
-            axis, mass=params["mass"], k=params["k"], b_tilde=bt, kappa=kappa, space=space)
-    raise ConfigError(f"family {descriptor.family!r} has no extra integrals")
+    extra = FAMILIES[descriptor.family].extra
+    if extra is None:
+        raise ConfigError(f"family {descriptor.family!r} has no extra integrals")
+    return extra(descriptor, axis)

@@ -144,10 +144,7 @@ def cmd_simulate(config_path: Path, out_dir: Path, seed_override, hex_floats: bo
     try:
         traj = integrate(spec, x0, sim.t_final, icfg, monitors)
     except (SingularApproach, NonConvergence) as err:
-        traj = getattr(err, "trajectory", None)
-        halted = err
-        if traj is None:
-            raise
+        traj, halted = err.trajectory, err
 
     cols = ["t"] + [f"q{i + 1}" for i in range(n)] + [f"p{i + 1}" for i in range(n)]
     cols += [m.name for m in monitors]
@@ -205,13 +202,13 @@ def cmd_catalog() -> int:
     print()
     for name, info in FAMILIES.items():
         print(f"{name}")
-        params = ", ".join(info["params"]) if info["params"] else "none"
+        params = ", ".join(info.params) if info.params else "none"
         print(f"  parameters : {params} + barrier coefficients")
-        if info["profiles"]:
-            print(f"  profiles   : {', '.join(info['profiles'])} "
+        if info.profiles:
+            print(f"  profiles   : {', '.join(info.profiles)} "
                   "(polynomial coefficients in configs)")
-        print(f"  spaces     : {', '.join(info['spaces'])}")
-        print(f"  integrals  : {info['ms']}")
+        print(f"  spaces     : {', '.join(info.spaces)}")
+        print(f"  integrals  : {info.ms}")
         print()
     print("Every family shares the universal integrals C^2..C^N and C_2..C_N")
     print("(2N-3 distinct functions; the two N-member sets are in involution).")
@@ -256,9 +253,6 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SingularApproach as exc:
-        print(f"singular approach: {exc}", file=sys.stderr)
-        return 1
     except SuperintError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

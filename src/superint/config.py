@@ -11,7 +11,9 @@ Sections and keys (see README for the full reference):
     [simulation]    x0 (2N floats), t_final, step, method, monitors,
                     output_stride, closure_tol, fixed_point_tol
 
-Unknown sections or keys are rejected so typos fail loudly.
+Unknown sections or keys are rejected so typos fail loudly.  [system]
+reads only the parameters and profiles its family's `FAMILIES` entry
+names; parameters left out take that entry's defaults.
 """
 
 from __future__ import annotations
@@ -145,8 +147,9 @@ def load_config(path) -> ExperimentConfig:
 
 def _system(sec) -> tuple[SystemDescriptor, tuple[int, ...]]:
     family = sec.get("family")
+    info = FAMILIES.get(family)
     # SystemDescriptor rejects an unknown family; it has no keys to read here
-    info = FAMILIES.get(family, {"params": (), "profiles": ()})
+    names, profile_keys = (info.params, info.profiles) if info else ((), ())
 
     if "n" not in sec:
         raise ConfigError("[system] n is required")
@@ -163,13 +166,9 @@ def _system(sec) -> tuple[SystemDescriptor, tuple[int, ...]]:
     if bt.size != n:
         raise ConfigError(f"{barrier_key} must list n = {n} values, got {bt.size}")
 
-    kappa = _one_float(sec["kappa"], "kappa") if "kappa" in sec else 0.0
-    params: dict[str, float] = {"kappa": kappa}
+    params = {key: _one_float(sec[key], key) for key in ("kappa", *names) if key in sec}
     profiles: dict[str, tuple[float, ...]] = {}
-    defaults = {"mass": 1.0, "omega": 1.0, "delta": 0.0, "k": 1.0, "charge": 1.0}
-    for key in info["params"]:
-        params[key] = _one_float(sec[key], key) if key in sec else defaults[key]
-    for key in info["profiles"]:
+    for key in profile_keys:
         if key == "deltas":
             profiles["deltas"] = _floats(sec["deltas"], "deltas") if "deltas" in sec else ()
             continue
@@ -184,7 +183,7 @@ def _system(sec) -> tuple[SystemDescriptor, tuple[int, ...]]:
         if any(not 1 <= s <= n for s in sites):
             raise ConfigError(f"extra_integrals sites must be in [1, {n}], got {sites}")
         extra_axes = tuple(s - 1 for s in sites)
-        if "extra_axes" not in info:
+        if info.extra is None:
             raise ConfigError(f"family {family!r} has no extra integrals")
         ms_axes = descriptor.ms_axes
         invalid = [a + 1 for a in extra_axes if a not in ms_axes]

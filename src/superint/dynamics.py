@@ -157,8 +157,12 @@ def integrate(
                     f"{guard.label} reached at t = {t:.6g}", time=t, state=last
                 )
 
-    check_guards(x0.q, 0.0, x0)
     n = x0.n
+    try:
+        check_guards(x0.q, 0.0, x0)
+    except SingularApproach as err:
+        err.trajectory = _finish(np.concatenate((x0.q, x0.p))[None], n, cfg.step, monitors)
+        raise
     gradient_qp = spec.gradient_qp
 
     def f(z):

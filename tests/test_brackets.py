@@ -12,6 +12,7 @@ from superint import (
     PhasePoint,
     SamplingError,
     SL2Realization,
+    SystemDescriptor,
     VerificationSettings,
     certify,
     energy_quantity,
@@ -284,6 +285,20 @@ def test_large_n_on_a_bounded_chart_keeps_full_rank():
     functions = [energy_quantity(spec), *universal_set(spec.realization).all]
     cert = independence_rank(functions, sample_for_spec(spec, 20, rng))
     assert cert.numerical_rank == 98
+
+
+@pytest.mark.parametrize("n", [14, 30, 50])
+@pytest.mark.parametrize("space", ["poincare", "beltrami"])
+@pytest.mark.parametrize("kappa", [0.6, -0.6])
+def test_certify_keeps_full_rank_at_large_n_on_both_charts(n, space, kappa):
+    """The rank 2N-2 and a passing involution table across N, chart and
+    sign(kappa), at the default rank_tol and sample size."""
+    bt = np.random.default_rng(n).uniform(0.1, 0.5, n)
+    bt[0] = 0.0
+    desc = SystemDescriptor("sw", space, {"mass": 1.2, "omega": 0.9, "kappa": kappa}, bt)
+    cert = certify(desc, rng=n)
+    assert cert.independence.numerical_rank == cert.expected_rank == 2 * n - 2
+    assert cert.table.passed
 
 
 def test_independence_rejects_mixed_dimensions(rng):

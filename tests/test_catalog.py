@@ -372,6 +372,7 @@ def test_build_round_trips_each_family():
     ]
     for desc in descriptors:
         spec = build(desc)
+        assert spec.descriptor is desc
         kappa = desc.kappa
         space = desc.space
         for x in sample_regular_points(5, 3, RNG, kappa=kappa, space=space):
@@ -406,3 +407,29 @@ def test_family_registry_is_complete():
         "evans", "sw", "garnier", "oscillator", "kepler_coulomb",
         "electromagnetic", "variable_mass",
     }
+
+
+def test_descriptor_fills_family_defaults():
+    bt = [0.2, 0.3]
+    sw = SystemDescriptor("sw", "euclidean", {"mass": 1.0}, bt)
+    assert sw.params == {"mass": 1.0, "omega": 1.0, "kappa": 0.0}
+    x = PhasePoint([0.5, 0.4], [0.1, -0.2])
+    assert build(sw).value(x) == make_sw("euclidean", omega=1.0, b_tilde=bt).value(x)
+    assert SystemDescriptor("sw", "euclidean", {"omega": 2}, bt).params["mass"] == 1.0
+    garnier = SystemDescriptor("garnier", "beltrami", {"kappa": 1}, bt)
+    assert garnier.params == {"mass": 1.0, "omega": 1.0, "delta": 0.0, "kappa": 1.0}
+    assert all(type(v) is float for v in garnier.params.values())
+    assert SystemDescriptor("kepler_coulomb", "euclidean", {}, bt).params["k"] == 1.0
+    assert SystemDescriptor("electromagnetic", "euclidean", {}, bt).params["charge"] == 1.0
+
+
+def test_descriptor_rejects_unknown_parameters():
+    with pytest.raises(ConfigError, match=r"family 'sw' has no parameters \['omgea'\]"):
+        SystemDescriptor("sw", "euclidean", {"mass": 1.0, "omgea": 2.0}, [0.2, 0.3])
+    # a parameter of another family is unknown too
+    with pytest.raises(ConfigError, match=r"\['delta'\]"):
+        SystemDescriptor("sw", "euclidean", {"delta": 0.1}, [0.2, 0.3])
+    with pytest.raises(ConfigError, match=r"\['mass'\]"):
+        SystemDescriptor("variable_mass", "euclidean", {"mass": 1.0}, [0.2, 0.3])
+    with pytest.raises(ConfigError, match="^omega must be a number, got 'abc'$"):
+        SystemDescriptor("sw", "euclidean", {"omega": "abc"}, [0.2, 0.3])

@@ -187,6 +187,27 @@ def test_simulate_halts_on_singularity(tmp_path, capsys):
     assert "halted" in (tmp_path / "infall.traj.txt").read_text()
 
 
+def test_simulate_start_inside_the_guard_radius_writes_one_row(tmp_path, capsys):
+    text = """
+[system]
+family = sw
+n = 2
+b_tilde = 0.4 0.0
+
+[simulation]
+x0 = 5e-7 0.8 0.3 -0.2
+t_final = 1.0
+step = 0.001
+"""
+    cfg = write(tmp_path, "at_barrier.cfg", text)
+    assert main(["--out", str(tmp_path), "simulate", str(cfg)]) == 1
+    assert "HALTED: coordinate-plane barrier reached at t = 0" in capsys.readouterr().err
+    lines = (tmp_path / "at_barrier.traj.txt").read_text().splitlines()
+    rows = [line for line in lines if not line.startswith("#")]
+    assert len(rows) == 1 and rows[0].startswith("0.0 5e-07 0.8 0.3 -0.2 ")
+    assert "# halted = coordinate-plane barrier reached at t = 0" in lines
+
+
 def test_simulate_rejects_partial_last_step(tmp_path, capsys):
     # 1.0 / 0.3 steps would end the grid at t = 1.2.
     text = SW_N4.replace("step = 0.001", "step = 0.3")

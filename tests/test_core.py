@@ -247,11 +247,11 @@ def catalog_specs(b_tilde):
     from superint.catalog import EUCLIDEAN, FAMILIES
 
     for family, info in FAMILIES.items():
-        for space in info["spaces"]:
+        for space in info.spaces:
             for kappa in (0.0,) if space == EUCLIDEAN else (0.5, -0.5):
-                params = {key: _PARAMS[key] for key in info["params"]}
+                params = {key: _PARAMS[key] for key in info.params}
                 params["kappa"] = kappa
-                profiles = {key: _PROFILES[key] for key in info["profiles"]}
+                profiles = {key: _PROFILES[key] for key in info.profiles}
                 yield build(SystemDescriptor(family, space, params, b_tilde,
                                              profiles=profiles))
 

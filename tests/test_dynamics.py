@@ -117,9 +117,15 @@ def test_start_inside_the_barrier_guard_radius_halts_at_t0():
     x0 = PhasePoint([5e-7, 0.8], [0.3, -0.2])
     with pytest.raises(SingularApproach,
                        match="^coordinate-plane barrier reached at t = 0$") as info:
-        integrate(spec, x0, 1.0, IntegratorConfig(step=1e-3))
+        integrate(spec, x0, 1.0, IntegratorConfig(step=1e-3),
+                  monitors=[energy_quantity(spec)])
     assert info.value.time == 0.0
     assert info.value.state is x0
+    # the halt carries the one-state run, like any later halt
+    traj = info.value.trajectory
+    assert traj.n_states == 1
+    assert np.array_equal(traj.q[0], x0.q) and np.array_equal(traj.p[0], x0.p)
+    assert traj.monitors["H"][0] == spec.value(x0) and traj.drift["H"] == 0.0
 
 
 def test_nonconvergence_for_oversized_step():
