@@ -3,15 +3,21 @@
 The default method is the 2-stage Gauss-Legendre implicit Runge-Kutta
 scheme (order 4).  It is symplectic for arbitrary smooth Hamiltonians,
 which matters here because the curved kinetic terms couple q and p, so no
-explicit splitting applies.  Stages are solved by fixed-point iteration
-seeded with the previous step's stage values, until the largest stage
-change is at most `fixed_point_tol` (1e-13 by default).  A classical RK4 is
-provided as a non-symplectic reference.
+explicit splitting applies.  Stages are solved by fixed-point iteration,
+seeded with f(z0) on the first step and afterwards with the previous step's
+linear stage-derivative polynomial extrapolated to 1 + c_i (Hairer, Lubich &
+Wanner, Geometric Numerical Integration, VIII.6.1).  A step stops when the
+largest stage change d_k is at most `fixed_point_tol` (1e-13 by default),
+or from the second sweep on when theta = d_k / d_{k-1} < 1 and the estimated
+remaining error theta / (1 - theta) * d_k is at most `fixed_point_tol`
+(Hairer & Wanner, Solving ODEs II, IV.8).  A classical RK4 is provided as a
+non-symplectic reference.
 
 Both steppers work on one stacked state z = [q, p] of length 2N, with
-stage vectors k = [dH/dp, -dH/dq] from one `spec.gradient_qp` call each.
-Stacking halves the numpy calls per stage; the arithmetic is elementwise,
-so every number is the same as with separate q and p arrays.
+stage vectors k = [dH/dp, -dH/dq] from one `spec.gradient_qp` call each;
+GL2 holds its two stages as one (2, 2N) array.  Stacking cuts the numpy
+calls per sweep; the arithmetic is elementwise, so every number is the
+same as with separate q and p arrays.
 
 Every accepted state is checked against one tuple of `Guard`s: the
 coordinate-plane barrier (`SL2Realization.clearance`) first, then the
@@ -31,8 +37,10 @@ from .core import ConservedQuantity, Guard, HamiltonianSpec, PhasePoint
 from .errors import DomainError, InsufficientData, NonConvergence, SingularApproach
 
 _SQRT3 = math.sqrt(3.0)
-_A11, _A12 = 0.25, 0.25 - _SQRT3 / 6.0
-_A21, _A22 = 0.25 + _SQRT3 / 6.0, 0.25
+# (2, 1) columns of the GL2 Butcher matrix and of the seed extrapolation, applied
+# elementwise to the (2, 2N) stages: a matrix product may fuse multiply and add.
+_A1, _A2 = np.array([[[0.25], [0.25 + _SQRT3 / 6.0]], [[0.25 - _SQRT3 / 6.0], [0.25]]])
+_S1, _S2 = np.array([[[1.0 - _SQRT3], [-_SQRT3]], [[_SQRT3], [1.0 + _SQRT3]]])
 
 METHODS = ("gl2", "rk4")
 
@@ -56,6 +64,10 @@ class IntegratorConfig:
             raise ValueError(
                 "step, fixed_point_tol and guard_radius must be finite and positive"
             )
+        if type(self.max_fixed_point_iters) is not int or self.max_fixed_point_iters < 1:
+            raise ValueError("max_fixed_point_iters must be an int >= 1")
+        if not 0.0 <= self.approach_horizon < math.inf:
+            raise ValueError("approach_horizon must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -79,21 +91,22 @@ class Trajectory:
         return PhasePoint(self.q[i], self.p[i])
 
 
-def _gl2_step(f, z, h, k1, k2, tol, max_iters):
-    """One GL2 step of the stacked state z = [q, p] from stage seeds k1, k2.
+def _gl2_step(f, z, h, k, tol, max_iters):
+    """One GL2 step of the stacked state z = [q, p] from (2, 2N) stage seeds k.
 
-    Returns the new state and the converged stages (the next step's seeds).
-    A NaN in either stage ends the iteration at once: the step is then
-    non-finite and integrate halts on it, as it does for RK4.
+    Returns the new state and the next step's seeds.  A NaN in either stage
+    ends the iteration at once: the step is then non-finite and integrate
+    halts on it, as it does for RK4.
     """
+    d_prev = 0.0  # the contraction test needs two sweeps
     for _ in range(max_iters):
-        n1 = f(z + h * (_A11 * k1 + _A12 * k2))
-        n2 = f(z + h * (_A21 * k1 + _A22 * k2))
-        d1 = float(np.abs(n1 - k1).max())
-        d2 = float(np.abs(n2 - k2).max())
-        k1, k2 = n1, n2
-        if max(d1, d2) <= tol or math.isnan(d1 + d2):
-            return z + 0.5 * h * (k1 + k2), k1, k2
+        y = z + h * (_A1 * k[0] + _A2 * k[1])
+        new = np.array((f(y[0]), f(y[1])))
+        d = float(np.abs(new - k).max())
+        k = new
+        if d <= tol or math.isnan(d) or (d < d_prev and d * d <= tol * (d_prev - d)):
+            return z + 0.5 * h * (k[0] + k[1]), _S1 * k[0] + _S2 * k[1]
+        d_prev = d
     raise NonConvergence(
         f"stage fixed point did not reach {tol:g} in {max_iters} iterations"
     )
@@ -176,16 +189,15 @@ def integrate(
     z = zs[0].copy()
     gl2 = cfg.method == "gl2"
     if gl2 and n_steps > 0:
-        k1 = k2 = f(z)
+        k = np.array((f(z),) * 2)
 
     for step_idx in range(1, n_steps + 1):
         t = step_idx * h
         try:
             try:
                 if gl2:
-                    z, k1, k2 = _gl2_step(
-                        f, z, h, k1, k2, cfg.fixed_point_tol, cfg.max_fixed_point_iters
-                    )
+                    z, k = _gl2_step(f, z, h, k, cfg.fixed_point_tol,
+                                     cfg.max_fixed_point_iters)
                 else:
                     z = _rk4_step(f, z, h)
             except DomainError as exc:

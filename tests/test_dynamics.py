@@ -173,8 +173,8 @@ def test_gl2_step_stops_on_a_nan_stage(stage, site):
             k[site] = math.nan
         return k
 
-    z0, k0 = np.array([1.0, 0.5, -0.2, 0.3]), np.zeros(4)
-    z, k1, k2 = _gl2_step(f, z0, 0.1, k0, k0, 1e-13, 100)
+    z0, k0 = np.array([1.0, 0.5, -0.2, 0.3]), np.zeros((2, 4))
+    z, _ = _gl2_step(f, z0, 0.1, k0, 1e-13, 100)
     assert len(calls) == 2
     assert np.isnan(z).tolist() == [i == site for i in range(4)]
 
@@ -193,10 +193,16 @@ def test_nan_gradient_halts_as_non_finite():
         assert np.isfinite(traj.q).all() and np.isfinite(traj.p).all()
 
 
-@pytest.mark.parametrize("field", ["step", "fixed_point_tol", "guard_radius"])
-@pytest.mark.parametrize("value", [0.0, -1e-3, math.inf, math.nan])
-def test_integrator_config_rejects_bad_numbers(field, value):
-    with pytest.raises(ValueError, match="finite and positive"):
+_BAD_CONFIG = [(value, field) for field in ("step", "fixed_point_tol", "guard_radius")
+               for value in (0.0, -1e-3, math.inf, math.nan)]
+_BAD_CONFIG += [(value, "max_fixed_point_iters") for value in (2.5, True, 0, -3)]
+_BAD_CONFIG += [(value, "approach_horizon") for value in (math.nan, -1.0, math.inf)]
+
+
+@pytest.mark.parametrize("value, field", _BAD_CONFIG)
+def test_integrator_config_rejects_bad_numbers(value, field):
+    # the message names the field
+    with pytest.raises(ValueError, match=f"{field}.* must be"):
         IntegratorConfig(**{field: value})
 
 
@@ -283,9 +289,15 @@ _A11, _A12 = 0.25, 0.25 - _SQRT3 / 6.0
 _A21, _A22 = 0.25 + _SQRT3 / 6.0, 0.25
 
 
-def _reference_gl2_step(f, q, p, h, k_seed, tol, max_iters):
-    """GL2 step on four stage arrays (q and p parts of two stages)."""
+def _reference_gl2_step(f, q, p, h, k_seed, tol, max_iters, legacy=False):
+    """GL2 step on four stage arrays (q and p parts of two stages).
+
+    Returns the next step's seeds: the stage polynomial extrapolated to
+    1 + c_i, or with `legacy` the converged stages themselves.  `legacy`
+    also drops the contraction-rate stop and stops only at delta <= tol.
+    """
     k1q, k1p, k2q, k2p = k_seed
+    delta_prev = 0.0
     for _ in range(max_iters):
         y1q = q + h * (_A11 * k1q + _A12 * k2q)
         y1p = p + h * (_A11 * k1p + _A12 * k2p)
@@ -300,10 +312,19 @@ def _reference_gl2_step(f, q, p, h, k_seed, tol, max_iters):
             float(np.max(np.abs(n2p - k2p))),
         )
         k1q, k1p, k2q, k2p = n1q, n1p, n2q, n2p
-        if delta <= tol:
+        contracted = delta < delta_prev and delta * delta <= tol * (delta_prev - delta)
+        if delta <= tol or (contracted and not legacy):
             qn = q + 0.5 * h * (k1q + k2q)
             pn = p + 0.5 * h * (k1p + k2p)
-            return qn, pn, (k1q, k1p, k2q, k2p)
+            if legacy:
+                return qn, pn, (k1q, k1p, k2q, k2p)
+            return qn, pn, (
+                (1.0 - _SQRT3) * k1q + _SQRT3 * k2q,
+                (1.0 - _SQRT3) * k1p + _SQRT3 * k2p,
+                -_SQRT3 * k1q + (1.0 + _SQRT3) * k2q,
+                -_SQRT3 * k1p + (1.0 + _SQRT3) * k2p,
+            )
+        delta_prev = delta
     raise AssertionError("reference stage iteration did not converge")
 
 
@@ -338,7 +359,7 @@ def _reference_sl2(b, q, p):
     return float(q @ q), jp, float(q @ p)
 
 
-def _reference_run(spec, x0, n_steps, cfg):
+def _reference_states(spec, x0, n_steps, cfg, legacy=False):
     def f(q, p):
         dq, dp = spec.gradient_qp(q, p)
         return dp, -dq
@@ -351,13 +372,18 @@ def _reference_run(spec, x0, n_steps, cfg):
     for _ in range(n_steps):
         if cfg.method == "gl2":
             q, p, k_seed = _reference_gl2_step(
-                f, q, p, cfg.step, k_seed, cfg.fixed_point_tol, cfg.max_fixed_point_iters
+                f, q, p, cfg.step, k_seed, cfg.fixed_point_tol, cfg.max_fixed_point_iters,
+                legacy,
             )
         else:
             q, p = _reference_rk4_step(f, q, p, cfg.step)
         qs.append(q)
         ps.append(p)
-    qs, ps = np.array(qs), np.array(ps)
+    return np.array(qs), np.array(ps)
+
+
+def _reference_run(spec, x0, n_steps, cfg):
+    qs, ps = _reference_states(spec, x0, n_steps, cfg)
     b, n = spec.realization.b, spec.n
     windows = {f"C^{m}": (0, m) for m in range(2, n + 1)}
     windows.update({f"C_{m}": (n - m, n) for m in range(2, n)})
@@ -391,3 +417,27 @@ def test_stacked_steppers_are_bitwise_the_split_form(method, n_steps):
         assert set(traj.monitors) == set(series)
         for name, values in series.items():
             assert np.array_equal(traj.monitors[name], values), (spec.name, name)
+
+
+@pytest.mark.parametrize("space, kappa", [("euclidean", 0.0), ("beltrami", 0.5),
+                                          ("poincare", -0.4)])
+def test_gl2_stage_seeds_and_stop_rule_cut_sweeps_not_accuracy(space, kappa):
+    # extrapolated seeds plus the contraction-rate stop: at most 8 gradient
+    # evaluations per step (previous-stage seeds and the plain d <= tol stop
+    # need about 10), with the same trajectory to 1e-12
+    evals = []
+
+    def counting_fp(s):
+        evals.append(s)
+        return 0.5
+
+    spec = make_evans(space, lambda s: 0.5 * s, counting_fp, mass=1.0,
+                      b_tilde=[0.5, 0.3, 0.0], kappa=kappa)
+    x0 = PhasePoint([0.6, 0.5, 0.4], [0.2, -0.3, 0.4])
+    cfg, n_steps = IntegratorConfig(step=1e-3), 2000
+    traj = integrate(spec, x0, n_steps * cfg.step, cfg)
+    assert traj.n_states == n_steps + 1
+    assert len(evals) / n_steps <= 8.0
+    qs, ps = _reference_states(spec, x0, n_steps, cfg, legacy=True)
+    assert np.max(np.abs(traj.q - qs)) <= 1e-12
+    assert np.max(np.abs(traj.p - ps)) <= 1e-12
