@@ -7,7 +7,9 @@ chart coordinates on the constant-curvature space of curvature kappa.
 
 Central potentials are given as radial profiles F of the squared
 tangent-distance, which is J- itself in the flat and Beltrami cases and
-4 J- / (1 - kappa J-)^2 in the Poincare chart.
+4 J- / (1 - kappa J-)^2 in the Poincare chart.  Each `h` also takes stacked
+generators, its domain checks reducing over the stack; `h_partials` takes
+one point and keeps its scalar checks.
 
 `FAMILIES` holds one `Family` record per family: its parameter defaults,
 profiles, spaces, builder and, where it has them, extra integrals.  `build`
@@ -107,7 +109,7 @@ def _kinetic(space: str, kappa: float, mass: float):
     if space == POINCARE:
 
         def t_val(jm, jp, j3):
-            return (1.0 + kappa * jm) ** 2 * jp * inv2m
+            return (1.0 + kappa * jm) * (1.0 + kappa * jm) * jp * inv2m
 
         def t_par(jm, jp, j3):
             one = 1.0 + kappa * jm
@@ -116,7 +118,7 @@ def _kinetic(space: str, kappa: float, mass: float):
         return t_val, t_par
 
     def t_val(jm, jp, j3):
-        return (1.0 + kappa * jm) * (jp + kappa * j3 ** 2) * inv2m
+        return (1.0 + kappa * jm) * (jp + kappa * (j3 * j3)) * inv2m
 
     def t_par(jm, jp, j3):
         one = 1.0 + kappa * jm
@@ -130,23 +132,25 @@ def _kinetic(space: str, kappa: float, mass: float):
 
 
 def _radial_argument(space: str, kappa: float):
-    """Map J- to the squared tangent-distance argument of radial profiles."""
+    """Map J- to the squared tangent-distance argument s of radial profiles:
+    s_val(J-) and, at one point, s_par(J-) = (s, ds/dJ-)."""
     if space != POINCARE:
-        return (lambda jm: jm), (lambda jm: 1.0)
+        return (lambda jm: jm), (lambda jm: (jm, 1.0))
+    equator = "kappa q^2 = 1: stereographic equator image"
 
     def s_val(jm):
         denom = 1.0 - kappa * jm
-        if abs(denom) < 1e-12:
-            raise DomainError("kappa q^2 = 1: stereographic equator image")
-        return 4.0 * jm / denom ** 2
+        if np.minimum.reduce(np.abs(denom), axis=None) < 1e-12:
+            raise DomainError(equator)
+        return 4.0 * jm / (denom * denom)
 
-    def s_der(jm):
+    def s_par(jm):
         denom = 1.0 - kappa * jm
         if abs(denom) < 1e-12:
-            raise DomainError("kappa q^2 = 1: stereographic equator image")
-        return 4.0 * (1.0 + kappa * jm) / denom ** 3
+            raise DomainError(equator)
+        return 4.0 * jm / denom ** 2, 4.0 * (1.0 + kappa * jm) / denom ** 3
 
-    return s_val, s_der
+    return s_val, s_par
 
 
 def _guards(space: str, kappa: float, *, origin: bool = False) -> tuple[Guard, ...]:
@@ -174,14 +178,15 @@ def _radial_spec(desc: SystemDescriptor, profile: Profile, profile_deriv: Profil
     (the evans builder, and the common form of the other radial families)."""
     space, kappa = desc.space, desc.kappa
     t_val, t_par = _kinetic(space, kappa, desc.params["mass"])
-    s_val, s_der = _radial_argument(space, kappa)
+    s_val, s_par = _radial_argument(space, kappa)
 
     def h(jm, jp, j3):
         return t_val(jm, jp, j3) + profile(s_val(jm))
 
     def h_partials(jm, jp, j3):
         tm, tp, t3 = t_par(jm, jp, j3)
-        return tm + profile_deriv(s_val(jm)) * s_der(jm), tp, t3
+        s, ds = s_par(jm)
+        return tm + profile_deriv(s) * ds, tp, t3
 
     return HamiltonianSpec(f"{desc.family}.{space}", _realization(desc), h, h_partials,
                            desc, _guards(space, kappa, origin=origin_guard))
@@ -196,7 +201,7 @@ def _oscillator(desc: SystemDescriptor) -> HamiltonianSpec:
         val = w2 * s
         sk = s
         for d in ds:
-            sk *= s
+            sk = sk * s  # not *=: s may be an array
             val += d * sk
         return val
 
@@ -220,9 +225,9 @@ def _kepler_coulomb(desc: SystemDescriptor) -> HamiltonianSpec:
     kc = desc.params["k"]
 
     def f(s):
-        if s <= 0.0:
+        if np.minimum.reduce(s, axis=None) <= 0.0:
             raise DomainError("attractive center reached (q^2 = 0)")
-        return -kc / math.sqrt(s)
+        return -kc / np.sqrt(s)
 
     def fp(s):
         if s <= 0.0:
@@ -250,8 +255,8 @@ def _variable_mass(desc: SystemDescriptor, mpro: Profile, mder: Profile,
                    f: Profile, fp: Profile) -> HamiltonianSpec:
     def mass_at(jm):
         mval = mpro(jm)
-        if mval <= 0.0:
-            raise DomainError(f"mass profile must stay positive, got {mval}")
+        if np.minimum.reduce(mval, axis=None) <= 0.0:
+            raise DomainError(f"mass profile must stay positive, got {np.min(mval)}")
         return mval
 
     def h(jm, jp, j3):
@@ -398,7 +403,7 @@ def poly_profile(coeffs) -> tuple[Profile, Profile]:
     """Polynomial profile (value, derivative) from ascending coefficients."""
     poly = np.polynomial.Polynomial(list(coeffs))
     der = poly.deriv()
-    return (lambda s: float(poly(s))), (lambda s: float(der(s)))
+    return poly, der
 
 
 def _poly(descriptor: SystemDescriptor, *keys: str) -> tuple[Profile, ...]:

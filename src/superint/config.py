@@ -180,8 +180,9 @@ def _system(sec) -> tuple[SystemDescriptor, tuple[int, ...]]:
     extra_axes: tuple[int, ...] = ()
     if "extra_integrals" in sec:
         sites = [_one_int(tok, "extra_integrals") for tok in sec["extra_integrals"].split()]
-        if any(not 1 <= s <= n for s in sites):
-            raise ConfigError(f"extra_integrals sites must be in [1, {n}], got {sites}")
+        if len(set(sites)) != len(sites) or any(not 1 <= s <= n for s in sites):
+            raise ConfigError(f"extra_integrals sites must be distinct and in [1, {n}], "
+                              f"got {sites}")
         extra_axes = tuple(s - 1 for s in sites)
         if info.extra is None:
             raise ConfigError(f"family {family!r} has no extra integrals")

@@ -14,9 +14,12 @@ partials of H and the analytic gradients of the J's.
 
 `sl2_kernel` evaluates the three generators and dJ+/dq, the only gradient
 that is not q or p times a constant, in one pass over raw arrays; the
-barrier mask it needs is computed once per `SL2Realization`.
+barrier sites it needs are found once per `SL2Realization`.
 `HamiltonianSpec.gradient_qp` folds the chain rule into two vector
-expressions, without building the gradient vectors of the J's.
+expressions, without building the gradient vectors of the J's.  Values take
+one point (N,) or a stack (..., N), bitwise as one call per point; dynamics
+evaluates each monitor over a whole trajectory that way.  Value formulas
+square by products, since on a scalar `x ** 2` is libm pow.
 
 The centrifugal terms b_i / q_i**2 make every plane q_i = 0 with b_i != 0
 singular, for H and for every integral built on the same realization.
@@ -73,14 +76,15 @@ class SL2Realization:
     """Centrifugal coefficients b = (b_1 ... b_N) of the realization.
 
     The barrier sites are found once here: `active` masks the sites with
-    b_i != 0 and `b_active` holds their coefficients (None when there is no
-    barrier).  The sl(2) kernel and every axis guard read these instead of
-    rebuilding the mask; `b` is stored as a read-only copy so they cannot
-    go stale.
+    b_i != 0, `sites` indexes them and `b_active` holds their coefficients
+    (None when there is no barrier).  The sl(2) kernel and every axis guard
+    read these instead of rebuilding the mask; `b` is stored as a read-only
+    copy so they cannot go stale.
     """
 
     b: np.ndarray
     active: np.ndarray = field(init=False, repr=False, compare=False)
+    sites: np.ndarray = field(init=False, repr=False, compare=False)
     b_active: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -89,6 +93,7 @@ class SL2Realization:
         active = b != 0.0
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "active", active)
+        object.__setattr__(self, "sites", np.flatnonzero(active))
         object.__setattr__(self, "b_active", b[active] if active.any() else None)
 
     @property
@@ -96,8 +101,8 @@ class SL2Realization:
         return self.b.size
 
     def at_barriers(self, q: np.ndarray) -> np.ndarray:
-        """The entries of q on the barrier sites."""
-        return q[self.active]
+        """q[..., sites], by a take: a mask is slower on the gradient path."""
+        return q.take(self.sites, axis=-1)
 
     def spread(self, values: np.ndarray) -> np.ndarray:
         """Inverse of at_barriers: a length-N vector, zero off the barriers."""
@@ -145,8 +150,8 @@ _NEAR_AXIS_SQ = (2.0 * AXIS_GUARD_RADIUS) ** 2
 def barrier_squares(realization: SL2Realization, q: np.ndarray) -> np.ndarray:
     """q_i**2 on the barrier sites, after the axis guard has passed.
 
-    Callers divide by these, so a point on a guarded coordinate plane
-    raises DomainError before any division happens.
+    Callers divide by these, so a point (or any point of a stack) on a
+    guarded coordinate plane raises DomainError before any division happens.
     """
     qa2 = realization.at_barriers(q) ** 2
     if qa2.min() < _NEAR_AXIS_SQ:
@@ -158,21 +163,22 @@ def sl2_kernel(realization: SL2Realization, q: np.ndarray, p: np.ndarray,
                gradient: bool = False):
     """J-, J+, J3 at (q, p) and dJ+/dq, on raw arrays.
 
-    Returns (J-, J+, J3, dJ+/dq).  dJ+/dq_i = -2 b_i / q_i**3 is computed
-    only when `gradient` is set; it is the scalar 0.0 when there is no
+    Returns (J-, J+, J3, dJ+/dq), the J's of shape (...) for q, p (..., N).
+    dJ+/dq_i = -2 b_i / q_i**3 is computed, at one point, only when
+    `gradient` is set; it is the scalar 0.0 when there is no
     barrier (or no gradient was asked for), which broadcasts to the same
     numbers as a zero vector.  The other gradients are plain: dJ-/dq = 2q,
     dJ+/dp = 2p, dJ3/dq = p, dJ3/dp = q, dJ-/dp = 0.  Raises DomainError
     on a guarded coordinate plane; nothing else is validated.
     """
-    j_minus = float(q @ q)
-    j3 = float(q @ p)
-    j_plus = float(p @ p)
+    j_minus = np.vecdot(q, q)
+    j3 = np.vecdot(q, p)
+    j_plus = np.vecdot(p, p)
     djp_dq = 0.0
     ba = realization.b_active
     if ba is not None:
         qa2 = barrier_squares(realization, q)
-        j_plus += float((ba / qa2).sum())
+        j_plus += np.add.reduce(ba / qa2, axis=-1)
         if gradient:
             djp_dq = realization.spread(-2.0 * ba / realization.at_barriers(q) ** 3)
     return j_minus, j_plus, j3, djp_dq
@@ -191,15 +197,15 @@ class Guard:
 class HamiltonianSpec:
     """A Hamiltonian H = h(J-, J+, J3) over a fixed realization.
 
-    `h` maps the three generator values to the energy; `h_partials` returns
-    (dh/dxi-, dh/dxi+, dh/dxi3) at the same arguments.  Phase-space gradients
-    are assembled by the chain rule, so they are exact whenever the partials
-    are.
+    `h` maps the three generator values, scalars or equal-shape arrays, to
+    the energy; `h_partials` returns (dh/dxi-, dh/dxi+, dh/dxi3) at scalar
+    arguments.  Phase-space gradients are assembled by the chain rule, so
+    they are exact whenever the partials are.
     """
 
     name: str
     realization: SL2Realization
-    h: Callable[[float, float, float], float]
+    h: Callable[..., float]
     h_partials: Callable[[float, float, float], tuple[float, float, float]]
     descriptor: Optional[object] = None
     guards: tuple[Guard, ...] = ()
@@ -208,9 +214,9 @@ class HamiltonianSpec:
     def n(self) -> int:
         return self.realization.n
 
-    def value_qp(self, q: np.ndarray, p: np.ndarray) -> float:
+    def value_qp(self, q: np.ndarray, p: np.ndarray):
         jm, jp, j3, _ = sl2_kernel(self.realization, q, p)
-        return float(self.h(jm, jp, j3))
+        return self.h(jm, jp, j3)
 
     def gradient_qp(self, q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(dH/dq, dH/dp) by the chain rule through the sl(2) kernel.
@@ -218,17 +224,17 @@ class HamiltonianSpec:
         dH/dq = h- * 2q + h+ * dJ+/dq + h3 * p and
         dH/dp = (h- * 0 + h+ * 2p) + h3 * q, summed left to right.  The
         h- * 0 term keeps the signed zeros (and NaNs) that a zero dJ-/dp
-        vector would give.
+        vector would give.  The partials take Python floats, cheaper than numpy scalars.
         """
         jm, jp, j3, djp_dq = sl2_kernel(self.realization, q, p, gradient=True)
-        hm, hp, h3 = self.h_partials(jm, jp, j3)
+        hm, hp, h3 = self.h_partials(float(jm), float(jp), float(j3))
         dq = hm * (2.0 * q) + hp * djp_dq + h3 * p
         dp = (hm * 0.0 + hp * (2.0 * p)) + h3 * q
         return dq, dp
 
     def value(self, x: PhasePoint) -> float:
         self.realization.check_point(x)
-        return self.value_qp(x.q, x.p)
+        return float(self.value_qp(x.q, x.p))
 
     def gradient(self, x: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
         self.realization.check_point(x)
@@ -239,13 +245,14 @@ class HamiltonianSpec:
 class ConservedQuantity:
     """An observable F(q, p) with its analytic gradient.
 
-    `value_fn(q, p) -> float` and `gradient_fn(q, p) -> (dF/dq, dF/dp)`
-    operate on raw arrays; the `value`/`gradient` methods take a PhasePoint.
+    `value_fn(q, p)` maps raw arrays (..., N) to F (...), bitwise as one
+    call per point; `gradient_fn(q, p) -> (dF/dq, dF/dp)` takes one point
+    (a window Casimir's, a stack too); `value`/`gradient` take a PhasePoint.
     """
 
     name: str
     ndim: int
-    value_fn: Callable[[np.ndarray, np.ndarray], float]
+    value_fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
     gradient_fn: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
 
     def value(self, x: PhasePoint) -> float:

@@ -26,7 +26,9 @@ One constructor per extra integral takes the space (Euclidean, or the
 Poincare or Beltrami chart of curvature kappa) and picks that space's
 formula once, at construction; all quantities carry hand-derived analytic
 gradients.  Each quantity checks its barrier planes with `core.guard_axes`,
-on the full realization masked to the sites it divides by.
+on the full realization masked to the sites it divides by.  Values also
+take a stack (..., N), as the monitor pass of `dynamics` gives it: dots are
+`np.vecdot`, sums `np.add.reduce` and squares products, bitwise as per point.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import numpy as np
 from .core import (AXIS_GUARD_RADIUS, ConservedQuantity, SL2Realization, barrier_squares,
                    guard_axes)
 from .errors import ConfigError, DimensionMismatch, DomainError, RangeError
-from .geometry import BELTRAMI, EUCLIDEAN, check_space
+from .geometry import BELTRAMI, EUCLIDEAN, POINCARE, check_space
 
 
 def _masked(b: np.ndarray, sites) -> SL2Realization:
@@ -59,14 +61,14 @@ def _window_quantity(realization: SL2Realization, lo: int, hi: int, name: str) -
     bsum = float(np.sum(realization.b[lo:hi]))
 
     def value(q, p):
-        qw, pw = q[lo:hi], p[lo:hi]
-        # qw[:, None] * pw is np.outer(qw, pw), without the wrapper call
-        L = qw[:, None] * pw - pw[:, None] * qw
-        val = 0.5 * float((L * L).sum())
+        qw, pw = q[..., lo:hi], p[..., lo:hi]
+        # np.outer(qw, pw) per row, without the wrapper call
+        L = qw[..., :, None] * pw[..., None, :] - pw[..., :, None] * qw[..., None, :]
+        val = 0.5 * np.add.reduce((L * L).reshape(L.shape[:-2] + (-1,)), axis=-1)
         if ba is not None:
             qa2 = barrier_squares(w, q)
-            s2 = float(qw @ qw)
-            val += float((ba * (s2 - qa2) / qa2).sum())
+            s2 = np.vecdot(qw, qw)[..., None]
+            val += np.add.reduce(ba * (s2 - qa2) / qa2, axis=-1)
         return val + bsum
 
     def gradient(q, p):
@@ -187,18 +189,32 @@ def sw_extra_integral(
     own = _masked(bt, i)
 
     def guard(q):
-        # the scalar pre-test keeps the shared guard off the monitor hot path
+        # gradients take one point; the scalar pre-test keeps the shared guard cheap
         if abs(q[i]) < AXIS_GUARD_RADIUS:
             guard_axes(own, q)
 
-    if space == EUCLIDEAN:
+    if space == POINCARE:
 
         def value(q, p):
-            guard(q)
-            val = p[i] ** 2 + 2.0 * m * w2 * q[i] ** 2
+            qi = q[..., i]
+            a = 1.0 - kp * np.vecdot(q, q)
+            u = p[..., i] * a + 2.0 * kp * np.vecdot(q, p) * qi
+            val = u * u + 8.0 * m * w2 * (qi * qi) / (a * a)
             if bti != 0.0:
-                val += m * bti / q[i] ** 2
-            return float(val)
+                val += m * bti * (a * a) / barrier_squares(own, q)[..., 0]
+            return val
+
+    else:  # flat space is the kp = 0 case of the Beltrami value, bit for bit
+
+        def value(q, p):
+            qi = q[..., i]
+            u = p[..., i] + kp * np.vecdot(q, p) * qi
+            val = u * u + 2.0 * m * w2 * (qi * qi)
+            if bti != 0.0:
+                val += m * bti / barrier_squares(own, q)[..., 0]
+            return val
+
+    if space == EUCLIDEAN:
 
         def gradient(q, p):
             guard(q)
@@ -211,14 +227,6 @@ def sw_extra_integral(
             return dq, dp
 
     elif space == BELTRAMI:
-
-        def value(q, p):
-            guard(q)
-            u = p[i] + kp * (q @ p) * q[i]
-            val = u * u + 2.0 * m * w2 * q[i] ** 2
-            if bti != 0.0:
-                val += m * bti / q[i] ** 2
-            return float(val)
 
         def gradient(q, p):
             guard(q)
@@ -233,15 +241,6 @@ def sw_extra_integral(
             return dq, dp
 
     else:  # poincare
-
-        def value(q, p):
-            guard(q)
-            a = 1.0 - kp * float(q @ q)
-            u = p[i] * a + 2.0 * kp * float(q @ p) * q[i]
-            val = u * u + 8.0 * m * w2 * q[i] ** 2 / a ** 2
-            if bti != 0.0:
-                val += m * bti * a ** 2 / q[i] ** 2
-            return float(val)
 
         def gradient(q, p):
             guard(q)
@@ -268,18 +267,18 @@ def sw_extra_integral(
 # Coulomb extras (Laplace-Runge-Lenz type, valid only where bt_i = 0)
 # ---------------------------------------------------------------------------
 
-def _radius(q: np.ndarray) -> float:
-    r = float(np.sqrt(q @ q))
-    if r < 1e-10:
+def _radius(q: np.ndarray):
+    r = np.sqrt(np.vecdot(q, q))
+    if np.minimum.reduce(r, axis=None) < 1e-10:
         raise DomainError("phase point at the origin of the attractive center")
     return r
 
 
-def _barrier_sum(bars: SL2Realization, q) -> float:
+def _barrier_sum(bars: SL2Realization, q):
     """sum_{l != axis} bt_l / q_l^2 over the barriers bars of the other axes."""
     if bars.b_active is None:
         return 0.0
-    return float((bars.b_active / barrier_squares(bars, q)).sum())
+    return np.add.reduce(bars.b_active / barrier_squares(bars, q), axis=-1)
 
 
 def _barrier_cube(bars: SL2Realization, q):
@@ -318,13 +317,27 @@ def _kc_extra_unchecked(
     i = axis
     bars = _masked(bt, np.arange(n) != i)
 
-    if space == EUCLIDEAN:
+    if space == POINCARE:
 
         def value(q, p):
             r = _radius(q)
             tsum = _barrier_sum(bars, q)
-            s = float(q @ p) * p[i] - q[i] * float(p @ p)
-            return float(s + kc * m * q[i] / r - m * q[i] * tsum)
+            dd, qq, pp = np.vecdot(q, p), np.vecdot(q, q), np.vecdot(p, p)
+            qi, pi = q[..., i], p[..., i]
+            a = 1.0 - kp * qq
+            s = a * (dd * pi - qi * pp) + 2.0 * kp * dd * (qq * pi - qi * dd)
+            return s + 0.5 * kc * m * qi / r - m * qi * a * tsum
+
+    else:  # flat space is the kp = 0 case of the Beltrami value, bit for bit
+
+        def value(q, p):
+            r = _radius(q)
+            tsum = _barrier_sum(bars, q)
+            dd, qq, pp, qi = np.vecdot(q, p), np.vecdot(q, q), np.vecdot(p, p), q[..., i]
+            s = dd * p[..., i] * (1.0 + kp * qq) - qi * (pp + kp * dd * dd)
+            return s + kc * m * qi / r - m * qi * tsum
+
+    if space == EUCLIDEAN:
 
         def gradient(q, p):
             r = _radius(q)
@@ -338,15 +351,6 @@ def _kc_extra_unchecked(
             return dq, dp
 
     elif space == BELTRAMI:
-
-        def value(q, p):
-            r = _radius(q)
-            tsum = _barrier_sum(bars, q)
-            dd = float(q @ p)
-            qq = float(q @ q)
-            pp = float(p @ p)
-            s = dd * p[i] * (1.0 + kp * qq) - q[i] * (pp + kp * dd * dd)
-            return float(s + kc * m * q[i] / r - m * q[i] * tsum)
 
         def gradient(q, p):
             r = _radius(q)
@@ -366,16 +370,6 @@ def _kc_extra_unchecked(
             return dq, dp
 
     else:  # poincare
-
-        def value(q, p):
-            r = _radius(q)
-            tsum = _barrier_sum(bars, q)
-            dd = float(q @ p)
-            qq = float(q @ q)
-            pp = float(p @ p)
-            a = 1.0 - kp * qq
-            s = a * (dd * p[i] - q[i] * pp) + 2.0 * kp * dd * (qq * p[i] - q[i] * dd)
-            return float(s + 0.5 * kc * m * q[i] / r - m * q[i] * a * tsum)
 
         def gradient(q, p):
             r = _radius(q)

@@ -433,3 +433,63 @@ def test_descriptor_rejects_unknown_parameters():
         SystemDescriptor("variable_mass", "euclidean", {"mass": 1.0}, [0.2, 0.3])
     with pytest.raises(ConfigError, match="^omega must be a number, got 'abc'$"):
         SystemDescriptor("sw", "euclidean", {"omega": "abc"}, [0.2, 0.3])
+
+
+# Profiles of the families that take them (the oscillator with deltas).
+STACK_PROFILES = {
+    "evans": {"potential": (0.0, 0.3, 0.1)},
+    "oscillator": {"deltas": (0.1, 0.02)},
+    "electromagnetic": {"potential": (0.0, 1.0, 0.2), "vector": (0.1, 0.5)},
+    "variable_mass": {"mass_profile": (1.0, 0.5), "potential": (0.0, 0.2)},
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_stacked_values_equal_per_state_values(family):
+    """One value_fn call on a (T, N) or (2, T/2, N) stack gives, bit for bit,
+    the per-state values, for H, every universal integral and every extra, on
+    each space and sign of kappa, with zero and with nonzero barriers."""
+    info = FAMILIES[family]
+    rng = np.random.default_rng(5)
+    for space in info.spaces:
+        for kappa in (0.0,) if space == "euclidean" else (0.4, -0.4):
+            for bt in ([0.0] * 4, [0.3, 0.0, 0.2, 0.5]):
+                params = {"kappa": kappa, **{key: 0.9 for key in info.params}}
+                desc = SystemDescriptor(family, space, params, bt,
+                                        STACK_PROFILES.get(family, {}))
+                spec = build(desc)
+                quantities = [energy_quantity(spec), *universal_set(spec.realization).all,
+                              *(extra_integral(desc, axis) for axis in desc.ms_axes)]
+                # enough fresh points that a scalar x ** 2 (libm pow) would differ
+                points = sample_regular_points(600, 4, rng, kappa=kappa, space=space,
+                                               max_draws=3000)
+                qs = np.array([x.q for x in points])
+                ps = np.array([x.p for x in points])
+                for f in quantities:
+                    stacked = f.value_fn(qs, ps)
+                    per_state = np.array([f.value_fn(x.q, x.p) for x in points])
+                    assert np.array_equal(stacked, per_state), (desc, f.name)
+                    assert np.array_equal(f.value_fn(qs.reshape(2, 300, 4), ps.reshape(2, 300, 4)),
+                                          stacked.reshape(2, 300)), (desc, f.name)
+                    assert type(f.value(points[0])) is float
+                assert type(spec.value(points[0])) is float
+
+
+def test_stacked_values_keep_their_domain_checks():
+    qs = np.array([[0.3, 0.4], [0.0, 0.0], [0.5, 0.2]])
+    ps = np.full((3, 2), 0.1)
+    kc = make_kepler_coulomb("euclidean", mass=1.0, k=1.0, b_tilde=[0.0, 0.0])
+    with pytest.raises(DomainError, match="attractive center"):
+        kc.value_qp(qs, ps)
+    with pytest.raises(DomainError, match="origin"):
+        extra_integral(kc.descriptor, 0).value_fn(qs, ps)
+    equator = np.array([[0.3, 0.4], [1.0, 1.0], [0.5, 0.2]])  # kappa q^2 = 1
+    sw = make_sw("poincare", mass=1.0, omega=1.0, b_tilde=[0.0, 0.0], kappa=0.5)
+    with pytest.raises(DomainError, match="equator"):
+        sw.value_qp(equator, ps)
+    vm = make_variable_mass(
+        mass_profile=lambda s: 1.0 - s, mass_profile_deriv=lambda s: -1.0,
+        potential=lambda s: 0.0, potential_deriv=lambda s: 0.0, b=[0.0, 0.0],
+    )
+    with pytest.raises(DomainError, match="mass profile must stay positive"):
+        vm.value_qp(equator, ps)

@@ -113,6 +113,14 @@ def test_verify_rejects_invalid_extra_request(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_repeated_extra_sites_are_a_config_error(tmp_path, capsys):
+    # trajectory series are keyed by name: I_1 twice would print one drift line
+    cfg = write(tmp_path, "sw_twice.cfg",
+                SW_N4.replace("extra_integrals = 1", "extra_integrals = 1 1"))
+    assert main(["--out", str(tmp_path), "simulate", str(cfg)]) == 2
+    assert "sites must be distinct and in [1, 4], got [1, 1]" in capsys.readouterr().err
+
+
 def test_verify_missing_config(tmp_path, capsys):
     code = main(["--out", str(tmp_path), "verify", str(tmp_path / "nope.cfg")])
     assert code == 2

@@ -12,6 +12,7 @@ from superint import (
     Trajectory,
     detect_closure,
     energy_quantity,
+    extra_integral,
     integrate,
     kc_extra_integral,
     make_evans,
@@ -20,6 +21,7 @@ from superint import (
     make_sw,
     universal_set,
 )
+from superint import dynamics
 
 
 def test_free_particle_is_exact():
@@ -278,6 +280,31 @@ def test_monitor_series_recorded():
     assert traj.monitors["H"].size == traj.n_states
     assert traj.times[0] == 0.0
     assert np.all(np.diff(traj.times) > 0.0)
+
+
+def test_monitor_names_must_be_distinct():
+    spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.2, 0.1])
+    h = energy_quantity(spec)
+    with pytest.raises(ValueError, match="distinct"):
+        integrate(spec, PhasePoint([0.9, 0.8], [0.1, -0.2]), 0.1,
+                  IntegratorConfig(step=1e-2), monitors=[h, h])
+
+
+def test_monitor_pass_over_several_blocks_is_the_per_state_series():
+    n = 14
+    bt = np.linspace(0.1, 0.4, n)
+    bt[3] = 0.0
+    spec = make_sw("beltrami", mass=1.0, omega=0.9, b_tilde=bt, kappa=0.3)
+    monitors = [energy_quantity(spec), *universal_set(spec.realization).all,
+                *(extra_integral(spec.descriptor, a) for a in range(n))]
+    cfg = IntegratorConfig(method="rk4", step=1e-3)
+    n_steps = dynamics._MONITOR_BLOCK + 30
+    x0 = PhasePoint(np.linspace(0.3, 0.5, n), np.linspace(-0.2, 0.2, n))
+    traj = integrate(spec, x0, n_steps * cfg.step, cfg, monitors)
+    assert traj.n_states == n_steps + 1
+    for mon in monitors:
+        per_state = np.array([mon.value_fn(q, p) for q, p in zip(traj.q, traj.p)])
+        assert np.array_equal(traj.monitors[mon.name], per_state), mon.name
 
 
 # ---------------------------------------------------------------------------

@@ -315,14 +315,17 @@ def test_every_barrier_check_names_the_global_coordinate():
     spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=b)
     window = right_integral(spec.realization, 2)
     calls = [spec.value_qp, spec.gradient_qp, window.value_fn, window.gradient_fn]
+    stacked = [spec.value_qp, window.value_fn, window.gradient_fn]
     for space, kappa in (("euclidean", 0.0), ("beltrami", 0.5), ("poincare", 0.5)):
         extra = sw_extra_integral(2, mass=1.0, omega=1.0, b_tilde=b, kappa=kappa,
                                   space=space)
         lrl = kc_extra_integral(0, mass=1.0, k=1.0, b_tilde=[0.0, *b[1:]], kappa=kappa,
                                 space=space)
         calls += [extra.value_fn, extra.gradient_fn, lrl.value_fn, lrl.gradient_fn]
+        stacked += [extra.value_fn, lrl.value_fn]
     for call in calls:
         with pytest.raises(DomainError, match=one):
             call(q, p)
-    with pytest.raises(DomainError, match=r"^point 1: " + one[1:]):
-        window.gradient_fn(qs, ps)
+    for call in stacked:
+        with pytest.raises(DomainError, match=r"^point 1: " + one[1:]):
+            call(qs, ps)
