@@ -2,8 +2,9 @@
 the certificate behind `superint verify`.
 
 The canonical bracket {f, g} = sum_i (df/dq_i dg/dp_i - dg/dq_i df/dp_i) is
-evaluated from analytic gradients only, which keeps residual thresholds at
-1e-9 meaningful.  Residuals are reported raw and normalized by
+evaluated from gradients exact to rounding (chain rule or complex step,
+never finite differences), which keeps residual thresholds at 1e-9
+meaningful.  Residuals are reported raw and normalized by
 1 + |grad f| |grad g| so that large-coordinate samples do not fail spuriously.
 
 Functional independence is certified by the numerical rank of the stacked
@@ -13,14 +14,14 @@ so the certificate takes the maximum rank over the sample.
 Both rest on a gradient tensor G[P, K, 2N], the gradient rows of K
 quantities at P sample points.  `gradient_tensor` evaluates each universal
 integral's gradient once, over the whole stacked sample, and H's once per
-point; any other quantity adds its rows one gradient per point.  The
-brackets of every asserted pair then come from one bracket matrix per
-point, summed left to right over the coordinates, and each rank is one
-batched SVD.  `certify` draws one sample, in its involution table, and
-takes every number of a verify report from the one tensor on it: the
-table, the rank of H with the universal integrals, each extra integral's
-bracket with H and rank, and the flat oscillator's sum identity, from one
-stacked value call per quantity.
+point; `certify` adds each extra integral's rows the same way, in one
+stacked call.  The brackets of every asserted pair then come from one
+bracket matrix per point, summed left to right over the coordinates, and
+each rank is one batched SVD.  `certify` draws one sample, in its
+involution table, and takes every number of a verify report from the one
+tensor on it: the table, the rank of H with the universal integrals, each
+extra integral's bracket with H and rank, and the flat oscillator's sum
+identity, from one stacked value call per quantity.
 """
 
 from __future__ import annotations
@@ -150,13 +151,6 @@ def sample_for_spec(spec: HamiltonianSpec, n_points: int, rng=0) -> list[PhasePo
     return sample_regular_points(n_points, spec.n, rng, kappa=desc.kappa, space=desc.space)
 
 
-def _fill_per_point(G: np.ndarray, k: int, f: ConservedQuantity, points) -> None:
-    """Row k of G[P, K, 2N]: f's gradient, one gradient_fn call per point."""
-    n = G.shape[-1] // 2
-    for s, x in enumerate(points):
-        G[s, k, :n], G[s, k, n:] = f.gradient_fn(x.q, x.p)
-
-
 def _sample_ndim(functions: Sequence[ConservedQuantity], points) -> int:
     """The N shared by the functions and the sample points."""
     ndims = {f.ndim for f in functions}
@@ -176,8 +170,15 @@ def _per_point_tensor(functions: Sequence[ConservedQuantity], points) -> np.ndar
     n = _sample_ndim(functions, points)
     G = np.empty((len(points), len(functions), 2 * n))
     for k, f in enumerate(functions):
-        _fill_per_point(G, k, f, points)
+        for s, x in enumerate(points):
+            G[s, k, :n], G[s, k, n:] = f.gradient_fn(x.q, x.p)
     return G
+
+
+def _stacked_tensor(functions: Sequence[ConservedQuantity], q, p) -> np.ndarray:
+    """G[P, K, 2N] of functions whose gradient_fn takes the stacked sample
+    q, p (P, N), one call each."""
+    return np.stack([np.concatenate(f.gradient_fn(q, p), axis=-1) for f in functions], axis=1)
 
 
 def max_bracket_residual(f, g, points: Sequence[PhasePoint]):
@@ -199,15 +200,11 @@ def gradient_tensor(
     given, never rebuilt from the realization.
     """
     h = energy_quantity(spec)
-    universal = integrals.all
-    n = _sample_ndim([h, *universal], points)
-    G = np.empty((len(points), 1 + len(universal), 2 * n))
-    _fill_per_point(G, 0, h, points)
+    _sample_ndim([h, *integrals.all], points)
     q = np.array([x.q for x in points])
     p = np.array([x.p for x in points])
-    for k, c in enumerate(universal, start=1):
-        G[:, k, :n], G[:, k, n:] = c.gradient_fn(q, p)
-    return G
+    return np.concatenate([_per_point_tensor([h], points),
+                           _stacked_tensor(integrals.all, q, p)], axis=1)
 
 
 @dataclass(frozen=True)
@@ -376,10 +373,10 @@ def certify(
     """Certify a system on one sample of settings.sample_points points.
 
     The involution table draws the sample and its gradient tensor over
-    [H, universal integrals]; the requested extras add one row each, one
-    gradient per point.  That one tensor gives the rank 2N-2 of H with the
-    universal integrals, and for each extra its bracket with H and the rank
-    2N-1 with it added.  On the flat oscillator the sample also checks the
+    [H, universal integrals]; the requested extras add one row each, from
+    one gradient call on the stacked sample.  That one tensor gives the
+    rank 2N-2 of H with the universal integrals, and for each extra its
+    bracket with H and the rank 2N-1 with it added.  On the flat oscillator the sample also checks the
     exact identity sum_i I_i = 2 m H over all N axes.
     """
     spec = build(descriptor)
@@ -387,9 +384,11 @@ def certify(
     extras = [extra_integral(descriptor, axis) for axis in extra_axes]
     table = involution_table(spec, uni, settings.sample_points, rng=rng,
                              tolerance=settings.bracket_tol)
-    points, G = table.points, table.gradients
+    G = table.gradients
+    q = np.array([x.q for x in table.points])
+    p = np.array([x.p for x in table.points])
     if extras:
-        G = np.concatenate([G, _per_point_tensor(extras, points)], axis=1)
+        G = np.concatenate([G, _stacked_tensor(extras, q, p)], axis=1)
     names = ["H", *(c.name for c in uni.all)]
     universal_rows = list(range(len(names)))
     n = spec.n
@@ -408,8 +407,6 @@ def certify(
     identity = None
     if descriptor.family == "sw" and descriptor.space == EUCLIDEAN:
         # sum_i I_i = 2 m H, an exact linear identity of the flat oscillator
-        q = np.array([x.q for x in points])
-        p = np.array([x.p for x in points])
         total = sum(extra_integral(descriptor, a).value_fn(q, p) for a in range(n))
         target = 2.0 * descriptor.params["mass"] * spec.value_qp(q, p)
         identity = float(np.max(np.abs(total - target) / np.maximum(1.0, np.abs(target))))

@@ -8,8 +8,8 @@ chart coordinates on the constant-curvature space of curvature kappa.
 Central potentials are given as radial profiles F of the squared
 tangent-distance, which is J- itself in the flat and Beltrami cases and
 4 J- / (1 - kappa J-)^2 in the Poincare chart.  Each `h` also takes stacked
-generators, its domain checks reducing over the stack; `h_partials` takes
-one point and keeps its scalar checks.
+generators, real or complex, its domain checks reducing the real part over
+the stack; `h_partials` takes one point and keeps its scalar checks.
 
 `FAMILIES` holds one `Family` record per family: its parameter defaults,
 profiles, spaces, builder and, where it has them, extra integrals.  `build`
@@ -225,7 +225,7 @@ def _kepler_coulomb(desc: SystemDescriptor) -> HamiltonianSpec:
     kc = desc.params["k"]
 
     def f(s):
-        if np.minimum.reduce(s, axis=None) <= 0.0:
+        if np.minimum.reduce(s.real, axis=None) <= 0.0:
             raise DomainError("attractive center reached (q^2 = 0)")
         return -kc / np.sqrt(s)
 
@@ -255,8 +255,9 @@ def _variable_mass(desc: SystemDescriptor, mpro: Profile, mder: Profile,
                    f: Profile, fp: Profile) -> HamiltonianSpec:
     def mass_at(jm):
         mval = mpro(jm)
-        if np.minimum.reduce(mval, axis=None) <= 0.0:
-            raise DomainError(f"mass profile must stay positive, got {np.min(mval)}")
+        low = np.minimum.reduce(mval.real, axis=None)
+        if low <= 0.0:
+            raise DomainError(f"mass profile must stay positive, got {low}")
         return mval
 
     def h(jm, jp, j3):

@@ -19,7 +19,8 @@ barrier sites it needs are found once per `SL2Realization`.
 expressions, without building the gradient vectors of the J's.  Values take
 one point (N,) or a stack (..., N), bitwise as one call per point; dynamics
 evaluates each monitor over a whole trajectory that way.  Value formulas
-square by products, since on a scalar `x ** 2` is libm pow.
+square by products, since on a scalar `x ** 2` is libm pow, and take dot
+products by `dot`, which unlike `np.vecdot` is analytic in complex points.
 
 The centrifugal terms b_i / q_i**2 make every plane q_i = 0 with b_i != 0
 singular, for H and for every integral built on the same realization.
@@ -125,6 +126,12 @@ class SL2Realization:
         guard_axes(self, x.q)
 
 
+def dot(x: np.ndarray, y: np.ndarray):
+    """sum_i x_i * y_i over the last axis: np.vecdot, bitwise, on real x
+    (whose .conj() is x itself), without its conjugation of complex x."""
+    return np.vecdot(x.conj(), y)
+
+
 def guard_axes(realization: SL2Realization, q: np.ndarray) -> None:
     """Raise DomainError if a q_i with b_i != 0 is within AXIS_GUARD_RADIUS
     of its coordinate plane.  q is one point (N,) or a stacked sample
@@ -137,7 +144,7 @@ def guard_axes(realization: SL2Realization, q: np.ndarray) -> None:
         i = int(idx[-1])
         where = f"point {idx[0]}: " if q.ndim > 1 else ""
         raise DomainError(
-            f"{where}q_{i + 1} = {float(q[idx])!r} lies on a coordinate plane "
+            f"{where}q_{i + 1} = {float(q[idx].real)!r} lies on a coordinate plane "
             f"with b_{i + 1} != 0"
         )
 
@@ -154,7 +161,7 @@ def barrier_squares(realization: SL2Realization, q: np.ndarray) -> np.ndarray:
     guarded coordinate plane raises DomainError before any division happens.
     """
     qa2 = realization.at_barriers(q) ** 2
-    if qa2.min() < _NEAR_AXIS_SQ:
+    if qa2.min().real < _NEAR_AXIS_SQ:
         guard_axes(realization, q)
     return qa2
 
@@ -163,17 +170,18 @@ def sl2_kernel(realization: SL2Realization, q: np.ndarray, p: np.ndarray,
                gradient: bool = False):
     """J-, J+, J3 at (q, p) and dJ+/dq, on raw arrays.
 
-    Returns (J-, J+, J3, dJ+/dq), the J's of shape (...) for q, p (..., N).
-    dJ+/dq_i = -2 b_i / q_i**3 is computed, at one point, only when
-    `gradient` is set; it is the scalar 0.0 when there is no
+    Returns (J-, J+, J3, dJ+/dq), the J's of shape (...) for q, p (..., N),
+    real or complex.  H is h(J-, J+, J3) and a window Casimir J- J+ - J3^2
+    of these.  dJ+/dq_i = -2 b_i / q_i**3 is computed, at one real point,
+    only when `gradient` is set; it is the scalar 0.0 when there is no
     barrier (or no gradient was asked for), which broadcasts to the same
     numbers as a zero vector.  The other gradients are plain: dJ-/dq = 2q,
     dJ+/dp = 2p, dJ3/dq = p, dJ3/dp = q, dJ-/dp = 0.  Raises DomainError
     on a guarded coordinate plane; nothing else is validated.
     """
-    j_minus = np.vecdot(q, q)
-    j3 = np.vecdot(q, p)
-    j_plus = np.vecdot(p, p)
+    j_minus = dot(q, q)
+    j3 = dot(q, p)
+    j_plus = dot(p, p)
     djp_dq = 0.0
     ba = realization.b_active
     if ba is not None:
@@ -232,22 +240,15 @@ class HamiltonianSpec:
         dp = (hm * 0.0 + hp * (2.0 * p)) + h3 * q
         return dq, dp
 
-    def value(self, x: PhasePoint) -> float:
-        self.realization.check_point(x)
-        return float(self.value_qp(x.q, x.p))
-
-    def gradient(self, x: PhasePoint) -> tuple[np.ndarray, np.ndarray]:
-        self.realization.check_point(x)
-        return self.gradient_qp(x.q, x.p)
-
 
 @dataclass(frozen=True)
 class ConservedQuantity:
-    """An observable F(q, p) with its analytic gradient.
+    """An observable F(q, p) with its gradient.
 
     `value_fn(q, p)` maps raw arrays (..., N) to F (...), bitwise as one
-    call per point; `gradient_fn(q, p) -> (dF/dq, dF/dp)` takes one point
-    (a window Casimir's, a stack too); `value`/`gradient` take a PhasePoint.
+    call per point; `gradient_fn(q, p) -> (dF/dq, dF/dp)` is derived from
+    the same formula (by the chain rule or `complex_step_gradient`) and takes
+    one point, or a stack unless F is H; `value`/`gradient` take a PhasePoint.
     """
 
     name: str
@@ -268,6 +269,31 @@ class ConservedQuantity:
             raise DimensionMismatch(
                 f"{self.name} is defined on {self.ndim} sites, phase point has {x.n}"
             )
+
+
+# Im F(x + i h e_j) / h is dF/dx_j to rounding, with no cancellation, for
+# analytic F and any h this small (Squire & Trapp, SIAM Review 40, 1998).
+COMPLEX_STEP = 1e-100
+
+
+def complex_step_gradient(value_fn: Callable) -> Callable:
+    """The gradient_fn of an analytic value_fn, at a point (N,) or a stack
+    (..., N): one value_fn call on the probes q + i h e_j and p + i h e_j,
+    stacked as (..., 2N, N).  A domain error is raised again from the real
+    input, so that it names the input's point, not a probe's."""
+
+    def gradient(q, p):
+        n = q.shape[-1]
+        step = np.eye(2 * n) * (1j * COMPLEX_STEP)
+        try:
+            f = value_fn(q[..., None, :] + step[:, :n], p[..., None, :] + step[:, n:])
+        except DomainError:
+            value_fn(q, p)
+            raise
+        g = f.imag / COMPLEX_STEP
+        return g[..., :n], g[..., n:]
+
+    return gradient
 
 
 def energy_quantity(spec: HamiltonianSpec, name: str = "H") -> ConservedQuantity:

@@ -25,8 +25,7 @@ spec's own guards (origin, chart boundary).  The same tuple decides whether
 a stage-iteration failure counts as a singular approach.
 
 Monitors are evaluated after the run, one `value_fn` call per monitor on
-each block of _MONITOR_BLOCK states (it bounds the window Casimirs'
-(block, m, m) temporaries); each series is keyed by the monitor's name.
+all the states at once; each series is keyed by the monitor's name.
 """
 
 from __future__ import annotations
@@ -47,7 +46,6 @@ _A1, _A2 = np.array([[[0.25], [0.25 + _SQRT3 / 6.0]], [[0.25 - _SQRT3 / 6.0], [0
 _S1, _S2 = np.array([[[1.0 - _SQRT3], [-_SQRT3]], [[_SQRT3], [1.0 + _SQRT3]]])
 
 METHODS = ("gl2", "rk4")
-_MONITOR_BLOCK = 1024
 
 
 @dataclass(frozen=True)
@@ -233,20 +231,15 @@ def integrate(
 
 
 def _finish(zs, n, h, monitors) -> Trajectory:
-    """Split the stacked states, evaluate each monitor over them, one call
-    per block of states, and reduce each series to its normalized drift."""
+    """Split the stacked states, evaluate each monitor over them in one
+    call, and reduce each series to its normalized drift."""
     qs = zs[:, :n].copy()
     ps = zs[:, n:].copy()
-    n_states = qs.shape[0]
-    times = h * np.arange(n_states)
+    times = h * np.arange(qs.shape[0])
     series: dict[str, np.ndarray] = {}
     drift: dict[str, float] = {}
-    blocks = [slice(lo, lo + _MONITOR_BLOCK) for lo in range(0, n_states, _MONITOR_BLOCK)]
     for mon in monitors:
-        vals = np.empty(n_states)
-        for block in blocks:
-            vals[block] = mon.value_fn(qs[block], ps[block])
-        series[mon.name] = vals
+        series[mon.name] = vals = mon.value_fn(qs, ps)
         f0 = vals[0]
         drift[mon.name] = float(np.max(np.abs(vals - f0)) / (1.0 + abs(f0)))
     return Trajectory(times, qs, ps, series, drift)

@@ -1,14 +1,17 @@
 """Conserved quantities.
 
-Two families are universal: for any Hamiltonian of the form h(J-, J+, J3)
-the window Casimirs
+Two families are universal.  On the sl(2,R) generators of the first m
+sites (the m-th coproduct of the Poisson coalgebra) the Casimir is, by
+Lagrange's identity,
 
-    C^(m)  = sum_{1 <= i < j <= m} { (q_i p_j - q_j p_i)^2
-             + b_i q_j^2/q_i^2 + b_j q_i^2/q_j^2 } + sum_{i <= m} b_i
-    C_(m)  = the same sum over the last m sites
+    C^(m)  = J-^(m) J+^(m) - (J3^(m))^2
+           = sum_{1 <= i < j <= m} { (q_i p_j - q_j p_i)^2
+             + b_i q_j^2/q_i^2 + b_j q_i^2/q_j^2 } + sum_{i <= m} b_i,
+    C_(m)  = the same on the last m sites.
 
-Poisson-commute with it, and each family is in involution.  C^(N) and C_(N)
-coincide, so there are 2N-3 distinct integrals.
+Both Poisson-commute with any Hamiltonian h(J-, J+, J3), and each family is
+in involution.  C^(N) and C_(N) coincide, so there are 2N-3 distinct
+integrals.
 
 The remaining ("lost") integral of the two maximally superintegrable
 families does not come from this construction; the oscillator-with-barriers
@@ -23,12 +26,12 @@ generalized Laplace-Runge-Lenz component
           - m sum_{l != i} bt_l q_i / q_l^2.
 
 One constructor per extra integral takes the space (Euclidean, or the
-Poincare or Beltrami chart of curvature kappa) and picks that space's
-formula once, at construction; all quantities carry hand-derived analytic
-gradients.  Each quantity checks its barrier planes with `core.guard_axes`,
-on the full realization masked to the sites it divides by.  Values also
-take a stack (..., N), as the monitor pass of `dynamics` gives it: dots are
-`np.vecdot`, sums `np.add.reduce` and squares products, bitwise as per point.
+Poincare or Beltrami chart of curvature kappa) and picks that space's value
+formula once, at construction; its gradient is `core.complex_step_gradient`
+of that formula.  Each quantity checks its barrier planes with `core.guard_axes`, on the full
+realization masked to the sites it divides by.  Values also take a stack
+(..., N), as the monitor pass of `dynamics` gives it: dots are `core.dot`,
+sums `np.add.reduce` and squares products, bitwise as per point.
 """
 
 from __future__ import annotations
@@ -37,10 +40,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (AXIS_GUARD_RADIUS, ConservedQuantity, SL2Realization, barrier_squares,
-                   guard_axes)
+from .core import (ConservedQuantity, SL2Realization, barrier_squares, complex_step_gradient,
+                   dot, sl2_kernel)
 from .errors import ConfigError, DimensionMismatch, DomainError, RangeError
-from .geometry import BELTRAMI, EUCLIDEAN, POINCARE, check_space
+from .geometry import EUCLIDEAN, POINCARE, check_space
 
 
 def _masked(b: np.ndarray, sites) -> SL2Realization:
@@ -56,41 +59,33 @@ def _masked(b: np.ndarray, sites) -> SL2Realization:
 # ---------------------------------------------------------------------------
 
 def _window_quantity(realization: SL2Realization, lo: int, hi: int, name: str) -> ConservedQuantity:
+    """C = J- J+ - J3^2 of sites lo..hi-1, at a point (N,) or a stack (M, N).
+
+    The J's are one sl2_kernel call on q and p zeroed off the window, over
+    the realization masked to it (so guards name global coordinates); the
+    gradient is the chain rule dC/dq = 2 J+ q + J- dJ+/dq - 2 J3 p,
+    dC/dp = 2 J- p - 2 J3 q."""
     w = _masked(realization.b, slice(lo, hi))
-    ba, active = w.b_active, w.active[lo:hi]
-    bsum = float(np.sum(realization.b[lo:hi]))
+
+    def generators(q, p):
+        qw, pw = np.zeros_like(q), np.zeros_like(p)
+        qw[..., lo:hi], pw[..., lo:hi] = q[..., lo:hi], p[..., lo:hi]
+        jm, jp, j3, _ = sl2_kernel(w, qw, pw)
+        return qw, pw, jm, jp, j3
 
     def value(q, p):
-        qw, pw = q[..., lo:hi], p[..., lo:hi]
-        # np.outer(qw, pw) per row, without the wrapper call
-        L = qw[..., :, None] * pw[..., None, :] - pw[..., :, None] * qw[..., None, :]
-        val = 0.5 * np.add.reduce((L * L).reshape(L.shape[:-2] + (-1,)), axis=-1)
-        if ba is not None:
-            qa2 = barrier_squares(w, q)
-            s2 = np.vecdot(qw, qw)[..., None]
-            val += np.add.reduce(ba * (s2 - qa2) / qa2, axis=-1)
-        return val + bsum
+        _, _, jm, jp, j3 = generators(q, p)
+        return jm * jp - j3 * j3
 
     def gradient(q, p):
-        """(dC/dq, dC/dp) at a point (N,) or at every row of a stacked
-        sample (M, N)."""
-        qw, pw = q[..., lo:hi], p[..., lo:hi]
-        L = qw[..., :, None] * pw[..., None, :] - pw[..., :, None] * qw[..., None, :]
-        dqw = 2.0 * (L @ pw[..., None])[..., 0]
-        dpw = -2.0 * (L @ qw[..., None])[..., 0]
-        if ba is not None:
-            guard_axes(w, q)
-            qa = qw[..., active]
-            qa2 = qa * qa
-            s2 = (qw * qw).sum(axis=-1)[..., None]
-            t = np.zeros_like(qw)
-            t[..., active] = ba / qa2
-            dqw += 2.0 * qw * (t.sum(axis=-1)[..., None] - t)
-            dqw[..., active] -= 2.0 * ba * (s2 - qa2) / qa ** 3
-        dq = np.zeros_like(q)
-        dp = np.zeros_like(p)
-        dq[..., lo:hi] = dqw
-        dp[..., lo:hi] = dpw
+        qw, pw, jm, jp, j3 = generators(q, p)
+        jm, jp, j3 = jm[..., None], jp[..., None], j3[..., None]
+        dq = (2.0 * jp) * qw - (2.0 * j3) * pw
+        dp = (2.0 * jm) * pw - (2.0 * j3) * qw
+        if w.b_active is not None:
+            qa = w.at_barriers(qw)
+            # J- dJ+/dq_i with dJ+/dq_i = -2 b_i / q_i^3, cubed by products
+            dq[..., w.sites] -= (2.0 * jm) * w.b_active / (qa * qa * qa)
         return dq, dp
 
     return ConservedQuantity(name, realization.n, value, gradient)
@@ -188,17 +183,12 @@ def sw_extra_integral(
     i = axis
     own = _masked(bt, i)
 
-    def guard(q):
-        # gradients take one point; the scalar pre-test keeps the shared guard cheap
-        if abs(q[i]) < AXIS_GUARD_RADIUS:
-            guard_axes(own, q)
-
     if space == POINCARE:
 
         def value(q, p):
             qi = q[..., i]
-            a = 1.0 - kp * np.vecdot(q, q)
-            u = p[..., i] * a + 2.0 * kp * np.vecdot(q, p) * qi
+            a = 1.0 - kp * dot(q, q)
+            u = p[..., i] * a + 2.0 * kp * dot(q, p) * qi
             val = u * u + 8.0 * m * w2 * (qi * qi) / (a * a)
             if bti != 0.0:
                 val += m * bti * (a * a) / barrier_squares(own, q)[..., 0]
@@ -208,59 +198,14 @@ def sw_extra_integral(
 
         def value(q, p):
             qi = q[..., i]
-            u = p[..., i] + kp * np.vecdot(q, p) * qi
+            u = p[..., i] + kp * dot(q, p) * qi
             val = u * u + 2.0 * m * w2 * (qi * qi)
             if bti != 0.0:
                 val += m * bti / barrier_squares(own, q)[..., 0]
             return val
 
-    if space == EUCLIDEAN:
-
-        def gradient(q, p):
-            guard(q)
-            dq = np.zeros(n)
-            dp = np.zeros(n)
-            dq[i] = 4.0 * m * w2 * q[i]
-            if bti != 0.0:
-                dq[i] -= 2.0 * m * bti / q[i] ** 3
-            dp[i] = 2.0 * p[i]
-            return dq, dp
-
-    elif space == BELTRAMI:
-
-        def gradient(q, p):
-            guard(q)
-            d = float(q @ p)
-            u = p[i] + kp * d * q[i]
-            dq = 2.0 * u * kp * (p * q[i])
-            dq[i] += 2.0 * u * kp * d + 4.0 * m * w2 * q[i]
-            if bti != 0.0:
-                dq[i] -= 2.0 * m * bti / q[i] ** 3
-            dp = 2.0 * u * kp * q[i] * q
-            dp[i] += 2.0 * u
-            return dq, dp
-
-    else:  # poincare
-
-        def gradient(q, p):
-            guard(q)
-            d = float(q @ p)
-            a = 1.0 - kp * float(q @ q)
-            u = p[i] * a + 2.0 * kp * d * q[i]
-            # d(u)/dq_j = -2 kp q_j p_i + 2 kp (p_j q_i + d delta_ij)
-            du_dq = -2.0 * kp * q * p[i] + 2.0 * kp * p * q[i]
-            dq = 2.0 * u * du_dq
-            dq[i] += 2.0 * u * 2.0 * kp * d
-            dq += 8.0 * m * w2 * 4.0 * kp * q[i] ** 2 * q / a ** 3
-            dq[i] += 8.0 * m * w2 * 2.0 * q[i] / a ** 2
-            if bti != 0.0:
-                dq += -4.0 * m * bti * kp * a * q / q[i] ** 2
-                dq[i] += -2.0 * m * bti * a ** 2 / q[i] ** 3
-            dp = 2.0 * u * 2.0 * kp * q[i] * q
-            dp[i] += 2.0 * u * a
-            return dq, dp
-
-    return ConservedQuantity(_extra_name("I", axis, space), n, value, gradient)
+    return ConservedQuantity(_extra_name("I", axis, space), n, value,
+                             complex_step_gradient(value))
 
 
 # ---------------------------------------------------------------------------
@@ -268,8 +213,8 @@ def sw_extra_integral(
 # ---------------------------------------------------------------------------
 
 def _radius(q: np.ndarray):
-    r = np.sqrt(np.vecdot(q, q))
-    if np.minimum.reduce(r, axis=None) < 1e-10:
+    r = np.sqrt(dot(q, q))
+    if np.minimum.reduce(r.real, axis=None) < 1e-10:
         raise DomainError("phase point at the origin of the attractive center")
     return r
 
@@ -279,15 +224,6 @@ def _barrier_sum(bars: SL2Realization, q):
     if bars.b_active is None:
         return 0.0
     return np.add.reduce(bars.b_active / barrier_squares(bars, q), axis=-1)
-
-
-def _barrier_cube(bars: SL2Realization, q):
-    """bt_l / q_l^3 for active l != axis and zero elsewhere (the scalar 0.0
-    without barriers), so callers never divide by an inactive q_l.  Call
-    after _barrier_sum, which runs the axis guard."""
-    if bars.b_active is None:
-        return 0.0
-    return bars.spread(bars.b_active / bars.at_barriers(q) ** 3)
 
 
 def kc_extra_integral(
@@ -322,7 +258,7 @@ def _kc_extra_unchecked(
         def value(q, p):
             r = _radius(q)
             tsum = _barrier_sum(bars, q)
-            dd, qq, pp = np.vecdot(q, p), np.vecdot(q, q), np.vecdot(p, p)
+            dd, qq, pp = dot(q, p), dot(q, q), dot(p, p)
             qi, pi = q[..., i], p[..., i]
             a = 1.0 - kp * qq
             s = a * (dd * pi - qi * pp) + 2.0 * kp * dd * (qq * pi - qi * dd)
@@ -333,67 +269,9 @@ def _kc_extra_unchecked(
         def value(q, p):
             r = _radius(q)
             tsum = _barrier_sum(bars, q)
-            dd, qq, pp, qi = np.vecdot(q, p), np.vecdot(q, q), np.vecdot(p, p), q[..., i]
+            dd, qq, pp, qi = dot(q, p), dot(q, q), dot(p, p), q[..., i]
             s = dd * p[..., i] * (1.0 + kp * qq) - qi * (pp + kp * dd * dd)
             return s + kc * m * qi / r - m * qi * tsum
 
-    if space == EUCLIDEAN:
-
-        def gradient(q, p):
-            r = _radius(q)
-            tsum = _barrier_sum(bars, q)
-            cube = _barrier_cube(bars, q)
-            dq = p * p[i] + kc * m * (-q[i] * q / r ** 3)
-            dq[i] += -float(p @ p) + kc * m / r - m * tsum
-            dq += 2.0 * m * q[i] * cube
-            dp = q * p[i] - 2.0 * q[i] * p
-            dp[i] += float(q @ p)
-            return dq, dp
-
-    elif space == BELTRAMI:
-
-        def gradient(q, p):
-            r = _radius(q)
-            tsum = _barrier_sum(bars, q)
-            cube = _barrier_cube(bars, q)
-            dd = float(q @ p)
-            qq = float(q @ q)
-            pp = float(p @ p)
-            one = 1.0 + kp * qq
-            dq = p * p[i] * one + 2.0 * kp * dd * p[i] * q - 2.0 * kp * dd * q[i] * p
-            dq[i] += -(pp + kp * dd * dd)
-            dq += kc * m * (-q[i] * q / r ** 3)
-            dq[i] += kc * m / r - m * tsum
-            dq += 2.0 * m * q[i] * cube
-            dp = q * p[i] * one - q[i] * (2.0 * p + 2.0 * kp * dd * q)
-            dp[i] += dd * one
-            return dq, dp
-
-    else:  # poincare
-
-        def gradient(q, p):
-            r = _radius(q)
-            tsum = _barrier_sum(bars, q)
-            cube = _barrier_cube(bars, q)
-            dd = float(q @ p)
-            qq = float(q @ q)
-            pp = float(p @ p)
-            a = 1.0 - kp * qq
-            dq = (
-                -2.0 * kp * q * (dd * p[i] - q[i] * pp)
-                + a * p * p[i]
-                + 2.0 * kp * p * (qq * p[i] - q[i] * dd)
-                + 2.0 * kp * dd * (2.0 * q * p[i] - q[i] * p)
-            )
-            dq[i] += -a * pp - 2.0 * kp * dd * dd
-            dq += 0.5 * kc * m * (-q[i] * q / r ** 3)
-            dq[i] += 0.5 * kc * m / r - m * a * tsum
-            dq += 2.0 * m * kp * q[i] * q * tsum + 2.0 * m * q[i] * a * cube
-            dp = (
-                a * (q * p[i] - 2.0 * q[i] * p)
-                + 2.0 * kp * (q * (qq * p[i] - q[i] * dd) + dd * (-q[i] * q))
-            )
-            dp[i] += a * dd + 2.0 * kp * dd * qq
-            return dq, dp
-
-    return ConservedQuantity(_extra_name("L", axis, space), n, value, gradient)
+    return ConservedQuantity(_extra_name("L", axis, space), n, value,
+                             complex_step_gradient(value))

@@ -347,7 +347,8 @@ def test_c10_flat_limits():
     exact = True
     worst_near = 0.0
     points = sample_regular_points(20, 3, rng)
-    for zero_kappa, flat, near_flat in pairs:
+    for specs in pairs:
+        zero_kappa, flat, near_flat = map(energy_quantity, specs)
         for x in points:
             v_flat = flat.value(x)
             exact &= zero_kappa.value(x) == v_flat

@@ -26,6 +26,7 @@ from superint import (
     universal_set,
 )
 from superint.catalog import FAMILIES
+from superint.core import complex_step_gradient
 
 RNG = np.random.default_rng(99)
 
@@ -33,26 +34,29 @@ RNG = np.random.default_rng(99)
 def test_sw_values_across_spaces():
     x = PhasePoint([0.5, 0.0], [0.0, 0.0])
     poincare = make_sw("poincare", mass=1.0, omega=1.0, b_tilde=[0.0, 0.0], kappa=1.0)
-    assert poincare.value(x) == pytest.approx(16.0 / 9.0)
+    assert energy_quantity(poincare).value(x) == pytest.approx(16.0 / 9.0)
     beltrami = make_sw("beltrami", mass=1.0, omega=1.0, b_tilde=[0.0, 0.0], kappa=1.0)
-    assert beltrami.value(PhasePoint([1.0, 0.0], [0.0, 0.0])) == pytest.approx(1.0)
+    assert energy_quantity(beltrami).value(PhasePoint([1.0, 0.0], [0.0, 0.0])) \
+        == pytest.approx(1.0)
 
 
 def test_kepler_coulomb_values_across_spaces():
     flat = make_kepler_coulomb("euclidean", mass=1.0, k=1.0, b_tilde=[0.0, 0.0])
-    assert flat.value(PhasePoint([1.0, 0.0], [0.0, 0.0])) == pytest.approx(-1.0)
+    assert energy_quantity(flat).value(PhasePoint([1.0, 0.0], [0.0, 0.0])) == pytest.approx(-1.0)
     beltrami = make_kepler_coulomb("beltrami", mass=1.0, k=1.0, b_tilde=[0.0, 0.0], kappa=1.0)
-    assert beltrami.value(PhasePoint([1.0, 0.0], [0.0, 0.0])) == pytest.approx(-1.0)
+    assert energy_quantity(beltrami).value(PhasePoint([1.0, 0.0], [0.0, 0.0])) \
+        == pytest.approx(-1.0)
     poincare = make_kepler_coulomb("poincare", mass=1.0, k=1.0, b_tilde=[0.0, 0.0], kappa=1.0)
-    assert poincare.value(PhasePoint([0.5, 0.0], [0.0, 0.0])) == pytest.approx(-0.75)
+    assert energy_quantity(poincare).value(PhasePoint([0.5, 0.0], [0.0, 0.0])) \
+        == pytest.approx(-0.75)
 
 
 def test_garnier_values():
     flat = make_garnier("euclidean", mass=1.0, omega=0.0, delta=1.0, b_tilde=[0.0, 0.0])
-    assert flat.value(PhasePoint([1.0, 1.0], [0.0, 0.0])) == pytest.approx(4.0)
+    assert energy_quantity(flat).value(PhasePoint([1.0, 1.0], [0.0, 0.0])) == pytest.approx(4.0)
     curved = make_garnier("poincare", mass=1.0, omega=0.0, delta=1.0,
                           b_tilde=[0.0, 0.0], kappa=1.0)
-    assert curved.value(PhasePoint([0.5, 0.0], [0.0, 0.0])) \
+    assert energy_quantity(curved).value(PhasePoint([0.5, 0.0], [0.0, 0.0])) \
         == pytest.approx(16.0 * 0.0625 / 0.75 ** 4)
 
 
@@ -64,6 +68,7 @@ def test_evans_with_quadratic_profile_is_oscillator(space, kappa):
     evans = make_evans(space, lambda s: w2 * s, lambda s: w2,
                        mass=1.1, b_tilde=bt, kappa=kappa)
     sw = make_sw(space, mass=1.1, omega=1.1, b_tilde=bt, kappa=kappa)
+    evans, sw = energy_quantity(evans), energy_quantity(sw)
     for x in sample_regular_points(10, 3, RNG, kappa=kappa, space=space):
         assert evans.value(x) == pytest.approx(sw.value(x), rel=1e-14)
         eq, ep = evans.gradient(x)
@@ -77,7 +82,7 @@ def test_free_profile_gives_kinetic_only():
                       mass=2.0, b_tilde=[0.4, 0.0])
     x = PhasePoint([0.5, 0.7], [1.0, -1.0])
     expected = (1.0 + 1.0 + 2.0 * 0.4 / 0.25) / 4.0
-    assert spec.value(x) == pytest.approx(expected)
+    assert energy_quantity(spec).value(x) == pytest.approx(expected)
 
 
 def test_quartic_reduces_to_oscillator():
@@ -85,7 +90,7 @@ def test_quartic_reduces_to_oscillator():
     garnier = make_garnier("euclidean", mass=1.3, omega=0.7, delta=0.0, b_tilde=bt)
     sw = make_sw("euclidean", mass=1.3, omega=0.7, b_tilde=bt)
     for x in sample_regular_points(10, 2, RNG):
-        assert garnier.value(x) == sw.value(x)
+        assert energy_quantity(garnier).value(x) == energy_quantity(sw).value(x)
 
 
 def test_series_oscillator_matches_quartic_truncation():
@@ -95,10 +100,11 @@ def test_series_oscillator_matches_quartic_truncation():
     garnier = make_garnier("beltrami", mass=1.0, omega=0.9, delta=0.4,
                            b_tilde=bt, kappa=0.6)
     for x in sample_regular_points(10, 2, RNG, kappa=0.6, space="beltrami"):
-        assert series.value(x) == pytest.approx(garnier.value(x), rel=1e-14)
+        assert energy_quantity(series).value(x) \
+            == pytest.approx(energy_quantity(garnier).value(x), rel=1e-14)
     higher = make_nonlinear_oscillator("euclidean", mass=1.0, omega=0.0,
                                        deltas=(0.0, 1.0), b_tilde=[0.0, 0.0])
-    assert higher.value(PhasePoint([1.0, 1.0], [0.0, 0.0])) == pytest.approx(8.0)
+    assert energy_quantity(higher).value(PhasePoint([1.0, 1.0], [0.0, 0.0])) == pytest.approx(8.0)
 
 
 def test_electromagnetic_reductions():
@@ -111,7 +117,8 @@ def test_electromagnetic_reductions():
                               b_tilde=bt)
     evans = make_evans("euclidean", f, fp, mass=1.2, b_tilde=bt)
     for x in sample_regular_points(10, 3, RNG):
-        assert em.value(x) == pytest.approx(evans.value(x), rel=1e-14)
+        assert energy_quantity(em).value(x) \
+            == pytest.approx(energy_quantity(evans).value(x), rel=1e-14)
 
     c = 0.7
     em_const = make_electromagnetic(mass=1.0, charge=2.0,
@@ -123,7 +130,7 @@ def test_electromagnetic_reductions():
         barriers = sum(b / (2.0 * qi ** 2) for b, qi in zip(bt, x.q) if b != 0.0)
         expected = 0.5 * float(x.p @ x.p) - 2.0 * c * float(x.q @ x.p) \
             + 2.0 * f(q2) + barriers
-        assert em_const.value(x) == pytest.approx(expected, rel=1e-13)
+        assert energy_quantity(em_const).value(x) == pytest.approx(expected, rel=1e-13)
 
 
 def test_electromagnetic_keeps_universal_integrals():
@@ -232,7 +239,8 @@ def test_variable_mass_constant_profile_is_evans():
                             potential=f, potential_deriv=fp, b=m * bt)
     evans = make_evans("euclidean", f, fp, mass=m, b_tilde=bt)
     for x in sample_regular_points(10, 2, RNG):
-        assert vm.value(x) == pytest.approx(evans.value(x), rel=1e-14)
+        assert energy_quantity(vm).value(x) \
+            == pytest.approx(energy_quantity(evans).value(x), rel=1e-14)
 
 
 def test_variable_mass_reproduces_chart_kinetic():
@@ -246,7 +254,8 @@ def test_variable_mass_reproduces_chart_kinetic():
     chart = make_evans("poincare", lambda s: 0.0, lambda s: 0.0, mass=m,
                        b_tilde=[0.0, 0.0, 0.0], kappa=kappa)
     for x in sample_regular_points(10, 3, RNG, kappa=kappa, space="poincare"):
-        assert vm.value(x) == pytest.approx(chart.value(x), rel=1e-13)
+        assert energy_quantity(vm).value(x) \
+            == pytest.approx(energy_quantity(chart).value(x), rel=1e-13)
 
 
 def test_variable_mass_keeps_universal_integrals():
@@ -269,7 +278,7 @@ def test_variable_mass_positivity_guard():
         b=[0.0, 0.0],
     )
     with pytest.raises(DomainError):
-        vm.value(PhasePoint([1.0, 1.0], [0.0, 0.0]))
+        energy_quantity(vm).value(PhasePoint([1.0, 1.0], [0.0, 0.0]))
 
 
 def test_flat_limit_matches_euclidean_exactly():
@@ -283,6 +292,7 @@ def test_flat_limit_matches_euclidean_exactly():
          make_kepler_coulomb("euclidean", mass=1.0, k=0.8, b_tilde=bt)),
     ]
     for curved, flat in pairs:
+        curved, flat = energy_quantity(curved), energy_quantity(flat)
         for x in sample_regular_points(10, 3, RNG):
             assert curved.value(x) == flat.value(x)
             cq, cp = curved.gradient(x)
@@ -376,7 +386,7 @@ def test_build_round_trips_each_family():
         kappa = desc.kappa
         space = desc.space
         for x in sample_regular_points(5, 3, RNG, kappa=kappa, space=space):
-            assert np.isfinite(spec.value(x))
+            assert np.isfinite(energy_quantity(spec).value(x))
     with pytest.raises(ConfigError):
         build(SystemDescriptor("unknown", "euclidean", {}, bt))
     with pytest.raises(ConfigError):
@@ -414,7 +424,8 @@ def test_descriptor_fills_family_defaults():
     sw = SystemDescriptor("sw", "euclidean", {"mass": 1.0}, bt)
     assert sw.params == {"mass": 1.0, "omega": 1.0, "kappa": 0.0}
     x = PhasePoint([0.5, 0.4], [0.1, -0.2])
-    assert build(sw).value(x) == make_sw("euclidean", omega=1.0, b_tilde=bt).value(x)
+    assert energy_quantity(build(sw)).value(x) \
+        == energy_quantity(make_sw("euclidean", omega=1.0, b_tilde=bt)).value(x)
     assert SystemDescriptor("sw", "euclidean", {"omega": 2}, bt).params["mass"] == 1.0
     garnier = SystemDescriptor("garnier", "beltrami", {"kappa": 1}, bt)
     assert garnier.params == {"mass": 1.0, "omega": 1.0, "delta": 0.0, "kappa": 1.0}
@@ -472,7 +483,28 @@ def test_stacked_values_equal_per_state_values(family):
                     assert np.array_equal(f.value_fn(qs.reshape(2, 300, 4), ps.reshape(2, 300, 4)),
                                           stacked.reshape(2, 300)), (desc, f.name)
                     assert type(f.value(points[0])) is float
-                assert type(spec.value(points[0])) is float
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_hamiltonian_gradient_is_the_complex_step_derivative_of_its_value(family):
+    """gradient_qp, the chain rule through the sl(2) kernel, equals the
+    complex-step derivative of value_qp on every space and sign of kappa,
+    with no and with some barriers, to rounding: H's value and gradient are
+    one function, not two formulas tied only by finite differences."""
+    rng = np.random.default_rng(11)
+    info = FAMILIES[family]
+    for space in info.spaces:
+        for kappa in (0.0,) if space == "euclidean" else (0.4, -0.4):
+            for bt in ([0.0] * 4, [0.3, 0.0, 0.2, 0.5]):
+                params = {"kappa": kappa, **{key: 0.9 for key in info.params}}
+                spec = build(SystemDescriptor(family, space, params, bt,
+                                              STACK_PROFILES.get(family, {})))
+                derived = complex_step_gradient(spec.value_qp)
+                for x in sample_regular_points(20, 4, rng, kappa=kappa, space=space):
+                    chain = np.concatenate(spec.gradient_qp(x.q, x.p))
+                    ref = np.concatenate(derived(x.q, x.p))
+                    scale = max(1.0, float(np.max(np.abs(ref))))
+                    assert np.max(np.abs(chain - ref)) <= 1e-13 * scale, (spec.name, kappa, bt)
 
 
 def test_stacked_values_keep_their_domain_checks():

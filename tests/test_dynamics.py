@@ -21,7 +21,6 @@ from superint import (
     make_sw,
     universal_set,
 )
-from superint import dynamics
 
 
 def test_free_particle_is_exact():
@@ -127,7 +126,7 @@ def test_start_inside_the_barrier_guard_radius_halts_at_t0():
     traj = info.value.trajectory
     assert traj.n_states == 1
     assert np.array_equal(traj.q[0], x0.q) and np.array_equal(traj.p[0], x0.p)
-    assert traj.monitors["H"][0] == spec.value(x0) and traj.drift["H"] == 0.0
+    assert traj.monitors["H"][0] == energy_quantity(spec).value(x0) and traj.drift["H"] == 0.0
 
 
 def test_nonconvergence_for_oversized_step():
@@ -298,7 +297,7 @@ def test_monitor_pass_over_several_blocks_is_the_per_state_series():
     monitors = [energy_quantity(spec), *universal_set(spec.realization).all,
                 *(extra_integral(spec.descriptor, a) for a in range(n))]
     cfg = IntegratorConfig(method="rk4", step=1e-3)
-    n_steps = dynamics._MONITOR_BLOCK + 30
+    n_steps = 1054  # more states than the 1024 of the former per-block monitor pass
     x0 = PhasePoint(np.linspace(0.3, 0.5, n), np.linspace(-0.2, 0.2, n))
     traj = integrate(spec, x0, n_steps * cfg.step, cfg, monitors)
     assert traj.n_states == n_steps + 1
@@ -366,16 +365,13 @@ def _reference_rk4_step(f, q, p, h):
 
 
 def _reference_window_value(b, q, p, lo, hi):
-    """Window Casimir through np.outer and np.sum."""
-    qw, pw, bw = q[lo:hi], p[lo:hi], b[lo:hi]
-    L = np.outer(qw, pw) - np.outer(pw, qw)
-    val = 0.5 * float(np.sum(L * L))
-    active = bw != 0.0
-    if np.any(active):
-        s2 = float(qw @ qw)
-        qa2 = qw[active] ** 2
-        val += float(np.sum(bw[active] * (s2 - qa2) / qa2))
-    return val + float(np.sum(bw))
+    """Window Casimir J- J+ - J3^2 from _reference_sl2 on b, q and p zeroed
+    off the window."""
+    window = np.zeros_like(b, dtype=bool)
+    window[lo:hi] = True
+    jm, jp, j3 = _reference_sl2(np.where(window, b, 0.0), np.where(window, q, 0.0),
+                                np.where(window, p, 0.0))
+    return jm * jp - j3 * j3
 
 
 def _reference_sl2(b, q, p):
