@@ -12,10 +12,10 @@ gradient rows at sampled points: independence is a generic-point property,
 so the certificate takes the maximum rank over the sample.
 
 Both rest on a gradient tensor G[P, K, 2N], the gradient rows of K
-quantities at P sample points.  `gradient_tensor` evaluates each universal
-integral's gradient once, over the whole stacked sample, and H's once per
-point; `certify` adds each extra integral's rows the same way, in one
-stacked call.  The brackets of every asserted pair then come from one
+quantities at P sample points.  `gradient_tensor` evaluates H's and each
+universal integral's gradient once, over the whole stacked sample;
+`certify` adds each extra integral's rows the same way, in one stacked
+call.  The brackets of every asserted pair then come from one
 bracket matrix per point, summed left to right over the coordinates, and
 each rank is one batched SVD.  `certify` draws one sample, in its
 involution table, and takes every number of a verify report from the one
@@ -195,16 +195,15 @@ def gradient_tensor(
     """G[P, K, 2N]: the gradient rows of H, then of integrals.all, at every
     sample point.
 
-    Each universal integral's gradient_fn is called once, on the stacked
-    sample; H is called once per point.  The quantities are evaluated as
-    given, never rebuilt from the realization.
+    H's and each universal integral's gradient_fn is called once, on the
+    stacked sample.  The quantities are evaluated as given, never rebuilt
+    from the realization.
     """
-    h = energy_quantity(spec)
-    _sample_ndim([h, *integrals.all], points)
+    functions = [energy_quantity(spec), *integrals.all]
+    _sample_ndim(functions, points)
     q = np.array([x.q for x in points])
     p = np.array([x.p for x in points])
-    return np.concatenate([_per_point_tensor([h], points),
-                           _stacked_tensor(integrals.all, q, p)], axis=1)
+    return _stacked_tensor(functions, q, p)
 
 
 @dataclass(frozen=True)

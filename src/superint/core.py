@@ -16,9 +16,12 @@ partials of H and the analytic gradients of the J's.
 that is not q or p times a constant, in one pass over raw arrays; the
 barrier sites it needs are found once per `SL2Realization`.
 `HamiltonianSpec.gradient_qp` folds the chain rule into two vector
-expressions, without building the gradient vectors of the J's.  Values take
-one point (N,) or a stack (..., N), bitwise as one call per point; dynamics
-evaluates each monitor over a whole trajectory that way.  Value formulas
+expressions, without building the gradient vectors of the J's.  Values and
+the H gradient take one point (N,) or a stack (..., N), bitwise as one call
+per point.  Dynamics evaluates each monitor over a whole trajectory, and
+both GL2 stages of a sweep, in one call; a certificate takes H's gradient
+rows over its whole sample in one call.  Over a stack the kernel runs once,
+and only the scalar partials of h run once per point.  Value formulas
 square by products, since on a scalar `x ** 2` is libm pow, and take dot
 products by `dot`, which unlike `np.vecdot` is analytic in complex points.
 
@@ -106,9 +109,9 @@ class SL2Realization:
         return q.take(self.sites, axis=-1)
 
     def spread(self, values: np.ndarray) -> np.ndarray:
-        """Inverse of at_barriers: a length-N vector, zero off the barriers."""
-        full = np.zeros(self.n)
-        full[self.active] = values
+        """Inverse of at_barriers: (..., N), zero off the barriers."""
+        full = np.zeros(values.shape[:-1] + (self.n,))
+        full[..., self.active] = values
         return full
 
     def clearance(self, q: np.ndarray) -> float:
@@ -134,15 +137,15 @@ def dot(x: np.ndarray, y: np.ndarray):
 
 def guard_axes(realization: SL2Realization, q: np.ndarray) -> None:
     """Raise DomainError if a q_i with b_i != 0 is within AXIS_GUARD_RADIUS
-    of its coordinate plane.  q is one point (N,) or a stacked sample
-    (M, N); the message names q_i by its index in the realization (and the
-    point of a stacked sample), so windows and one-axis integrals pass the
-    full realization masked to their sites."""
+    of its coordinate plane.  q is one point (N,) or a stack (..., N); the
+    message names q_i by its index in the realization (and the point's
+    index in a stack), so windows and one-axis integrals pass the full
+    realization masked to their sites."""
     bad = realization.active & (np.abs(q) < AXIS_GUARD_RADIUS)
     if bad.any():
         idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
         i = int(idx[-1])
-        where = f"point {idx[0]}: " if q.ndim > 1 else ""
+        where = f"point {', '.join(map(str, idx[:-1]))}: " if q.ndim > 1 else ""
         raise DomainError(
             f"{where}q_{i + 1} = {float(q[idx].real)!r} lies on a coordinate plane "
             f"with b_{i + 1} != 0"
@@ -172,7 +175,7 @@ def sl2_kernel(realization: SL2Realization, q: np.ndarray, p: np.ndarray,
 
     Returns (J-, J+, J3, dJ+/dq), the J's of shape (...) for q, p (..., N),
     real or complex.  H is h(J-, J+, J3) and a window Casimir J- J+ - J3^2
-    of these.  dJ+/dq_i = -2 b_i / q_i**3 is computed, at one real point,
+    of these.  dJ+/dq_i = -2 b_i / q_i**3 is computed, at real points,
     only when `gradient` is set; it is the scalar 0.0 when there is no
     barrier (or no gradient was asked for), which broadcasts to the same
     numbers as a zero vector.  The other gradients are plain: dJ-/dq = 2q,
@@ -232,10 +235,18 @@ class HamiltonianSpec:
         dH/dq = h- * 2q + h+ * dJ+/dq + h3 * p and
         dH/dp = (h- * 0 + h+ * 2p) + h3 * q, summed left to right.  The
         h- * 0 term keeps the signed zeros (and NaNs) that a zero dJ-/dp
-        vector would give.  The partials take Python floats, cheaper than numpy scalars.
+        vector would give.  The partials take Python floats, cheaper than
+        numpy scalars: at one point (N,) directly, and over a stack (..., N)
+        once per point, the chain rule then taking them as (..., 1) columns,
+        so that every point's rows are bitwise its own call.
         """
         jm, jp, j3, djp_dq = sl2_kernel(self.realization, q, p, gradient=True)
-        hm, hp, h3 = self.h_partials(float(jm), float(jp), float(j3))
+        if q.ndim == 1:
+            hm, hp, h3 = self.h_partials(float(jm), float(jp), float(j3))
+        else:
+            rows = zip(jm.ravel().tolist(), jp.ravel().tolist(), j3.ravel().tolist())
+            parts = np.array([self.h_partials(*row) for row in rows])
+            hm, hp, h3 = parts.T.reshape(3, *jm.shape, 1)
         dq = hm * (2.0 * q) + hp * djp_dq + h3 * p
         dp = (hm * 0.0 + hp * (2.0 * p)) + h3 * q
         return dq, dp
@@ -248,7 +259,7 @@ class ConservedQuantity:
     `value_fn(q, p)` maps raw arrays (..., N) to F (...), bitwise as one
     call per point; `gradient_fn(q, p) -> (dF/dq, dF/dp)` is derived from
     the same formula (by the chain rule or `complex_step_gradient`) and takes
-    one point, or a stack unless F is H; `value`/`gradient` take a PhasePoint.
+    one point or a stack the same way; `value`/`gradient` take a PhasePoint.
     """
 
     name: str

@@ -4,20 +4,26 @@ The default method is the 2-stage Gauss-Legendre implicit Runge-Kutta
 scheme (order 4).  It is symplectic for arbitrary smooth Hamiltonians,
 which matters here because the curved kinetic terms couple q and p, so no
 explicit splitting applies.  Stages are solved by fixed-point iteration,
-seeded with f(z0) on the first step and afterwards with the previous step's
-linear stage-derivative polynomial extrapolated to 1 + c_i (Hairer, Lubich &
-Wanner, Geometric Numerical Integration, VIII.6.1).  A step stops when the
-largest stage change d_k is at most `fixed_point_tol` (1e-13 by default),
-or from the second sweep on when theta = d_k / d_{k-1} < 1 and the estimated
-remaining error theta / (1 - theta) * d_k is at most `fixed_point_tol`
-(Hairer & Wanner, Solving ODEs II, IV.8).  A classical RK4 is provided as a
+with starting approximations from the stage derivatives already known
+(Hairer, Lubich & Wanner, Geometric Numerical Integration, VIII.6.1): f(z0)
+on the first step, the first step's linear stage polynomial extrapolated to
+1 + c_i on the second, and from the third on the cubic through the last two
+steps' stages (at relative times c_i - 1 and c_i) extrapolated to 1 + c_i.
+A step stops when the largest stage change d_k is at most
+`fixed_point_tol` (1e-13 by default), or from the second sweep on when
+theta = d_k / d_{k-1} < 1 and the estimated remaining error
+theta / (1 - theta) * d_k is at most `fixed_point_tol` (Hairer & Wanner,
+Solving ODEs II, IV.8).  A classical RK4 is provided as a
 non-symplectic reference.
 
 Both steppers work on one stacked state z = [q, p] of length 2N, with
-stage vectors k = [dH/dp, -dH/dq] from one `spec.gradient_qp` call each;
-GL2 holds its two stages as one (2, 2N) array.  Stacking cuts the numpy
-calls per sweep; the arithmetic is elementwise, so every number is the
-same as with separate q and p arrays.
+stage vectors k = [dH/dp, -dH/dq] from `spec.gradient_qp`.  GL2 holds its
+two stages as one (2, 2N) array and evaluates both in one stacked
+`gradient_qp` call per sweep; RK4 makes one call per stage.  Stacking cuts
+the numpy calls per sweep; the arithmetic is elementwise, so every number
+is the same as with separate q and p arrays and one call per stage.  A
+domain error of the stacked call is raised again from the offending
+stage's own call, so a halt message never names a row of the stack.
 
 Every accepted state is checked against one tuple of `Guard`s: the
 coordinate-plane barrier (`SL2Realization.clearance`) first, then the
@@ -40,10 +46,18 @@ from .core import ConservedQuantity, Guard, HamiltonianSpec, PhasePoint
 from .errors import DomainError, InsufficientData, NonConvergence, SingularApproach
 
 _SQRT3 = math.sqrt(3.0)
-# (2, 1) columns of the GL2 Butcher matrix and of the seed extrapolation, applied
+# (2, 1) columns of the GL2 Butcher matrix and of the seed extrapolations, applied
 # elementwise to the (2, 2N) stages: a matrix product may fuse multiply and add.
 _A1, _A2 = np.array([[[0.25], [0.25 + _SQRT3 / 6.0]], [[0.25 - _SQRT3 / 6.0], [0.25]]])
+# linear seeds from one step's stages k: _S1 * k[0] + _S2 * k[1]
 _S1, _S2 = np.array([[[1.0 - _SQRT3], [-_SQRT3]], [[_SQRT3], [1.0 + _SQRT3]]])
+# cubic seeds from two steps' stages j, k: _C1 * j[0] + _C2 * j[1] + _C3 * k[0] + _C4 * k[1]
+_C1, _C2, _C3, _C4 = np.array([
+    [[8.0 - 5.0 * _SQRT3], [-2.0 * _SQRT3]],
+    [[2.0 * _SQRT3], [8.0 + 5.0 * _SQRT3]],
+    [[2.0 - 4.0 * _SQRT3], [-9.0 - 7.0 * _SQRT3]],
+    [[-9.0 + 7.0 * _SQRT3], [2.0 + 4.0 * _SQRT3]],
+])
 
 METHODS = ("gl2", "rk4")
 
@@ -97,22 +111,30 @@ class Trajectory:
 def _gl2_step(f, z, h, k, tol, max_iters):
     """One GL2 step of the stacked state z = [q, p] from (2, 2N) stage seeds k.
 
-    Returns the new state and the next step's seeds.  A NaN in either stage
+    Returns the new state and the converged stages.  A NaN in either stage
     ends the iteration at once: the step is then non-finite and integrate
     halts on it, as it does for RK4.
     """
     d_prev = 0.0  # the contraction test needs two sweeps
     for _ in range(max_iters):
-        y = z + h * (_A1 * k[0] + _A2 * k[1])
-        new = np.array((f(y[0]), f(y[1])))
+        new = f(z + h * (_A1 * k[0] + _A2 * k[1]))
         d = float(np.abs(new - k).max())
         k = new
         if d <= tol or math.isnan(d) or (d < d_prev and d * d <= tol * (d_prev - d)):
-            return z + 0.5 * h * (k[0] + k[1]), _S1 * k[0] + _S2 * k[1]
+            return z + 0.5 * h * (k[0] + k[1]), k
         d_prev = d
     raise NonConvergence(
         f"stage fixed point did not reach {tol:g} in {max_iters} iterations"
     )
+
+
+def _stage_seeds(k, prev):
+    """Seeds for the next step from this step's stages k and, from the
+    second step on, the previous step's stages prev: the linear or the
+    cubic stage polynomial extrapolated to 1 + c_i."""
+    if prev is None:
+        return _S1 * k[0] + _S2 * k[1]
+    return _C1 * prev[0] + _C2 * prev[1] + _C3 * k[0] + _C4 * k[1]
 
 
 def _rk4_step(f, z, h):
@@ -184,8 +206,16 @@ def integrate(
     gradient_qp = spec.gradient_qp
 
     def f(z):
-        dq, dp = gradient_qp(z[:n], z[n:])
-        return np.concatenate((dp, -dq))
+        """[dH/dp, -dH/dq] of one state (2N,) or a stack of them (..., 2N)."""
+        try:
+            dq, dp = gradient_qp(z[..., :n], z[..., n:])
+        except DomainError:
+            # raised again from the offending state's own call, so that the
+            # message names no row of the stack
+            for row in z.reshape(-1, 2 * n):
+                gradient_qp(row[:n], row[n:])
+            raise
+        return np.concatenate((dp, -dq), axis=-1)
 
     n_steps = step_count(t_final, cfg.step)
     h = cfg.step
@@ -194,15 +224,16 @@ def integrate(
     z = zs[0].copy()
     gl2 = cfg.method == "gl2"
     if gl2 and n_steps > 0:
-        k = np.array((f(z),) * 2)
+        k, prev = np.array((f(z),) * 2), None
 
     for step_idx in range(1, n_steps + 1):
         t = step_idx * h
         try:
             try:
                 if gl2:
-                    z, k = _gl2_step(f, z, h, k, cfg.fixed_point_tol,
-                                     cfg.max_fixed_point_iters)
+                    z, stages = _gl2_step(f, z, h, k, cfg.fixed_point_tol,
+                                          cfg.max_fixed_point_iters)
+                    k, prev = _stage_seeds(stages, prev), stages
                 else:
                     z = _rk4_step(f, z, h)
             except DomainError as exc:

@@ -485,6 +485,45 @@ def test_stacked_values_equal_per_state_values(family):
                     assert type(f.value(points[0])) is float
 
 
+def _same_bits(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_stacked_hamiltonian_gradient_is_bitwise_the_per_point_one(family):
+    """One gradient_qp call on a (M, N) or (2, M/2, N) stack gives, bit for
+    bit, the per-point gradients, on each space and sign of kappa, with zero
+    and with nonzero barriers; a stacked point on a barrier plane is named
+    in the DomainError."""
+    info = FAMILIES[family]
+    rng = np.random.default_rng(13)
+    m = 64
+    for space in info.spaces:
+        for kappa in (0.0,) if space == "euclidean" else (0.4, -0.4):
+            for bt in ([0.0] * 4, [0.3, 0.0, 0.2, 0.5]):
+                params = {"kappa": kappa, **{key: 0.9 for key in info.params}}
+                spec = build(SystemDescriptor(family, space, params, bt,
+                                              STACK_PROFILES.get(family, {})))
+                points = sample_regular_points(m, 4, rng, kappa=kappa, space=space)
+                qs = np.array([x.q for x in points])
+                ps = np.array([x.p for x in points])
+                dq, dp = spec.gradient_qp(qs, ps)
+                per_point = [spec.gradient_qp(x.q, x.p) for x in points]
+                assert _same_bits(dq, np.array([g[0] for g in per_point])), spec.name
+                assert _same_bits(dp, np.array([g[1] for g in per_point])), spec.name
+                dq2, dp2 = spec.gradient_qp(qs.reshape(2, m // 2, 4), ps.reshape(2, m // 2, 4))
+                assert _same_bits(dq2, dq.reshape(2, m // 2, 4)), spec.name
+                assert _same_bits(dp2, dp.reshape(2, m // 2, 4)), spec.name
+                if any(bt):
+                    bad = qs.copy()
+                    bad[37, 2] = 0.0
+                    plane = r"q_3 = 0\.0 lies on a coordinate plane with b_3 != 0$"
+                    with pytest.raises(DomainError, match=r"^point 37: " + plane):
+                        spec.gradient_qp(bad, ps)
+                    with pytest.raises(DomainError, match=r"^point 1, 5: " + plane):
+                        spec.gradient_qp(bad.reshape(2, m // 2, 4), ps.reshape(2, m // 2, 4))
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_hamiltonian_gradient_is_the_complex_step_derivative_of_its_value(family):
     """gradient_qp, the chain rule through the sl(2) kernel, equals the

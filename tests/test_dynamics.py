@@ -162,22 +162,39 @@ def test_step_count_does_not_overrun_t_final():
 @pytest.mark.parametrize("site", [0, 1, 2, 3])
 @pytest.mark.parametrize("stage", [1, 2])
 def test_gl2_step_stops_on_a_nan_stage(stage, site):
-    # a NaN in any stage, in the q or the p half, ends the step at once
+    # a NaN in any stage, in the q or the p half, ends the step after the
+    # one stacked call of the first sweep
     from superint.dynamics import _gl2_step
 
     calls = []
 
-    def f(z):
-        calls.append(z)
-        k = 0.0 * z
-        if len(calls) == stage:
-            k[site] = math.nan
+    def f(y):
+        calls.append(y.shape)
+        k = 0.0 * y
+        k[stage - 1, site] = math.nan
         return k
 
     z0, k0 = np.array([1.0, 0.5, -0.2, 0.3]), np.zeros((2, 4))
     z, _ = _gl2_step(f, z0, 0.1, k0, 1e-13, 100)
-    assert len(calls) == 2
+    assert calls == [(2, 4)]
     assert np.isnan(z).tolist() == [i == site for i in range(4)]
+
+
+@pytest.mark.parametrize("stage", [1, 2])
+def test_singular_stage_halt_names_no_stack_row(stage):
+    # x0 is placed so that the first sweep puts exactly one stage on the
+    # barrier plane q_1 = 0: the message is the offending stage's own
+    bt = [0.3, 0.0]
+    spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=bt)
+    h = 0.1
+    # dH/dp_1 = p_1 = 1 at x0, so stage i sits at q_1 + h (a_i1 + a_i2)
+    a_i = (_A11 + _A12, _A21 + _A22)[stage - 1]
+    x0 = PhasePoint([-(h * a_i), 0.5], [1.0, 0.2])
+    with pytest.raises(SingularApproach) as info:
+        integrate(spec, x0, 1.0, IntegratorConfig(step=h))
+    assert str(info.value) == ("singular evaluation during step to t = 0.1: q_1 = 0.0 "
+                               "lies on a coordinate plane with b_1 != 0")
+    assert info.value.time == 0.0 and info.value.trajectory.n_states == 1
 
 
 def test_nan_gradient_halts_as_non_finite():
@@ -316,11 +333,11 @@ _A21, _A22 = 0.25 + _SQRT3 / 6.0, 0.25
 
 
 def _reference_gl2_step(f, q, p, h, k_seed, tol, max_iters, legacy=False):
-    """GL2 step on four stage arrays (q and p parts of two stages).
+    """GL2 step on four stage arrays (q and p parts of two stages), one f
+    call per stage.
 
-    Returns the next step's seeds: the stage polynomial extrapolated to
-    1 + c_i, or with `legacy` the converged stages themselves.  `legacy`
-    also drops the contraction-rate stop and stops only at delta <= tol.
+    Returns the converged stages (k1q, k1p, k2q, k2p).  `legacy` drops the
+    contraction-rate stop and stops only at delta <= tol.
     """
     k1q, k1p, k2q, k2p = k_seed
     delta_prev = 0.0
@@ -342,16 +359,50 @@ def _reference_gl2_step(f, q, p, h, k_seed, tol, max_iters, legacy=False):
         if delta <= tol or (contracted and not legacy):
             qn = q + 0.5 * h * (k1q + k2q)
             pn = p + 0.5 * h * (k1p + k2p)
-            if legacy:
-                return qn, pn, (k1q, k1p, k2q, k2p)
-            return qn, pn, (
-                (1.0 - _SQRT3) * k1q + _SQRT3 * k2q,
-                (1.0 - _SQRT3) * k1p + _SQRT3 * k2p,
-                -_SQRT3 * k1q + (1.0 + _SQRT3) * k2q,
-                -_SQRT3 * k1p + (1.0 + _SQRT3) * k2p,
-            )
+            return qn, pn, (k1q, k1p, k2q, k2p)
         delta_prev = delta
     raise AssertionError("reference stage iteration did not converge")
+
+
+# Weights of stage i's seed on (stage 1, stage 2) of the last step, and on
+# (stage 1, stage 2) of the step before and of the last step.
+_LINEAR = ((1.0 - _SQRT3, _SQRT3), (-_SQRT3, 1.0 + _SQRT3))
+_CUBIC = ((8.0 - 5.0 * _SQRT3, 2.0 * _SQRT3, 2.0 - 4.0 * _SQRT3, -9.0 + 7.0 * _SQRT3),
+          (-2.0 * _SQRT3, 8.0 + 5.0 * _SQRT3, -9.0 - 7.0 * _SQRT3, 2.0 + 4.0 * _SQRT3))
+
+
+def _reference_seeds(k, prev):
+    """(k1q, k1p, k2q, k2p) seeds from the last step's stages k and the
+    step before's prev (None after the first step), summed left to right."""
+    if prev is None:
+        weights, stages = _LINEAR, (k[:2], k[2:])
+    else:
+        weights, stages = _CUBIC, (prev[:2], prev[2:], k[:2], k[2:])
+    seeds = []
+    for w in weights:
+        for part in (0, 1):
+            total = w[0] * stages[0][part]
+            for wj, stage in zip(w[1:], stages[1:]):
+                total = total + wj * stage[part]
+            seeds.append(total)
+    return tuple(seeds)
+
+
+def test_stage_seeds_extrapolate_their_polynomials_exactly():
+    # the seeds are the values at 1 + c_i of the line through one step's
+    # stages (at c_i) and of the cubic through two steps' (at c_i - 1, c_i)
+    from superint.dynamics import _stage_seeds
+
+    c = np.array([0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0])
+    coeffs = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 6))
+
+    def g(t, degree):
+        return sum(coeffs[j] * t ** j for j in range(degree + 1))
+
+    for degree, prev in ((1, None), (3, np.array([g(ci - 1.0, 3) for ci in c]))):
+        k = np.array([g(ci, degree) for ci in c])
+        expected = np.array([g(1.0 + ci, degree) for ci in c])
+        assert np.max(np.abs(_stage_seeds(k, prev) - expected)) <= 1e-13
 
 
 def _reference_rk4_step(f, q, p, h):
@@ -383,6 +434,9 @@ def _reference_sl2(b, q, p):
 
 
 def _reference_states(spec, x0, n_steps, cfg, legacy=False):
+    """States of a GL2 or RK4 run on separate q and p arrays.  With
+    `legacy`, each GL2 step is seeded with the last step's stages and stops
+    only at delta <= tol."""
     def f(q, p):
         dq, dp = spec.gradient_qp(q, p)
         return dp, -dq
@@ -391,13 +445,15 @@ def _reference_states(spec, x0, n_steps, cfg, legacy=False):
     qs, ps = [q], [p]
     if cfg.method == "gl2":
         dq0, dp0 = f(q, p)
-        k_seed = (dq0.copy(), dp0.copy(), dq0.copy(), dp0.copy())
+        k_seed, prev = (dq0.copy(), dp0.copy(), dq0.copy(), dp0.copy()), None
     for _ in range(n_steps):
         if cfg.method == "gl2":
-            q, p, k_seed = _reference_gl2_step(
+            q, p, stages = _reference_gl2_step(
                 f, q, p, cfg.step, k_seed, cfg.fixed_point_tol, cfg.max_fixed_point_iters,
                 legacy,
             )
+            k_seed = stages if legacy else _reference_seeds(stages, prev)
+            prev = stages
         else:
             q, p = _reference_rk4_step(f, q, p, cfg.step)
         qs.append(q)
@@ -445,9 +501,9 @@ def test_stacked_steppers_are_bitwise_the_split_form(method, n_steps):
 @pytest.mark.parametrize("space, kappa", [("euclidean", 0.0), ("beltrami", 0.5),
                                           ("poincare", -0.4)])
 def test_gl2_stage_seeds_and_stop_rule_cut_sweeps_not_accuracy(space, kappa):
-    # extrapolated seeds plus the contraction-rate stop: at most 8 gradient
+    # cubic extrapolated seeds plus the contraction-rate stop: at most 6 stage
     # evaluations per step (previous-stage seeds and the plain d <= tol stop
-    # need about 10), with the same trajectory to 1e-12
+    # need about 10, linear seeds about 8), with the same trajectory to 1e-12
     evals = []
 
     def counting_fp(s):
@@ -460,7 +516,7 @@ def test_gl2_stage_seeds_and_stop_rule_cut_sweeps_not_accuracy(space, kappa):
     cfg, n_steps = IntegratorConfig(step=1e-3), 2000
     traj = integrate(spec, x0, n_steps * cfg.step, cfg)
     assert traj.n_states == n_steps + 1
-    assert len(evals) / n_steps <= 8.0
+    assert len(evals) / n_steps <= 6.0
     qs, ps = _reference_states(spec, x0, n_steps, cfg, legacy=True)
     assert np.max(np.abs(traj.q - qs)) <= 1e-12
     assert np.max(np.abs(traj.p - ps)) <= 1e-12

@@ -341,7 +341,7 @@ def test_every_barrier_check_names_the_global_coordinate():
     spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=b)
     window = right_integral(spec.realization, 2)
     calls = [spec.value_qp, spec.gradient_qp, window.value_fn, window.gradient_fn]
-    stacked = [spec.value_qp, window.value_fn, window.gradient_fn]
+    stacked = [spec.value_qp, spec.gradient_qp, window.value_fn, window.gradient_fn]
     for space, kappa in (("euclidean", 0.0), ("beltrami", 0.5), ("poincare", 0.5)):
         extra = sw_extra_integral(2, mass=1.0, omega=1.0, b_tilde=b, kappa=kappa,
                                   space=space)
