@@ -18,12 +18,12 @@ barrier sites it needs are found once per `SL2Realization`.
 `HamiltonianSpec.gradient_qp` folds the chain rule into two vector
 expressions, without building the gradient vectors of the J's.  Values and
 the H gradient take one point (N,) or a stack (..., N), bitwise as one call
-per point.  Dynamics evaluates each monitor over a whole trajectory, and
-both GL2 stages of a sweep, in one call; a certificate takes H's gradient
-rows over its whole sample in one call.  Over a stack the kernel runs once,
-and only the scalar partials of h run once per point.  Value formulas
-square by products, since on a scalar `x ** 2` is libm pow, and take dot
-products by `dot`, which unlike `np.vecdot` is analytic in complex points.
+per point.  Dynamics evaluates each monitor over a whole trajectory in one
+call, and a certificate takes H's gradient rows over its whole sample in
+one call.  Over a stack the kernel runs once, and only the scalar partials
+of h run once per point.  Value formulas square by products, since on a
+scalar `x ** 2` is libm pow, and take dot products by `dot`, which unlike
+`np.vecdot` is analytic in complex points.
 
 The centrifugal terms b_i / q_i**2 make every plane q_i = 0 with b_i != 0
 singular, for H and for every integral built on the same realization.
@@ -110,8 +110,12 @@ class SL2Realization:
 
     def spread(self, values: np.ndarray) -> np.ndarray:
         """Inverse of at_barriers: (..., N), zero off the barriers."""
+        if values.ndim == 1:  # one point, the GL2 and RK4 stages: a mask is cheapest
+            full = np.zeros(self.n)
+            full[self.active] = values
+            return full
         full = np.zeros(values.shape[:-1] + (self.n,))
-        full[..., self.active] = values
+        full[..., self.sites] = values
         return full
 
     def clearance(self, q: np.ndarray) -> float:

@@ -17,13 +17,10 @@ Solving ODEs II, IV.8).  A classical RK4 is provided as a
 non-symplectic reference.
 
 Both steppers work on one stacked state z = [q, p] of length 2N, with
-stage vectors k = [dH/dp, -dH/dq] from `spec.gradient_qp`.  GL2 holds its
-two stages as one (2, 2N) array and evaluates both in one stacked
-`gradient_qp` call per sweep; RK4 makes one call per stage.  Stacking cuts
-the numpy calls per sweep; the arithmetic is elementwise, so every number
-is the same as with separate q and p arrays and one call per stage.  A
-domain error of the stacked call is raised again from the offending
-stage's own call, so a halt message never names a row of the stack.
+stage vectors k = [dH/dp, -dH/dq] from one `spec.gradient_qp` call each;
+GL2 holds its two stages as one (2, 2N) array.  Stacking cuts the numpy
+calls per sweep; the arithmetic is elementwise, so every number is the
+same as with separate q and p arrays.
 
 Every accepted state is checked against one tuple of `Guard`s: the
 coordinate-plane barrier (`SL2Realization.clearance`) first, then the
@@ -117,7 +114,8 @@ def _gl2_step(f, z, h, k, tol, max_iters):
     """
     d_prev = 0.0  # the contraction test needs two sweeps
     for _ in range(max_iters):
-        new = f(z + h * (_A1 * k[0] + _A2 * k[1]))
+        y = z + h * (_A1 * k[0] + _A2 * k[1])
+        new = np.array((f(y[0]), f(y[1])))
         d = float(np.abs(new - k).max())
         k = new
         if d <= tol or math.isnan(d) or (d < d_prev and d * d <= tol * (d_prev - d)):
@@ -206,16 +204,8 @@ def integrate(
     gradient_qp = spec.gradient_qp
 
     def f(z):
-        """[dH/dp, -dH/dq] of one state (2N,) or a stack of them (..., 2N)."""
-        try:
-            dq, dp = gradient_qp(z[..., :n], z[..., n:])
-        except DomainError:
-            # raised again from the offending state's own call, so that the
-            # message names no row of the stack
-            for row in z.reshape(-1, 2 * n):
-                gradient_qp(row[:n], row[n:])
-            raise
-        return np.concatenate((dp, -dq), axis=-1)
+        dq, dp = gradient_qp(z[:n], z[n:])
+        return np.concatenate((dp, -dq))
 
     n_steps = step_count(t_final, cfg.step)
     h = cfg.step

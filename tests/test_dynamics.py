@@ -162,39 +162,22 @@ def test_step_count_does_not_overrun_t_final():
 @pytest.mark.parametrize("site", [0, 1, 2, 3])
 @pytest.mark.parametrize("stage", [1, 2])
 def test_gl2_step_stops_on_a_nan_stage(stage, site):
-    # a NaN in any stage, in the q or the p half, ends the step after the
-    # one stacked call of the first sweep
+    # a NaN in any stage, in the q or the p half, ends the step at once
     from superint.dynamics import _gl2_step
 
     calls = []
 
-    def f(y):
-        calls.append(y.shape)
-        k = 0.0 * y
-        k[stage - 1, site] = math.nan
+    def f(z):
+        calls.append(z)
+        k = 0.0 * z
+        if len(calls) == stage:
+            k[site] = math.nan
         return k
 
     z0, k0 = np.array([1.0, 0.5, -0.2, 0.3]), np.zeros((2, 4))
     z, _ = _gl2_step(f, z0, 0.1, k0, 1e-13, 100)
-    assert calls == [(2, 4)]
+    assert len(calls) == 2
     assert np.isnan(z).tolist() == [i == site for i in range(4)]
-
-
-@pytest.mark.parametrize("stage", [1, 2])
-def test_singular_stage_halt_names_no_stack_row(stage):
-    # x0 is placed so that the first sweep puts exactly one stage on the
-    # barrier plane q_1 = 0: the message is the offending stage's own
-    bt = [0.3, 0.0]
-    spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=bt)
-    h = 0.1
-    # dH/dp_1 = p_1 = 1 at x0, so stage i sits at q_1 + h (a_i1 + a_i2)
-    a_i = (_A11 + _A12, _A21 + _A22)[stage - 1]
-    x0 = PhasePoint([-(h * a_i), 0.5], [1.0, 0.2])
-    with pytest.raises(SingularApproach) as info:
-        integrate(spec, x0, 1.0, IntegratorConfig(step=h))
-    assert str(info.value) == ("singular evaluation during step to t = 0.1: q_1 = 0.0 "
-                               "lies on a coordinate plane with b_1 != 0")
-    assert info.value.time == 0.0 and info.value.trajectory.n_states == 1
 
 
 def test_nan_gradient_halts_as_non_finite():
