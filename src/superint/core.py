@@ -21,9 +21,11 @@ the H gradient take one point (N,) or a stack (..., N), bitwise as one call
 per point.  Dynamics evaluates each monitor over a whole trajectory in one
 call, and a certificate takes H's gradient rows over its whole sample in
 one call.  Over a stack the kernel runs once, and only the scalar partials
-of h run once per point.  Value formulas square by products, since on a
-scalar `x ** 2` is libm pow, and take dot products by `dot`, which unlike
-`np.vecdot` is analytic in complex points.
+of h run once per point.  At one point (N,), a GL2 or RK4 stage whose cost
+is nearly all numpy dispatch, the kernel takes the barrier coordinates once
+and divides a precomputed -2b, and `dot` is `ndarray.dot`.  Value formulas
+square by products, since on a scalar `x ** 2` is libm pow, and take dot
+products by `dot`, which unlike `np.vecdot` is analytic in complex points.
 
 The centrifugal terms b_i / q_i**2 make every plane q_i = 0 with b_i != 0
 singular, for H and for every integral built on the same realization.
@@ -80,16 +82,17 @@ class SL2Realization:
     """Centrifugal coefficients b = (b_1 ... b_N) of the realization.
 
     The barrier sites are found once here: `active` masks the sites with
-    b_i != 0, `sites` indexes them and `b_active` holds their coefficients
-    (None when there is no barrier).  The sl(2) kernel and every axis guard
-    read these instead of rebuilding the mask; `b` is stored as a read-only
-    copy so they cannot go stale.
+    b_i != 0, `sites` indexes them, `b_active` holds their coefficients and
+    `minus_2b` is -2 b_active (both None when there is no barrier).  The
+    sl(2) kernel and every axis guard read these; `b` is stored as a
+    read-only copy so they cannot go stale.
     """
 
     b: np.ndarray
     active: np.ndarray = field(init=False, repr=False, compare=False)
     sites: np.ndarray = field(init=False, repr=False, compare=False)
     b_active: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    minus_2b: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         b = _as_vector(self.b, "b").copy()
@@ -99,6 +102,7 @@ class SL2Realization:
         object.__setattr__(self, "active", active)
         object.__setattr__(self, "sites", np.flatnonzero(active))
         object.__setattr__(self, "b_active", b[active] if active.any() else None)
+        object.__setattr__(self, "minus_2b", None if self.b_active is None else -2.0 * self.b_active)
 
     @property
     def n(self) -> int:
@@ -109,10 +113,11 @@ class SL2Realization:
         return q.take(self.sites, axis=-1)
 
     def spread(self, values: np.ndarray) -> np.ndarray:
-        """Inverse of at_barriers: (..., N), zero off the barriers."""
-        if values.ndim == 1:  # one point, the GL2 and RK4 stages: a mask is cheapest
+        """Inverse of at_barriers: (..., N), zero off the barriers.  One
+        point (a GL2 or RK4 stage) scatters by `sites`, the cheapest form."""
+        if values.ndim == 1:
             full = np.zeros(self.n)
-            full[self.active] = values
+            full[self.sites] = values
             return full
         full = np.zeros(values.shape[:-1] + (self.n,))
         full[..., self.sites] = values
@@ -123,7 +128,7 @@ class SL2Realization:
         barrier plane (inf when there is no barrier)."""
         if self.b_active is None:
             return np.inf
-        return float(np.abs(self.at_barriers(q)).min())
+        return float(np.minimum.reduce(np.abs(self.at_barriers(q)), axis=None))
 
     def check_point(self, x: PhasePoint) -> None:
         if x.n != self.n:
@@ -134,9 +139,11 @@ class SL2Realization:
 
 
 def dot(x: np.ndarray, y: np.ndarray):
-    """sum_i x_i * y_i over the last axis: np.vecdot, bitwise, on real x
-    (whose .conj() is x itself), without its conjugation of complex x."""
-    return np.vecdot(x.conj(), y)
+    """sum_i x_i * y_i over the last axis, bitwise np.vecdot on real x but
+    without its conjugation of complex x: ndarray.dot, the cheaper call, on
+    one point (+ 0.0 makes a one-term -0.0 sum vecdot's +0.0) and
+    np.vecdot(x.conj(), y) over a stack."""
+    return x.dot(y) + 0.0 if x.ndim == 1 else np.vecdot(x.conj(), y)
 
 
 def guard_axes(realization: SL2Realization, q: np.ndarray) -> None:
@@ -161,14 +168,16 @@ def guard_axes(realization: SL2Realization, q: np.ndarray) -> None:
 _NEAR_AXIS_SQ = (2.0 * AXIS_GUARD_RADIUS) ** 2
 
 
-def barrier_squares(realization: SL2Realization, q: np.ndarray) -> np.ndarray:
+def barrier_squares(realization: SL2Realization, q: np.ndarray,
+                    qa: Optional[np.ndarray] = None) -> np.ndarray:
     """q_i**2 on the barrier sites, after the axis guard has passed.
 
     Callers divide by these, so a point (or any point of a stack) on a
     guarded coordinate plane raises DomainError before any division happens.
+    A caller that has already taken qa = realization.at_barriers(q) passes it.
     """
-    qa2 = realization.at_barriers(q) ** 2
-    if qa2.min().real < _NEAR_AXIS_SQ:
+    qa2 = (realization.at_barriers(q) if qa is None else qa) ** 2
+    if np.minimum.reduce(qa2, axis=None).real < _NEAR_AXIS_SQ:
         guard_axes(realization, q)
     return qa2
 
@@ -183,8 +192,9 @@ def sl2_kernel(realization: SL2Realization, q: np.ndarray, p: np.ndarray,
     only when `gradient` is set; it is the scalar 0.0 when there is no
     barrier (or no gradient was asked for), which broadcasts to the same
     numbers as a zero vector.  The other gradients are plain: dJ-/dq = 2q,
-    dJ+/dp = 2p, dJ3/dq = p, dJ3/dp = q, dJ-/dp = 0.  Raises DomainError
-    on a guarded coordinate plane; nothing else is validated.
+    dJ+/dp = 2p, dJ3/dq = p, dJ3/dp = q, dJ-/dp = 0.  The value, the axis
+    guard and dJ+/dq share one take of the barrier coordinates.  Raises
+    DomainError on a guarded coordinate plane; nothing else is validated.
     """
     j_minus = dot(q, q)
     j3 = dot(q, p)
@@ -192,10 +202,10 @@ def sl2_kernel(realization: SL2Realization, q: np.ndarray, p: np.ndarray,
     djp_dq = 0.0
     ba = realization.b_active
     if ba is not None:
-        qa2 = barrier_squares(realization, q)
-        j_plus += np.add.reduce(ba / qa2, axis=-1)
-        if gradient:
-            djp_dq = realization.spread(-2.0 * ba / realization.at_barriers(q) ** 3)
+        qa = realization.at_barriers(q)
+        j_plus += np.add.reduce(ba / barrier_squares(realization, q, qa), axis=-1)
+        if gradient:  # qa ** 3, not qa * qa * qa: the two round differently
+            djp_dq = realization.spread(realization.minus_2b / qa ** 3)
     return j_minus, j_plus, j3, djp_dq
 
 
@@ -236,8 +246,9 @@ class HamiltonianSpec:
     def gradient_qp(self, q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(dH/dq, dH/dp) by the chain rule through the sl(2) kernel.
 
-        dH/dq = h- * 2q + h+ * dJ+/dq + h3 * p and
-        dH/dp = (h- * 0 + h+ * 2p) + h3 * q, summed left to right.  The
+        dH/dq = (2 h-) * q + h+ * dJ+/dq + h3 * p and
+        dH/dp = (h- * 0 + (2 h+) * p) + h3 * q, summed left to right; (2 h) * q
+        rounds the same exact product as h * (2 q) unless 2 h overflows.  The
         h- * 0 term keeps the signed zeros (and NaNs) that a zero dJ-/dp
         vector would give.  The partials take Python floats, cheaper than
         numpy scalars: at one point (N,) directly, and over a stack (..., N)
@@ -251,8 +262,8 @@ class HamiltonianSpec:
             rows = zip(jm.ravel().tolist(), jp.ravel().tolist(), j3.ravel().tolist())
             parts = np.array([self.h_partials(*row) for row in rows])
             hm, hp, h3 = parts.T.reshape(3, *jm.shape, 1)
-        dq = hm * (2.0 * q) + hp * djp_dq + h3 * p
-        dp = (hm * 0.0 + hp * (2.0 * p)) + h3 * q
+        dq = (2.0 * hm) * q + hp * djp_dq + h3 * p
+        dp = (hm * 0.0 + (2.0 * hp) * p) + h3 * q
         return dq, dp
 
 

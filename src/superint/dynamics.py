@@ -116,7 +116,7 @@ def _gl2_step(f, z, h, k, tol, max_iters):
     for _ in range(max_iters):
         y = z + h * (_A1 * k[0] + _A2 * k[1])
         new = np.array((f(y[0]), f(y[1])))
-        d = float(np.abs(new - k).max())
+        d = float(np.maximum.reduce(np.abs(new - k), axis=None))
         k = new
         if d <= tol or math.isnan(d) or (d < d_prev and d * d <= tol * (d_prev - d)):
             return z + 0.5 * h * (k[0] + k[1]), k
@@ -297,10 +297,8 @@ def detect_closure(traj: Trajectory, tol: float) -> ClosureReport:
     if start >= traj.n_states - 2:
         raise InsufficientData("no samples after the excursion")
 
-    candidates = []
-    for i in range(max(start, 1), traj.n_states - 1):
-        if d2[i] <= d2[i - 1] and d2[i] <= d2[i + 1]:
-            candidates.append(i)
+    lows = np.flatnonzero((d2[1:-1] <= d2[:-2]) & (d2[1:-1] <= d2[2:])) + 1
+    candidates = lows[lows >= max(start, 1)].tolist()
     if d2[-1] < 0.25 * d2max:
         candidates.append(traj.n_states - 1)
     if not candidates:

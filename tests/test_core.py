@@ -5,9 +5,11 @@ from superint import (
     ConservedQuantity,
     DimensionMismatch,
     DomainError,
+    IntegratorConfig,
     PhasePoint,
     SL2Realization,
     energy_quantity,
+    integrate,
     make_evans,
     make_garnier,
     make_kepler_coulomb,
@@ -15,7 +17,7 @@ from superint import (
     poisson_bracket,
     sample_regular_points,
 )
-from superint.core import sl2_kernel
+from superint.core import dot, sl2_kernel
 from conftest import central_gradient
 
 RNG = np.random.default_rng(2024)
@@ -258,32 +260,48 @@ def catalog_specs(b_tilde):
                                              profiles=profiles))
 
 
+def _orbit_states(spec, seed):
+    """The 21 states of a 20-step GL2 run of spec from a seeded point with
+    0.15 <= |q_i| <= 0.3 (inside every chart at |kappa| = 0.5, N <= 14) and
+    |p_i| <= 0.5."""
+    rng = np.random.default_rng(seed)
+    n = spec.n
+    x0 = PhasePoint(rng.choice([-1.0, 1.0], n) * rng.uniform(0.15, 0.3, n),
+                    rng.uniform(-0.5, 0.5, n))
+    traj = integrate(spec, x0, 0.02, IntegratorConfig(step=1e-3))
+    return traj.q, traj.p
+
+
 @pytest.mark.parametrize("b_tilde", [
     [0.0, 0.0, 0.0],
     [0.4, 0.0, 0.3],
     [0.4, 0.2, 0.3],
-], ids=["no_barrier", "some_barriers", "all_barriers"])
+    [0.0] * 14,
+    [0.3, 0.0, -0.2, 0.5, 0.0, 0.0, 0.1, 0.4, 0.0, -0.3, 0.2, 0.0, 0.6, 0.25],
+], ids=["no_barrier", "some_barriers", "all_barriers", "n14_no_barrier", "n14_some_barriers"])
 def test_gradient_qp_is_bitwise_the_tuple_form(b_tilde):
     # with h- = h3 = 0 (free particle) dH/dp_i = (0*0 + h+ * 2 p_i) + 0*q_i,
     # which is +0 at p_i = -0, q_i < 0 only if the h- * 0 term is kept
     free = make_evans("euclidean", lambda s: 0.0, lambda s: 0.0,
                       mass=1.0, b_tilde=b_tilde)
     checked = 0
-    for spec in (*catalog_specs(b_tilde), free):
-        for x in sample_regular_points(8, 3, 11, kappa=spec.descriptor.kappa,
-                                       space=spec.descriptor.space):
+    for seed, spec in enumerate((*catalog_specs(b_tilde), free)):
+        desc = spec.descriptor
+        sample = sample_regular_points(8, spec.n, 11, kappa=desc.kappa, space=desc.space)
+        qs, ps = _orbit_states(spec, seed)  # and the states a GL2 run passes through
+        for q0, p0 in (*((x.q, x.p) for x in sample), *zip(qs, ps)):
             # signed zeros in p on a negative-q site tell (+0) from (-0) sums
-            q = x.q.copy()
+            q = q0.copy()
             q[1] = -abs(q[1])
-            for p1 in (x.p[1], 0.0, -0.0):
-                p = x.p.copy()
+            for p1 in (p0[1], 0.0, -0.0):
+                p = p0.copy()
                 p[1] = p1
                 dq, dp = spec.gradient_qp(q, p)
                 rq, rp = reference_gradient_qp(spec, q, p)
                 assert_same_bits(dq, rq)
                 assert_same_bits(dp, rp)
                 checked += 1
-    assert checked == 28 * 8 * 3  # 5 families x 5 (space, sign) + 2 flat-only + free
+    assert checked == 28 * (8 + 21) * 3  # 5 families x 5 (space, sign) + 2 flat-only + free
 
 
 def test_realization_caches_its_barrier_mask():
@@ -298,3 +316,47 @@ def test_realization_caches_its_barrier_mask():
     with pytest.raises(DomainError, match=r"q_3 = .*1e-11\)? lies on a coordinate plane with b_3 != 0"):
         spec.gradient_qp(np.array([1.0, 0.0, 1e-11]), np.zeros(3))
     assert np.isfinite(spec.value_qp(np.array([1.0, 0.0, 3e-10]), np.zeros(3)))
+
+
+@pytest.mark.parametrize("q3", [1e-10, 1.5e-10, -1.999e-10])
+def test_near_axis_band_passes_to_the_exact_guard(q3):
+    # 1e-10 <= |q_3| < 2e-10 trips the cheap test but clears the guard radius
+    spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.5, 0.0, -0.2])
+    q, p = np.array([1.0, 0.0, q3]), np.array([0.2, -0.1, 0.3])
+    dq, dp = spec.gradient_qp(q, p)
+    rq, rp = reference_gradient_qp(spec, q, p)
+    assert_same_bits(dq, rq)
+    assert_same_bits(dp, rp)
+    assert np.isfinite(spec.value_qp(q, p))
+
+
+@pytest.mark.parametrize("q3", [9.99e-11, -5e-11, 0.0, -0.0])
+def test_guarded_plane_raises_before_any_division(q3):
+    # pytest turns a RuntimeWarning (divide by zero at q_3 = 0) into an error
+    spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.5, 0.0, -0.2])
+    q, p = np.array([1.0, 0.0, q3]), np.array([0.2, -0.1, 0.3])
+    message = f"q_3 = {q3!r} lies on a coordinate plane with b_3 != 0"
+    for call in (spec.gradient_qp, spec.value_qp):
+        with pytest.raises(DomainError) as err:
+            call(q, p)
+        assert str(err.value) == message
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 14, 50])
+def test_dot_of_one_point_is_vecdot_bitwise(n):
+    rng = np.random.default_rng(n)
+    for _ in range(200):
+        x, y = (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n) for _ in range(2))
+        x[rng.random(n) < 0.2] = 0.0
+        y[rng.random(n) < 0.2] = -0.0
+        for a, b in ((x, y), (x + 1j * y[::-1], y - 1j * x[::-1])):
+            got, want = dot(a, b), np.vecdot(a.conj(), b)
+            for part in (np.real, np.imag):
+                assert np.array_equal(part(got), part(want))
+                assert np.signbit(part(got)) == np.signbit(part(want))
+    # and it does not conjugate: a complex step in x_j returns d(x.x)/dx_j
+    x = rng.standard_normal(n)
+    for j in range(n):
+        step = np.zeros(n, complex)
+        step[j] = 1e-100j
+        assert dot(x + step, x + step).imag / 1e-100 == pytest.approx(2.0 * x[j], rel=1e-15)

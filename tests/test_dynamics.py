@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from superint import (
+    ClosureReport,
     InsufficientData,
     IntegratorConfig,
     NonConvergence,
@@ -503,3 +504,81 @@ def test_gl2_stage_seeds_and_stop_rule_cut_sweeps_not_accuracy(space, kappa):
     qs, ps = _reference_states(spec, x0, n_steps, cfg, legacy=True)
     assert np.max(np.abs(traj.q - qs)) <= 1e-12
     assert np.max(np.abs(traj.p - ps)) <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Closure candidates: the vectorised test against the per-index loop
+# ---------------------------------------------------------------------------
+
+def _loop_closure(traj, tol):
+    """detect_closure as it was, with the candidate returns collected by a
+    per-index loop: the reference for the vectorised candidate test."""
+    if traj.n_states < 5:
+        raise InsufficientData("trajectory too short for closure analysis")
+    dq = traj.q - traj.q[0]
+    dp = traj.p - traj.p[0]
+    d2 = np.einsum("ij,ij->i", dq, dq) + np.einsum("ij,ij->i", dp, dp)
+    d2max = float(np.max(d2))
+    if d2max <= 0.0:
+        raise InsufficientData("orbit never leaves the initial state")
+    start = int(np.flatnonzero(d2 >= 0.25 * d2max)[0])
+    if start >= traj.n_states - 2:
+        raise InsufficientData("no samples after the excursion")
+    candidates = []
+    for i in range(max(start, 1), traj.n_states - 1):
+        if d2[i] <= d2[i - 1] and d2[i] <= d2[i + 1]:
+            candidates.append(i)
+    if d2[-1] < 0.25 * d2max:
+        candidates.append(traj.n_states - 1)
+    if not candidates:
+        raise InsufficientData("no candidate return after the excursion")
+    refined = []
+    for i in candidates:
+        if 0 < i < traj.n_states - 1:
+            denom = d2[i + 1] - 2.0 * d2[i] + d2[i - 1]
+            if denom > 0.0:
+                off = float(np.clip(0.5 * (d2[i - 1] - d2[i + 1]) / denom, -1.0, 1.0))
+                t_star = traj.times[i] + off * (traj.times[1] - traj.times[0])
+                d2_star = d2[i] - 0.125 * (d2[i + 1] - d2[i - 1]) ** 2 / denom
+                refined.append((t_star, max(float(d2_star), 0.0)))
+                continue
+        refined.append((float(traj.times[i]), float(d2[i])))
+    best_dist = math.sqrt(min(r[1] for r in refined))
+    is_closed = best_dist <= tol
+    period = None
+    if is_closed:
+        period = next(t for t, d2_star in refined
+                      if math.sqrt(d2_star) <= max(2.0 * best_dist, tol))
+    return ClosureReport(period, best_dist, is_closed)
+
+
+def _closure_outcome(closure, traj, tol):
+    try:
+        return closure(traj, tol)
+    except InsufficientData as err:
+        return str(err)
+
+
+def test_closure_candidates_on_ties_and_plateaus_are_the_loop_ones():
+    # d2 = s**2 on one site: small integers make ties and plateaus, at the
+    # bottom of a return, at the excursion start and at the end
+    rng = np.random.default_rng(13)
+    series = [
+        [0, 1, 2, 3, 3, 2, 1, 1, 1, 2, 3, 2, 0, 0, 0],
+        [0, 2, 2, 2, 1, 1, 2, 2, 0, 0, 1, 1],
+        [0, 3, 1, 1, 3, 1, 1, 3, 0, 1, 0, 1, 0],
+        [0, 1, 1, 1, 1, 1, 1],
+        *(np.concatenate(([0], rng.integers(0, 4, 40))) for _ in range(60)),
+    ]
+    compared = 0
+    for s in series:
+        s = np.asarray(s, dtype=float)
+        for length in range(5, s.size + 1):
+            traj = Trajectory(0.1 * np.arange(length), s[:length, None],
+                              np.zeros((length, 1)))
+            for tol in (0.0, 0.5, math.inf):
+                got = _closure_outcome(detect_closure, traj, tol)
+                want = _closure_outcome(_loop_closure, traj, tol)
+                assert got == want, (s[:length], tol)
+                compared += isinstance(want, ClosureReport)
+    assert compared > 3000
