@@ -4,11 +4,11 @@ The default method is the 2-stage Gauss-Legendre implicit Runge-Kutta
 scheme (order 4).  It is symplectic for arbitrary smooth Hamiltonians,
 which matters here because the curved kinetic terms couple q and p, so no
 explicit splitting applies.  Stages are solved by fixed-point iteration,
-with starting approximations from the stage derivatives already known
-(Hairer, Lubich & Wanner, Geometric Numerical Integration, VIII.6.1): f(z0)
-on the first step, the first step's linear stage polynomial extrapolated to
-1 + c_i on the second, and from the third on the cubic through the last two
-steps' stages (at relative times c_i - 1 and c_i) extrapolated to 1 + c_i.
+from f(z0) on the first step and later from each stage's own polynomial in
+the step index through its converged values at the last SEED_DEGREE + 1
+steps (fewer at the start), one step on.  The stage error is smooth in t,
+so it cancels: the seed error is O(h^6), not the stage order O(h^3) of
+collocation seeds (Hairer, Lubich & Wanner, GNI, VIII.6.1).
 A step stops when the largest stage change d_k is at most
 `fixed_point_tol` (1e-13 by default), or from the second sweep on when
 theta = d_k / d_{k-1} < 1 and the estimated remaining error
@@ -43,18 +43,10 @@ from .core import ConservedQuantity, Guard, HamiltonianSpec, PhasePoint
 from .errors import DomainError, InsufficientData, NonConvergence, SingularApproach
 
 _SQRT3 = math.sqrt(3.0)
-# (2, 1) columns of the GL2 Butcher matrix and of the seed extrapolations, applied
-# elementwise to the (2, 2N) stages: a matrix product may fuse multiply and add.
+# (2, 1) columns of the GL2 Butcher matrix, applied elementwise to the (2, 2N)
+# stages, as are the seed weights: a matrix product may fuse multiply and add.
 _A1, _A2 = np.array([[[0.25], [0.25 + _SQRT3 / 6.0]], [[0.25 - _SQRT3 / 6.0], [0.25]]])
-# linear seeds from one step's stages k: _S1 * k[0] + _S2 * k[1]
-_S1, _S2 = np.array([[[1.0 - _SQRT3], [-_SQRT3]], [[_SQRT3], [1.0 + _SQRT3]]])
-# cubic seeds from two steps' stages j, k: _C1 * j[0] + _C2 * j[1] + _C3 * k[0] + _C4 * k[1]
-_C1, _C2, _C3, _C4 = np.array([
-    [[8.0 - 5.0 * _SQRT3], [-2.0 * _SQRT3]],
-    [[2.0 * _SQRT3], [8.0 + 5.0 * _SQRT3]],
-    [[2.0 - 4.0 * _SQRT3], [-9.0 - 7.0 * _SQRT3]],
-    [[-9.0 + 7.0 * _SQRT3], [2.0 + 4.0 * _SQRT3]],
-])
+SEED_DEGREE = 5  # its weights sum in |.| to 2^6 - 1 = 63, the round-off gain
 
 METHODS = ("gl2", "rk4")
 
@@ -126,13 +118,15 @@ def _gl2_step(f, z, h, k, tol, max_iters):
     )
 
 
-def _stage_seeds(k, prev):
-    """Seeds for the next step from this step's stages k and, from the
-    second step on, the previous step's stages prev: the linear or the
-    cubic stage polynomial extrapolated to 1 + c_i."""
-    if prev is None:
-        return _S1 * k[0] + _S2 * k[1]
-    return _C1 * prev[0] + _C2 * prev[1] + _C3 * k[0] + _C4 * k[1]
+def _stage_seeds(past):
+    """Each stage's polynomial in the step index through its values in the
+    newest m = min(len(past), SEED_DEGREE + 1) entries of past, one step on:
+    weight (-1)^j C(m, j + 1) on the entry j steps back, summed in order."""
+    m = min(len(past), SEED_DEGREE + 1)
+    seeds = m * past[0]
+    for j in range(1, m):
+        seeds = seeds + (-1) ** j * math.comb(m, j + 1) * past[j]
+    return seeds
 
 
 def _rk4_step(f, z, h):
@@ -204,7 +198,10 @@ def integrate(
     gradient_qp = spec.gradient_qp
 
     def f(z):
-        dq, dp = gradient_qp(z[:n], z[n:])
+        try:
+            dq, dp = gradient_qp(z[:n], z[n:])
+        except OverflowError as exc:  # a family's Python-float partials
+            raise NonConvergence(f"stage evaluation overflowed: {exc}") from exc
         return np.concatenate((dp, -dq))
 
     n_steps = step_count(t_final, cfg.step)
@@ -214,7 +211,7 @@ def integrate(
     z = zs[0].copy()
     gl2 = cfg.method == "gl2"
     if gl2 and n_steps > 0:
-        k, prev = np.array((f(z),) * 2), None
+        k, past = np.array((f(z),) * 2), []
 
     for step_idx in range(1, n_steps + 1):
         t = step_idx * h
@@ -223,7 +220,8 @@ def integrate(
                 if gl2:
                     z, stages = _gl2_step(f, z, h, k, cfg.fixed_point_tol,
                                           cfg.max_fixed_point_iters)
-                    k, prev = _stage_seeds(stages, prev), stages
+                    past = [stages, *past[:SEED_DEGREE]]
+                    k = _stage_seeds(past)
                 else:
                     z = _rk4_step(f, z, h)
             except DomainError as exc:
@@ -289,6 +287,8 @@ def detect_closure(traj: Trajectory, tol: float) -> ClosureReport:
     dq = traj.q - traj.q[0]
     dp = traj.p - traj.p[0]
     d2 = np.einsum("ij,ij->i", dq, dq) + np.einsum("ij,ij->i", dp, dp)
+    if not np.isfinite(d2).all():
+        raise InsufficientData("trajectory has non-finite states")
     d2max = float(np.max(d2))
     if d2max <= 0.0:
         raise InsufficientData("orbit never leaves the initial state")

@@ -31,7 +31,7 @@ class SamplingError(SuperintError):
 
 
 class NonConvergence(SuperintError):
-    """The implicit-stage fixed-point iteration failed to converge."""
+    """The implicit-stage fixed-point iteration failed to converge or overflowed."""
 
 
 class SingularApproach(SuperintError):

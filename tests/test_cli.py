@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from superint.cli import main
@@ -236,6 +237,30 @@ def test_simulate_keeps_partial_run_on_nonconvergence(tmp_path, capsys):
     rows = [line for line in lines if not line.startswith("#")]
     assert len(rows) == 1 and rows[0].startswith("0.0 0.7 0.8 0.9 1.0 ")
     assert "# halted = stage fixed point did not reach 1e-13 in 100 iterations" in lines
+
+
+def test_simulate_keeps_partial_run_on_overflowing_stages(tmp_path, capsys):
+    text = """
+[system]
+family = evans
+space = poincare
+n = 3
+mass = 1.1
+kappa = 0.5
+b_tilde = 0.4 0.0 0.3
+potential = 0.0 0.3 -0.05
+
+[simulation]
+x0 = -0.40236939 0.45487338 -0.71516123 2.17675398 -1.3716822 -1.51551398
+t_final = 0.2
+step = 0.002
+"""
+    cfg = write(tmp_path, "overflow.cfg", text)
+    with np.errstate(all="ignore"):
+        assert main(["--out", str(tmp_path), "simulate", str(cfg)]) == 1
+    assert "HALTED: stage evaluation overflowed" in capsys.readouterr().err
+    lines = (tmp_path / "overflow.traj.txt").read_text().splitlines()
+    assert any(line.startswith("# halted = stage evaluation overflowed") for line in lines)
 
 
 @pytest.mark.parametrize("old, new", [

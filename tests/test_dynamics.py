@@ -10,7 +10,9 @@ from superint import (
     NonConvergence,
     PhasePoint,
     SingularApproach,
+    SystemDescriptor,
     Trajectory,
+    build,
     detect_closure,
     energy_quantity,
     extra_integral,
@@ -144,6 +146,24 @@ def test_nonconvergence_for_oversized_step():
     assert np.array_equal(info.value.state.p, x0.p)
 
 
+def test_overflowing_stage_evaluation_halts_with_the_partial_run():
+    # the stage iteration diverges near the chart boundary until the
+    # Python-float partials of the kinetic term overflow
+    spec = build(SystemDescriptor("evans", "poincare", {"mass": 1.1, "kappa": 0.5},
+                                  [0.4, 0.0, 0.3], profiles={"potential": (0.0, 0.3, -0.05)}))
+    x0 = PhasePoint([-0.40236939, 0.45487338, -0.71516123],
+                    [2.17675398, -1.3716822, -1.51551398])
+    cfg = IntegratorConfig(step=2e-3)
+    with np.errstate(all="ignore"), pytest.raises(NonConvergence,
+                                                  match="^stage evaluation overflowed") as info:
+        integrate(spec, x0, 0.2, cfg, monitors=[energy_quantity(spec)])
+    traj = info.value.trajectory
+    assert 1 < traj.n_states < 101
+    assert np.isfinite(traj.q).all() and np.isfinite(traj.p).all()
+    assert np.array_equal(info.value.state.q, traj.q[-1])
+    assert np.array_equal(info.value.state.p, traj.p[-1])
+
+
 def test_step_count_does_not_overrun_t_final():
     from superint.dynamics import step_count, whole_steps
 
@@ -255,6 +275,14 @@ def test_closure_needs_enough_data():
         detect_closure(tiny, 1e-6)
 
 
+def test_closure_rejects_non_finite_states():
+    t = np.linspace(0.0, 2.0 * np.pi, 50)
+    q, p = np.cos(t)[:, None], np.sin(t)[:, None]
+    q[20, 0] = np.nan
+    with pytest.raises(InsufficientData, match="non-finite"):
+        detect_closure(Trajectory(t, q, p), 1e-6)
+
+
 def test_extra_integrals_conserved_along_sphere_orbit():
     bt = [0.0, 0.0, 0.1]
     spec = make_kepler_coulomb("poincare", mass=1.0, k=2.0, b_tilde=bt, kappa=1.0)
@@ -348,45 +376,41 @@ def _reference_gl2_step(f, q, p, h, k_seed, tol, max_iters, legacy=False):
     raise AssertionError("reference stage iteration did not converge")
 
 
-# Weights of stage i's seed on (stage 1, stage 2) of the last step, and on
-# (stage 1, stage 2) of the step before and of the last step.
-_LINEAR = ((1.0 - _SQRT3, _SQRT3), (-_SQRT3, 1.0 + _SQRT3))
-_CUBIC = ((8.0 - 5.0 * _SQRT3, 2.0 * _SQRT3, 2.0 - 4.0 * _SQRT3, -9.0 + 7.0 * _SQRT3),
-          (-2.0 * _SQRT3, 8.0 + 5.0 * _SQRT3, -9.0 - 7.0 * _SQRT3, 2.0 + 4.0 * _SQRT3))
-
-
-def _reference_seeds(k, prev):
-    """(k1q, k1p, k2q, k2p) seeds from the last step's stages k and the
-    step before's prev (None after the first step), summed left to right."""
-    if prev is None:
-        weights, stages = _LINEAR, (k[:2], k[2:])
-    else:
-        weights, stages = _CUBIC, (prev[:2], prev[2:], k[:2], k[2:])
+def _reference_seeds(past):
+    """(k1q, k1p, k2q, k2p) seeds from the stages of past steps, newest
+    first: weight (-1)^j C(m, j + 1) on the stages j steps back, m the number
+    of steps in past, summed left to right."""
+    weights = [float((-1) ** j * math.comb(len(past), j + 1)) for j in range(len(past))]
     seeds = []
-    for w in weights:
-        for part in (0, 1):
-            total = w[0] * stages[0][part]
-            for wj, stage in zip(w[1:], stages[1:]):
-                total = total + wj * stage[part]
-            seeds.append(total)
+    for part in range(4):
+        total = weights[0] * past[0][part]
+        for w, stages in zip(weights[1:], past[1:]):
+            total = total + w * stages[part]
+        seeds.append(total)
     return tuple(seeds)
 
 
 def test_stage_seeds_extrapolate_their_polynomials_exactly():
-    # the seeds are the values at 1 + c_i of the line through one step's
-    # stages (at c_i) and of the cubic through two steps' (at c_i - 1, c_i)
-    from superint.dynamics import _stage_seeds
+    # past[j] holds the stages j steps back; the seed is the value one step
+    # on of every vector polynomial in the step index of degree at most
+    # min(len(past) - 1, 5), and stages older than six steps are ignored
+    from superint.dynamics import SEED_DEGREE, _stage_seeds
 
-    c = np.array([0.5 - _SQRT3 / 6.0, 0.5 + _SQRT3 / 6.0])
-    coeffs = np.random.default_rng(3).uniform(-1.0, 1.0, (4, 6))
+    assert SEED_DEGREE == 5
+    rng = np.random.default_rng(3)
+    for length in range(1, 8):
+        for degree in range(min(length - 1, SEED_DEGREE) + 1):
+            coeffs = rng.uniform(-1.0, 1.0, (degree + 1, 2, 6))
 
-    def g(t, degree):
-        return sum(coeffs[j] * t ** j for j in range(degree + 1))
+            def g(t):
+                return sum(c * (t / 6.0) ** i for i, c in enumerate(coeffs))
 
-    for degree, prev in ((1, None), (3, np.array([g(ci - 1.0, 3) for ci in c]))):
-        k = np.array([g(ci, degree) for ci in c])
-        expected = np.array([g(1.0 + ci, degree) for ci in c])
-        assert np.max(np.abs(_stage_seeds(k, prev) - expected)) <= 1e-13
+            past = [g(-j) for j in range(length)]
+            if length > SEED_DEGREE + 1:
+                past[SEED_DEGREE + 1:] = [np.full((2, 6), np.nan)] * (length - SEED_DEGREE - 1)
+            seeds = _stage_seeds(past)
+            assert seeds.shape == (2, 6)
+            assert np.max(np.abs(seeds - g(1))) <= 1e-12, (length, degree)
 
 
 def _reference_rk4_step(f, q, p, h):
@@ -429,15 +453,15 @@ def _reference_states(spec, x0, n_steps, cfg, legacy=False):
     qs, ps = [q], [p]
     if cfg.method == "gl2":
         dq0, dp0 = f(q, p)
-        k_seed, prev = (dq0.copy(), dp0.copy(), dq0.copy(), dp0.copy()), None
+        k_seed, past = (dq0.copy(), dp0.copy(), dq0.copy(), dp0.copy()), []
     for _ in range(n_steps):
         if cfg.method == "gl2":
             q, p, stages = _reference_gl2_step(
                 f, q, p, cfg.step, k_seed, cfg.fixed_point_tol, cfg.max_fixed_point_iters,
                 legacy,
             )
-            k_seed = stages if legacy else _reference_seeds(stages, prev)
-            prev = stages
+            past = [stages, *past[:5]]
+            k_seed = stages if legacy else _reference_seeds(past)
         else:
             q, p = _reference_rk4_step(f, q, p, cfg.step)
         qs.append(q)
@@ -485,9 +509,10 @@ def test_stacked_steppers_are_bitwise_the_split_form(method, n_steps):
 @pytest.mark.parametrize("space, kappa", [("euclidean", 0.0), ("beltrami", 0.5),
                                           ("poincare", -0.4)])
 def test_gl2_stage_seeds_and_stop_rule_cut_sweeps_not_accuracy(space, kappa):
-    # cubic extrapolated seeds plus the contraction-rate stop: at most 6 stage
+    # per-stage history seeds plus the contraction-rate stop: at most 4 stage
     # evaluations per step (previous-stage seeds and the plain d <= tol stop
-    # need about 10, linear seeds about 8), with the same trajectory to 1e-12
+    # need about 10, cubic collocation seeds 4.0 to 5.1), with the same
+    # trajectory to 1e-12
     evals = []
 
     def counting_fp(s):
@@ -500,7 +525,7 @@ def test_gl2_stage_seeds_and_stop_rule_cut_sweeps_not_accuracy(space, kappa):
     cfg, n_steps = IntegratorConfig(step=1e-3), 2000
     traj = integrate(spec, x0, n_steps * cfg.step, cfg)
     assert traj.n_states == n_steps + 1
-    assert len(evals) / n_steps <= 6.0
+    assert len(evals) / n_steps <= 4.0
     qs, ps = _reference_states(spec, x0, n_steps, cfg, legacy=True)
     assert np.max(np.abs(traj.q - qs)) <= 1e-12
     assert np.max(np.abs(traj.p - ps)) <= 1e-12
