@@ -12,16 +12,17 @@ gradient rows at sampled points: independence is a generic-point property,
 so the certificate takes the maximum rank over the sample.
 
 Both rest on a gradient tensor G[P, K, 2N], the gradient rows of K
-quantities at P sample points.  `gradient_tensor` evaluates H's and each
-universal integral's gradient once, over the whole stacked sample;
-`certify` adds each extra integral's rows the same way, in one stacked
-call.  The brackets of every asserted pair then come from one
-bracket matrix per point, summed left to right over the coordinates, and
-each rank is one batched SVD.  `certify` draws one sample, in its
-involution table, and takes every number of a verify report from the one
-tensor on it: the table, the rank of H with the universal integrals, each
-extra integral's bracket with H and rank, and the flat oscillator's sum
-identity, from one stacked value call per quantity.
+quantities at P sample points, from one `gradient_fn` call per quantity
+over the whole stacked sample.  `gradient_tensor` holds H and the
+universal integrals; `certify` adds each extra integral's rows;
+`independence_rank` and `max_bracket_residual` take the tensor of the
+quantities they are given.  The brackets of every asserted pair then come
+from one bracket matrix per point, summed left to right over the
+coordinates, and each rank is one batched SVD.  `certify` draws one
+sample, in its involution table, and takes every number of a verify report
+from the one tensor on it: the table, the rank of H with the universal
+integrals, each extra integral's bracket with H and rank, and the flat
+oscillator's sum identity, from one stacked value call per quantity.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .catalog import SystemDescriptor, build, extra_integral
 from .config import VerificationSettings
 from .core import ConservedQuantity, HamiltonianSpec, PhasePoint, energy_quantity
 from .errors import DimensionMismatch, SamplingError
-from .geometry import CHARTS, EUCLIDEAN, POINCARE
+from .geometry import EUCLIDEAN, squared_chart_radius
 from .integrals import IntegralSet, universal_set
 
 Q_LOW, Q_HIGH = 0.2, 1.5
@@ -44,12 +45,6 @@ P_HIGH = 1.5
 CHART_FILL = 0.8  # fraction of the squared chart radius the sampler may fill
 # SIGNS[gen.integers(0, 2)] draws what gen.choice([-1.0, 1.0]) draws, at half the cost
 SIGNS = np.array([-1.0, 1.0])
-
-
-def _rng(seed_or_rng) -> np.random.Generator:
-    if isinstance(seed_or_rng, np.random.Generator):
-        return seed_or_rng
-    return np.random.default_rng(seed_or_rng)
 
 
 def poisson_bracket(f: ConservedQuantity, g: ConservedQuantity, x: PhasePoint) -> float:
@@ -114,12 +109,8 @@ def sample_regular_points(
     window Casimirs would otherwise shrink like s^2 against the
     scale-free barrier terms, until their gradient rows look dependent.
     """
-    gen = _rng(rng)
-    q2_limit = None
-    if space == POINCARE and kappa > 0.0:
-        q2_limit = 1.0 / kappa
-    elif space in CHARTS and kappa < 0.0:
-        q2_limit = 1.0 / (-kappa)
+    gen = np.random.default_rng(rng)
+    q2_limit = squared_chart_radius(space, kappa)
     scale = 1.0
     if q2_limit is not None:
         scale = min(1.0, np.sqrt(CHART_FILL * q2_limit / (ndim * Q_HIGH ** 2)))
@@ -151,8 +142,8 @@ def sample_for_spec(spec: HamiltonianSpec, n_points: int, rng=0) -> list[PhasePo
     return sample_regular_points(n_points, spec.n, rng, kappa=desc.kappa, space=desc.space)
 
 
-def _sample_ndim(functions: Sequence[ConservedQuantity], points) -> int:
-    """The N shared by the functions and the sample points."""
+def _sample_ndim(functions: Sequence[ConservedQuantity], points) -> None:
+    """Check that the functions and the sample points share one N."""
     ndims = {f.ndim for f in functions}
     if len(ndims) != 1:
         raise DimensionMismatch(f"functions live on different dimensions: {ndims}")
@@ -162,28 +153,24 @@ def _sample_ndim(functions: Sequence[ConservedQuantity], points) -> int:
     sizes = {x.n for x in points}
     if sizes != {ndim}:
         raise DimensionMismatch(f"functions on {ndim} sites, sample points on {sizes}")
-    return ndim
 
 
-def _per_point_tensor(functions: Sequence[ConservedQuantity], points) -> np.ndarray:
-    """G[P, K, 2N] of any functions, one gradient_fn call per point each."""
-    n = _sample_ndim(functions, points)
-    G = np.empty((len(points), len(functions), 2 * n))
-    for k, f in enumerate(functions):
-        for s, x in enumerate(points):
-            G[s, k, :n], G[s, k, n:] = f.gradient_fn(x.q, x.p)
-    return G
+def _stack(points: Sequence[PhasePoint]):
+    """The sample as two (P, N) arrays q, p."""
+    return np.array([x.q for x in points]), np.array([x.p for x in points])
 
 
-def _stacked_tensor(functions: Sequence[ConservedQuantity], q, p) -> np.ndarray:
-    """G[P, K, 2N] of functions whose gradient_fn takes the stacked sample
-    q, p (P, N), one call each."""
+def _stacked_tensor(functions: Sequence[ConservedQuantity], points) -> np.ndarray:
+    """G[P, K, 2N] of the functions at the sample points, one gradient_fn
+    call each on the stacked sample."""
+    _sample_ndim(functions, points)
+    q, p = _stack(points)
     return np.stack([np.concatenate(f.gradient_fn(q, p), axis=-1) for f in functions], axis=1)
 
 
 def max_bracket_residual(f, g, points: Sequence[PhasePoint]):
     """Max raw and normalized |{f, g}| over a sample."""
-    raw, normalized = _max_residuals(_per_point_tensor([f, g], points), [0], [1])
+    raw, normalized = _max_residuals(_stacked_tensor([f, g], points), [0], [1])
     return float(raw[0]), float(normalized[0])
 
 
@@ -199,11 +186,7 @@ def gradient_tensor(
     stacked sample.  The quantities are evaluated as given, never rebuilt
     from the realization.
     """
-    functions = [energy_quantity(spec), *integrals.all]
-    _sample_ndim(functions, points)
-    q = np.array([x.q for x in points])
-    p = np.array([x.p for x in points])
-    return _stacked_tensor(functions, q, p)
+    return _stacked_tensor([energy_quantity(spec), *integrals.all], points)
 
 
 @dataclass(frozen=True)
@@ -314,7 +297,7 @@ def independence_rank(
     rank_tolerance: float = 1e-8,
 ) -> IndependenceCertificate:
     """Certify functional independence of a set of observables at the points."""
-    G = _per_point_tensor(functions, points)
+    G = _stacked_tensor(functions, points)
     return _rank(G, range(len(functions)), [f.name for f in functions], rank_tolerance)
 
 
@@ -384,10 +367,8 @@ def certify(
     table = involution_table(spec, uni, settings.sample_points, rng=rng,
                              tolerance=settings.bracket_tol)
     G = table.gradients
-    q = np.array([x.q for x in table.points])
-    p = np.array([x.p for x in table.points])
     if extras:
-        G = np.concatenate([G, _stacked_tensor(extras, q, p)], axis=1)
+        G = np.concatenate([G, _stacked_tensor(extras, table.points)], axis=1)
     names = ["H", *(c.name for c in uni.all)]
     universal_rows = list(range(len(names)))
     n = spec.n
@@ -406,6 +387,7 @@ def certify(
     identity = None
     if descriptor.family == "sw" and descriptor.space == EUCLIDEAN:
         # sum_i I_i = 2 m H, an exact linear identity of the flat oscillator
+        q, p = _stack(table.points)
         total = sum(extra_integral(descriptor, a).value_fn(q, p) for a in range(n))
         target = 2.0 * descriptor.params["mass"] * spec.value_qp(q, p)
         identity = float(np.max(np.abs(total - target) / np.maximum(1.0, np.abs(target))))

@@ -28,7 +28,7 @@ import numpy as np
 from . import integrals
 from .core import ConservedQuantity, Guard, HamiltonianSpec, SL2Realization, _as_vector
 from .errors import ConfigError, DimensionMismatch, DomainError
-from .geometry import BELTRAMI, CHARTS, EUCLIDEAN, POINCARE, SPACES, check_space
+from .geometry import BELTRAMI, EUCLIDEAN, POINCARE, SPACES, check_space, squared_chart_radius
 
 Profile = Callable[[float], float]
 
@@ -157,13 +157,11 @@ def _guards(space: str, kappa: float, *, origin: bool = False) -> tuple[Guard, .
     guards = []
     if origin:
         guards.append(Guard("origin", lambda q: float(np.sqrt(q @ q))))
-    if space == POINCARE and kappa > 0.0:
-        guards.append(Guard("chart_boundary", lambda q: 1.0 - kappa * float(q @ q)))
-    if space == BELTRAMI and kappa > 0.0:
+    if squared_chart_radius(space, kappa) is not None:
+        guards.append(Guard("chart_boundary", lambda q: 1.0 - abs(kappa) * float(q @ q)))
+    elif space == BELTRAMI and kappa > 0.0:
         # the equator sits at |z| -> inf; clearance is the ambient height x0^2
         guards.append(Guard("chart_boundary", lambda q: 1.0 / (1.0 + kappa * float(q @ q))))
-    if space in CHARTS and kappa < 0.0:
-        guards.append(Guard("chart_boundary", lambda q: 1.0 + kappa * float(q @ q)))
     return tuple(guards)
 
 

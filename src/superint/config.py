@@ -34,9 +34,8 @@ from .geometry import EUCLIDEAN
 _SECTIONS = {"run", "system", "verification", "simulation"}
 _RUN_KEYS = {"seed"}
 _SYSTEM_KEYS = {
-    "family", "space", "n", "mass", "kappa", "omega", "delta", "deltas", "k",
-    "charge", "b_tilde", "b", "potential", "vector", "mass_profile",
-    "extra_integrals",
+    "family", "space", "n", "kappa", "b_tilde", "b", "extra_integrals",
+    *(key for info in FAMILIES.values() for key in (*info.params, *info.profiles)),
 }
 _VERIFICATION_KEYS = {"sample_points", "bracket_tol", "rank_tol"}
 _SIMULATION_KEYS = {

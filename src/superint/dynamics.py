@@ -47,6 +47,11 @@ _SQRT3 = math.sqrt(3.0)
 # stages, as are the seed weights: a matrix product may fuse multiply and add.
 _A1, _A2 = np.array([[[0.25], [0.25 + _SQRT3 / 6.0]], [[0.25 - _SQRT3 / 6.0], [0.25]]])
 SEED_DEGREE = 5  # its weights sum in |.| to 2^6 - 1 = 63, the round-off gain
+MAX_FIXED_POINT_ITERS = 100
+GUARD_RADIUS = 1e-6
+# A stage-iteration failure this close to a guarded set is reported as a
+# singular approach (the stiffness is the singularity), not NonConvergence.
+APPROACH_HORIZON = 0.1
 
 METHODS = ("gl2", "rk4")
 
@@ -56,24 +61,12 @@ class IntegratorConfig:
     method: str = "gl2"
     step: float = 1e-3
     fixed_point_tol: float = 1e-13
-    max_fixed_point_iters: int = 100
-    guard_radius: float = 1e-6
-    # A stage-iteration failure this close to a guarded set is reported as a
-    # singular approach (the stiffness is the singularity), not NonConvergence.
-    approach_horizon: float = 0.1
 
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not all(0.0 < v < math.inf
-                   for v in (self.step, self.fixed_point_tol, self.guard_radius)):
-            raise ValueError(
-                "step, fixed_point_tol and guard_radius must be finite and positive"
-            )
-        if type(self.max_fixed_point_iters) is not int or self.max_fixed_point_iters < 1:
-            raise ValueError("max_fixed_point_iters must be an int >= 1")
-        if not 0.0 <= self.approach_horizon < math.inf:
-            raise ValueError("approach_horizon must be finite and >= 0")
+        if not all(0.0 < v < math.inf for v in (self.step, self.fixed_point_tol)):
+            raise ValueError("step and fixed_point_tol must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -93,11 +86,8 @@ class Trajectory:
     def n_states(self) -> int:
         return self.times.size
 
-    def state(self, i: int) -> PhasePoint:
-        return PhasePoint(self.q[i], self.p[i])
 
-
-def _gl2_step(f, z, h, k, tol, max_iters):
+def _gl2_step(f, z, h, k, tol):
     """One GL2 step of the stacked state z = [q, p] from (2, 2N) stage seeds k.
 
     Returns the new state and the converged stages.  A NaN in either stage
@@ -105,7 +95,7 @@ def _gl2_step(f, z, h, k, tol, max_iters):
     halts on it, as it does for RK4.
     """
     d_prev = 0.0  # the contraction test needs two sweeps
-    for _ in range(max_iters):
+    for _ in range(MAX_FIXED_POINT_ITERS):
         y = z + h * (_A1 * k[0] + _A2 * k[1])
         new = np.array((f(y[0]), f(y[1])))
         d = float(np.maximum.reduce(np.abs(new - k), axis=None))
@@ -114,7 +104,7 @@ def _gl2_step(f, z, h, k, tol, max_iters):
             return z + 0.5 * h * (k[0] + k[1]), k
         d_prev = d
     raise NonConvergence(
-        f"stage fixed point did not reach {tol:g} in {max_iters} iterations"
+        f"stage fixed point did not reach {tol:g} in {MAX_FIXED_POINT_ITERS} iterations"
     )
 
 
@@ -151,15 +141,6 @@ def whole_steps(t_final: float, step: float) -> Optional[int]:
     return whole if abs(ratio - whole) <= 1e-9 * ratio else None
 
 
-def step_count(t_final: float, step: float) -> int:
-    """Number of fixed steps that integrate takes to reach t_final:
-    whole_steps(t_final, step) when that is defined, else ceil."""
-    whole = whole_steps(t_final, step)
-    if whole is not None:
-        return whole
-    return int(math.ceil(t_final / step - 1e-12))
-
-
 def integrate(
     spec: HamiltonianSpec,
     x0: PhasePoint,
@@ -169,14 +150,20 @@ def integrate(
 ) -> Trajectory:
     """Integrate Hamilton's equations qdot = dH/dp, pdot = -dH/dq.
 
-    Runs step_count(t_final, step) fixed-size steps (none for t_final = 0)
-    and records every accepted state.  Halts with SingularApproach if a
+    Runs whole_steps(t_final, step) fixed-size steps (none for t_final = 0)
+    and records every accepted state; a t_final that is not a whole number
+    of steps is a ValueError.  Halts with SingularApproach if a
     guarded singularity comes within the guard radius.  Every halt
     (SingularApproach or NonConvergence) carries the last accepted state as
     `err.state` and the trajectory up to it as `err.trajectory`.
     """
     if not 0.0 <= t_final < math.inf:
         raise ValueError("t_final must be finite and nonnegative")
+    n_steps = whole_steps(t_final, cfg.step)
+    if n_steps is None:
+        raise ValueError(
+            f"t_final = {t_final} is not a whole number of steps of {cfg.step}"
+        )
     if len({mon.name for mon in monitors}) != len(monitors):
         raise ValueError(f"monitor names must be distinct, got {[m.name for m in monitors]}")
     spec.realization.check_point(x0)
@@ -184,7 +171,7 @@ def integrate(
 
     def check_guards(q, t, last=None):
         for guard in guards:
-            if guard.clearance(q) <= cfg.guard_radius:
+            if guard.clearance(q) <= GUARD_RADIUS:
                 raise SingularApproach(
                     f"{guard.label} reached at t = {t:.6g}", time=t, state=last
                 )
@@ -204,7 +191,6 @@ def integrate(
             raise NonConvergence(f"stage evaluation overflowed: {exc}") from exc
         return np.concatenate((dp, -dq))
 
-    n_steps = step_count(t_final, cfg.step)
     h = cfg.step
     zs = np.empty((n_steps + 1, 2 * n))
     zs[0, :n], zs[0, n:] = x0.q, x0.p
@@ -218,8 +204,7 @@ def integrate(
         try:
             try:
                 if gl2:
-                    z, stages = _gl2_step(f, z, h, k, cfg.fixed_point_tol,
-                                          cfg.max_fixed_point_iters)
+                    z, stages = _gl2_step(f, z, h, k, cfg.fixed_point_tol)
                     past = [stages, *past[:SEED_DEGREE]]
                     k = _stage_seeds(past)
                 else:
@@ -231,7 +216,7 @@ def integrate(
                 )
             except NonConvergence as exc:
                 last_q = zs[step_idx - 1, :n]
-                if min(g.clearance(last_q) for g in guards) >= cfg.approach_horizon:
+                if min(g.clearance(last_q) for g in guards) >= APPROACH_HORIZON:
                     raise
                 raise SingularApproach(
                     f"stage iteration broke down near a guarded singularity "

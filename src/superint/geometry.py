@@ -48,6 +48,15 @@ def check_space(space: str, kappa: float) -> None:
         raise ConfigError("euclidean space has kappa = 0")
 
 
+def squared_chart_radius(space: str, kappa: float) -> float | None:
+    """1/|kappa|, the squared radius of the ball the chart coordinates fill,
+    for Poincare with kappa > 0 and either chart with kappa < 0; None where
+    they are unbounded (flat space, Beltrami with kappa > 0)."""
+    if (space == POINCARE and kappa > 0.0) or (space in CHARTS and kappa < 0.0):
+        return 1.0 / abs(kappa)
+    return None
+
+
 @dataclass(frozen=True)
 class AmbientPoint:
     """Point (x0, x) on the quadric x0^2 + kappa x^2 = 1."""

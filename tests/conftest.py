@@ -1,5 +1,13 @@
 import numpy as np
 
+# Profiles of the families that take them (the oscillator with deltas).
+STACK_PROFILES = {
+    "evans": {"potential": (0.0, 0.3, 0.1)},
+    "oscillator": {"deltas": (0.1, 0.02)},
+    "electromagnetic": {"potential": (0.0, 1.0, 0.2), "vector": (0.1, 0.5)},
+    "variable_mass": {"mass_profile": (1.0, 0.5), "potential": (0.0, 0.2)},
+}
+
 
 def central_gradient(value_fn, q, p):
     """Central-difference gradient oracle, step h = 1e-6 * max(1, |x_i|)."""

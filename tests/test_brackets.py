@@ -14,6 +14,7 @@ from superint import (
     SL2Realization,
     SystemDescriptor,
     VerificationSettings,
+    build,
     certify,
     energy_quantity,
     extra_integral,
@@ -21,6 +22,7 @@ from superint import (
     involution_table,
     left_integral,
     make_sw,
+    max_bracket_residual,
     poisson_bracket,
     sample_for_spec,
     sample_regular_points,
@@ -29,9 +31,10 @@ from superint import (
 )
 from superint import brackets
 from superint.brackets import PairResidual
+from superint.catalog import FAMILIES
 from superint.core import sl2_kernel
 from superint.integrals import _window_quantity
-from conftest import central_gradient
+from conftest import STACK_PROFILES, central_gradient
 
 
 @pytest.fixture
@@ -298,6 +301,45 @@ def test_certify_keeps_full_rank_at_large_n_on_both_charts(n, space, kappa):
     cert = certify(desc, rng=n)
     assert cert.independence.numerical_rank == cert.expected_rank == 2 * n - 2
     assert cert.table.passed
+
+
+def _per_point_tensor(functions, points):
+    """G[P, K, 2N] from one gradient_fn call per function and point."""
+    return np.array([[np.concatenate(f.gradient_fn(x.q, x.p)) for f in functions]
+                     for x in points])
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_ranks_and_residuals_are_bitwise_the_per_point_reductions(family):
+    """independence_rank and max_bracket_residual, from one stacked gradient
+    call per quantity, give bit for bit the same reductions of a tensor built
+    one point at a time, on every space and sign of kappa, for H with the
+    universal integrals and with every extra added."""
+    info = FAMILIES[family]
+    rng = np.random.default_rng(17)
+    for space in info.spaces:
+        for kappa in (0.0,) if space == "euclidean" else (0.6, -0.6):
+            for n in (3, 6):
+                params = {"kappa": kappa, **{key: 0.9 for key in info.params}}
+                desc = SystemDescriptor(family, space, params,
+                                        [0.0, 0.3, 0.2, 0.5, 0.1, 0.4][:n],
+                                        STACK_PROFILES.get(family, {}))
+                spec = build(desc)
+                universal = [energy_quantity(spec), *universal_set(spec.realization).all]
+                extras = [extra_integral(desc, axis) for axis in desc.ms_axes]
+                points = sample_for_spec(spec, 20, rng)
+                reference = _per_point_tensor(universal + extras, points)
+                for rows in (len(universal), reference.shape[1]):
+                    functions = (universal + extras)[:rows]
+                    cert = independence_rank(functions, points)
+                    want = brackets._rank(reference, range(rows),
+                                          [f.name for f in functions], 1e-8)
+                    assert cert.numerical_rank == want.numerical_rank, (desc, rows)
+                    assert np.array_equal(cert.singular_values, want.singular_values)
+                for k, f in enumerate(universal[1:] + extras, start=1):
+                    raw, normalized = brackets._max_residuals(reference, [0], [k])
+                    assert max_bracket_residual(universal[0], f, points) == \
+                        (float(raw[0]), float(normalized[0])), (desc, f.name)
 
 
 def test_independence_rejects_mixed_dimensions(rng):

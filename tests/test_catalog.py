@@ -27,6 +27,7 @@ from superint import (
 )
 from superint.catalog import FAMILIES
 from superint.core import complex_step_gradient
+from conftest import STACK_PROFILES
 
 RNG = np.random.default_rng(99)
 
@@ -444,15 +445,6 @@ def test_descriptor_rejects_unknown_parameters():
         SystemDescriptor("variable_mass", "euclidean", {"mass": 1.0}, [0.2, 0.3])
     with pytest.raises(ConfigError, match="^omega must be a number, got 'abc'$"):
         SystemDescriptor("sw", "euclidean", {"omega": "abc"}, [0.2, 0.3])
-
-
-# Profiles of the families that take them (the oscillator with deltas).
-STACK_PROFILES = {
-    "evans": {"potential": (0.0, 0.3, 0.1)},
-    "oscillator": {"deltas": (0.1, 0.02)},
-    "electromagnetic": {"potential": (0.0, 1.0, 0.2), "vector": (0.1, 0.5)},
-    "variable_mass": {"mass_profile": (1.0, 0.5), "potential": (0.0, 0.2)},
-}
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
