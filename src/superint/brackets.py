@@ -11,10 +11,15 @@ Functional independence is certified by the numerical rank of the stacked
 gradient rows at sampled points: independence is a generic-point property,
 so the certificate takes the maximum rank over the sample.
 
-Both rest on a gradient tensor G[P, K, 2N], the gradient rows of K
-quantities at P sample points, from one `gradient_fn` call per quantity
-over the whole stacked sample.  `gradient_tensor` holds H and the
-universal integrals; `certify` adds each extra integral's rows;
+A sample is one (P, 2N) array whose rows are phase points [q | p], the
+layout of a trajectory's stacked states.  `sample_regular_points` draws it
+point by point into that array, and it passes unchanged from the
+involution table to every certificate; it is split into q and p views
+only where a `value_fn` or `gradient_fn` is called.  Both certificates
+rest on a gradient tensor G[P, K, 2N], the gradient rows of K quantities
+at the P sample points, from one `gradient_fn` call per quantity over the
+whole sample.  `gradient_tensor` holds H and the universal integrals;
+`certify` adds each extra integral's rows;
 `independence_rank` and `max_bracket_residual` take the tensor of the
 quantities they are given.  The brackets of every asserted pair then come
 from one bracket matrix per point, summed left to right over the
@@ -35,8 +40,8 @@ import numpy as np
 
 from .catalog import SystemDescriptor, build, extra_integral
 from .config import VerificationSettings
-from .core import ConservedQuantity, HamiltonianSpec, PhasePoint, energy_quantity
-from .errors import DimensionMismatch, SamplingError
+from .core import ConservedQuantity, HamiltonianSpec, energy_quantity
+from .errors import DimensionMismatch, DomainError, SamplingError
 from .geometry import EUCLIDEAN, squared_chart_radius
 from .integrals import IntegralSet, universal_set
 
@@ -47,8 +52,9 @@ CHART_FILL = 0.8  # fraction of the squared chart radius the sampler may fill
 SIGNS = np.array([-1.0, 1.0])
 
 
-def poisson_bracket(f: ConservedQuantity, g: ConservedQuantity, x: PhasePoint) -> float:
-    """{f, g} at x; antisymmetric by construction (computed once)."""
+def poisson_bracket(f: ConservedQuantity, g: ConservedQuantity, x) -> float:
+    """{f, g} at the PhasePoint x; antisymmetric by construction (computed
+    once)."""
     fq, fp = f.gradient(x)
     gq, gp = g.gradient(x)
     return float(fq @ gp - gq @ fp)
@@ -99,41 +105,38 @@ def sample_regular_points(
     *,
     kappa: float = 0.0,
     space: str = EUCLIDEAN,
-    max_draws: int = 1000,
-) -> list[PhasePoint]:
-    """Random phase points away from coordinate planes and chart boundaries.
+) -> np.ndarray:
+    """Random phase points away from coordinate planes and chart boundaries,
+    as one (n_points, 2 ndim) array of rows [q | p].
 
     |q_i| is uniform in [0.2, 1.5] with random sign and p_i uniform in
     [-1.5, 1.5].  On a bounded chart q is scaled by s <= 1 to fit and p by
     1/s: the chart bounds only q, and the (q_i p_j - q_j p_i)^2 terms of the
     window Casimirs would otherwise shrink like s^2 against the
     scale-free barrier terms, until their gradient rows look dependent.
+    s is at most sqrt(CHART_FILL R^2 / (N 1.5^2)), for R^2 the squared
+    chart radius, so q.q <= CHART_FILL R^2 up to rounding and every draw
+    lies inside the chart.  Each point is drawn in turn, magnitudes, signs,
+    then p, so a seed fixes the first points of a sample at every size.
     """
+    if n_points < 1:
+        raise SamplingError(f"a sample needs at least one point, got {n_points}")
+    if ndim < 1:
+        raise DimensionMismatch(f"a phase point needs at least one canonical pair, got {ndim}")
     gen = np.random.default_rng(rng)
     q2_limit = squared_chart_radius(space, kappa)
     scale = 1.0
     if q2_limit is not None:
         scale = min(1.0, np.sqrt(CHART_FILL * q2_limit / (ndim * Q_HIGH ** 2)))
-    points: list[PhasePoint] = []
-    draws = 0
-    while len(points) < n_points:
-        if draws >= max_draws:
-            raise SamplingError(
-                f"no regular sample found in {max_draws} draws "
-                f"(got {len(points)}/{n_points})"
-            )
-        draws += 1
+    sample = np.empty((n_points, 2 * ndim))
+    for row in sample:
         mag = gen.uniform(Q_LOW * scale, Q_HIGH * scale, size=ndim)
-        sign = SIGNS[gen.integers(0, 2, size=ndim)]
-        q = mag * sign
-        p = gen.uniform(-P_HIGH / scale, P_HIGH / scale, size=ndim)
-        if q2_limit is not None and float(q @ q) > 0.9 * q2_limit:
-            continue
-        points.append(PhasePoint(q, p))
-    return points
+        row[:ndim] = mag * SIGNS[gen.integers(0, 2, size=ndim)]
+        row[ndim:] = gen.uniform(-P_HIGH / scale, P_HIGH / scale, size=ndim)
+    return sample
 
 
-def sample_for_spec(spec: HamiltonianSpec, n_points: int, rng=0) -> list[PhasePoint]:
+def sample_for_spec(spec: HamiltonianSpec, n_points: int, rng=0) -> np.ndarray:
     """Regular sample respecting the spec's space and curvature (flat space
     when the spec has no descriptor)."""
     desc = spec.descriptor
@@ -142,51 +145,51 @@ def sample_for_spec(spec: HamiltonianSpec, n_points: int, rng=0) -> list[PhasePo
     return sample_regular_points(n_points, spec.n, rng, kappa=desc.kappa, space=desc.space)
 
 
-def _sample_ndim(functions: Sequence[ConservedQuantity], points) -> None:
-    """Check that the functions and the sample points share one N."""
+def _sample_ndim(functions: Sequence[ConservedQuantity], sample: np.ndarray) -> int:
+    """The N the functions share, once the sample passed in is checked to
+    be a finite (P, 2N) array with P >= 1."""
     ndims = {f.ndim for f in functions}
     if len(ndims) != 1:
         raise DimensionMismatch(f"functions live on different dimensions: {ndims}")
     ndim = ndims.pop()
-    if not points:
+    if sample.ndim != 2 or sample.shape[1] != 2 * ndim:
+        raise DimensionMismatch(
+            f"functions on {ndim} sites need a (P, {2 * ndim}) sample, got shape {sample.shape}")
+    if len(sample) < 1:
         raise SamplingError("a gradient tensor needs at least one sample point")
-    sizes = {x.n for x in points}
-    if sizes != {ndim}:
-        raise DimensionMismatch(f"functions on {ndim} sites, sample points on {sizes}")
+    if not np.all(np.isfinite(sample)):
+        raise DomainError("sample contains non-finite entries")
+    return ndim
 
 
-def _stack(points: Sequence[PhasePoint]):
-    """The sample as two (P, N) arrays q, p."""
-    return np.array([x.q for x in points]), np.array([x.p for x in points])
-
-
-def _stacked_tensor(functions: Sequence[ConservedQuantity], points) -> np.ndarray:
-    """G[P, K, 2N] of the functions at the sample points, one gradient_fn
-    call each on the stacked sample."""
-    _sample_ndim(functions, points)
-    q, p = _stack(points)
+def _stacked_tensor(functions: Sequence[ConservedQuantity], sample) -> np.ndarray:
+    """G[P, K, 2N] of the functions on a (P, 2N) sample, one gradient_fn
+    call each on its q and p views."""
+    sample = np.asarray(sample, dtype=float)
+    n = _sample_ndim(functions, sample)
+    q, p = sample[:, :n], sample[:, n:]
     return np.stack([np.concatenate(f.gradient_fn(q, p), axis=-1) for f in functions], axis=1)
 
 
-def max_bracket_residual(f, g, points: Sequence[PhasePoint]):
-    """Max raw and normalized |{f, g}| over a sample."""
-    raw, normalized = _max_residuals(_stacked_tensor([f, g], points), [0], [1])
+def max_bracket_residual(f, g, sample: np.ndarray):
+    """Max raw and normalized |{f, g}| over a (P, 2N) sample."""
+    raw, normalized = _max_residuals(_stacked_tensor([f, g], sample), [0], [1])
     return float(raw[0]), float(normalized[0])
 
 
 def gradient_tensor(
     spec: HamiltonianSpec,
     integrals: IntegralSet,
-    points: Sequence[PhasePoint],
+    sample: np.ndarray,
 ) -> np.ndarray:
     """G[P, K, 2N]: the gradient rows of H, then of integrals.all, at every
-    sample point.
+    point of a (P, 2N) sample.
 
     H's and each universal integral's gradient_fn is called once, on the
-    stacked sample.  The quantities are evaluated as given, never rebuilt
+    whole sample.  The quantities are evaluated as given, never rebuilt
     from the realization.
     """
-    return _stacked_tensor([energy_quantity(spec), *integrals.all], points)
+    return _stacked_tensor([energy_quantity(spec), *integrals.all], sample)
 
 
 @dataclass(frozen=True)
@@ -201,15 +204,15 @@ class PairResidual:
 class BracketResidualTable:
     """Max |{A, B}| over a sample, for every asserted pair.
 
-    `points` and `gradients` are the sample and its gradient tensor over
-    [H, *integrals.all] the residuals come from, kept so that a certificate
-    can rank and bracket more quantities on the same sample.
+    `points` and `gradients` are the (P, 2N) sample and its gradient tensor
+    over [H, *integrals.all] the residuals come from, kept so that a
+    certificate can rank and bracket more quantities on the same sample.
     """
 
     pairs: tuple[PairResidual, ...]
     samples: int
     tolerance: float
-    points: tuple[PhasePoint, ...] = field(default=(), repr=False, compare=False)
+    points: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
     gradients: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
 
     @property
@@ -236,9 +239,7 @@ def involution_table(
     Cross-family pairs are not asserted (they need not vanish) and are not
     tabulated.
     """
-    if sample_points < 1:
-        raise SamplingError("sample_points must be >= 1")
-    points = tuple(sample_for_spec(spec, sample_points, rng))
+    points = sample_for_spec(spec, sample_points, rng)
     G = gradient_tensor(spec, integrals, points)
     n_left = len(integrals.left)
     left = list(range(1, n_left + 1))
@@ -292,12 +293,13 @@ def _rank(G: np.ndarray, rows: Sequence[int], names: Sequence[str],
 
 def independence_rank(
     functions: Sequence[ConservedQuantity],
-    points: Sequence[PhasePoint],
+    sample: np.ndarray,
     *,
     rank_tolerance: float = 1e-8,
 ) -> IndependenceCertificate:
-    """Certify functional independence of a set of observables at the points."""
-    G = _stacked_tensor(functions, points)
+    """Certify functional independence of a set of observables on a (P, 2N)
+    sample."""
+    G = _stacked_tensor(functions, sample)
     return _rank(G, range(len(functions)), [f.name for f in functions], rank_tolerance)
 
 
@@ -387,7 +389,7 @@ def certify(
     identity = None
     if descriptor.family == "sw" and descriptor.space == EUCLIDEAN:
         # sum_i I_i = 2 m H, an exact linear identity of the flat oscillator
-        q, p = _stack(table.points)
+        q, p = table.points[:, :n], table.points[:, n:]
         total = sum(extra_integral(descriptor, a).value_fn(q, p) for a in range(n))
         target = 2.0 * descriptor.params["mass"] * spec.value_qp(q, p)
         identity = float(np.max(np.abs(total - target) / np.maximum(1.0, np.abs(target))))

@@ -230,25 +230,16 @@ def kc_extra_integral(
     axis: int, *, mass: float, k: float, b_tilde, kappa: float = 0.0,
     space: str = EUCLIDEAN,
 ) -> ConservedQuantity:
-    """Coulomb extra L_i on the given space; requires bt_i = 0 on the chosen axis."""
+    """Coulomb extra L_i on the given space; requires bt_i = 0 on the chosen
+    axis.  The formula reads only the other axes' barriers."""
     check_space(space, kappa)
     bt = np.asarray(b_tilde, dtype=float)
-    _check_axis(axis, bt.size)
+    n = bt.size
+    _check_axis(axis, n)
     if bt[axis] != 0.0:
         raise ConfigError(
             f"L_{axis + 1} is conserved only when bt_{axis + 1} = 0, got {bt[axis]}"
         )
-    return _kc_extra_unchecked(axis, mass=mass, k=k, b_tilde=bt, kappa=kappa, space=space)
-
-
-def _kc_extra_unchecked(
-    axis: int, *, mass: float, k: float, b_tilde, kappa: float = 0.0,
-    space: str = EUCLIDEAN,
-) -> ConservedQuantity:
-    """L_i built from the formula regardless of bt_i (testing/mutation path)."""
-    bt = np.asarray(b_tilde, dtype=float)
-    n = bt.size
-    _check_axis(axis, n)
     m, kc, kp = float(mass), float(k), float(kappa)
     i = axis
     bars = _masked(bt, np.arange(n) != i)

@@ -1,5 +1,7 @@
 import numpy as np
 
+from superint import PhasePoint
+
 # Profiles of the families that take them (the oscillator with deltas).
 STACK_PROFILES = {
     "evans": {"potential": (0.0, 0.3, 0.1)},
@@ -7,6 +9,17 @@ STACK_PROFILES = {
     "electromagnetic": {"potential": (0.0, 1.0, 0.2), "vector": (0.1, 0.5)},
     "variable_mass": {"mass_profile": (1.0, 0.5), "potential": (0.0, 0.2)},
 }
+
+
+def split(sample):
+    """The q and p views of a (P, 2N) sample (or of one row)."""
+    n = sample.shape[-1] // 2
+    return sample[..., :n], sample[..., n:]
+
+
+def phase_points(sample):
+    """The rows of a (P, 2N) sample as PhasePoints, for the per-point API."""
+    return [PhasePoint(*split(row)) for row in sample]
 
 
 def central_gradient(value_fn, q, p):
@@ -28,12 +41,13 @@ def central_gradient(value_fn, q, p):
     return dq, dp
 
 
-def gradient_mismatch(quantity, points):
-    """Worst relative deviation of analytic vs central-difference gradients."""
+def gradient_mismatch(quantity, sample):
+    """Worst relative deviation of analytic vs central-difference gradients
+    over the rows of a (P, 2N) sample."""
     worst = 0.0
-    for x in points:
-        aq, ap = quantity.gradient_fn(x.q, x.p)
-        nq, npp = central_gradient(quantity.value_fn, x.q, x.p)
+    for q, p in map(split, sample):
+        aq, ap = quantity.gradient_fn(q, p)
+        nq, npp = central_gradient(quantity.value_fn, q, p)
         scale = max(1.0, float(np.max(np.abs(aq))), float(np.max(np.abs(ap))))
         worst = max(
             worst,

@@ -41,7 +41,7 @@ from superint import (
     universal_set,
 )
 from superint.geometry import free_lagrangian
-from superint.integrals import _kc_extra_unchecked
+from conftest import split
 
 SEED = 20240917
 
@@ -185,7 +185,8 @@ def test_c05_coulomb_conditional_superintegrability():
             conserved_worst = max(conserved_worst, norm)
 
     bad_spec = make_kepler_coulomb("euclidean", mass=mass, k=k, b_tilde=bt_bad)
-    bad_quantity = _kc_extra_unchecked(0, mass=mass, k=k, b_tilde=bt_bad)
+    # L_1 never reads bt_1, so with bt_1 zeroed it is the mutant's L_1
+    bad_quantity = kc_extra_integral(0, mass=mass, k=k, b_tilde=[0.0, *bt_bad[1:]])
     _, mutation = max_bracket_residual(
         energy_quantity(bad_spec), bad_quantity, sample_for_spec(bad_spec, 20, rng))
 
@@ -346,17 +347,15 @@ def test_c10_flat_limits():
     ]
     exact = True
     worst_near = 0.0
-    points = sample_regular_points(20, 3, rng)
-    for specs in pairs:
-        zero_kappa, flat, near_flat = map(energy_quantity, specs)
-        for x in points:
-            v_flat = flat.value(x)
-            exact &= zero_kappa.value(x) == v_flat
-            gq_a, gp_a = zero_kappa.gradient(x)
-            gq_b, gp_b = flat.gradient(x)
-            exact &= np.array_equal(gq_a, gq_b) and np.array_equal(gp_a, gp_b)
-            worst_near = max(worst_near,
-                             abs(near_flat.value(x) - v_flat) / max(1.0, abs(v_flat)))
+    q, p = split(sample_regular_points(20, 3, rng))
+    for zero_kappa, flat, near_flat in pairs:
+        v_flat = flat.value_qp(q, p)
+        exact &= np.array_equal(zero_kappa.value_qp(q, p), v_flat)
+        gq_a, gp_a = zero_kappa.gradient_qp(q, p)
+        gq_b, gp_b = flat.gradient_qp(q, p)
+        exact &= np.array_equal(gq_a, gq_b) and np.array_equal(gp_a, gp_b)
+        near = np.abs(near_flat.value_qp(q, p) - v_flat) / np.maximum(1.0, np.abs(v_flat))
+        worst_near = max(worst_near, float(near.max()))
     ok = exact and worst_near < 1e-4
     report(10, ok,
            f"kappa=0 equals flat exactly: {exact}; kappa=1e-6 relative "

@@ -30,11 +30,12 @@ from superint import (
     universal_set,
 )
 from superint import brackets
-from superint.brackets import PairResidual
+from superint.brackets import CHART_FILL, P_HIGH, Q_HIGH, Q_LOW, SIGNS, PairResidual
 from superint.catalog import FAMILIES
 from superint.core import sl2_kernel
+from superint.geometry import squared_chart_radius
 from superint.integrals import _window_quantity
-from conftest import STACK_PROFILES, central_gradient
+from conftest import STACK_PROFILES, central_gradient, phase_points, split
 
 
 @pytest.fixture
@@ -69,7 +70,7 @@ def test_antisymmetry_is_exact(rng):
     realization = SL2Realization([0.4, -0.2, 0.7])
     c2 = left_integral(realization, 2)
     c3 = left_integral(realization, 3)
-    for x in sample_regular_points(10, 3, rng):
+    for x in phase_points(sample_regular_points(10, 3, rng)):
         assert poisson_bracket(c2, c3, x) == -poisson_bracket(c3, c2, x)
 
 
@@ -83,7 +84,7 @@ def test_generator_scaling_bracket(rng):
                            jp_gradient)
     j3 = ConservedQuantity("J3", 3, lambda q, p: sl2_kernel(realization, q, p)[2],
                            lambda q, p: (p, q))
-    for x in sample_regular_points(20, 3, rng):
+    for x in phase_points(sample_regular_points(20, 3, rng)):
         assert abs(poisson_bracket(j3, jp, x) - 2.0 * jp.value(x)) < 1e-9
 
 
@@ -112,7 +113,7 @@ def test_jacobi_identity_with_difference_gradients(rng):
         return float(fq @ bp - bq @ fp)
 
     eps = np.finfo(float).eps
-    for x in sample_regular_points(5, 3, rng):
+    for x in phase_points(sample_regular_points(5, 3, rng)):
         total = outer(c2, (c3, h), x) + outer(c3, (h, c2), x) + outer(h, (c2, c3), x)
         norms = [np.linalg.norm(np.concatenate(f.gradient(x))) for f in (c2, c3, h)]
         assert abs(total) < 3.0 * eps / 1e-6 * np.prod(norms)
@@ -173,12 +174,12 @@ def test_involution_table_exact_and_one_gradient_per_point(n, space, kappa, monk
         axes = (0, n - 1)
         extras = [extra_integral(spec.descriptor, a) for a in axes]
         pts = sample_for_spec(spec, samples, seed)
-        q = np.array([x.q for x in pts])
-        p = np.array([x.p for x in pts])
+        q, p = split(pts)
+        points = phase_points(pts)
 
         for c in (*uni.all, *extras):
             dq, dp = c.gradient_fn(q, p)
-            for s, x in enumerate(pts):
+            for s, x in enumerate(points):
                 ref = np.concatenate(c.gradient(x))
                 got = np.concatenate([dq[s], dp[s]])
                 assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
@@ -208,11 +209,10 @@ def test_involution_table_exact_and_one_gradient_per_point(n, space, kappa, monk
         assert cert.passed and [e.rank for e in cert.extras] == [2 * n - 1] * len(axes)
         table = cert.table
         assert table == involution_table(spec, uni, samples, rng=seed)
-        assert [x.q.tobytes() + x.p.tobytes() for x in table.points] \
-            == [x.q.tobytes() + x.p.tobytes() for x in pts]
+        assert np.array_equal(table.points, pts)
         G = table.gradients
         for k, f in enumerate((h, *uni.all)):
-            for s, x in enumerate(pts):
+            for s, x in enumerate(points):
                 assert np.array_equal(G[s, k], np.concatenate(f.gradient(x)))
 
         expected = [(h, c) for c in uni.all]
@@ -229,7 +229,7 @@ def test_involution_table_exact_and_one_gradient_per_point(n, space, kappa, monk
                                                tuple(r[s, b] for r in rows))
                 raw_max, norm_max = max(raw_max, raw), max(norm_max, norm)
             assert pair == PairResidual(f.name, g.name, raw_max, norm_max)
-            worst = max(abs(poisson_bracket(f, g, x)) for x in pts)
+            worst = max(abs(poisson_bracket(f, g, x)) for x in points)
             scale = max(np.linalg.norm(rows[2][:, a] * rows[2][:, b]), 1.0)
             assert abs(pair.max_raw - worst) <= 1e-14 * scale
 
@@ -303,10 +303,10 @@ def test_certify_keeps_full_rank_at_large_n_on_both_charts(n, space, kappa):
     assert cert.table.passed
 
 
-def _per_point_tensor(functions, points):
-    """G[P, K, 2N] from one gradient_fn call per function and point."""
-    return np.array([[np.concatenate(f.gradient_fn(x.q, x.p)) for f in functions]
-                     for x in points])
+def _per_point_tensor(functions, sample):
+    """G[P, K, 2N] from one gradient_fn call per function and sample row."""
+    return np.array([[np.concatenate(f.gradient_fn(q, p)) for f in functions]
+                     for q, p in map(split, sample)])
 
 
 @pytest.mark.parametrize("family", sorted(FAMILIES))
@@ -350,16 +350,51 @@ def test_independence_rejects_mixed_dimensions(rng):
 
 
 def test_sampling_respects_bounds_and_charts(rng):
-    pts = sample_regular_points(50, 3, rng)
-    for x in pts:
-        assert np.all(np.abs(x.q) >= 0.2) and np.all(np.abs(x.q) <= 1.5)
-        assert np.all(np.abs(x.p) <= 1.5)
-    pts = sample_regular_points(50, 4, rng, kappa=1.0, space="poincare")
-    for x in pts:
-        assert float(x.q @ x.q) < 1.0
-    pts = sample_regular_points(50, 4, rng, kappa=-0.5, space="beltrami")
-    for x in pts:
-        assert 1.0 - 0.5 * float(x.q @ x.q) > 0.0
+    q, p = split(sample_regular_points(50, 3, rng))
+    assert np.all(np.abs(q) >= 0.2) and np.all(np.abs(q) <= 1.5)
+    assert np.all(np.abs(p) <= 1.5)
+    # the chart scale caps q.q at CHART_FILL / |kappa| (up to rounding), well
+    # inside the chart: no draw needs rejecting
+    for space, kappa, n in (("poincare", 1.0, 4), ("beltrami", -0.5, 4),
+                            ("poincare", -0.5, 50), ("poincare", 1e3, 14)):
+        q, _ = split(sample_regular_points(50, n, rng, kappa=kappa, space=space))
+        q2 = np.einsum("ij,ij->i", q, q)
+        assert np.all(q2 <= CHART_FILL / abs(kappa) * (1.0 + 1e-14)), (space, kappa, n)
+        assert np.all(1.0 - abs(kappa) * q2 > 0.0)
+
+
+def _per_point_sample(n_points, ndim, rng, kappa, space):
+    """Reference sampler: a rejection loop that draws and validates one
+    PhasePoint at a time, which the array sampler must match bit for bit."""
+    gen = np.random.default_rng(rng)
+    q2_limit = squared_chart_radius(space, kappa)
+    scale = 1.0
+    if q2_limit is not None:
+        scale = min(1.0, np.sqrt(CHART_FILL * q2_limit / (ndim * Q_HIGH ** 2)))
+    points = []
+    while len(points) < n_points:
+        mag = gen.uniform(Q_LOW * scale, Q_HIGH * scale, size=ndim)
+        sign = SIGNS[gen.integers(0, 2, size=ndim)]
+        q = mag * sign
+        p = gen.uniform(-P_HIGH / scale, P_HIGH / scale, size=ndim)
+        if q2_limit is not None and float(q @ q) > 0.9 * q2_limit:
+            continue
+        points.append(PhasePoint(q, p))
+    return points
+
+
+@pytest.mark.parametrize("space,kappa", [
+    ("euclidean", 0.0), ("beltrami", 0.6), ("poincare", 0.6),
+    ("poincare", -0.6), ("beltrami", -0.6),
+])
+def test_sample_array_is_bitwise_the_per_point_draws(space, kappa):
+    for n in (1, 2, 4, 14, 50):
+        for seed in (0, 7, 931):
+            got = sample_regular_points(25, n, seed, kappa=kappa, space=space)
+            want = [np.concatenate([x.q, x.p])
+                    for x in _per_point_sample(25, n, seed, kappa, space)]
+            assert got.shape == (25, 2 * n) and got.dtype == np.float64
+            assert np.array_equal(got, want), (space, kappa, n, seed)
 
 
 def test_sampler_signs_are_the_choice_stream():
@@ -375,9 +410,44 @@ def test_sampler_signs_are_the_choice_stream():
             assert a.uniform() == b.uniform()
 
 
-def test_sampling_error_when_budget_exhausted(rng):
+def test_sample_size_has_no_draw_budget(rng):
+    """Every draw is kept, so a sample of any size is one draw per point."""
+    for space, kappa in (("euclidean", 0.0), ("poincare", 0.5), ("beltrami", -0.5)):
+        sample = sample_regular_points(1001, 3, rng, kappa=kappa, space=space)
+        assert sample.shape == (1001, 6) and np.all(np.isfinite(sample))
+
+
+@pytest.mark.parametrize("space,kappa", [
+    ("euclidean", 0.0), ("poincare", 0.5), ("beltrami", 0.5), ("beltrami", -0.5),
+])
+def test_sampler_rejects_empty_sizes_before_drawing(space, kappa):
+    gen = np.random.default_rng(3)
+    state = gen.bit_generator.state
+    for n_points in (0, -1):
+        with pytest.raises(SamplingError, match="at least one point"):
+            sample_regular_points(n_points, 3, gen, kappa=kappa, space=space)
+    for ndim in (0, -2):
+        with pytest.raises(DimensionMismatch, match="at least one canonical pair"):
+            sample_regular_points(3, ndim, gen, kappa=kappa, space=space)
+    assert gen.bit_generator.state == state
+    spec = make_sw(space, mass=1.0, omega=1.0, b_tilde=[0.1, 0.1], kappa=kappa)
     with pytest.raises(SamplingError):
-        sample_regular_points(100, 3, rng, max_draws=5)
-    spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.1, 0.1])
+        involution_table(spec, universal_set(spec.realization), 0, rng=gen)
+
+
+def test_sample_passed_in_is_checked(rng):
+    """A sample given to the rank and residual certificates must be a finite
+    (P, 2N) array with P >= 1."""
+    spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.1, 0.2, 0.3])
+    functions = [energy_quantity(spec), *universal_set(spec.realization).all]
+    sample = sample_regular_points(5, 3, rng)
+    assert independence_rank(functions, sample.tolist()).passed
+    for bad in (sample[0], sample[:, :4], sample[None]):
+        with pytest.raises(DimensionMismatch, match=r"need a \(P, 6\) sample"):
+            independence_rank(functions, bad)
     with pytest.raises(SamplingError):
-        involution_table(spec, universal_set(spec.realization), 0, rng=rng)
+        max_bracket_residual(functions[0], functions[1], sample[:0])
+    bad = sample.copy()
+    bad[2, 4] = np.nan
+    with pytest.raises(DomainError, match="non-finite"):
+        max_bracket_residual(functions[0], functions[1], bad)

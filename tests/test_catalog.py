@@ -27,7 +27,7 @@ from superint import (
 )
 from superint.catalog import FAMILIES
 from superint.core import complex_step_gradient
-from conftest import STACK_PROFILES
+from conftest import STACK_PROFILES, split
 
 RNG = np.random.default_rng(99)
 
@@ -70,12 +70,12 @@ def test_evans_with_quadratic_profile_is_oscillator(space, kappa):
                        mass=1.1, b_tilde=bt, kappa=kappa)
     sw = make_sw(space, mass=1.1, omega=1.1, b_tilde=bt, kappa=kappa)
     evans, sw = energy_quantity(evans), energy_quantity(sw)
-    for x in sample_regular_points(10, 3, RNG, kappa=kappa, space=space):
-        assert evans.value(x) == pytest.approx(sw.value(x), rel=1e-14)
-        eq, ep = evans.gradient(x)
-        sq, sp = sw.gradient(x)
-        assert np.allclose(eq, sq, rtol=1e-13)
-        assert np.allclose(ep, sp, rtol=1e-13)
+    q, p = split(sample_regular_points(10, 3, RNG, kappa=kappa, space=space))
+    assert evans.value_fn(q, p) == pytest.approx(sw.value_fn(q, p), rel=1e-14)
+    eq, ep = evans.gradient_fn(q, p)
+    sq, sp = sw.gradient_fn(q, p)
+    assert np.allclose(eq, sq, rtol=1e-13)
+    assert np.allclose(ep, sp, rtol=1e-13)
 
 
 def test_free_profile_gives_kinetic_only():
@@ -90,8 +90,8 @@ def test_quartic_reduces_to_oscillator():
     bt = [0.2, 0.5]
     garnier = make_garnier("euclidean", mass=1.3, omega=0.7, delta=0.0, b_tilde=bt)
     sw = make_sw("euclidean", mass=1.3, omega=0.7, b_tilde=bt)
-    for x in sample_regular_points(10, 2, RNG):
-        assert energy_quantity(garnier).value(x) == energy_quantity(sw).value(x)
+    q, p = split(sample_regular_points(10, 2, RNG))
+    assert np.array_equal(garnier.value_qp(q, p), sw.value_qp(q, p))
 
 
 def test_series_oscillator_matches_quartic_truncation():
@@ -100,9 +100,8 @@ def test_series_oscillator_matches_quartic_truncation():
                                        deltas=(0.4,), b_tilde=bt, kappa=0.6)
     garnier = make_garnier("beltrami", mass=1.0, omega=0.9, delta=0.4,
                            b_tilde=bt, kappa=0.6)
-    for x in sample_regular_points(10, 2, RNG, kappa=0.6, space="beltrami"):
-        assert energy_quantity(series).value(x) \
-            == pytest.approx(energy_quantity(garnier).value(x), rel=1e-14)
+    q, p = split(sample_regular_points(10, 2, RNG, kappa=0.6, space="beltrami"))
+    assert series.value_qp(q, p) == pytest.approx(garnier.value_qp(q, p), rel=1e-14)
     higher = make_nonlinear_oscillator("euclidean", mass=1.0, omega=0.0,
                                        deltas=(0.0, 1.0), b_tilde=[0.0, 0.0])
     assert energy_quantity(higher).value(PhasePoint([1.0, 1.0], [0.0, 0.0])) == pytest.approx(8.0)
@@ -117,21 +116,19 @@ def test_electromagnetic_reductions():
                               vector_profile=zero, vector_profile_deriv=zero,
                               b_tilde=bt)
     evans = make_evans("euclidean", f, fp, mass=1.2, b_tilde=bt)
-    for x in sample_regular_points(10, 3, RNG):
-        assert energy_quantity(em).value(x) \
-            == pytest.approx(energy_quantity(evans).value(x), rel=1e-14)
+    q, p = split(sample_regular_points(10, 3, RNG))
+    assert em.value_qp(q, p) == pytest.approx(evans.value_qp(q, p), rel=1e-14)
 
     c = 0.7
     em_const = make_electromagnetic(mass=1.0, charge=2.0,
                                     scalar_profile=f, scalar_profile_deriv=fp,
                                     vector_profile=lambda s: c,
                                     vector_profile_deriv=zero, b_tilde=bt)
-    for x in sample_regular_points(10, 3, RNG):
-        q2 = float(x.q @ x.q)
-        barriers = sum(b / (2.0 * qi ** 2) for b, qi in zip(bt, x.q) if b != 0.0)
-        expected = 0.5 * float(x.p @ x.p) - 2.0 * c * float(x.q @ x.p) \
-            + 2.0 * f(q2) + barriers
-        assert energy_quantity(em_const).value(x) == pytest.approx(expected, rel=1e-13)
+    q, p = split(sample_regular_points(10, 3, RNG))
+    q2 = (q * q).sum(-1)
+    barriers = sum(b / (2.0 * qi ** 2) for b, qi in zip(bt, q.T) if b != 0.0)
+    expected = 0.5 * (p * p).sum(-1) - 2.0 * c * (q * p).sum(-1) + 2.0 * f(q2) + barriers
+    assert em_const.value_qp(q, p) == pytest.approx(expected, rel=1e-13)
 
 
 def test_electromagnetic_keeps_universal_integrals():
@@ -172,15 +169,15 @@ def test_em_fields_match_difference_gradient_of_psi():
                          vector_profile=g, vector_profile_deriv=gp,
                          b_tilde=bt).psi
 
-    for x in sample_regular_points(10, 3, RNG):
-        fields = em_fields(x.q, mass=1.3, charge=0.9,
+    for q in split(sample_regular_points(10, 3, RNG))[0]:
+        fields = em_fields(q, mass=1.3, charge=0.9,
                            scalar_profile=f, scalar_profile_deriv=fp,
                            vector_profile=g, vector_profile_deriv=gp,
                            b_tilde=bt)
         grad = np.zeros(3)
         for i in range(3):
-            h = 1e-6 * max(1.0, abs(x.q[i]))
-            hi, lo = x.q.copy(), x.q.copy()
+            h = 1e-6 * max(1.0, abs(q[i]))
+            hi, lo = q.copy(), q.copy()
             hi[i] += h
             lo[i] -= h
             grad[i] = (psi_at(hi) - psi_at(lo)) / (2.0 * h)
@@ -198,11 +195,11 @@ def test_em_vector_potential_is_curl_free():
                          vector_profile=g, vector_profile_deriv=gp,
                          b_tilde=[0.0, 0.0, 0.0]).A
 
-    for x in sample_regular_points(10, 3, RNG):
+    for q in split(sample_regular_points(10, 3, RNG))[0]:
         jac = np.zeros((3, 3))
         for i in range(3):
-            h = 1e-7 * max(1.0, abs(x.q[i]))
-            hi, lo = x.q.copy(), x.q.copy()
+            h = 1e-7 * max(1.0, abs(q[i]))
+            hi, lo = q.copy(), q.copy()
             hi[i] += h
             lo[i] -= h
             jac[:, i] = (a_at(hi) - a_at(lo)) / (2.0 * h)
@@ -239,9 +236,8 @@ def test_variable_mass_constant_profile_is_evans():
     vm = make_variable_mass(mass_profile=lambda s: m, mass_profile_deriv=lambda s: 0.0,
                             potential=f, potential_deriv=fp, b=m * bt)
     evans = make_evans("euclidean", f, fp, mass=m, b_tilde=bt)
-    for x in sample_regular_points(10, 2, RNG):
-        assert energy_quantity(vm).value(x) \
-            == pytest.approx(energy_quantity(evans).value(x), rel=1e-14)
+    q, p = split(sample_regular_points(10, 2, RNG))
+    assert vm.value_qp(q, p) == pytest.approx(evans.value_qp(q, p), rel=1e-14)
 
 
 def test_variable_mass_reproduces_chart_kinetic():
@@ -254,9 +250,8 @@ def test_variable_mass_reproduces_chart_kinetic():
     )
     chart = make_evans("poincare", lambda s: 0.0, lambda s: 0.0, mass=m,
                        b_tilde=[0.0, 0.0, 0.0], kappa=kappa)
-    for x in sample_regular_points(10, 3, RNG, kappa=kappa, space="poincare"):
-        assert energy_quantity(vm).value(x) \
-            == pytest.approx(energy_quantity(chart).value(x), rel=1e-13)
+    q, p = split(sample_regular_points(10, 3, RNG, kappa=kappa, space="poincare"))
+    assert vm.value_qp(q, p) == pytest.approx(chart.value_qp(q, p), rel=1e-13)
 
 
 def test_variable_mass_keeps_universal_integrals():
@@ -293,13 +288,12 @@ def test_flat_limit_matches_euclidean_exactly():
          make_kepler_coulomb("euclidean", mass=1.0, k=0.8, b_tilde=bt)),
     ]
     for curved, flat in pairs:
-        curved, flat = energy_quantity(curved), energy_quantity(flat)
-        for x in sample_regular_points(10, 3, RNG):
-            assert curved.value(x) == flat.value(x)
-            cq, cp = curved.gradient(x)
-            fq, fp_ = flat.gradient(x)
-            assert np.array_equal(cq, fq)
-            assert np.array_equal(cp, fp_)
+        q, p = split(sample_regular_points(10, 3, RNG))
+        assert np.array_equal(curved.value_qp(q, p), flat.value_qp(q, p))
+        cq, cp = curved.gradient_qp(q, p)
+        fq, fp_ = flat.gradient_qp(q, p)
+        assert np.array_equal(cq, fq)
+        assert np.array_equal(cp, fp_)
 
 
 def test_constructor_validation():
@@ -386,8 +380,8 @@ def test_build_round_trips_each_family():
         assert spec.descriptor is desc
         kappa = desc.kappa
         space = desc.space
-        for x in sample_regular_points(5, 3, RNG, kappa=kappa, space=space):
-            assert np.isfinite(energy_quantity(spec).value(x))
+        q, p = split(sample_regular_points(5, 3, RNG, kappa=kappa, space=space))
+        assert np.all(np.isfinite(spec.value_qp(q, p)))
     with pytest.raises(ConfigError):
         build(SystemDescriptor("unknown", "euclidean", {}, bt))
     with pytest.raises(ConfigError):
@@ -464,17 +458,14 @@ def test_stacked_values_equal_per_state_values(family):
                 quantities = [energy_quantity(spec), *universal_set(spec.realization).all,
                               *(extra_integral(desc, axis) for axis in desc.ms_axes)]
                 # enough fresh points that a scalar x ** 2 (libm pow) would differ
-                points = sample_regular_points(600, 4, rng, kappa=kappa, space=space,
-                                               max_draws=3000)
-                qs = np.array([x.q for x in points])
-                ps = np.array([x.p for x in points])
+                qs, ps = split(sample_regular_points(600, 4, rng, kappa=kappa, space=space))
                 for f in quantities:
                     stacked = f.value_fn(qs, ps)
-                    per_state = np.array([f.value_fn(x.q, x.p) for x in points])
+                    per_state = np.array([f.value_fn(q, p) for q, p in zip(qs, ps)])
                     assert np.array_equal(stacked, per_state), (desc, f.name)
                     assert np.array_equal(f.value_fn(qs.reshape(2, 300, 4), ps.reshape(2, 300, 4)),
                                           stacked.reshape(2, 300)), (desc, f.name)
-                    assert type(f.value(points[0])) is float
+                    assert type(f.value(PhasePoint(qs[0], ps[0]))) is float
 
 
 def _same_bits(a, b):
@@ -496,11 +487,9 @@ def test_stacked_hamiltonian_gradient_is_bitwise_the_per_point_one(family):
                 params = {"kappa": kappa, **{key: 0.9 for key in info.params}}
                 spec = build(SystemDescriptor(family, space, params, bt,
                                               STACK_PROFILES.get(family, {})))
-                points = sample_regular_points(m, 4, rng, kappa=kappa, space=space)
-                qs = np.array([x.q for x in points])
-                ps = np.array([x.p for x in points])
+                qs, ps = split(sample_regular_points(m, 4, rng, kappa=kappa, space=space))
                 dq, dp = spec.gradient_qp(qs, ps)
-                per_point = [spec.gradient_qp(x.q, x.p) for x in points]
+                per_point = [spec.gradient_qp(q, p) for q, p in zip(qs, ps)]
                 assert _same_bits(dq, np.array([g[0] for g in per_point])), spec.name
                 assert _same_bits(dp, np.array([g[1] for g in per_point])), spec.name
                 dq2, dp2 = spec.gradient_qp(qs.reshape(2, m // 2, 4), ps.reshape(2, m // 2, 4))
@@ -531,9 +520,10 @@ def test_hamiltonian_gradient_is_the_complex_step_derivative_of_its_value(family
                 spec = build(SystemDescriptor(family, space, params, bt,
                                               STACK_PROFILES.get(family, {})))
                 derived = complex_step_gradient(spec.value_qp)
-                for x in sample_regular_points(20, 4, rng, kappa=kappa, space=space):
-                    chain = np.concatenate(spec.gradient_qp(x.q, x.p))
-                    ref = np.concatenate(derived(x.q, x.p))
+                sample = sample_regular_points(20, 4, rng, kappa=kappa, space=space)
+                for q, p in map(split, sample):
+                    chain = np.concatenate(spec.gradient_qp(q, p))
+                    ref = np.concatenate(derived(q, p))
                     scale = max(1.0, float(np.max(np.abs(ref))))
                     assert np.max(np.abs(chain - ref)) <= 1e-13 * scale, (spec.name, kappa, bt)
 

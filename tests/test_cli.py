@@ -99,6 +99,14 @@ def test_verify_is_deterministic(tmp_path):
         == (out_b / "sw_n4.report.txt").read_bytes()
 
 
+def test_verify_sample_size_is_not_capped(tmp_path):
+    cfg = write(tmp_path, "sw_n4.cfg",
+                SW_N4.replace("sample_points = 20", "sample_points = 1001"))
+    assert main(["--out", str(tmp_path), "verify", str(cfg)]) == 0
+    report = (tmp_path / "sw_n4.report.txt").read_text()
+    assert "samples = 1001" in report and "pass = true" in report
+
+
 def test_verify_weak_superintegrable_label(tmp_path):
     cfg = write(tmp_path, "garnier_n3.cfg", GARNIER_N3)
     assert main(["--out", str(tmp_path), "verify", str(cfg)]) == 0

@@ -18,7 +18,7 @@ from superint import (
     sample_regular_points,
 )
 from superint.core import dot, sl2_kernel
-from conftest import central_gradient
+from conftest import central_gradient, phase_points, split
 
 RNG = np.random.default_rng(2024)
 
@@ -95,13 +95,13 @@ def test_casimir_labels_one_site():
 
 def test_sl2_gradients_match_differences():
     realization = SL2Realization([0.7, 0.0, -0.4])
-    for x in sample_regular_points(10, 3, RNG):
-        _, grads = sl2_values(realization, x.q, x.p)
+    for q0, p0 in map(split, sample_regular_points(10, 3, RNG)):
+        _, grads = sl2_values(realization, q0, p0)
         for idx in range(3):
             def value(q, p, i=idx):
                 return sl2_values(realization, q, p)[0][i]
 
-            nq, npp = central_gradient(value, x.q, x.p)
+            nq, npp = central_gradient(value, q0, p0)
             assert np.allclose(grads[idx][0], nq, rtol=1e-6, atol=1e-6)
             assert np.allclose(grads[idx][1], npp, rtol=1e-6, atol=1e-6)
 
@@ -133,7 +133,7 @@ def test_generator_bracket_closure():
     jm = j_quantity(realization, 0, "J-")
     jp = j_quantity(realization, 1, "J+")
     j3 = j_quantity(realization, 2, "J3")
-    for x in sample_regular_points(20, 4, RNG):
+    for x in phase_points(sample_regular_points(20, 4, RNG)):
         j_minus, j_plus, j_3, _ = sl2_kernel(realization, x.q, x.p)
         assert abs(poisson_bracket(j3, jp, x) - 2.0 * j_plus) < 1e-9
         assert abs(poisson_bracket(j3, jm, x) + 2.0 * j_minus) < 1e-9
@@ -144,7 +144,7 @@ def test_casimir_commutes_with_generators():
     realization = SL2Realization([0.6, -0.3, 0.9])
     casimir = casimir_quantity(realization)
     gens = [j_quantity(realization, i, n) for i, n in enumerate(("J-", "J+", "J3"))]
-    for x in sample_regular_points(20, 3, RNG):
+    for x in phase_points(sample_regular_points(20, 3, RNG)):
         for g in gens:
             assert abs(poisson_bracket(casimir, g, x)) < 1e-9
 
@@ -188,10 +188,10 @@ def test_chain_rule_matches_differences():
     for spec in specs:
         space = spec.descriptor.space
         kappa = spec.descriptor.kappa
-        points = sample_regular_points(20, 3, RNG, kappa=kappa, space=space)
-        for x in points:
-            dq, dp = energy_quantity(spec).gradient(x)
-            nq, npp = central_gradient(spec.value_qp, x.q, x.p)
+        q, p = split(sample_regular_points(20, 3, RNG, kappa=kappa, space=space))
+        grad_q, grad_p = spec.gradient_qp(q, p)
+        for dq, dp, q0, p0 in zip(grad_q, grad_p, q, p):
+            nq, npp = central_gradient(spec.value_qp, q0, p0)
             scale = max(1.0, float(np.max(np.abs(dq))), float(np.max(np.abs(dp))))
             assert np.max(np.abs(dq - nq)) / scale < 1e-6
             assert np.max(np.abs(dp - npp)) / scale < 1e-6
@@ -289,7 +289,7 @@ def test_gradient_qp_is_bitwise_the_tuple_form(b_tilde):
         desc = spec.descriptor
         sample = sample_regular_points(8, spec.n, 11, kappa=desc.kappa, space=desc.space)
         qs, ps = _orbit_states(spec, seed)  # and the states a GL2 run passes through
-        for q0, p0 in (*((x.q, x.p) for x in sample), *zip(qs, ps)):
+        for q0, p0 in (*map(split, sample), *zip(qs, ps)):
             # signed zeros in p on a negative-q site tell (+0) from (-0) sums
             q = q0.copy()
             q[1] = -abs(q[1])

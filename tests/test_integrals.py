@@ -19,8 +19,8 @@ from superint import (
     sw_extra_integral,
     universal_set,
 )
-from superint.integrals import IntegralSet, _kc_extra_unchecked
-from conftest import gradient_mismatch
+from superint.integrals import IntegralSet
+from conftest import gradient_mismatch, split
 
 RNG = np.random.default_rng(7)
 
@@ -80,9 +80,7 @@ def test_windows_match_brute_force():
     for zeros in (n, 2, 0):
         b = RNG.uniform(-1.0, 1.0, n)
         b[:zeros] = 0.0
-        points = sample_regular_points(10, n, RNG)
-        assert_coproduct_casimir(b, np.array([x.q for x in points]),
-                                 np.array([x.p for x in points]))
+        assert_coproduct_casimir(b, *split(sample_regular_points(10, n, RNG)))
     n = 14
     q = RNG.uniform(0.2, 1.5, (10, n)) * RNG.choice([-1.0, 1.0], (10, n))
     assert_coproduct_casimir(np.zeros(n), q, RNG.uniform(-1.5, 1.5, (10, 1)) * q)
@@ -91,13 +89,13 @@ def test_windows_match_brute_force():
 def test_b_zero_reduces_to_angular_momenta():
     n = 4
     realization = SL2Realization(np.zeros(n))
-    for x in sample_regular_points(5, n, RNG):
-        for m in range(2, n + 1):
-            expected = sum(
-                (x.q[i] * x.p[j] - x.q[j] * x.p[i]) ** 2
-                for i in range(m) for j in range(i + 1, m)
-            )
-            assert left_integral(realization, m).value(x) == pytest.approx(expected, rel=1e-13)
+    q, p = split(sample_regular_points(5, n, RNG))
+    for m in range(2, n + 1):
+        expected = sum(
+            (q[:, i] * p[:, j] - q[:, j] * p[:, i]) ** 2
+            for i in range(m) for j in range(i + 1, m)
+        )
+        assert left_integral(realization, m).value_fn(q, p) == pytest.approx(expected, rel=1e-13)
 
 
 def test_right_hand_values():
@@ -114,12 +112,12 @@ def test_full_window_families_coincide():
     realization = SL2Realization(RNG.uniform(-0.5, 1.0, n))
     ln = left_integral(realization, n)
     rn = right_integral(realization, n)
-    for x in sample_regular_points(10, n, RNG):
-        assert ln.value(x) == rn.value(x)
-        lq, lp = ln.gradient(x)
-        rq, rp = rn.gradient(x)
-        assert np.array_equal(lq, rq)
-        assert np.array_equal(lp, rp)
+    q, p = split(sample_regular_points(10, n, RNG))
+    assert np.array_equal(ln.value_fn(q, p), rn.value_fn(q, p))
+    lq, lp = ln.gradient_fn(q, p)
+    rq, rp = rn.gradient_fn(q, p)
+    assert np.array_equal(lq, rq)
+    assert np.array_equal(lp, rp)
 
 
 def test_range_errors():
@@ -134,12 +132,12 @@ def test_range_errors():
 def test_window_gradients_vanish_outside():
     n = 5
     realization = SL2Realization(RNG.uniform(0.0, 1.0, n))
-    x = sample_regular_points(1, n, RNG)[0]
+    q, p = split(sample_regular_points(1, n, RNG)[0])
     for m in range(2, n):
-        dq, dp = left_integral(realization, m).gradient(x)
+        dq, dp = left_integral(realization, m).gradient_fn(q, p)
         assert np.array_equal(dq[m:], np.zeros(n - m))
         assert np.array_equal(dp[m:], np.zeros(n - m))
-        dq, dp = right_integral(realization, m).gradient(x)
+        dq, dp = right_integral(realization, m).gradient_fn(q, p)
         assert np.array_equal(dq[: n - m], np.zeros(n - m))
         assert np.array_equal(dp[: n - m], np.zeros(n - m))
 
@@ -148,9 +146,9 @@ def test_positivity_with_nonnegative_b():
     n = 4
     b = RNG.uniform(0.0, 1.2, n)
     realization = SL2Realization(b)
-    for x in sample_regular_points(10, n, RNG):
-        for m in range(2, n + 1):
-            assert left_integral(realization, m).value(x) >= np.sum(b[:m])
+    q, p = split(sample_regular_points(10, n, RNG))
+    for m in range(2, n + 1):
+        assert np.all(left_integral(realization, m).value_fn(q, p) >= np.sum(b[:m]))
 
 
 def test_window_gradients_match_differences():
@@ -188,9 +186,9 @@ def test_oscillator_extras_sum_to_twice_mass_energy():
     bt = np.array([0.5, 0.2, 0.7])
     spec = make_sw("euclidean", mass=mass, omega=omega, b_tilde=bt)
     extras = [sw_extra_integral(i, mass=mass, omega=omega, b_tilde=bt) for i in range(3)]
-    for x in sample_regular_points(20, 3, RNG):
-        total = sum(e.value(x) for e in extras)
-        assert total == pytest.approx(2.0 * mass * energy_quantity(spec).value(x), rel=1e-12)
+    q, p = split(sample_regular_points(20, 3, RNG))
+    total = sum(e.value_fn(q, p) for e in extras)
+    assert total == pytest.approx(2.0 * mass * spec.value_qp(q, p), rel=1e-12)
 
 
 def test_oscillator_extras_commute_with_energy():
@@ -213,12 +211,12 @@ def test_curved_oscillator_extras_reduce_at_zero_curvature():
         0, mass=mass, omega=omega, b_tilde=bt, kappa=0.0, space="beltrami")
     poincare = sw_extra_integral(
         0, mass=mass, omega=omega, b_tilde=bt, kappa=0.0, space="poincare")
-    for x in sample_regular_points(10, 2, RNG):
-        assert beltrami.value(x) == flat.value(x)
-        # the stereographic distance convention quadruples the oscillator term
-        expected = x.p[0] ** 2 + 8.0 * mass * omega ** 2 * x.q[0] ** 2 \
-            + mass * bt[0] / x.q[0] ** 2
-        assert poincare.value(x) == pytest.approx(expected, rel=1e-13)
+    q, p = split(sample_regular_points(10, 2, RNG))
+    assert np.array_equal(beltrami.value_fn(q, p), flat.value_fn(q, p))
+    # the stereographic distance convention quadruples the oscillator term
+    expected = p[:, 0] ** 2 + 8.0 * mass * omega ** 2 * q[:, 0] ** 2 \
+        + mass * bt[0] / q[:, 0] ** 2
+    assert poincare.value_fn(q, p) == pytest.approx(expected, rel=1e-13)
 
 
 @pytest.mark.parametrize("kappa", [1.0, -0.5])
@@ -243,11 +241,9 @@ def test_curved_oscillator_extras_commute(kappa, chart):
 def test_coulomb_extra_reduces_without_coupling():
     bt = np.zeros(3)
     quantity = kc_extra_integral(1, mass=1.0, k=0.0, b_tilde=bt)
-    for x in sample_regular_points(10, 3, RNG):
-        expected = sum(
-            x.p[l] * (x.q[l] * x.p[1] - x.q[1] * x.p[l]) for l in range(3)
-        )
-        assert quantity.value(x) == pytest.approx(expected, rel=1e-12)
+    q, p = split(sample_regular_points(10, 3, RNG))
+    expected = sum(p[:, l] * (q[:, l] * p[:, 1] - q[:, 1] * p[:, l]) for l in range(3))
+    assert quantity.value_fn(q, p) == pytest.approx(expected, rel=1e-12)
 
 
 def test_coulomb_extra_hand_value():
@@ -280,7 +276,9 @@ def test_coulomb_mutation_is_not_conserved():
     spec = make_kepler_coulomb("euclidean", mass=mass, k=k, b_tilde=bt)
     h = energy_quantity(spec)
     points = sample_regular_points(20, 3, RNG)
-    bad = _kc_extra_unchecked(0, mass=mass, k=k, b_tilde=bt)
+    # L_1's formula never reads bt_1: with bt_1 zeroed it is the L_1 an
+    # unchecked bt_1 != 0 would give
+    bad = kc_extra_integral(0, mass=mass, k=k, b_tilde=[0.0, *bt[1:]])
     _, norm = max_bracket_residual(h, bad, points)
     assert norm > 1e-3
 
@@ -291,8 +289,8 @@ def test_curved_coulomb_extras_reduce_at_zero_curvature():
     flat = kc_extra_integral(0, mass=mass, k=k, b_tilde=bt)
     beltrami = kc_extra_integral(
         0, mass=mass, k=k, b_tilde=bt, kappa=0.0, space="beltrami")
-    for x in sample_regular_points(10, 2, RNG):
-        assert beltrami.value(x) == pytest.approx(flat.value(x), rel=1e-15)
+    q, p = split(sample_regular_points(10, 2, RNG))
+    assert beltrami.value_fn(q, p) == pytest.approx(flat.value_fn(q, p), rel=1e-15)
 
 
 @pytest.mark.parametrize("kappa", [0.5, -0.5])
