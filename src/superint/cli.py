@@ -12,6 +12,7 @@ with round-trip-safe floats (shortest repr by default, hexadecimal with
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from pathlib import Path
@@ -215,7 +216,10 @@ def cmd_catalog() -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no state
+    between calls, and building it costs about as much as parsing a config."""
     parser = argparse.ArgumentParser(
         prog="superint",
         description="Construct and numerically certify superintegrable "
@@ -233,6 +237,11 @@ def main(argv=None) -> int:
         p.add_argument("--hex-floats", action="store_true",
                        help="write floats as hexadecimal literals")
     sub.add_parser("catalog")
+    return parser
+
+
+def main(argv=None) -> int:
+    parser = _parser()
     args = parser.parse_args(argv)
     if args.seed is not None and args.seed < 0:
         parser.error(f"--seed must be >= 0, got {args.seed}")

@@ -20,12 +20,19 @@ expressions, without building the gradient vectors of the J's.  Values and
 the H gradient take one point (N,) or a stack (..., N), bitwise as one call
 per point.  Dynamics evaluates each monitor over a whole trajectory in one
 call, and a certificate takes H's gradient rows over its whole sample in
-one call.  Over a stack the kernel runs once, and only the scalar partials
-of h run once per point.  At one point (N,), a GL2 or RK4 stage whose cost
-is nearly all numpy dispatch, the kernel takes the barrier coordinates once
-and divides a precomputed -2b, and `dot` is `ndarray.dot`.  Value formulas
-square by products, since on a scalar `x ** 2` is libm pow, and take dot
-products by `dot`, which unlike `np.vecdot` is analytic in complex points.
+one call.
+
+Every sl(2) sum (J-, J3, p.p and the barrier sum) is defined as a left to
+right sum over the sites, t_0 + t_1 + ..., and every cube as q * q * q.
+Over a stack the kernel runs once, its sums are `np.add.accumulate`, a
+sequential loop, and only the scalar partials of h run once per point.  At
+one point (N,), a GL2 or RK4 stage, numpy dispatch would cost more than the
+arithmetic, so `gradient_qp` runs the same sums and the chain rule in
+Python floats and gets the stacked call's bits.  BLAS dots and
+`np.add.reduce` (pairwise from eight terms) are not left to right, and
+`x ** 3` rounds differently in numpy and in Python (as does a Python
+`x ** 2`; numpy's is x * x), so neither appears on these paths.  Dot
+products are `dot`, which unlike `np.vecdot` is analytic in complex points.
 
 The centrifugal terms b_i / q_i**2 make every plane q_i = 0 with b_i != 0
 singular, for H and for every integral built on the same realization.
@@ -83,9 +90,11 @@ class SL2Realization:
 
     The barrier sites are found once here: `active` masks the sites with
     b_i != 0, `sites` indexes them, `b_active` holds their coefficients and
-    `minus_2b` is -2 b_active (both None when there is no barrier).  The
-    sl(2) kernel and every axis guard read these; `b` is stored as a
-    read-only copy so they cannot go stale.
+    `minus_2b` is -2 b_active (both None when there is no barrier), and
+    `barriers` holds the same as Python (i, b_i, -2 b_i) triples for the
+    one-point evaluator of `HamiltonianSpec.gradient_qp`.  The sl(2) kernel
+    and every axis guard read these; `b` is stored as a read-only copy so
+    they cannot go stale.
     """
 
     b: np.ndarray
@@ -93,6 +102,8 @@ class SL2Realization:
     sites: np.ndarray = field(init=False, repr=False, compare=False)
     b_active: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
     minus_2b: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    barriers: tuple[tuple[int, float, float], ...] = field(init=False, repr=False,
+                                                           compare=False)
 
     def __post_init__(self):
         b = _as_vector(self.b, "b").copy()
@@ -103,6 +114,8 @@ class SL2Realization:
         object.__setattr__(self, "sites", np.flatnonzero(active))
         object.__setattr__(self, "b_active", b[active] if active.any() else None)
         object.__setattr__(self, "minus_2b", None if self.b_active is None else -2.0 * self.b_active)
+        object.__setattr__(self, "barriers", tuple(
+            (int(i), float(b[i]), -2.0 * float(b[i])) for i in self.sites))
 
     @property
     def n(self) -> int:
@@ -113,12 +126,7 @@ class SL2Realization:
         return q.take(self.sites, axis=-1)
 
     def spread(self, values: np.ndarray) -> np.ndarray:
-        """Inverse of at_barriers: (..., N), zero off the barriers.  One
-        point (a GL2 or RK4 stage) scatters by `sites`, the cheapest form."""
-        if values.ndim == 1:
-            full = np.zeros(self.n)
-            full[self.sites] = values
-            return full
+        """Inverse of at_barriers: (..., N), zero off the barriers."""
         full = np.zeros(values.shape[:-1] + (self.n,))
         full[..., self.sites] = values
         return full
@@ -138,12 +146,18 @@ class SL2Realization:
         guard_axes(self, x.q)
 
 
+def _left_sum(terms: np.ndarray):
+    """terms_0 + terms_1 + ... over the last axis, added left to right from
+    the first term (a one-term -0.0 sum stays -0.0), at one point or over a
+    stack: np.add.accumulate is a sequential loop."""
+    return np.add.accumulate(terms, axis=-1)[..., -1]
+
+
 def dot(x: np.ndarray, y: np.ndarray):
-    """sum_i x_i * y_i over the last axis, bitwise np.vecdot on real x but
-    without its conjugation of complex x: ndarray.dot, the cheaper call, on
-    one point (+ 0.0 makes a one-term -0.0 sum vecdot's +0.0) and
-    np.vecdot(x.conj(), y) over a stack."""
-    return x.dot(y) + 0.0 if x.ndim == 1 else np.vecdot(x.conj(), y)
+    """sum_i x_i * y_i over the last axis, by `_left_sum`, so that a stack,
+    one point and a Python loop over the sites give the same bits.  x is not
+    conjugated, so the dot is analytic in complex points."""
+    return _left_sum(x * y)
 
 
 def guard_axes(realization: SL2Realization, q: np.ndarray) -> None:
@@ -176,8 +190,8 @@ def barrier_squares(realization: SL2Realization, q: np.ndarray,
     guarded coordinate plane raises DomainError before any division happens.
     A caller that has already taken qa = realization.at_barriers(q) passes it.
     """
-    qa2 = (realization.at_barriers(q) if qa is None else qa) ** 2
-    if np.minimum.reduce(qa2, axis=None).real < _NEAR_AXIS_SQ:
+    qa2 = (realization.at_barriers(q) if qa is None else qa) ** 2  # x * x, not pow
+    if not np.minimum.reduce(qa2, axis=None).real >= _NEAR_AXIS_SQ:  # or NaN
         guard_axes(realization, q)
     return qa2
 
@@ -192,9 +206,11 @@ def sl2_kernel(realization: SL2Realization, q: np.ndarray, p: np.ndarray,
     only when `gradient` is set; it is the scalar 0.0 when there is no
     barrier (or no gradient was asked for), which broadcasts to the same
     numbers as a zero vector.  The other gradients are plain: dJ-/dq = 2q,
-    dJ+/dp = 2p, dJ3/dq = p, dJ3/dp = q, dJ-/dp = 0.  The value, the axis
-    guard and dJ+/dq share one take of the barrier coordinates.  Raises
-    DomainError on a guarded coordinate plane; nothing else is validated.
+    dJ+/dp = 2p, dJ3/dq = p, dJ3/dp = q, dJ-/dp = 0.  J+ is p.p plus the
+    barrier sum, both `_left_sum`s, and q_i**3 is (q_i * q_i) * q_i.  The
+    value, the axis guard and dJ+/dq share one take of the barrier
+    coordinates.  Raises DomainError on a guarded coordinate plane; nothing
+    else is validated.
     """
     j_minus = dot(q, q)
     j3 = dot(q, p)
@@ -203,9 +219,10 @@ def sl2_kernel(realization: SL2Realization, q: np.ndarray, p: np.ndarray,
     ba = realization.b_active
     if ba is not None:
         qa = realization.at_barriers(q)
-        j_plus += np.add.reduce(ba / barrier_squares(realization, q, qa), axis=-1)
-        if gradient:  # qa ** 3, not qa * qa * qa: the two round differently
-            djp_dq = realization.spread(realization.minus_2b / qa ** 3)
+        qa2 = barrier_squares(realization, q, qa)
+        j_plus += _left_sum(ba / qa2)
+        if gradient:
+            djp_dq = realization.spread(realization.minus_2b / (qa2 * qa))
     return j_minus, j_plus, j3, djp_dq
 
 
@@ -251,20 +268,47 @@ class HamiltonianSpec:
         rounds the same exact product as h * (2 q) unless 2 h overflows.  The
         h- * 0 term keeps the signed zeros (and NaNs) that a zero dJ-/dp
         vector would give.  The partials take Python floats, cheaper than
-        numpy scalars: at one point (N,) directly, and over a stack (..., N)
-        once per point, the chain rule then taking them as (..., 1) columns,
-        so that every point's rows are bitwise its own call.
+        numpy scalars.  Over a stack (..., N) the kernel runs once, the
+        partials once per point, and the chain rule takes them as (..., 1)
+        columns.  One point (N,) runs the same sums and products in Python
+        floats (`_gradient_at`), so every point's rows are bitwise its own
+        call whichever way it comes.
         """
-        jm, jp, j3, djp_dq = sl2_kernel(self.realization, q, p, gradient=True)
         if q.ndim == 1:
-            hm, hp, h3 = self.h_partials(float(jm), float(jp), float(j3))
-        else:
-            rows = zip(jm.ravel().tolist(), jp.ravel().tolist(), j3.ravel().tolist())
-            parts = np.array([self.h_partials(*row) for row in rows])
-            hm, hp, h3 = parts.T.reshape(3, *jm.shape, 1)
+            return self._gradient_at(q, p)
+        jm, jp, j3, djp_dq = sl2_kernel(self.realization, q, p, gradient=True)
+        rows = zip(jm.ravel().tolist(), jp.ravel().tolist(), j3.ravel().tolist())
+        parts = np.array([self.h_partials(*row) for row in rows])
+        hm, hp, h3 = parts.T.reshape(3, *jm.shape, 1)
         dq = (2.0 * hm) * q + hp * djp_dq + h3 * p
         dp = (hm * 0.0 + (2.0 * hp) * p) + h3 * q
         return dq, dp
+
+    def _gradient_at(self, q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """gradient_qp at one real point (N,): `sl2_kernel` and the chain
+        rule term by term on Python floats, with the same guard."""
+        realization = self.realization
+        qs, ps = q.tolist(), p.tolist()
+        # -0.0 + t = t for every t, so these sums are t_0 + t_1 + ...
+        jm = j3 = jp = barrier_sum = -0.0
+        for qi, pi in zip(qs, ps):
+            jm += qi * qi
+            j3 += qi * pi
+            jp += pi * pi
+        djp_dq = [0.0] * len(qs)
+        if realization.barriers:
+            squares = [qs[i] * qs[i] for i, _, _ in realization.barriers]
+            if not min(squares) >= _NEAR_AXIS_SQ:  # a NaN minimum runs it too
+                guard_axes(realization, q)
+            for (i, b, minus_2b), qi2 in zip(realization.barriers, squares):
+                barrier_sum += b / qi2
+                djp_dq[i] = minus_2b / (qi2 * qs[i])
+            jp += barrier_sum
+        hm, hp, h3 = self.h_partials(jm, jp, j3)
+        hm2, hp2, hm0 = 2.0 * hm, 2.0 * hp, hm * 0.0
+        dq = [hm2 * qi + hp * di + h3 * pi for qi, di, pi in zip(qs, djp_dq, ps)]
+        dp = [hm0 + hp2 * pi + h3 * qi for qi, pi in zip(qs, ps)]
+        return np.array(dq), np.array(dp)
 
 
 @dataclass(frozen=True)

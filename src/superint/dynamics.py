@@ -6,9 +6,10 @@ which matters here because the curved kinetic terms couple q and p, so no
 explicit splitting applies.  Stages are solved by fixed-point iteration,
 from f(z0) on the first step and later from each stage's own polynomial in
 the step index through its converged values at the last SEED_DEGREE + 1
-steps (fewer at the start), one step on.  The stage error is smooth in t,
-so it cancels: the seed error is O(h^6), not the stage order O(h^3) of
-collocation seeds (Hairer, Lubich & Wanner, GNI, VIII.6.1).
+steps (fewer at the start), one step on: one weighted reduce over a
+preallocated history of the converged stages.  The stage error is smooth
+in t, so it cancels: the seed error is O(h^6), not the stage order O(h^3)
+of collocation seeds (Hairer, Lubich & Wanner, GNI, VIII.6.1).
 A step stops when the largest stage change d_k is at most
 `fixed_point_tol` (1e-13 by default), or from the second sweep on when
 theta = d_k / d_{k-1} < 1 and the estimated remaining error
@@ -47,6 +48,16 @@ _SQRT3 = math.sqrt(3.0)
 # stages, as are the seed weights: a matrix product may fuse multiply and add.
 _A1, _A2 = np.array([[[0.25], [0.25 + _SQRT3 / 6.0]], [[0.25 - _SQRT3 / 6.0], [0.25]]])
 SEED_DEGREE = 5  # its weights sum in |.| to 2^6 - 1 = 63, the round-off gain
+# _SEED_WEIGHTS[m - 1] holds the (m, 1, 1) weights (-1)^j C(m, j + 1) on the
+# stages j steps back that extrapolate m past steps one step on.
+_SEED_WEIGHTS = tuple(
+    np.array([(-1) ** j * math.comb(m, j + 1) for j in range(m)], float)[:, None, None]
+    for m in range(1, SEED_DEGREE + 2)
+)
+# Rows of the stage history, filled from the last row down; when the first
+# is used, the newest SEED_DEGREE rows move to the end, so memory does not
+# grow with the run.
+_HISTORY_ROWS = 64
 MAX_FIXED_POINT_ITERS = 100
 GUARD_RADIUS = 1e-6
 # A stage-iteration failure this close to a guarded set is reported as a
@@ -110,13 +121,13 @@ def _gl2_step(f, z, h, k, tol):
 
 def _stage_seeds(past):
     """Each stage's polynomial in the step index through its values in the
-    newest m = min(len(past), SEED_DEGREE + 1) entries of past, one step on:
-    weight (-1)^j C(m, j + 1) on the entry j steps back, summed in order."""
+    newest m = min(len(past), SEED_DEGREE + 1) rows of the (steps, 2, 2N)
+    array past, newest first, one step on: weight (-1)^j C(m, j + 1) on the
+    row j steps back.  A reduce over the first axis from its first row
+    (initial=None; the add identity would turn a -0.0 seed into +0.0) adds
+    the rows in order."""
     m = min(len(past), SEED_DEGREE + 1)
-    seeds = m * past[0]
-    for j in range(1, m):
-        seeds = seeds + (-1) ** j * math.comb(m, j + 1) * past[j]
-    return seeds
+    return np.add.reduce(_SEED_WEIGHTS[m - 1] * past[:m], axis=0, initial=None)
 
 
 def _rk4_step(f, z, h):
@@ -197,16 +208,20 @@ def integrate(
     z = zs[0].copy()
     gl2 = cfg.method == "gl2"
     if gl2 and n_steps > 0:
-        k, past = np.array((f(z),) * 2), []
+        k, history = np.array((f(z),) * 2), np.empty((_HISTORY_ROWS, 2, 2 * n))
+        top = _HISTORY_ROWS  # history[top:] holds the converged stages, newest first
 
     for step_idx in range(1, n_steps + 1):
         t = step_idx * h
         try:
             try:
                 if gl2:
-                    z, stages = _gl2_step(f, z, h, k, cfg.fixed_point_tol)
-                    past = [stages, *past[:SEED_DEGREE]]
-                    k = _stage_seeds(past)
+                    if top == 0:
+                        top = _HISTORY_ROWS - SEED_DEGREE
+                        history[top:] = history[:SEED_DEGREE]
+                    top -= 1
+                    z, history[top] = _gl2_step(f, z, h, k, cfg.fixed_point_tol)
+                    k = _stage_seeds(history[top:])
                 else:
                     z = _rk4_step(f, z, h)
             except DomainError as exc:

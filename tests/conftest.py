@@ -11,6 +11,15 @@ STACK_PROFILES = {
 }
 
 
+def left_to_right(terms):
+    """terms[0] + terms[1] + ..., one addition at a time from the first term:
+    the sum order the sl(2) kernel defines."""
+    total = terms[0]
+    for term in terms[1:]:
+        total = total + term
+    return total
+
+
 def split(sample):
     """The q and p views of a (P, 2N) sample (or of one row)."""
     n = sample.shape[-1] // 2

@@ -346,6 +346,29 @@ def test_negative_seed_flag_is_a_usage_error(tmp_path, capsys):
     assert not (tmp_path / "sw_n4.report.txt").exists()
 
 
+def test_successive_in_process_calls_parse_independently(tmp_path, capsys):
+    # the parser is built once per process; no flag of one call leaks into
+    # the next, and a usage error in between changes nothing
+    from superint.cli import _parser
+
+    cfg = write(tmp_path, "sw_n4.cfg", SW_N4)
+    out_a, out_b, out_c = tmp_path / "a", tmp_path / "b", tmp_path / "c"
+    assert main(["--out", str(out_a), "--seed", "99", "verify", "--hex-floats", str(cfg)]) == 0
+    assert main(["--out", str(out_b), "simulate", str(cfg)]) == 0
+    assert _parser() is _parser()
+    report = (out_a / "sw_n4.report.txt").read_text()
+    assert "seed = 99" in report and "tolerance = 0x" in report
+    traj = (out_b / "sw_n4.traj.txt").read_text()
+    assert "# seed = 77" in traj and "0x" not in traj
+    with pytest.raises(SystemExit) as exc:
+        main(["--out", str(out_c), "--seed", "-1", "verify", str(cfg)])
+    assert exc.value.code == 2
+    assert "--seed must be >= 0, got -1" in capsys.readouterr().err
+    assert main(["--out", str(out_c), "verify", str(cfg)]) == 0
+    assert "seed = 77" in (out_c / "sw_n4.report.txt").read_text()
+    assert main(["catalog"]) == 0
+
+
 def test_catalog_lists_all_families(capsys):
     assert main(["catalog"]) == 0
     out = capsys.readouterr().out

@@ -18,7 +18,7 @@ from superint import (
     sample_regular_points,
 )
 from superint.core import dot, sl2_kernel
-from conftest import central_gradient, phase_points, split
+from conftest import central_gradient, left_to_right, phase_points, split
 
 RNG = np.random.default_rng(2024)
 
@@ -214,15 +214,17 @@ def test_energy_quantity_wraps_spec():
 
 def reference_gradient_qp(spec, q, p):
     """dH/dq, dH/dp as first written: explicit (J-, J+, J3) gradient vectors
-    combined term by term.  The kernel must reproduce it bit for bit."""
+    combined term by term, the J's summed left to right over the sites and
+    q_i**3 cubed by products.  The kernel must reproduce it bit for bit."""
     b = spec.realization.b
     n = q.size
     active = b != 0.0
-    jm, j3, jp = float(q @ q), float(q @ p), float(p @ p)
+    jm, j3, jp = (float(left_to_right(x * y)) for x, y in ((q, q), (q, p), (p, p)))
     djp_dq = np.zeros(n)
     if np.any(active):
-        jp += float(np.sum(b[active] / q[active] ** 2))
-        djp_dq[active] = -2.0 * b[active] / q[active] ** 3
+        qa = q[active]
+        jp += float(left_to_right(b[active] / qa ** 2))
+        djp_dq[active] = -2.0 * b[active] / (qa * qa * qa)
     gq = (2.0 * q, djp_dq, p.copy())
     gp = (np.zeros(n), 2.0 * p, q.copy())
     hm, hp, h3 = spec.h_partials(jm, jp, j3)
@@ -304,6 +306,48 @@ def test_gradient_qp_is_bitwise_the_tuple_form(b_tilde):
     assert checked == 28 * (8 + 21) * 3  # 5 families x 5 (space, sign) + 2 flat-only + free
 
 
+def _barrier_patterns(n):
+    """No, some (every other site from the first) and all sites barred."""
+    coeffs = [0.1 + 0.3 * ((3 * i) % 7) / 7.0 for i in range(n)]
+    some = [c if i % 2 == 0 else 0.0 for i, c in enumerate(coeffs)]
+    return {"no": [0.0] * n, "some": some, "all": coeffs}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 9, 14])
+@pytest.mark.parametrize("barriers", ["no", "some", "all"])
+def test_one_point_gradient_is_the_stacked_row_bitwise(n, barriers):
+    # the Python-float evaluator of one point and the numpy kernel of a
+    # stack are two evaluators of one definition: every row agrees in value
+    # and sign bit, with signed zeros in p on a negative-q site and at p = 0
+    b_tilde = _barrier_patterns(n)[barriers]
+    free = make_evans("euclidean", lambda s: 0.0, lambda s: 0.0,
+                      mass=1.0, b_tilde=b_tilde)
+    checked = 0
+    for seed, spec in enumerate((*catalog_specs(b_tilde), free)):
+        desc = spec.descriptor
+        qs, ps = split(sample_regular_points(6, n, seed, kappa=desc.kappa, space=desc.space))
+        site = min(1, n - 1)
+        qs[:, site] = -np.abs(qs[:, site])
+        rows_q, rows_p = [], []
+        for p1 in (None, 0.0, -0.0):
+            p = ps.copy()
+            if p1 is not None:
+                p[:, site] = p1
+            rows_q.append(qs)
+            rows_p.append(p)
+        # and J3 a sum of -0.0 terms only: q > 0 with p = -0.0 throughout
+        rows_q.append(np.abs(qs))
+        rows_p.append(np.full_like(ps, -0.0))
+        q_stack, p_stack = np.concatenate(rows_q), np.concatenate(rows_p)
+        dq_stack, dp_stack = spec.gradient_qp(q_stack, p_stack)
+        for q, p, dq_row, dp_row in zip(q_stack, p_stack, dq_stack, dp_stack):
+            dq, dp = spec.gradient_qp(q, p)
+            assert_same_bits(dq, dq_row)
+            assert_same_bits(dp, dp_row)
+            checked += 1
+    assert checked == 28 * 6 * 4  # 5 families x 5 (space, sign) + 2 flat-only + free
+
+
 def test_realization_caches_its_barrier_mask():
     realization = SL2Realization([0.5, 0.0, -0.2])
     assert realization.active.tolist() == [True, False, True]
@@ -340,20 +384,29 @@ def test_guarded_plane_raises_before_any_division(q3):
         with pytest.raises(DomainError) as err:
             call(q, p)
         assert str(err.value) == message
+        # the stacked evaluator names the same plane, and the point
+        with pytest.raises(DomainError) as err:
+            call(np.array([[1.0, 0.5, 0.7], q]), np.array([p, p]))
+        assert str(err.value) == f"point 1: {message}"
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 14, 50])
-def test_dot_of_one_point_is_vecdot_bitwise(n):
+def test_dot_is_a_left_to_right_sum_bitwise(n):
+    # x_0 y_0 + x_1 y_1 + ... from the first term, real or complex, at one
+    # point and over a stack, signed zeros included
     rng = np.random.default_rng(n)
     for _ in range(200):
         x, y = (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n) for _ in range(2))
         x[rng.random(n) < 0.2] = 0.0
         y[rng.random(n) < 0.2] = -0.0
         for a, b in ((x, y), (x + 1j * y[::-1], y - 1j * x[::-1])):
-            got, want = dot(a, b), np.vecdot(a.conj(), b)
+            got, want = dot(a, b), left_to_right(a * b)
+            stacked = dot(np.array([a, b, a]), np.array([b, a, a]))[0]
             for part in (np.real, np.imag):
-                assert np.array_equal(part(got), part(want))
-                assert np.signbit(part(got)) == np.signbit(part(want))
+                for value in (got, stacked):
+                    assert np.array_equal(part(value), part(want))
+                    assert np.signbit(part(value)) == np.signbit(part(want))
+    assert np.signbit(dot(np.array([1.0]), np.array([-0.0])))  # no + 0.0 start
     # and it does not conjugate: a complex step in x_j returns d(x.x)/dx_j
     x = rng.standard_normal(n)
     for j in range(n):

@@ -25,6 +25,7 @@ from superint import (
     universal_set,
 )
 from superint.dynamics import MAX_FIXED_POINT_ITERS
+from conftest import left_to_right
 
 
 def test_free_particle_is_exact():
@@ -419,9 +420,30 @@ def test_stage_seeds_extrapolate_their_polynomials_exactly():
             past = [g(-j) for j in range(length)]
             if length > SEED_DEGREE + 1:
                 past[SEED_DEGREE + 1:] = [np.full((2, 6), np.nan)] * (length - SEED_DEGREE - 1)
-            seeds = _stage_seeds(past)
+            seeds = _stage_seeds(np.array(past))
             assert seeds.shape == (2, 6)
             assert np.max(np.abs(seeds - g(1))) <= 1e-12, (length, degree)
+
+
+def test_stage_seeds_are_the_ordered_sum_bitwise():
+    # one weighted reduce equals weight-by-weight addition newest first,
+    # signed zeros included (a reduce that starts from the add identity
+    # would turn a one-step -0.0 seed into +0.0)
+    from superint.dynamics import _stage_seeds
+
+    rng = np.random.default_rng(5)
+    for _ in range(300):
+        m = int(rng.integers(1, 7))
+        past = rng.standard_normal((m, 2, 6)) * 10.0 ** rng.integers(-4, 5, (m, 2, 6))
+        zeros = rng.random((m, 2, 6))
+        past[zeros < 0.3] = -0.0
+        past[zeros > 0.8] = 0.0
+        want = m * past[0]
+        for j in range(1, m):
+            want = want + (-1) ** j * math.comb(m, j + 1) * past[j]
+        got = _stage_seeds(past)
+        assert np.array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def _reference_rk4_step(f, q, p, h):
@@ -445,11 +467,12 @@ def _reference_window_value(b, q, p, lo, hi):
 
 
 def _reference_sl2(b, q, p):
+    """(J-, J+, J3), each sum left to right over the sites."""
     active = b != 0.0
-    jp = float(p @ p)
+    jp = float(left_to_right(p * p))
     if np.any(active):
-        jp += float(np.sum(b[active] / q[active] ** 2))
-    return float(q @ q), jp, float(q @ p)
+        jp += float(left_to_right(b[active] / q[active] ** 2))
+    return float(left_to_right(q * q)), jp, float(left_to_right(q * p))
 
 
 def _reference_states(spec, x0, n_steps, cfg, legacy=False):
@@ -515,6 +538,57 @@ def test_stacked_steppers_are_bitwise_the_split_form(method, n_steps):
         assert set(traj.monitors) == set(series)
         for name, values in series.items():
             assert np.array_equal(traj.monitors[name], values), (spec.name, name)
+
+
+def _count_gradient_calls(monkeypatch):
+    """Wrap HamiltonianSpec.gradient_qp on the class, as the benchmark's
+    tracer does, and its one-point evaluator under it.  Returns the counts:
+    public calls, their one-point share and evaluator calls made outside a
+    public call."""
+    from superint.core import HamiltonianSpec
+
+    counts = {"calls": 0, "one_point": 0, "bypass": 0}
+    depth = [0]
+    public, private = HamiltonianSpec.gradient_qp, HamiltonianSpec._gradient_at
+
+    def gradient_qp(self, q, p):
+        counts["calls"] += 1
+        counts["one_point"] += q.ndim == 1
+        depth[0] += 1
+        try:
+            return public(self, q, p)
+        finally:
+            depth[0] -= 1
+
+    def gradient_at(self, q, p):
+        counts["bypass"] += depth[0] == 0
+        return private(self, q, p)
+
+    monkeypatch.setattr(HamiltonianSpec, "gradient_qp", gradient_qp)
+    monkeypatch.setattr(HamiltonianSpec, "_gradient_at", gradient_at)
+    return counts
+
+
+@pytest.mark.parametrize("method", ["gl2", "rk4"])
+def test_integrate_makes_one_gradient_qp_call_per_stage(monkeypatch, method):
+    # the benchmark's core.h_grad.calls and grad_evals_per_step count these
+    # calls: 4 per RK4 step, and for GL2 1 (the first seed) plus 2 per sweep,
+    # as the split-form reference, one call per stage by construction, makes
+    counts = _count_gradient_calls(monkeypatch)
+    spec = make_sw("poincare", mass=1.0, omega=1.1, b_tilde=[0.3, 0.0, 0.2], kappa=0.4)
+    x0 = PhasePoint([0.5, 0.4, 0.3], [0.2, -0.3, 0.25])
+    cfg, n_steps = IntegratorConfig(method=method, step=2e-3), 60
+    traj = integrate(spec, x0, n_steps * cfg.step, cfg)
+    calls = counts["calls"]
+    assert counts == {"calls": calls, "one_point": calls, "bypass": 0}
+    if method == "rk4":
+        assert calls == 4 * n_steps
+        return
+    counts["calls"] = 0
+    qs, ps = _reference_states(spec, x0, n_steps, cfg)
+    assert np.array_equal(traj.q, qs) and np.array_equal(traj.p, ps)
+    assert calls == counts["calls"]
+    assert (calls - 1) % 2 == 0 and calls - 1 >= 2 * n_steps
 
 
 @pytest.mark.parametrize("space, kappa", [("euclidean", 0.0), ("beltrami", 0.5),
