@@ -68,19 +68,13 @@ from .geometry import (
     BELTRAMI,
     EUCLIDEAN,
     POINCARE,
-    AmbientPoint,
-    ChartPoint,
-    ambient_to_beltrami,
     ambient_to_chart,
-    ambient_to_poincare,
-    beltrami_to_ambient,
     centrifugal_ambient,
     chart_to_ambient,
     conjugate_momenta,
     free_lagrangian,
     geodesic_distance,
     metric_form,
-    poincare_to_ambient,
     poincare_to_beltrami,
 )
 from .integrals import (

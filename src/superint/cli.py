@@ -21,7 +21,7 @@ from . import __version__
 from .brackets import certify
 from .catalog import FAMILIES, build, extra_integral
 from .config import ExperimentConfig, load_config
-from .core import energy_quantity
+from .core import PhasePoint, energy_quantity
 from .dynamics import IntegratorConfig, detect_closure, integrate
 from .errors import (
     ConfigError,
@@ -135,8 +135,6 @@ def cmd_simulate(config_path: Path, out_dir: Path, seed_override, hex_floats: bo
     uni = universal_set(spec.realization)
     monitors = _build_monitors(cfg, spec, uni)
     n = cfg.n
-    from .core import PhasePoint
-
     x0 = PhasePoint(sim.x0[:n], sim.x0[n:])
     icfg = IntegratorConfig(
         method=sim.method, step=sim.step, fixed_point_tol=sim.fixed_point_tol

@@ -88,34 +88,29 @@ class PhasePoint:
 class SL2Realization:
     """Centrifugal coefficients b = (b_1 ... b_N) of the realization.
 
-    The barrier sites are found once here: `active` masks the sites with
-    b_i != 0, `sites` indexes them, `b_active` holds their coefficients and
-    `minus_2b` is -2 b_active (both None when there is no barrier), and
-    `barriers` holds the same as Python (i, b_i, -2 b_i) triples for the
-    one-point evaluator of `HamiltonianSpec.gradient_qp`.  The sl(2) kernel
-    and every axis guard read these; `b` is stored as a read-only copy so
-    they cannot go stale.
+    The barrier sites are found once here: `sites` indexes the sites with
+    b_i != 0, `b_active` holds their coefficients (None when there is no
+    barrier), and `barriers` holds the same as Python (i, b_i, -2 b_i)
+    triples for the one-point evaluator of `HamiltonianSpec.gradient_qp`.
+    The sl(2) kernel and every axis guard read these; `b` is stored as a
+    read-only copy so they cannot go stale.
     """
 
     b: np.ndarray
-    active: np.ndarray = field(init=False, repr=False, compare=False)
     sites: np.ndarray = field(init=False, repr=False, compare=False)
     b_active: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
-    minus_2b: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
     barriers: tuple[tuple[int, float, float], ...] = field(init=False, repr=False,
                                                            compare=False)
 
     def __post_init__(self):
         b = _as_vector(self.b, "b").copy()
         b.flags.writeable = False
-        active = b != 0.0
+        sites = np.flatnonzero(b)
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "active", active)
-        object.__setattr__(self, "sites", np.flatnonzero(active))
-        object.__setattr__(self, "b_active", b[active] if active.any() else None)
-        object.__setattr__(self, "minus_2b", None if self.b_active is None else -2.0 * self.b_active)
+        object.__setattr__(self, "sites", sites)
+        object.__setattr__(self, "b_active", b[sites] if sites.size else None)
         object.__setattr__(self, "barriers", tuple(
-            (int(i), float(b[i]), -2.0 * float(b[i])) for i in self.sites))
+            (int(i), float(b[i]), -2.0 * float(b[i])) for i in sites))
 
     @property
     def n(self) -> int:
@@ -166,13 +161,14 @@ def guard_axes(realization: SL2Realization, q: np.ndarray) -> None:
     message names q_i by its index in the realization (and the point's
     index in a stack), so windows and one-axis integrals pass the full
     realization masked to their sites."""
-    bad = realization.active & (np.abs(q) < AXIS_GUARD_RADIUS)
+    qa = realization.at_barriers(q)
+    bad = np.abs(qa) < AXIS_GUARD_RADIUS
     if bad.any():
         idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        i = int(idx[-1])
+        i = int(realization.sites[idx[-1]])
         where = f"point {', '.join(map(str, idx[:-1]))}: " if q.ndim > 1 else ""
         raise DomainError(
-            f"{where}q_{i + 1} = {float(q[idx].real)!r} lies on a coordinate plane "
+            f"{where}q_{i + 1} = {float(qa[idx].real)!r} lies on a coordinate plane "
             f"with b_{i + 1} != 0"
         )
 
@@ -222,7 +218,7 @@ def sl2_kernel(realization: SL2Realization, q: np.ndarray, p: np.ndarray,
         qa2 = barrier_squares(realization, q, qa)
         j_plus += _left_sum(ba / qa2)
         if gradient:
-            djp_dq = realization.spread(realization.minus_2b / (qa2 * qa))
+            djp_dq = realization.spread(-2.0 * ba / (qa2 * qa))
     return j_minus, j_plus, j3, djp_dq
 
 

@@ -7,9 +7,9 @@ explicit splitting applies.  Stages are solved by fixed-point iteration,
 from f(z0) on the first step and later from each stage's own polynomial in
 the step index through its converged values at the last SEED_DEGREE + 1
 steps (fewer at the start), one step on: one weighted reduce over a
-preallocated history of the converged stages.  The stage error is smooth
-in t, so it cancels: the seed error is O(h^6), not the stage order O(h^3)
-of collocation seeds (Hairer, Lubich & Wanner, GNI, VIII.6.1).
+history of those stages that shifts one row per step.  The stage error is
+smooth in t, so it cancels: the seed error is O(h^6), not the stage order
+O(h^3) of collocation seeds (Hairer, Lubich & Wanner, GNI, VIII.6.1).
 A step stops when the largest stage change d_k is at most
 `fixed_point_tol` (1e-13 by default), or from the second sweep on when
 theta = d_k / d_{k-1} < 1 and the estimated remaining error
@@ -54,10 +54,6 @@ _SEED_WEIGHTS = tuple(
     np.array([(-1) ** j * math.comb(m, j + 1) for j in range(m)], float)[:, None, None]
     for m in range(1, SEED_DEGREE + 2)
 )
-# Rows of the stage history, filled from the last row down; when the first
-# is used, the newest SEED_DEGREE rows move to the end, so memory does not
-# grow with the run.
-_HISTORY_ROWS = 64
 MAX_FIXED_POINT_ITERS = 100
 GUARD_RADIUS = 1e-6
 # A stage-iteration failure this close to a guarded set is reported as a
@@ -208,20 +204,17 @@ def integrate(
     z = zs[0].copy()
     gl2 = cfg.method == "gl2"
     if gl2 and n_steps > 0:
-        k, history = np.array((f(z),) * 2), np.empty((_HISTORY_ROWS, 2, 2 * n))
-        top = _HISTORY_ROWS  # history[top:] holds the converged stages, newest first
+        # the converged stages of the last SEED_DEGREE + 1 steps, newest first
+        k, history = np.array((f(z),) * 2), np.empty((SEED_DEGREE + 1, 2, 2 * n))
 
     for step_idx in range(1, n_steps + 1):
         t = step_idx * h
         try:
             try:
                 if gl2:
-                    if top == 0:
-                        top = _HISTORY_ROWS - SEED_DEGREE
-                        history[top:] = history[:SEED_DEGREE]
-                    top -= 1
-                    z, history[top] = _gl2_step(f, z, h, k, cfg.fixed_point_tol)
-                    k = _stage_seeds(history[top:])
+                    history[1:] = history[:-1]
+                    z, history[0] = _gl2_step(f, z, h, k, cfg.fixed_point_tol)
+                    k = _stage_seeds(history[:step_idx])
                 else:
                     z = _rk4_step(f, z, h)
             except DomainError as exc:

@@ -350,7 +350,7 @@ def test_one_point_gradient_is_the_stacked_row_bitwise(n, barriers):
 
 def test_realization_caches_its_barrier_mask():
     realization = SL2Realization([0.5, 0.0, -0.2])
-    assert realization.active.tolist() == [True, False, True]
+    assert realization.sites.tolist() == [0, 2]
     assert realization.b_active.tolist() == [0.5, -0.2]
     assert SL2Realization([0.0, 0.0]).b_active is None
     with pytest.raises(ValueError):

@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from superint import (
-    AmbientPoint,
+    BELTRAMI,
+    POINCARE,
     ChartBoundary,
-    ChartPoint,
     DomainError,
-    ambient_to_beltrami,
     ambient_to_chart,
-    beltrami_to_ambient,
     centrifugal_ambient,
     chart_to_ambient,
     conjugate_momenta,
@@ -18,7 +16,6 @@ from superint import (
     geodesic_distance,
     make_evans,
     metric_form,
-    poincare_to_ambient,
     poincare_to_beltrami,
 )
 
@@ -38,50 +35,50 @@ def random_chart_coords(n, kappa, count):
 
 
 def test_projection_hand_values():
-    a = poincare_to_ambient([0.5, 0.0], 1.0)
-    assert a.x0 == pytest.approx(0.6)
-    assert a.x == pytest.approx([0.8, 0.0])
+    x0, x = chart_to_ambient(POINCARE, 1.0, [0.5, 0.0])
+    assert x0 == pytest.approx(0.6)
+    assert x == pytest.approx([0.8, 0.0])
 
-    b = beltrami_to_ambient([1.0, 0.0], 1.0)
-    assert b.x0 == pytest.approx(1.0 / math.sqrt(2.0))
-    assert b.x[0] == pytest.approx(1.0 / math.sqrt(2.0))
+    x0, x = chart_to_ambient(BELTRAMI, 1.0, [1.0, 0.0])
+    assert x0 == pytest.approx(1.0 / math.sqrt(2.0))
+    assert x[0] == pytest.approx(1.0 / math.sqrt(2.0))
 
-    c = beltrami_to_ambient([1.0, 0.0], -0.5)
-    assert c.x0 == pytest.approx(math.sqrt(2.0))
-    assert c.x0 ** 2 - 0.5 * float(c.x @ c.x) == pytest.approx(1.0, abs=1e-12)
+    x0, x = chart_to_ambient(BELTRAMI, -0.5, [1.0, 0.0])
+    assert x0 == pytest.approx(math.sqrt(2.0))
+    assert x0 ** 2 - 0.5 * float(x @ x) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_origin_maps_to_pole_antipode():
     for kappa in (1.0, -0.5, 0.0):
-        for convert in (poincare_to_ambient, beltrami_to_ambient):
-            a = convert([0.0, 0.0, 0.0], kappa)
-            assert a.x0 == 1.0
-            assert np.array_equal(a.x, np.zeros(3))
+        for chart in (POINCARE, BELTRAMI):
+            x0, x = chart_to_ambient(chart, kappa, [0.0, 0.0, 0.0])
+            assert x0 == 1.0
+            assert np.array_equal(x, np.zeros(3))
 
 
 def test_flat_limit_doubles_stereographic_coordinates():
     y = np.array([0.3, -0.7])
-    a = poincare_to_ambient(y, 0.0)
-    assert np.allclose(a.x, 2.0 * y)
-    assert a.x0 == 1.0
+    x0, x = chart_to_ambient(POINCARE, 0.0, y)
+    assert np.allclose(x, 2.0 * y)
+    assert x0 == 1.0
 
 
 def test_constraint_enforced_on_construction():
-    with pytest.raises(DomainError):
-        AmbientPoint(0.5, [1.0, 0.0], 1.0)
-    with pytest.raises(DomainError):
-        AmbientPoint(-math.sqrt(2.0), [1.0, 0.0], -1.0)
+    for chart in (POINCARE, BELTRAMI):
+        with pytest.raises(DomainError):
+            ambient_to_chart(chart, 1.0, 0.5, [1.0, 0.0])
+        with pytest.raises(DomainError):
+            ambient_to_chart(chart, -1.0, -math.sqrt(2.0), [1.0, 0.0])
 
 
 def test_round_trips():
     for kappa in (1.0, -0.5):
         for coords in random_chart_coords(3, kappa, 250):
             for chart in ("poincare", "beltrami"):
-                point = ChartPoint(chart, coords)
-                a = chart_to_ambient(point, kappa)
-                assert abs(a.x0 ** 2 + kappa * float(a.x @ a.x) - 1.0) < 1e-12
-                back = ambient_to_chart(a, chart)
-                assert np.max(np.abs(back.coords - coords)) < 1e-12
+                x0, x = chart_to_ambient(chart, kappa, coords)
+                assert abs(x0 ** 2 + kappa * float(x @ x) - 1.0) < 1e-12
+                back = ambient_to_chart(chart, kappa, x0, x)
+                assert np.max(np.abs(back - coords)) < 1e-12
 
 
 def test_chart_transition_matches_ambient_route():
@@ -90,51 +87,62 @@ def test_chart_transition_matches_ambient_route():
             if abs(1.0 - kappa * float(y @ y)) < 1e-6:
                 continue
             direct = poincare_to_beltrami(y, kappa)
-            via_ambient = ambient_to_beltrami(poincare_to_ambient(y, kappa))
+            via_ambient = ambient_to_chart(BELTRAMI, kappa,
+                                           *chart_to_ambient(POINCARE, kappa, y))
             assert np.max(np.abs(direct - via_ambient)) < 1e-12
 
 
 def test_distance_hand_values():
-    assert geodesic_distance(ChartPoint("beltrami", [1.0, 0.0]), 1.0) \
-        == pytest.approx(math.pi / 4.0)
-    assert geodesic_distance(ChartPoint("poincare", [0.5, 0.0]), 1.0) \
+    assert geodesic_distance([1.0, 0.0], 1.0) == pytest.approx(math.pi / 4.0)
+    assert geodesic_distance(poincare_to_beltrami([0.5, 0.0], 1.0), 1.0) \
         == pytest.approx(math.atan(4.0 / 3.0))
-    assert geodesic_distance(ChartPoint("beltrami", [0.5, 0.0]), -1.0) \
-        == pytest.approx(math.atanh(0.5))
+    assert geodesic_distance([0.5, 0.0], -1.0) == pytest.approx(math.atanh(0.5))
     with pytest.raises(DomainError):
-        geodesic_distance(ChartPoint("beltrami", [1.0, 0.0]), -1.0)
+        geodesic_distance([1.0, 0.0], -1.0)
 
 
 def test_distance_agrees_across_representations():
     for kappa in (1.0, -0.5):
         for z in random_chart_coords(3, kappa, 100):
-            bp = ChartPoint("beltrami", z)
-            a = beltrami_to_ambient(z, kappa)
-            yp = ambient_to_chart(a, "poincare")
-            r1 = geodesic_distance(bp, kappa)
-            r2 = geodesic_distance(a)
-            r3 = geodesic_distance(yp, kappa)
+            x0, x = chart_to_ambient(BELTRAMI, kappa, z)
+            y = ambient_to_chart(POINCARE, kappa, x0, x)
+            r1 = geodesic_distance(z, kappa)
+            r2 = geodesic_distance(ambient_to_chart(BELTRAMI, kappa, x0, x), kappa)
+            r3 = geodesic_distance(poincare_to_beltrami(y, kappa), kappa)
             assert abs(r1 - r2) < 1e-12
             assert abs(r1 - r3) < 1e-12
 
 
 def test_distance_flat_limits():
     z = np.array([0.3, 0.4])
-    assert geodesic_distance(ChartPoint("beltrami", z), 0.0) == pytest.approx(0.5)
-    assert geodesic_distance(ChartPoint("poincare", z), 0.0) == pytest.approx(1.0)
+    assert geodesic_distance(z, 0.0) == pytest.approx(0.5)
+    assert geodesic_distance(poincare_to_beltrami(z, 0.0), 0.0) == pytest.approx(1.0)
 
 
 def test_pole_antipode_inverts_to_chart_origin():
     for kappa in (1.0, -0.5):
-        a = AmbientPoint(1.0, [0.0, 0.0], kappa)
         for chart in ("poincare", "beltrami"):
-            assert np.array_equal(ambient_to_chart(a, chart).coords, np.zeros(2))
+            assert np.array_equal(ambient_to_chart(chart, kappa, 1.0, [0.0, 0.0]),
+                                  np.zeros(2))
 
 
 def test_far_hemisphere_rejected():
-    far = AmbientPoint(-0.6, [0.8, 0.0], 1.0)
     with pytest.raises(DomainError):
-        geodesic_distance(far)
+        ambient_to_chart(BELTRAMI, 1.0, -0.6, [0.8, 0.0])
+
+
+def test_far_hemisphere_rejected_on_the_chart_route():
+    # y = (2, 0) at kappa = 1 is the ambient point (-0.6, (0.8, 0)), whose
+    # distance acos(-0.6) is past the quarter turn the Beltrami chart reaches
+    y = [2.0, 0.0]
+    with pytest.raises(DomainError):
+        poincare_to_beltrami(y, 1.0)
+    assert chart_to_ambient(POINCARE, 1.0, y)[0] == pytest.approx(-0.6)
+    with pytest.raises(DomainError):
+        poincare_to_beltrami([1.0, 0.0], 1.0)  # the equator
+    x0, x = chart_to_ambient(POINCARE, 1.0, [0.999, 0.0])
+    assert geodesic_distance(poincare_to_beltrami([0.999, 0.0], 1.0), 1.0) \
+        == pytest.approx(math.acos(x0), rel=1e-12)
 
 
 def chart_kinetic(chart, kappa, mass, b_tilde=(0.0, 0.0, 0.0)):
@@ -207,17 +215,17 @@ def test_centrifugal_ambient_identity(kappa, chart):
             chart_sum = float(np.sum(bt[active] * one ** 2 / (2.0 * coords[active] ** 2)))
         else:
             chart_sum = float(np.sum(bt[active] * one / (2.0 * coords[active] ** 2)))
-        a = chart_to_ambient(ChartPoint(chart, coords), kappa)
-        ambient_sum = centrifugal_ambient(bt, a, chart)
+        _, x = chart_to_ambient(chart, kappa, coords)
+        ambient_sum = centrifugal_ambient(bt, x, chart)
         worst = max(worst, abs(chart_sum - ambient_sum) / max(1.0, abs(chart_sum)))
     assert worst < 1e-10
 
 
 def test_centrifugal_trivial_cases():
-    a = beltrami_to_ambient([0.4, 0.5], 0.8)
-    assert centrifugal_ambient([0.0, 0.0], a, "beltrami") == 0.0
+    _, x = chart_to_ambient(BELTRAMI, 0.8, [0.4, 0.5])
+    assert centrifugal_ambient([0.0, 0.0], x, "beltrami") == 0.0
     z = np.array([0.4, 0.5])
-    flat = beltrami_to_ambient(z, 0.0)
+    _, flat = chart_to_ambient(BELTRAMI, 0.0, z)
     bt = np.array([0.3, 0.7])
     assert centrifugal_ambient(bt, flat, "beltrami") == pytest.approx(
         float(np.sum(bt / (2.0 * z ** 2))))
@@ -250,8 +258,8 @@ def test_kinetic_energies_converge_to_flat():
 
 def test_chart_boundary_errors():
     with pytest.raises(ChartBoundary):
-        poincare_to_ambient([1.0, 0.0], -1.0)
+        chart_to_ambient(POINCARE, -1.0, [1.0, 0.0])
     with pytest.raises(ChartBoundary):
-        beltrami_to_ambient([2.0, 0.0], -1.0)
+        chart_to_ambient(BELTRAMI, -1.0, [2.0, 0.0])
     with pytest.raises(ChartBoundary):
         metric_form("beltrami", -1.0, [2.0, 0.0], [1.0, 0.0])
