@@ -24,11 +24,13 @@ one call.
 
 Every sl(2) sum (J-, J3, p.p and the barrier sum) is defined as a left to
 right sum over the sites, t_0 + t_1 + ..., and every cube as q * q * q.
-Over a stack the kernel runs once, its sums are `np.add.accumulate`, a
-sequential loop, and only the scalar partials of h run once per point.  At
-one point (N,), a GL2 or RK4 stage, numpy dispatch would cost more than the
-arithmetic, so `gradient_qp` runs the same sums and the chain rule in
-Python floats and gets the stacked call's bits.  BLAS dots and
+Over a stack the kernel runs once, its sums are sequential loops
+(`np.add.accumulate`, or the columns added one at a time on tall, narrow
+stacks), and only the scalar partials of h run once per point.  At one
+point, a GL2 or RK4 stage given as Python lists, numpy dispatch would cost
+more than the arithmetic, so `gradient_qp` runs the same sums and the chain
+rule in Python floats, returns lists, and gets the stacked call's bits; an
+(N,) array takes the same path and gets arrays back.  BLAS dots and
 `np.add.reduce` (pairwise from eight terms) are not left to right, and
 `x ** 3` rounds differently in numpy and in Python (as does a Python
 `x ** 2`; numpy's is x * x), so neither appears on these paths.  Dot
@@ -141,11 +143,26 @@ class SL2Realization:
         guard_axes(self, x.q)
 
 
+# From this many stack rows per site on, adding the columns one at a time
+# (one ufunc call per site) beats np.add.accumulate (one inner loop per row).
+# On float and complex stacks of 2 to 50 sites the crossover lies at 4 to 32
+# rows per site; 16 costs the least over that range.
+_COLUMN_SUM_ROWS_PER_SITE = 16
+
+
 def _left_sum(terms: np.ndarray):
     """terms_0 + terms_1 + ... over the last axis, added left to right from
     the first term (a one-term -0.0 sum stays -0.0), at one point or over a
-    stack: np.add.accumulate is a sequential loop."""
-    return np.add.accumulate(terms, axis=-1)[..., -1]
+    stack: np.add.accumulate is a sequential loop, and so is adding the
+    columns, which tall, narrow stacks (a trajectory's states) take.  A
+    one-term column sum is a view of terms."""
+    sites = terms.shape[-1]
+    if terms.size < _COLUMN_SUM_ROWS_PER_SITE * sites * sites:
+        return np.add.accumulate(terms, axis=-1)[..., -1]
+    total = terms[..., 0]
+    for j in range(1, sites):
+        total = total + terms[..., j]
+    return total
 
 
 def dot(x: np.ndarray, y: np.ndarray):
@@ -256,7 +273,7 @@ class HamiltonianSpec:
         jm, jp, j3, _ = sl2_kernel(self.realization, q, p)
         return self.h(jm, jp, j3)
 
-    def gradient_qp(self, q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def gradient_qp(self, q, p):
         """(dH/dq, dH/dp) by the chain rule through the sl(2) kernel.
 
         dH/dq = (2 h-) * q + h+ * dJ+/dq + h3 * p and
@@ -264,14 +281,18 @@ class HamiltonianSpec:
         rounds the same exact product as h * (2 q) unless 2 h overflows.  The
         h- * 0 term keeps the signed zeros (and NaNs) that a zero dJ-/dp
         vector would give.  The partials take Python floats, cheaper than
-        numpy scalars.  Over a stack (..., N) the kernel runs once, the
-        partials once per point, and the chain rule takes them as (..., 1)
-        columns.  One point (N,) runs the same sums and products in Python
-        floats (`_gradient_at`), so every point's rows are bitwise its own
-        call whichever way it comes.
+        numpy scalars.  One point comes as Python lists (a GL2 or RK4 stage)
+        or as (N,) arrays and goes back the same way; over a stack (..., N)
+        the kernel runs once, the partials once per point, and the chain rule
+        takes them as (..., 1) columns.  One point runs the same sums and
+        products in Python floats (`_gradient_at`), so every point's rows are
+        bitwise its own call whichever way it comes.
         """
-        if q.ndim == 1:
+        if isinstance(q, list):
             return self._gradient_at(q, p)
+        if q.ndim == 1:
+            dq, dp = self._gradient_at(q.tolist(), p.tolist())
+            return np.array(dq), np.array(dp)
         jm, jp, j3, djp_dq = sl2_kernel(self.realization, q, p, gradient=True)
         rows = zip(jm.ravel().tolist(), jp.ravel().tolist(), j3.ravel().tolist())
         parts = np.array([self.h_partials(*row) for row in rows])
@@ -280,11 +301,12 @@ class HamiltonianSpec:
         dp = (hm * 0.0 + (2.0 * hp) * p) + h3 * q
         return dq, dp
 
-    def _gradient_at(self, q: np.ndarray, p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """gradient_qp at one real point (N,): `sl2_kernel` and the chain
-        rule term by term on Python floats, with the same guard."""
+    def _gradient_at(self, qs: list, ps: list) -> tuple[list, list]:
+        """gradient_qp at one real point given as lists of N floats:
+        `sl2_kernel` and the chain rule term by term on Python floats, with
+        the same guard.  The partials are taken as Python floats, so no numpy
+        scalar reaches the result (or the stage built from it)."""
         realization = self.realization
-        qs, ps = q.tolist(), p.tolist()
         # -0.0 + t = t for every t, so these sums are t_0 + t_1 + ...
         jm = j3 = jp = barrier_sum = -0.0
         for qi, pi in zip(qs, ps):
@@ -295,16 +317,17 @@ class HamiltonianSpec:
         if realization.barriers:
             squares = [qs[i] * qs[i] for i, _, _ in realization.barriers]
             if not min(squares) >= _NEAR_AXIS_SQ:  # a NaN minimum runs it too
-                guard_axes(realization, q)
+                guard_axes(realization, np.array(qs))
             for (i, b, minus_2b), qi2 in zip(realization.barriers, squares):
                 barrier_sum += b / qi2
                 djp_dq[i] = minus_2b / (qi2 * qs[i])
             jp += barrier_sum
         hm, hp, h3 = self.h_partials(jm, jp, j3)
+        hm, hp, h3 = float(hm), float(hp), float(h3)
         hm2, hp2, hm0 = 2.0 * hm, 2.0 * hp, hm * 0.0
         dq = [hm2 * qi + hp * di + h3 * pi for qi, di, pi in zip(qs, djp_dq, ps)]
         dp = [hm0 + hp2 * pi + h3 * qi for qi, pi in zip(qs, ps)]
-        return np.array(dq), np.array(dp)
+        return dq, dp
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,10 @@ which matters here because the curved kinetic terms couple q and p, so no
 explicit splitting applies.  Stages are solved by fixed-point iteration,
 from f(z0) on the first step and later from each stage's own polynomial in
 the step index through its converged values at the last SEED_DEGREE + 1
-steps (fewer at the start), one step on: one weighted reduce over a
-history of those stages that shifts one row per step.  The stage error is
-smooth in t, so it cancels: the seed error is O(h^6), not the stage order
-O(h^3) of collocation seeds (Hairer, Lubich & Wanner, GNI, VIII.6.1).
+steps (fewer at the start), one step on: a weighted sum, newest first,
+over the list of those stages.  The stage error is smooth in t, so it
+cancels: the seed error is O(h^6), not the stage order O(h^3) of
+collocation seeds (Hairer, Lubich & Wanner, GNI, VIII.6.1).
 A step stops when the largest stage change d_k is at most
 `fixed_point_tol` (1e-13 by default), or from the second sweep on when
 theta = d_k / d_{k-1} < 1 and the estimated remaining error
@@ -17,10 +17,13 @@ theta / (1 - theta) * d_k is at most `fixed_point_tol` (Hairer & Wanner,
 Solving ODEs II, IV.8).  A classical RK4 is provided as a
 non-symplectic reference.
 
-Both steppers work on one stacked state z = [q, p] of length 2N, with
-stage vectors k = [dH/dp, -dH/dq] from one `spec.gradient_qp` call each;
-GL2 holds its two stages as one (2, 2N) array.  Stacking cuts the numpy
-calls per sweep; the arithmetic is elementwise, so every number is the
+Both steppers work on one state z = [q, p], a Python list of 2N floats,
+with stage vectors k = [dH/dp, -dH/dq] from one `spec.gradient_qp` call
+each on lists.  At the small N of an orbit, numpy dispatch would cost more
+than the arithmetic, so only the accepted state is written into the
+trajectory's array.  The arithmetic is entry by entry, in the order of the
+array expressions z + h (a_i1 k_1 + a_i2 k_2) and z + (h / 2) (k_1 + k_2)
+(RK4: z + (h / 6) (((k_1 + 2 k_2) + 2 k_3) + k_4)), so every number is the
 same as with separate q and p arrays.
 
 Every accepted state is checked against one tuple of `Guard`s: the
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import sub
 from typing import Optional, Sequence
 
 import numpy as np
@@ -44,14 +48,17 @@ from .core import ConservedQuantity, Guard, HamiltonianSpec, PhasePoint
 from .errors import DomainError, InsufficientData, NonConvergence, SingularApproach
 
 _SQRT3 = math.sqrt(3.0)
-# (2, 1) columns of the GL2 Butcher matrix, applied elementwise to the (2, 2N)
-# stages, as are the seed weights: a matrix product may fuse multiply and add.
-_A1, _A2 = np.array([[[0.25], [0.25 + _SQRT3 / 6.0]], [[0.25 - _SQRT3 / 6.0], [0.25]]])
+# the GL2 Butcher matrix, applied entry by entry as a(i, 1) k1 + a(i, 2) k2
+_A11, _A12 = 0.25, 0.25 - _SQRT3 / 6.0
+_A21, _A22 = 0.25 + _SQRT3 / 6.0, 0.25
 SEED_DEGREE = 5  # its weights sum in |.| to 2^6 - 1 = 63, the round-off gain
-# _SEED_WEIGHTS[m - 1] holds the (m, 1, 1) weights (-1)^j C(m, j + 1) on the
-# stages j steps back that extrapolate m past steps one step on.
+# _SEED_WEIGHTS[m - 1] holds the weights (-1)^j C(m, j + 1) on the stages j
+# steps back that extrapolate m past steps one step on, padded to
+# SEED_DEGREE + 1 with -0.0: x + (-0.0) * 0.0 is x for every x, signed zeros
+# and NaNs included, so a padded sum is bitwise the m-term sum.
 _SEED_WEIGHTS = tuple(
-    np.array([(-1) ** j * math.comb(m, j + 1) for j in range(m)], float)[:, None, None]
+    tuple(float((-1) ** j * math.comb(m, j + 1)) if j < m else -0.0
+          for j in range(SEED_DEGREE + 1))
     for m in range(1, SEED_DEGREE + 2)
 )
 MAX_FIXED_POINT_ITERS = 100
@@ -94,8 +101,9 @@ class Trajectory:
         return self.times.size
 
 
-def _gl2_step(f, z, h, k, tol):
-    """One GL2 step of the stacked state z = [q, p] from (2, 2N) stage seeds k.
+def _gl2_step(f, z, h, k1, k2, tol):
+    """One GL2 step of the state z = [q, p], a list of 2N floats, from the
+    stage seeds k1, k2 (lists of 2N floats).
 
     Returns the new state and the converged stages.  A NaN in either stage
     ends the iteration at once: the step is then non-finite and integrate
@@ -103,12 +111,20 @@ def _gl2_step(f, z, h, k, tol):
     """
     d_prev = 0.0  # the contraction test needs two sweeps
     for _ in range(MAX_FIXED_POINT_ITERS):
-        y = z + h * (_A1 * k[0] + _A2 * k[1])
-        new = np.array((f(y[0]), f(y[1])))
-        d = float(np.maximum.reduce(np.abs(new - k), axis=None))
-        k = new
-        if d <= tol or math.isnan(d) or (d < d_prev and d * d <= tol * (d_prev - d)):
-            return z + 0.5 * h * (k[0] + k[1]), k
+        new1 = f([zi + h * (_A11 * a + _A12 * b) for zi, a, b in zip(z, k1, k2)])
+        new2 = f([zi + h * (_A21 * a + _A22 * b) for zi, a, b in zip(z, k1, k2)])
+        # the largest stage change; a NaN from any site ends it as NaN
+        # (Python's max() would keep a NaN only in first place)
+        d = 0.0
+        for x in map(abs, map(sub, new1 + new2, k1 + k2)):
+            if not x <= d:
+                d = x
+                if x != x:
+                    break
+        k1, k2 = new1, new2
+        if d <= tol or d != d or (d < d_prev and d * d <= tol * (d_prev - d)):
+            half = 0.5 * h
+            return [zi + half * (a + b) for zi, a, b in zip(z, k1, k2)], (k1, k2)
         d_prev = d
     raise NonConvergence(
         f"stage fixed point did not reach {tol:g} in {MAX_FIXED_POINT_ITERS} iterations"
@@ -116,22 +132,33 @@ def _gl2_step(f, z, h, k, tol):
 
 
 def _stage_seeds(past):
-    """Each stage's polynomial in the step index through its values in the
-    newest m = min(len(past), SEED_DEGREE + 1) rows of the (steps, 2, 2N)
-    array past, newest first, one step on: weight (-1)^j C(m, j + 1) on the
-    row j steps back.  A reduce over the first axis from its first row
-    (initial=None; the add identity would turn a -0.0 seed into +0.0) adds
-    the rows in order."""
-    m = min(len(past), SEED_DEGREE + 1)
-    return np.add.reduce(_SEED_WEIGHTS[m - 1] * past[:m], axis=0, initial=None)
+    """Each stage's polynomial in the step index through its values at the
+    newest m = min(len(past), SEED_DEGREE + 1) steps, one step on.  past
+    holds the (k1, k2) stage pairs of the past steps, newest first; the seed
+    is w_0 s_0 + w_1 s_1 + ..., summed left to right, with weight
+    (-1)^j C(m, j + 1) on the stage s_j of j steps back.  With m <= SEED_DEGREE
+    the sum runs on over zero stages at the padding weight -0.0."""
+    w0, w1, w2, w3, w4, w5 = _SEED_WEIGHTS[min(len(past), SEED_DEGREE + 1) - 1]
+    rows = past[:SEED_DEGREE + 1]
+    if len(rows) <= SEED_DEGREE:
+        zero = [0.0] * len(rows[0][0])
+        rows = [*rows, *[(zero, zero)] * (SEED_DEGREE + 1 - len(rows))]
+    return tuple(
+        [w0 * a + w1 * b + w2 * c + w3 * d + w4 * e + w5 * g
+         for a, b, c, d, e, g in zip(*stage)]
+        for stage in zip(*rows)
+    )
 
 
 def _rk4_step(f, z, h):
+    half = 0.5 * h
     k1 = f(z)
-    k2 = f(z + 0.5 * h * k1)
-    k3 = f(z + 0.5 * h * k2)
-    k4 = f(z + h * k3)
-    return z + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    k2 = f([zi + half * a for zi, a in zip(z, k1)])
+    k3 = f([zi + half * a for zi, a in zip(z, k2)])
+    k4 = f([zi + h * a for zi, a in zip(z, k3)])
+    sixth = h / 6.0
+    return [zi + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
+            for zi, a, b, c, d in zip(z, k1, k2, k3, k4)]
 
 
 def whole_steps(t_final: float, step: float) -> Optional[int]:
@@ -196,25 +223,27 @@ def integrate(
             dq, dp = gradient_qp(z[:n], z[n:])
         except OverflowError as exc:  # a family's Python-float partials
             raise NonConvergence(f"stage evaluation overflowed: {exc}") from exc
-        return np.concatenate((dp, -dq))
+        return dp + [-x for x in dq]
 
     h = cfg.step
     zs = np.empty((n_steps + 1, 2 * n))
     zs[0, :n], zs[0, n:] = x0.q, x0.p
-    z = zs[0].copy()
+    z = zs[0].tolist()
     gl2 = cfg.method == "gl2"
     if gl2 and n_steps > 0:
-        # the converged stages of the last SEED_DEGREE + 1 steps, newest first
-        k, history = np.array((f(z),) * 2), np.empty((SEED_DEGREE + 1, 2, 2 * n))
+        k = f(z)
+        # history: the converged stages of the last SEED_DEGREE + 1 steps,
+        # newest first
+        seeds, history = (k, k), []
 
     for step_idx in range(1, n_steps + 1):
         t = step_idx * h
         try:
             try:
                 if gl2:
-                    history[1:] = history[:-1]
-                    z, history[0] = _gl2_step(f, z, h, k, cfg.fixed_point_tol)
-                    k = _stage_seeds(history[:step_idx])
+                    z, stages = _gl2_step(f, z, h, *seeds, cfg.fixed_point_tol)
+                    history = [stages, *history[:SEED_DEGREE]]
+                    seeds = _stage_seeds(history)
                 else:
                     z = _rk4_step(f, z, h)
             except DomainError as exc:
@@ -231,14 +260,14 @@ def integrate(
                     f"at t = {t:.6g}: {exc}",
                     time=(step_idx - 1) * h,
                 )
-            if not np.isfinite(z).all():
+            if not all(map(math.isfinite, z)):
                 raise SingularApproach(f"state became non-finite at t = {t:.6g}", time=t)
-            check_guards(z[:n], t)
+            zs[step_idx] = z
+            check_guards(zs[step_idx, :n], t)
         except (SingularApproach, NonConvergence) as err:
             err.state = PhasePoint(zs[step_idx - 1, :n].copy(), zs[step_idx - 1, n:].copy())
             err.trajectory = _finish(zs[:step_idx], n, h, monitors)
             raise
-        zs[step_idx] = z
     return _finish(zs, n, h, monitors)
 
 

@@ -505,6 +505,32 @@ def test_stacked_hamiltonian_gradient_is_bitwise_the_per_point_one(family):
                         spec.gradient_qp(bad.reshape(2, m // 2, 4), ps.reshape(2, m // 2, 4))
 
 
+@pytest.mark.parametrize("n", [1, 3])
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_gradient_of_one_point_as_lists_is_lists_of_floats(family, n):
+    """gradient_qp on one point given as lists (a GL2 or RK4 stage) returns
+    lists of Python floats, bitwise the (N,) array call, signbits included,
+    on each space and sign of kappa, with zero and with nonzero barriers.
+    The evans, electromagnetic and variable_mass partials return numpy
+    scalars; none may reach the lists."""
+    info = FAMILIES[family]
+    rng = np.random.default_rng(17)
+    for space in info.spaces:
+        for kappa in (0.0,) if space == "euclidean" else (0.4, -0.4):
+            for bt in ([0.0] * n, [0.3, 0.0, 0.2][:n]):
+                params = {"kappa": kappa, **{key: 0.9 for key in info.params}}
+                spec = build(SystemDescriptor(family, space, params, bt,
+                                              STACK_PROFILES.get(family, {})))
+                qs, ps = split(sample_regular_points(12, n, rng, kappa=kappa, space=space))
+                ps[:4] = np.where(rng.random((4, n)) < 0.5, -0.0, 0.0)
+                for q, p in zip(qs, ps):
+                    dq, dp = spec.gradient_qp(q.tolist(), p.tolist())
+                    assert type(dq) is list and type(dp) is list
+                    assert all(type(x) is float for x in dq + dp), spec.name
+                    rq, rp = spec.gradient_qp(q, p)
+                    assert _same_bits(np.array(dq), rq) and _same_bits(np.array(dp), rp), spec.name
+
+
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_hamiltonian_gradient_is_the_complex_step_derivative_of_its_value(family):
     """gradient_qp, the chain rule through the sl(2) kernel, equals the

@@ -390,6 +390,33 @@ def test_guarded_plane_raises_before_any_division(q3):
         assert str(err.value) == f"point 1: {message}"
 
 
+@pytest.mark.parametrize("sites", [1, 2, 3, 4, 14])
+def test_left_sum_is_left_to_right_on_both_sides_of_the_column_crossover(sites):
+    # short, wide stacks take np.add.accumulate and tall, narrow ones the
+    # column sums; both are the left-to-right sum of every row, real or
+    # complex, with one-term -0.0 sums, signed zeros and NaN rows
+    from superint.core import _COLUMN_SUM_ROWS_PER_SITE, _left_sum
+
+    rng = np.random.default_rng(sites)
+    crossover = _COLUMN_SUM_ROWS_PER_SITE * sites
+    for shape in ((sites,), (crossover - 1, sites), (crossover, sites),
+                  (2, crossover, sites), (3, 2, sites)):
+        terms = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
+        mark = rng.random(shape)
+        terms[mark < 0.2] = -0.0
+        terms[mark > 0.85] = 0.0
+        rows = terms.reshape(-1, sites)
+        rows[-1] = -0.0
+        rows[0, -1] = np.nan
+        for stack in (terms, terms + 1j * terms[..., ::-1]):
+            got = _left_sum(stack)
+            want = np.array([left_to_right(row) for row in stack.reshape(-1, sites)])
+            assert got.shape == shape[:-1]
+            for part in (np.real, np.imag):
+                assert np.array_equal(part(got).ravel(), part(want), equal_nan=True)
+                assert np.array_equal(np.signbit(part(got)).ravel(), np.signbit(part(want)))
+
+
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 14, 50])
 def test_dot_is_a_left_to_right_sum_bitwise(n):
     # x_0 y_0 + x_1 y_1 + ... from the first term, real or complex, at one

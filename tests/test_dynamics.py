@@ -197,22 +197,26 @@ def test_integrate_takes_whole_steps_only(method, t_final, step):
 @pytest.mark.parametrize("site", [0, 1, 2, 3])
 @pytest.mark.parametrize("stage", [1, 2])
 def test_gl2_step_stops_on_a_nan_stage(stage, site):
-    # a NaN in any stage, in the q or the p half, ends the step at once
+    # a NaN in any stage, in the q or the p half, ends the step at once, and
+    # so does one at the last site of the second stage: the sweep's largest
+    # change is taken so that a NaN from any site is kept (Python's max()
+    # keeps one only in first place).  Every other change is far above the
+    # tolerance, so a stop rule that lost the NaN would sweep again.
     from superint.dynamics import _gl2_step
 
     calls = []
 
     def f(z):
         calls.append(z)
-        k = 0.0 * z
+        k = [1.0 + x for x in z]
         if len(calls) == stage:
             k[site] = math.nan
         return k
 
-    z0, k0 = np.array([1.0, 0.5, -0.2, 0.3]), np.zeros((2, 4))
-    z, _ = _gl2_step(f, z0, 0.1, k0, 1e-13)
+    z0, k0 = [1.0, 0.5, -0.2, 0.3], [0.0] * 4
+    z, _ = _gl2_step(f, z0, 0.1, k0, k0, 1e-13)
     assert len(calls) == 2
-    assert np.isnan(z).tolist() == [i == site for i in range(4)]
+    assert [math.isnan(x) for x in z] == [i == site for i in range(4)]
 
 
 def test_nan_gradient_halts_as_non_finite():
@@ -402,6 +406,12 @@ def _reference_seeds(past):
     return tuple(seeds)
 
 
+def _as_past(stages):
+    """A (steps, 2, 2N) array as the steppers' history: a list, newest first,
+    of (k1, k2) pairs of lists of floats."""
+    return [(k1.tolist(), k2.tolist()) for k1, k2 in stages]
+
+
 def test_stage_seeds_extrapolate_their_polynomials_exactly():
     # past[j] holds the stages j steps back; the seed is the value one step
     # on of every vector polynomial in the step index of degree at most
@@ -420,15 +430,15 @@ def test_stage_seeds_extrapolate_their_polynomials_exactly():
             past = [g(-j) for j in range(length)]
             if length > SEED_DEGREE + 1:
                 past[SEED_DEGREE + 1:] = [np.full((2, 6), np.nan)] * (length - SEED_DEGREE - 1)
-            seeds = _stage_seeds(np.array(past))
-            assert seeds.shape == (2, 6)
-            assert np.max(np.abs(seeds - g(1))) <= 1e-12, (length, degree)
+            seeds = _stage_seeds(_as_past(past))
+            assert len(seeds) == 2 and all(len(k) == 6 for k in seeds)
+            assert np.max(np.abs(np.array(seeds) - g(1))) <= 1e-12, (length, degree)
 
 
 def test_stage_seeds_are_the_ordered_sum_bitwise():
-    # one weighted reduce equals weight-by-weight addition newest first,
-    # signed zeros included (a reduce that starts from the add identity
-    # would turn a one-step -0.0 seed into +0.0)
+    # the seeds equal weight-by-weight addition newest first, signed zeros
+    # included (a sum that starts from +0.0 would turn a one-step -0.0 seed
+    # into +0.0), as Python floats
     from superint.dynamics import _stage_seeds
 
     rng = np.random.default_rng(5)
@@ -438,11 +448,14 @@ def test_stage_seeds_are_the_ordered_sum_bitwise():
         zeros = rng.random((m, 2, 6))
         past[zeros < 0.3] = -0.0
         past[zeros > 0.8] = 0.0
+        past[zeros > 0.97] = np.nan
         want = m * past[0]
         for j in range(1, m):
             want = want + (-1) ** j * math.comb(m, j + 1) * past[j]
-        got = _stage_seeds(past)
-        assert np.array_equal(got, want)
+        seeds = _stage_seeds(_as_past(past))
+        assert all(type(x) is float for k in seeds for x in k)
+        got = np.array(seeds)
+        assert np.array_equal(got, want, equal_nan=True)
         assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
@@ -553,7 +566,7 @@ def _count_gradient_calls(monkeypatch):
 
     def gradient_qp(self, q, p):
         counts["calls"] += 1
-        counts["one_point"] += q.ndim == 1
+        counts["one_point"] += isinstance(q, list) or q.ndim == 1
         depth[0] += 1
         try:
             return public(self, q, p)
