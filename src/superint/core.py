@@ -28,9 +28,14 @@ Over a stack the kernel runs once, its sums are sequential loops
 (`np.add.accumulate`, or the columns added one at a time on tall, narrow
 stacks), and only the scalar partials of h run once per point.  At one
 point, a GL2 or RK4 stage given as Python lists, numpy dispatch would cost
-more than the arithmetic, so `gradient_qp` runs the same sums and the chain
-rule in Python floats, returns lists, and gets the stacked call's bits; an
-(N,) array takes the same path and gets arrays back.  BLAS dots and
+more than the arithmetic, and so would a Python loop over the sites:
+`gradient_qp` runs the same sums and the chain rule as straight-line code on
+Python floats, returns lists, and gets the stacked call's bits; an (N,)
+array takes the same path and gets arrays back.  That kernel's source is
+generated and compiled once per shape, keyed by N and the barrier sites
+(`_one_point_gradient`); it holds only names and site indices, and each
+spec binds its own b_i, -2 b_i and h partials to it by name on its first
+one-point call, so building or certifying a spec compiles nothing.  BLAS dots and
 `np.add.reduce` (pairwise from eight terms) are not left to right, and
 `x ** 3` rounds differently in numpy and in Python (as does a Python
 `x ** 2`; numpy's is x * x), so neither appears on these paths.  Dot
@@ -45,6 +50,7 @@ singular, for H and for every integral built on the same realization.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -93,8 +99,9 @@ class SL2Realization:
     The barrier sites are found once here: `sites` indexes the sites with
     b_i != 0, `b_active` holds their coefficients (None when there is no
     barrier), and `barriers` holds the same as Python (i, b_i, -2 b_i)
-    triples for the one-point evaluator of `HamiltonianSpec.gradient_qp`.
-    The sl(2) kernel and every axis guard read these; `b` is stored as a
+    triples for the one-point kernel of `HamiltonianSpec.gradient_qp` and
+    for `clearance`.  The sl(2) kernel and every axis guard read these; `b`
+    is stored as a
     read-only copy so they cannot go stale.
     """
 
@@ -128,12 +135,14 @@ class SL2Realization:
         full[..., self.sites] = values
         return full
 
-    def clearance(self, q: np.ndarray) -> float:
+    def clearance(self, q) -> float:
         """min |q_i| over the barrier sites: the distance to the nearest
-        barrier plane (inf when there is no barrier)."""
-        if self.b_active is None:
+        barrier plane (inf when there is no barrier).  q is one finite
+        point, an (N,) array or a list whose first N entries are q (a
+        state [q, p]); the minimum is exact either way."""
+        if not self.barriers:
             return np.inf
-        return float(np.minimum.reduce(np.abs(self.at_barriers(q)), axis=None))
+        return float(min([abs(q[i]) for i, _, _ in self.barriers]))
 
     def check_point(self, x: PhasePoint) -> None:
         if x.n != self.n:
@@ -285,8 +294,10 @@ class HamiltonianSpec:
         or as (N,) arrays and goes back the same way; over a stack (..., N)
         the kernel runs once, the partials once per point, and the chain rule
         takes them as (..., 1) columns.  One point runs the same sums and
-        products in Python floats (`_gradient_at`), so every point's rows are
-        bitwise its own call whichever way it comes.
+        products in Python floats (`_gradient_at`): straight-line code
+        compiled once per (N, barrier sites) and bound to this spec's b_i,
+        -2 b_i and partials, so every point's rows are bitwise its own call
+        whichever way it comes.
         """
         if isinstance(q, list):
             return self._gradient_at(q, p)
@@ -301,33 +312,81 @@ class HamiltonianSpec:
         dp = (hm * 0.0 + (2.0 * hp) * p) + h3 * q
         return dq, dp
 
-    def _gradient_at(self, qs: list, ps: list) -> tuple[list, list]:
-        """gradient_qp at one real point given as lists of N floats:
-        `sl2_kernel` and the chain rule term by term on Python floats, with
-        the same guard.  The partials are taken as Python floats, so no numpy
-        scalar reaches the result (or the stage built from it)."""
-        realization = self.realization
-        # -0.0 + t = t for every t, so these sums are t_0 + t_1 + ...
-        jm = j3 = jp = barrier_sum = -0.0
-        for qi, pi in zip(qs, ps):
-            jm += qi * qi
-            j3 += qi * pi
-            jp += pi * pi
-        djp_dq = [0.0] * len(qs)
-        if realization.barriers:
-            squares = [qs[i] * qs[i] for i, _, _ in realization.barriers]
-            if not min(squares) >= _NEAR_AXIS_SQ:  # a NaN minimum runs it too
-                guard_axes(realization, np.array(qs))
-            for (i, b, minus_2b), qi2 in zip(realization.barriers, squares):
-                barrier_sum += b / qi2
-                djp_dq[i] = minus_2b / (qi2 * qs[i])
-            jp += barrier_sum
-        hm, hp, h3 = self.h_partials(jm, jp, j3)
-        hm, hp, h3 = float(hm), float(hp), float(h3)
-        hm2, hp2, hm0 = 2.0 * hm, 2.0 * hp, hm * 0.0
-        dq = [hm2 * qi + hp * di + h3 * pi for qi, di, pi in zip(qs, djp_dq, ps)]
-        dp = [hm0 + hp2 * pi + h3 * qi for qi, pi in zip(qs, ps)]
-        return dq, dp
+    @cached_property
+    def _gradient_at(self) -> Callable[[list, list], tuple[list, list]]:
+        """gradient_qp at one real point given as lists of N floats, returned
+        as lists: the kernel of the realization's shape, bound on the first
+        one-point call to this spec's barrier coefficients and h_partials."""
+        barriers = self.realization.barriers
+        make = _one_point_gradient(self.n, tuple(i for i, _, _ in barriers))
+        return make(self.h_partials, self.realization,
+                    *(x for _, b, minus_2b in barriers for x in (b, minus_2b)))
+
+
+@cache
+def _one_point_gradient(n: int, sites: tuple[int, ...]) -> Callable:
+    """Compile, once per shape (N and the barrier sites), the factory of
+    `HamiltonianSpec._gradient_at`.  Its source holds only names and site
+    indices: the factory binds h_partials, the realization (for the exact
+    guard) and each barrier's b_i and -2 b_i as arguments.
+
+    The kernel is `sl2_kernel` and the chain rule of `gradient_qp` on
+    Python floats, unrolled over the sites in the same order: J-, J3 and
+    p.p are t_0 + t_1 + ... (the stacked sums start from the first term,
+    as a sum from -0.0 would), the barrier sum is added to p.p as one term,
+    and dJ+/dq_i is -2 b_i / (q_i**2 * q_i) on a barrier site, 0.0 (as
+    h+ * 0.0) elsewhere.  A barrier square below _NEAR_AXIS_SQ (or NaN)
+    runs the exact guard before any division.  The partials are coerced to
+    Python floats, so no numpy scalar reaches the result (or the stage
+    built from it).
+    """
+    idx = range(n)
+
+    def left_sum(terms):
+        return " + ".join(terms)
+
+    dq = [f"hm2 * q{i} + hp * (m{i} / (s{i} * q{i})) + h3 * p{i}" if i in sites
+          else f"hm2 * q{i} + hp0 + h3 * p{i}" for i in idx]
+    lines = [
+        f"def make(h_partials, realization{''.join(f', b{i}, m{i}' for i in sites)}):",
+        "    def gradient_at(qs, ps):",
+        f"        {names('q', idx)}= qs",
+        f"        {names('p', idx)}= ps",
+        f"        jm = {left_sum(f'q{i} * q{i}' for i in idx)}",
+        f"        j3 = {left_sum(f'q{i} * p{i}' for i in idx)}",
+        f"        jp = {left_sum(f'p{i} * p{i}' for i in idx)}",
+    ]
+    if sites:
+        lines += [f"        s{i} = q{i} * q{i}" for i in sites]
+        lines += [
+            f"        if not ({' and '.join(f's{i} >= NEAR' for i in sites)}):",
+            "            guard_axes(realization, np.array(qs))",
+            f"        jp += {left_sum(f'b{i} / s{i}' for i in sites)}",
+        ]
+    lines += [
+        "        hm, hp, h3 = h_partials(jm, jp, j3)",
+        "        hm, hp, h3 = float(hm), float(hp), float(h3)",
+        "        hm2, hp2, hm0, hp0 = 2.0 * hm, 2.0 * hp, hm * 0.0, hp * 0.0",
+        f"        return [{', '.join(dq)}], "
+        f"[{', '.join(f'hm0 + hp2 * p{i} + h3 * q{i}' for i in idx)}]",
+        "    return gradient_at",
+    ]
+    return compile_kernel(lines, "make", f"gradient_at N={n} sites={sites}",
+                          NEAR=_NEAR_AXIS_SQ, guard_axes=guard_axes, np=np)
+
+
+def names(prefix: str, indices) -> str:
+    """'x0, x1, ..., ' over the indices: an unpacking target or list items
+    in generated source."""
+    return "".join(f"{prefix}{i}, " for i in indices)
+
+
+def compile_kernel(lines: list[str], name: str, label: str, **bound) -> Callable:
+    """Run the generated source `lines` with `bound` as its globals and
+    return the function it defines as `name`; `label` names the source in
+    tracebacks and profiles."""
+    exec(compile("\n".join(lines), f"<{label}>", "exec"), bound)
+    return bound[name]
 
 
 @dataclass(frozen=True)

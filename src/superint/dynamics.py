@@ -24,12 +24,19 @@ than the arithmetic, so only the accepted state is written into the
 trajectory's array.  The arithmetic is entry by entry, in the order of the
 array expressions z + h (a_i1 k_1 + a_i2 k_2) and z + (h / 2) (k_1 + k_2)
 (RK4: z + (h / 6) (((k_1 + 2 k_2) + 2 k_3) + k_4)), so every number is the
-same as with separate q and p arrays.
+same as with separate q and p arrays.  A Python loop over the entries would
+cost more than the arithmetic too: the GL2 step, the stage seeds and the
+RK4 step are straight-line code, generated and compiled once per N
+(`_gl2_kernel`, `_seeds_kernel`, `_rk4_kernel`).  Their source holds only
+names and entry indices; the Butcher and seed weights are bound by name.
 
 Every accepted state is checked against one tuple of `Guard`s: the
-coordinate-plane barrier (`SL2Realization.clearance`) first, then the
-spec's own guards (origin, chart boundary).  The same tuple decides whether
-a stage-iteration failure counts as a singular approach.
+coordinate-plane barrier (`SL2Realization.clearance`, exact on the Python
+state) first, then the spec's own guards (origin, chart boundary) on the
+state's numpy row.  The same tuple decides whether a stage-iteration
+failure, or a stage evaluation that overflows, counts as a singular
+approach.  Every stage evaluation, GL2's first seed f(z0) included, runs
+inside its step's halt handling.
 
 Monitors are evaluated after the run, one `value_fn` call per monitor on
 all the states at once; each series is keyed by the monitor's name.
@@ -39,12 +46,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import sub
+from functools import cache
 from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ConservedQuantity, Guard, HamiltonianSpec, PhasePoint
+from .core import (ConservedQuantity, Guard, HamiltonianSpec, PhasePoint, compile_kernel,
+                   names)
 from .errors import DomainError, InsufficientData, NonConvergence, SingularApproach
 
 _SQRT3 = math.sqrt(3.0)
@@ -101,64 +109,124 @@ class Trajectory:
         return self.times.size
 
 
-def _gl2_step(f, z, h, k1, k2, tol):
+def _stage_lines(indent, name, n):
+    """Unpack one gradient_qp result (dq, dp) into the stage vector
+    name_0 ... name_2N-1 = [dH/dp, -dH/dq]."""
+    return [f"{indent}{names(name, range(n))}= dp",
+            f"{indent}{names(name, range(n, 2 * n))}= dq",
+            *(f"{indent}{name}{i} = -{name}{i}" for i in range(n, 2 * n))]
+
+
+def _stage_call(indent, n, entry):
+    """gradient_qp on the q and p halves of the stage input entry(i)."""
+    return (f"{indent}dq, dp = grad([{', '.join(map(entry, range(n)))}], "
+            f"[{', '.join(map(entry, range(n, 2 * n)))}])")
+
+
+@cache
+def _gl2_kernel(n):
     """One GL2 step of the state z = [q, p], a list of 2N floats, from the
-    stage seeds k1, k2 (lists of 2N floats).
+    stage seeds k1, k2 (lists of 2N floats): gl2_step(grad, z, h, k1, k2,
+    tol) with grad = spec.gradient_qp, one call per stage.
 
-    Returns the new state and the converged stages.  A NaN in either stage
+    Returns the new state and the converged stages.  Each sweep evaluates
+    both stages from the previous sweep's values.  Its largest stage change
+    d is taken entry by entry, stage 1 then stage 2, and a NaN change ends
+    it as NaN (Python's max() would keep a NaN only in first place); a NaN d
     ends the iteration at once: the step is then non-finite and integrate
-    halts on it, as it does for RK4.
+    halts on it, as it does for RK4.  Compiled once per N, unrolled over the
+    entries; the Butcher weights are bound by name.
     """
-    d_prev = 0.0  # the contraction test needs two sweeps
-    for _ in range(MAX_FIXED_POINT_ITERS):
-        new1 = f([zi + h * (_A11 * a + _A12 * b) for zi, a, b in zip(z, k1, k2)])
-        new2 = f([zi + h * (_A21 * a + _A22 * b) for zi, a, b in zip(z, k1, k2)])
-        # the largest stage change; a NaN from any site ends it as NaN
-        # (Python's max() would keep a NaN only in first place)
-        d = 0.0
-        for x in map(abs, map(sub, new1 + new2, k1 + k2)):
-            if not x <= d:
-                d = x
-                if x != x:
-                    break
-        k1, k2 = new1, new2
-        if d <= tol or d != d or (d < d_prev and d * d <= tol * (d_prev - d)):
-            half = 0.5 * h
-            return [zi + half * (a + b) for zi, a, b in zip(z, k1, k2)], (k1, k2)
-        d_prev = d
-    raise NonConvergence(
-        f"stage fixed point did not reach {tol:g} in {MAX_FIXED_POINT_ITERS} iterations"
-    )
+    m = range(2 * n)
+    lines = [
+        "def gl2_step(grad, z, h, k1, k2, tol):",
+        f"    {names('z', m)}= z",
+        f"    {names('a', m)}= k1",
+        f"    {names('b', m)}= k2",
+        "    d_prev = 0.0  # the contraction test needs two sweeps",
+        "    for _ in range(MAX_ITERS):",
+        _stage_call("        ", n, lambda i: f"z{i} + h * (A11 * a{i} + A12 * b{i})"),
+        *_stage_lines("        ", "c", n),
+        _stage_call("        ", n, lambda i: f"z{i} + h * (A21 * a{i} + A22 * b{i})"),
+        *_stage_lines("        ", "e", n),
+        "        d = 0.0",
+        "        while True:  # one pass; a NaN change breaks out as d",
+    ]
+    for new, old in (("c", "a"), ("e", "b")):
+        for i in m:
+            lines += [f"            x = abs({new}{i} - {old}{i})",
+                      "            if not x <= d:",
+                      "                d = x",
+                      "                if x != x:",
+                      "                    break"]
+    lines += [
+        "            break",
+        "        if d <= tol or d != d or (d < d_prev and d * d <= tol * (d_prev - d)):",
+        "            half = 0.5 * h",
+        f"            return ([{', '.join(f'z{i} + half * (c{i} + e{i})' for i in m)}], "
+        f"([{names('c', m)}], [{names('e', m)}]))",
+        "        d_prev = d",
+        *(f"        a{i}, b{i} = c{i}, e{i}" for i in m),
+        "    raise NonConvergence(",
+        '        f"stage fixed point did not reach {tol:g} in {MAX_ITERS} iterations"',
+        "    )",
+    ]
+    return compile_kernel(lines, "gl2_step", f"gl2_step N={n}",
+                          A11=_A11, A12=_A12, A21=_A21, A22=_A22,
+                          MAX_ITERS=MAX_FIXED_POINT_ITERS, NonConvergence=NonConvergence)
 
 
-def _stage_seeds(past):
-    """Each stage's polynomial in the step index through its values at the
-    newest m = min(len(past), SEED_DEGREE + 1) steps, one step on.  past
-    holds the (k1, k2) stage pairs of the past steps, newest first; the seed
-    is w_0 s_0 + w_1 s_1 + ..., summed left to right, with weight
-    (-1)^j C(m, j + 1) on the stage s_j of j steps back.  With m <= SEED_DEGREE
-    the sum runs on over zero stages at the padding weight -0.0."""
-    w0, w1, w2, w3, w4, w5 = _SEED_WEIGHTS[min(len(past), SEED_DEGREE + 1) - 1]
-    rows = past[:SEED_DEGREE + 1]
-    if len(rows) <= SEED_DEGREE:
-        zero = [0.0] * len(rows[0][0])
-        rows = [*rows, *[(zero, zero)] * (SEED_DEGREE + 1 - len(rows))]
-    return tuple(
-        [w0 * a + w1 * b + w2 * c + w3 * d + w4 * e + w5 * g
-         for a, b, c, d, e, g in zip(*stage)]
-        for stage in zip(*rows)
-    )
+@cache
+def _seeds_kernel(n):
+    """stage_seeds(past): each stage's polynomial in the step index through
+    its values at the newest m = min(len(past), SEED_DEGREE + 1) steps, one
+    step on.  past holds the (k1, k2) stage pairs of the past steps, newest
+    first; the seed is w_0 s_0 + w_1 s_1 + ..., summed left to right, with
+    weight (-1)^j C(m, j + 1) on the stage s_j of j steps back.  With
+    m <= SEED_DEGREE the sum runs on over zero stages at the padding weight
+    -0.0.  Compiled once per N, unrolled over the entries; the weights are
+    bound by name."""
+    rows = range(SEED_DEGREE + 1)
+
+    def seed(stage, i):
+        return " + ".join(f"w{j} * {stage}{j}[{i}]" for j in rows)
+
+    lines = [
+        "def stage_seeds(past):",
+        f"    {names('w', rows)}= WEIGHTS[min(len(past), ROWS) - 1]",
+        "    rows = past[:ROWS]",
+        "    if len(rows) < ROWS:",
+        "        rows = [*rows, *[(ZERO, ZERO)] * (ROWS - len(rows))]",
+        f"    {''.join(f'(r{j}, s{j}), ' for j in rows)}= rows",
+        f"    return ([{', '.join(seed('r', i) for i in range(2 * n))}], "
+        f"[{', '.join(seed('s', i) for i in range(2 * n))}])",
+    ]
+    return compile_kernel(lines, "stage_seeds", f"stage_seeds N={n}", WEIGHTS=_SEED_WEIGHTS,
+                          ROWS=SEED_DEGREE + 1, ZERO=(0.0,) * (2 * n))
 
 
-def _rk4_step(f, z, h):
-    half = 0.5 * h
-    k1 = f(z)
-    k2 = f([zi + half * a for zi, a in zip(z, k1)])
-    k3 = f([zi + half * a for zi, a in zip(z, k2)])
-    k4 = f([zi + h * a for zi, a in zip(z, k3)])
-    sixth = h / 6.0
-    return [zi + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
-            for zi, a, b, c, d in zip(z, k1, k2, k3, k4)]
+@cache
+def _rk4_kernel(n):
+    """One classical RK4 step of the state z = [q, p], a list of 2N floats:
+    rk4_step(grad, z, h) with grad = spec.gradient_qp, one call per stage,
+    z + (h / 6) (((k_1 + 2 k_2) + 2 k_3) + k_4) entry by entry.  Compiled
+    once per N, unrolled over the entries."""
+    m = range(2 * n)
+    lines = [
+        "def rk4_step(grad, z, h):",
+        f"    {names('z', m)}= z",
+        "    half = 0.5 * h",
+        _stage_call("    ", n, lambda i: f"z{i}"),
+        *_stage_lines("    ", "a", n),
+    ]
+    for stage, prev, step in (("b", "a", "half"), ("c", "b", "half"), ("d", "c", "h")):
+        lines += [_stage_call("    ", n, lambda i: f"z{i} + {step} * {prev}{i}"),
+                  *_stage_lines("    ", stage, n)]
+    lines += [
+        "    sixth = h / 6.0",
+        f"    return [{', '.join(f'z{i} + sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})' for i in m)}]",
+    ]
+    return compile_kernel(lines, "rk4_step", f"rk4_step N={n}")
 
 
 def whole_steps(t_final: float, step: float) -> Optional[int]:
@@ -201,69 +269,77 @@ def integrate(
     if len({mon.name for mon in monitors}) != len(monitors):
         raise ValueError(f"monitor names must be distinct, got {[m.name for m in monitors]}")
     spec.realization.check_point(x0)
-    guards = (Guard("coordinate-plane barrier", spec.realization.clearance), *spec.guards)
+    barrier = Guard("coordinate-plane barrier", spec.realization.clearance)
+    guards = (barrier, *spec.guards)
+    n, h = x0.n, cfg.step
+    zs = np.empty((n_steps + 1, 2 * n))
+    zs[0, :n], zs[0, n:] = x0.q, x0.p
+    z = zs[0].tolist()
 
-    def check_guards(q, t, last=None):
+    def check_guards(z, idx, t, last=None):
+        """Halt if the state z (a list), row idx of zs, is within the guard
+        radius of a guarded set.  The barrier clearance is exact on z's
+        Python floats; the spec's guards read the numpy row, since a Python
+        sum is not bitwise their q @ q."""
         for guard in guards:
-            if guard.clearance(q) <= GUARD_RADIUS:
+            if guard.clearance(z if guard is barrier else zs[idx, :n]) <= GUARD_RADIUS:
                 raise SingularApproach(
                     f"{guard.label} reached at t = {t:.6g}", time=t, state=last
                 )
 
-    n = x0.n
+    def stalled(exc, step_idx):
+        """exc, or a SingularApproach if the last accepted state is within
+        APPROACH_HORIZON of a guarded set: the stiffness is the singularity."""
+        last_q = zs[step_idx - 1, :n]
+        if min(g.clearance(last_q) for g in guards) >= APPROACH_HORIZON:
+            return exc
+        return SingularApproach(
+            f"stage iteration broke down near a guarded singularity "
+            f"at t = {step_idx * h:.6g}: {exc}",
+            time=(step_idx - 1) * h,
+        )
+
     try:
-        check_guards(x0.q, 0.0, x0)
+        check_guards(z, 0, 0.0, x0)
     except SingularApproach as err:
-        err.trajectory = _finish(np.concatenate((x0.q, x0.p))[None], n, cfg.step, monitors)
+        err.trajectory = _finish(zs[:1], n, h, monitors)
         raise
     gradient_qp = spec.gradient_qp
-
-    def f(z):
-        try:
-            dq, dp = gradient_qp(z[:n], z[n:])
-        except OverflowError as exc:  # a family's Python-float partials
-            raise NonConvergence(f"stage evaluation overflowed: {exc}") from exc
-        return dp + [-x for x in dq]
-
-    h = cfg.step
-    zs = np.empty((n_steps + 1, 2 * n))
-    zs[0, :n], zs[0, n:] = x0.q, x0.p
-    z = zs[0].tolist()
     gl2 = cfg.method == "gl2"
-    if gl2 and n_steps > 0:
-        k = f(z)
-        # history: the converged stages of the last SEED_DEGREE + 1 steps,
-        # newest first
-        seeds, history = (k, k), []
+    if gl2:
+        gl2_step, stage_seeds, tol = _gl2_kernel(n), _seeds_kernel(n), cfg.fixed_point_tol
+    else:
+        rk4_step = _rk4_kernel(n)
+    history = []  # GL2's converged stages of the last SEED_DEGREE + 1 steps, newest first
 
     for step_idx in range(1, n_steps + 1):
         t = step_idx * h
         try:
             try:
-                if gl2:
-                    z, stages = _gl2_step(f, z, h, *seeds, cfg.fixed_point_tol)
-                    history = [stages, *history[:SEED_DEGREE]]
-                    seeds = _stage_seeds(history)
+                if not gl2:
+                    z = rk4_step(gradient_qp, z, h)
                 else:
-                    z = _rk4_step(f, z, h)
+                    if history:
+                        k1, k2 = stage_seeds(history)
+                    else:  # the first step seeds both stages with f(z0)
+                        dq, dp = gradient_qp(z[:n], z[n:])
+                        k1 = k2 = dp + [-x for x in dq]
+                    z, stages = gl2_step(gradient_qp, z, h, k1, k2, tol)
+                    history = [stages, *history[:SEED_DEGREE]]
             except DomainError as exc:
                 raise SingularApproach(
                     f"singular evaluation during step to t = {t:.6g}: {exc}",
                     time=(step_idx - 1) * h,
                 )
+            except OverflowError as exc:  # a family's Python-float partials
+                raise stalled(NonConvergence(f"stage evaluation overflowed: {exc}"),
+                              step_idx) from exc
             except NonConvergence as exc:
-                last_q = zs[step_idx - 1, :n]
-                if min(g.clearance(last_q) for g in guards) >= APPROACH_HORIZON:
-                    raise
-                raise SingularApproach(
-                    f"stage iteration broke down near a guarded singularity "
-                    f"at t = {t:.6g}: {exc}",
-                    time=(step_idx - 1) * h,
-                )
+                raise stalled(exc, step_idx)
             if not all(map(math.isfinite, z)):
                 raise SingularApproach(f"state became non-finite at t = {t:.6g}", time=t)
             zs[step_idx] = z
-            check_guards(zs[step_idx, :n], t)
+            check_guards(z, step_idx, t)
         except (SingularApproach, NonConvergence) as err:
             err.state = PhasePoint(zs[step_idx - 1, :n].copy(), zs[step_idx - 1, n:].copy())
             err.trajectory = _finish(zs[:step_idx], n, h, monitors)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from superint import (
     ConservedQuantity,
     DimensionMismatch,
     DomainError,
+    HamiltonianSpec,
     IntegratorConfig,
     PhasePoint,
     SL2Realization,
@@ -346,6 +349,92 @@ def test_one_point_gradient_is_the_stacked_row_bitwise(n, barriers):
             assert_same_bits(dp, dp_row)
             checked += 1
     assert checked == 28 * 6 * 4  # 5 families x 5 (space, sign) + 2 flat-only + free
+
+
+def _gradient_outcome(gradient, spec, q, p):
+    """gradient(spec, q, p) as arrays, or the error it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return tuple(np.asarray(x, dtype=float) for x in gradient(spec, q, p))
+    except (ArithmeticError, DomainError) as exc:
+        return repr(exc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 14, 50])
+@pytest.mark.parametrize("barriers", ["no", "some", "all"])
+def test_gradient_kernel_is_the_reference_bitwise(n, barriers):
+    # the kernel generated for N sites and the barrier sites, on lists,
+    # against the tuple-form chain rule: regular points, signed zeros in q
+    # and p, a NaN entry, and entries whose squares or products overflow;
+    # an error (a partial that overflows, a point off the chart) is the same.
+    # Partials of either sign and an infinite h+ (h+ * 0.0 is then NaN off
+    # the barriers) check the zero dJ+/dq terms.
+    b_tilde = _barrier_patterns(n)[barriers]
+    free = make_evans("euclidean", lambda s: 0.0, lambda s: 0.0,
+                      mass=1.0, b_tilde=b_tilde)
+    signed = HamiltonianSpec("signed partials", free.realization, lambda *j: 0.0,
+                             lambda jm, jp, j3: (-1.5, -2.0 if j3 < 0.0 else math.inf, -0.5))
+    rng = np.random.default_rng(n)
+    outcomes = set()
+    for seed, spec in enumerate((*catalog_specs(b_tilde), free, signed)):
+        desc = spec.descriptor or free.descriptor
+        qs, ps = split(sample_regular_points(3, n, seed, kappa=desc.kappa, space=desc.space))
+        points = [*zip(qs, ps)]
+        for value in (0.0, -0.0, np.nan, 1e160, -1e200):
+            q, p = qs[0].copy(), ps[0].copy()
+            site = int(rng.integers(n))
+            if value == 0.0:  # in p on a negative-q site, and in q and p off the barriers
+                q[site] = -abs(q[site])
+                p[site] = value
+                off = np.array(b_tilde) == 0.0
+                q[off] = p[off] = value
+            elif value == 1e160:  # p.p overflows
+                p[site] = value
+            else:  # a NaN, or q.q overflowing
+                q[site] = value
+            points.append((q, p))
+        for q, p in points:
+            got = _gradient_outcome(
+                lambda spec, q, p: spec.gradient_qp(q.tolist(), p.tolist()), spec, q, p)
+            want = _gradient_outcome(reference_gradient_qp, spec, q, p)
+            if isinstance(want, str):
+                assert got == want
+                continue
+            for x, y in zip(got, want):
+                # numpy's vector loops may take a NaN's sign from either
+                # operand, so the sign bits are compared off the NaNs
+                assert np.array_equal(x, y, equal_nan=True)
+                assert np.array_equal(np.signbit(x[x == x]), np.signbit(y[y == y]))
+            outcomes.add(bool(np.isfinite(want).all()))
+    assert outcomes == {True, False}  # finite rows and NaN or inf rows were both met
+
+
+def test_gradient_kernels_compile_once_per_shape():
+    # a kernel is compiled on the first one-point call of a shape (N and the
+    # barrier sites), never while building or certifying: two specs of one
+    # shape, with other barrier values and other partials, share its code
+    # and each gets its own bits
+    from superint import SystemDescriptor, build, certify
+    from superint import core
+
+    compiled = core._one_point_gradient
+    compiled.cache_clear()
+    bt_a, bt_b = [0.3, 0.0, 0.2, 0.0, 0.0], [0.5, 0.0, 0.1, 0.0, 0.0]
+    spec_a = make_sw("poincare", mass=1.0, omega=1.1, b_tilde=bt_a, kappa=0.4)
+    spec_b = make_garnier("euclidean", mass=1.2, omega=0.9, delta=0.2, b_tilde=bt_b)
+    desc = SystemDescriptor("sw", "beltrami", {"mass": 1.0, "omega": 1.0, "kappa": -0.3}, bt_b)
+    certify(desc, extra_axes=[1], rng=1)
+    build(desc)
+    assert compiled.cache_info().misses == 0
+    q, p = np.array([0.3, -0.2, 0.25, 0.1, -0.15]), np.array([0.1, -0.0, 0.2, 0.0, -0.3])
+    for spec in (spec_a, spec_b, spec_a):
+        dq, dp = spec.gradient_qp(q.tolist(), p.tolist())
+        rq, rp = reference_gradient_qp(spec, q, p)
+        assert_same_bits(np.array(dq), rq)
+        assert_same_bits(np.array(dp), rp)
+    assert compiled.cache_info().misses == 1
+    make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.3, 0.1, 0.2, 0.0, 0.0]).gradient_qp(q, p)
+    assert compiled.cache_info().misses == 2
 
 
 def test_realization_caches_its_barrier_mask():

@@ -22,6 +22,7 @@ from superint import (
     make_garnier,
     make_kepler_coulomb,
     make_sw,
+    make_variable_mass,
     universal_set,
 )
 from superint.dynamics import MAX_FIXED_POINT_ITERS
@@ -166,6 +167,33 @@ def test_overflowing_stage_evaluation_halts_with_the_partial_run():
     assert np.array_equal(info.value.state.p, traj.p[-1])
 
 
+@pytest.mark.parametrize("method", ["gl2", "rk4"])
+def test_first_stage_failure_halts_with_the_one_state_run(method):
+    # GL2's first stage seed f(z0) is evaluated inside the first step's
+    # halt handling, as RK4's first stage is: a mass profile that is
+    # negative at x0 halts as a singular approach, partials that overflow at
+    # x0 as a non-convergence, and both carry x0 and the one-state run
+    negative_mass = make_variable_mass(
+        mass_profile=lambda s: 1.0 - s, mass_profile_deriv=lambda s: -1.0,
+        potential=lambda s: 0.0, potential_deriv=lambda s: 0.0, b=[0.0, 0.0])
+    overflowing = make_evans("euclidean", lambda s: 0.0, lambda s: math.exp(1e3 * s),
+                             mass=1.0, b_tilde=[0.0, 0.0])
+    x0 = PhasePoint([1.0, 0.5], [0.1, 0.2])
+    for spec, error, message in (
+        (negative_mass, SingularApproach, r"^singular evaluation during step to t = 0\.001: "
+                                          r"mass profile must stay positive, got -0\.25$"),
+        (overflowing, NonConvergence, "^stage evaluation overflowed: math range error$"),
+    ):
+        with pytest.raises(error, match=message) as info:
+            integrate(spec, x0, 0.01, IntegratorConfig(method=method))
+        traj, state = info.value.trajectory, info.value.state
+        assert traj.n_states == 1
+        for got in (traj.q[0], state.q):
+            assert np.array_equal(got, x0.q)
+        for got in (traj.p[0], state.p):
+            assert np.array_equal(got, x0.p)
+
+
 def test_step_count_does_not_overrun_t_final():
     from superint.dynamics import whole_steps
 
@@ -194,6 +222,17 @@ def test_integrate_takes_whole_steps_only(method, t_final, step):
                   IntegratorConfig(method=method, step=step))
 
 
+def _as_gradient(stage_fn, n):
+    """A gradient_qp stand-in whose stage vector [dH/dp, -dH/dq] at z = [q, p]
+    is stage_fn(z), as the steppers' kernels call it."""
+
+    def grad(q, p):
+        k = stage_fn(q + p)
+        return [-x for x in k[n:]], k[:n]
+
+    return grad
+
+
 @pytest.mark.parametrize("site", [0, 1, 2, 3])
 @pytest.mark.parametrize("stage", [1, 2])
 def test_gl2_step_stops_on_a_nan_stage(stage, site):
@@ -202,7 +241,7 @@ def test_gl2_step_stops_on_a_nan_stage(stage, site):
     # change is taken so that a NaN from any site is kept (Python's max()
     # keeps one only in first place).  Every other change is far above the
     # tolerance, so a stop rule that lost the NaN would sweep again.
-    from superint.dynamics import _gl2_step
+    from superint.dynamics import _gl2_kernel
 
     calls = []
 
@@ -214,7 +253,7 @@ def test_gl2_step_stops_on_a_nan_stage(stage, site):
         return k
 
     z0, k0 = [1.0, 0.5, -0.2, 0.3], [0.0] * 4
-    z, _ = _gl2_step(f, z0, 0.1, k0, k0, 1e-13)
+    z, _ = _gl2_kernel(2)(_as_gradient(f, 2), z0, 0.1, k0, k0, 1e-13)
     assert len(calls) == 2
     assert [math.isnan(x) for x in z] == [i == site for i in range(4)]
 
@@ -412,51 +451,222 @@ def _as_past(stages):
     return [(k1.tolist(), k2.tolist()) for k1, k2 in stages]
 
 
+_KERNEL_SIZES = [1, 2, 3, 4, 6, 14, 50]
+
+
 def test_stage_seeds_extrapolate_their_polynomials_exactly():
     # past[j] holds the stages j steps back; the seed is the value one step
     # on of every vector polynomial in the step index of degree at most
     # min(len(past) - 1, 5), and stages older than six steps are ignored
-    from superint.dynamics import SEED_DEGREE, _stage_seeds
+    from superint.dynamics import SEED_DEGREE, _seeds_kernel
 
     assert SEED_DEGREE == 5
     rng = np.random.default_rng(3)
-    for length in range(1, 8):
-        for degree in range(min(length - 1, SEED_DEGREE) + 1):
-            coeffs = rng.uniform(-1.0, 1.0, (degree + 1, 2, 6))
+    for n in _KERNEL_SIZES:
+        stage_seeds = _seeds_kernel(n)
+        for length in range(1, 8):
+            for degree in range(min(length - 1, SEED_DEGREE) + 1):
+                coeffs = rng.uniform(-1.0, 1.0, (degree + 1, 2, 2 * n))
 
-            def g(t):
-                return sum(c * (t / 6.0) ** i for i, c in enumerate(coeffs))
+                def g(t):
+                    return sum(c * (t / 6.0) ** i for i, c in enumerate(coeffs))
 
-            past = [g(-j) for j in range(length)]
-            if length > SEED_DEGREE + 1:
-                past[SEED_DEGREE + 1:] = [np.full((2, 6), np.nan)] * (length - SEED_DEGREE - 1)
-            seeds = _stage_seeds(_as_past(past))
-            assert len(seeds) == 2 and all(len(k) == 6 for k in seeds)
-            assert np.max(np.abs(np.array(seeds) - g(1))) <= 1e-12, (length, degree)
+                past = [g(-j) for j in range(length)]
+                if length > SEED_DEGREE + 1:
+                    past[SEED_DEGREE + 1:] = ([np.full((2, 2 * n), np.nan)]
+                                              * (length - SEED_DEGREE - 1))
+                seeds = stage_seeds(_as_past(past))
+                assert len(seeds) == 2 and all(len(k) == 2 * n for k in seeds)
+                assert np.max(np.abs(np.array(seeds) - g(1))) <= 1e-12, (n, length, degree)
 
 
 def test_stage_seeds_are_the_ordered_sum_bitwise():
     # the seeds equal weight-by-weight addition newest first, signed zeros
     # included (a sum that starts from +0.0 would turn a one-step -0.0 seed
     # into +0.0), as Python floats
-    from superint.dynamics import _stage_seeds
+    from superint.dynamics import _seeds_kernel
 
     rng = np.random.default_rng(5)
-    for _ in range(300):
-        m = int(rng.integers(1, 7))
-        past = rng.standard_normal((m, 2, 6)) * 10.0 ** rng.integers(-4, 5, (m, 2, 6))
-        zeros = rng.random((m, 2, 6))
-        past[zeros < 0.3] = -0.0
-        past[zeros > 0.8] = 0.0
-        past[zeros > 0.97] = np.nan
-        want = m * past[0]
-        for j in range(1, m):
-            want = want + (-1) ** j * math.comb(m, j + 1) * past[j]
-        seeds = _stage_seeds(_as_past(past))
-        assert all(type(x) is float for k in seeds for x in k)
-        got = np.array(seeds)
-        assert np.array_equal(got, want, equal_nan=True)
-        assert np.array_equal(np.signbit(got), np.signbit(want))
+    for n in _KERNEL_SIZES:
+        stage_seeds = _seeds_kernel(n)
+        for _ in range(60):
+            m = int(rng.integers(1, 7))
+            shape = (m, 2, 2 * n)
+            past = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape)
+            zeros = rng.random(shape)
+            past[zeros < 0.3] = -0.0
+            past[zeros > 0.8] = 0.0
+            past[zeros > 0.97] = np.nan
+            want = m * past[0]
+            for j in range(1, m):
+                want = want + (-1) ** j * math.comb(m, j + 1) * past[j]
+            seeds = stage_seeds(_as_past(past))
+            assert all(type(x) is float for k in seeds for x in k)
+            got = np.array(seeds)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _loop_gl2_step(f, z, h, k1, k2, tol):
+    """The GL2 step as a loop over the entries of Python lists, from the
+    stage function f(z) = [dH/dp, -dH/dq]: the oracle of the unrolled
+    kernel, NaN rule included.  Returns the state, the stages and the number
+    of sweeps."""
+    d_prev = 0.0
+    for sweep in range(1, MAX_FIXED_POINT_ITERS + 1):
+        new1 = f([zi + h * (_A11 * a + _A12 * b) for zi, a, b in zip(z, k1, k2)])
+        new2 = f([zi + h * (_A21 * a + _A22 * b) for zi, a, b in zip(z, k1, k2)])
+        d = 0.0
+        for x in (abs(a - b) for a, b in zip(new1 + new2, k1 + k2)):
+            if not x <= d:
+                d = x
+                if x != x:
+                    break
+        k1, k2 = new1, new2
+        if d <= tol or d != d or (d < d_prev and d * d <= tol * (d_prev - d)):
+            half = 0.5 * h
+            return [zi + half * (a + b) for zi, a, b in zip(z, k1, k2)], (k1, k2), sweep
+        d_prev = d
+    raise NonConvergence("no fixed point")
+
+
+def _loop_rk4_step(f, z, h):
+    """The RK4 step as a loop over the entries of Python lists."""
+    half = 0.5 * h
+    k1 = f(z)
+    k2 = f([zi + half * a for zi, a in zip(z, k1)])
+    k3 = f([zi + half * a for zi, a in zip(z, k2)])
+    k4 = f([zi + h * a for zi, a in zip(z, k3)])
+    sixth = h / 6.0
+    return [zi + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
+            for zi, a, b, c, d in zip(z, k1, k2, k3, k4)]
+
+
+def _stage_fn(grad, n):
+    """f(z) = [dH/dp, -dH/dq] from a gradient_qp on the halves of z."""
+
+    def f(z):
+        dq, dp = grad(z[:n], z[n:])
+        return dp + [-x for x in dq]
+
+    return f
+
+
+def assert_same_bits(got, want):
+    """Equal values (NaNs in the same places) and sign bits."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.array_equal(got, want, equal_nan=True)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _kernel_specs(n):
+    """A spec per barrier pattern (no, some, all sites) at N = n, on a
+    curved chart so the kinetic term couples q and p."""
+    coeffs = [0.1 + 0.3 * ((3 * i) % 7) / 7.0 for i in range(n)]
+    patterns = {"no": [0.0] * n, "some": [c if i % 2 == 0 else 0.0 for i, c in enumerate(coeffs)],
+                "all": coeffs}
+    for name, bt in patterns.items():
+        yield name, make_kepler_coulomb("poincare", mass=1.0, k=0.9, b_tilde=bt, kappa=-0.4)
+        yield name, make_garnier("beltrami", mass=1.0, omega=1.0, delta=0.2, b_tilde=bt,
+                                 kappa=0.4)
+
+
+def _kernel_state(rng, n):
+    """A state [q, p] with 0.1 <= |q_i| <= 0.2 and signed zeros in p."""
+    q = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 0.2, n)
+    p = rng.uniform(-0.5, 0.5, n)
+    p[rng.random(n) < 0.3] = -0.0
+    p[rng.random(n) < 0.2] = 0.0
+    return q, p
+
+
+@pytest.mark.parametrize("n", _KERNEL_SIZES)
+def test_step_kernels_are_the_split_form_and_the_loops_bitwise(n):
+    # each kernel, unrolled for 2N entries, against the numpy split form and
+    # the list loop it replaces, over no, some and all barriers and signed
+    # zeros: states, stages and seeds equal in value and sign bit, with one
+    # gradient_qp call per stage
+    from superint.dynamics import _gl2_kernel, _rk4_kernel, _seeds_kernel
+
+    rng = np.random.default_rng(n)
+    h, tol = 2e-3, 1e-13
+    for barriers, spec in _kernel_specs(n):
+        calls = []
+
+        def grad(q, p):
+            calls.append(1)
+            return spec.gradient_qp(q, p)
+
+        def f(q, p):
+            dq, dp = spec.gradient_qp(q, p)
+            return dp, -dq
+
+        stage = _stage_fn(spec.gradient_qp, n)
+        q, p = _kernel_state(rng, n)
+        z = q.tolist() + p.tolist()
+        k = (stage(z),) * 2
+        k_split = (np.array(k[0][:n]), np.array(k[0][n:])) * 2
+        past = []
+        for _ in range(3):  # from the first seed, then from the seed kernel's
+            calls.clear()
+            z_new, stages = _gl2_kernel(n)(grad, z, h, *k, tol)
+            zl, stages_l, sweeps = _loop_gl2_step(stage, z, h, *k, tol)
+            qs, ps, stages_s = _reference_gl2_step(f, q, p, h, k_split, tol,
+                                                   MAX_FIXED_POINT_ITERS)
+            assert len(calls) == 2 * sweeps, barriers
+            assert_same_bits(z_new, zl)
+            assert_same_bits(z_new, np.concatenate((qs, ps)))
+            assert_same_bits(stages, stages_l)
+            assert_same_bits(stages, [np.concatenate(stages_s[:2]), np.concatenate(stages_s[2:])])
+            past = [stages, *past]
+            k = _seeds_kernel(n)(past)
+            k_split = _reference_seeds([tuple(np.array(x) for x in (s1[:n], s1[n:], s2[:n], s2[n:]))
+                                        for s1, s2 in past])
+            assert_same_bits(k, [np.concatenate(k_split[:2]), np.concatenate(k_split[2:])])
+            z, (q, p) = z_new, (qs, ps)
+        calls.clear()
+        z_new = _rk4_kernel(n)(grad, z, h)
+        assert len(calls) == 4
+        assert_same_bits(z_new, _loop_rk4_step(stage, z, h))
+        assert_same_bits(z_new, np.concatenate(_reference_rk4_step(f, q, p, h)))
+        assert all(type(x) is float for x in z_new)
+
+
+@pytest.mark.parametrize("n", _KERNEL_SIZES)
+def test_step_kernels_on_nan_and_overflowing_stages_are_the_loops(n):
+    # a NaN at the first or last entry of either half of either stage, at
+    # the first or a later sweep, ends the GL2 step where the loop ends it;
+    # stages that overflow to inf (inf - inf is a NaN change) do the same,
+    # and RK4 carries NaNs and infs through as the loop does
+    from superint.dynamics import _gl2_kernel, _rk4_kernel
+
+    z0 = [0.3 + 0.01 * i for i in range(2 * n)]
+    k0 = [0.0] * (2 * n)
+    cases = [(call, site, math.nan) for call in (1, 2, 5)
+             for site in sorted({0, n - 1, n, 2 * n - 1})]
+    cases += [(call, site, 1e308) for call in (1, 4) for site in (0, 2 * n - 1)]
+    for call, site, value in cases:
+        logs = ([], [])
+
+        def make_f(log):
+            def f(z):
+                log.append(list(z))
+                # a contraction towards 1 + z, pulled off at one entry
+                k = [1.0 + 0.5 * x for x in z]
+                if len(log) >= call:
+                    k[site] = value * (1.0 + abs(z[site]))
+                return k
+            return f
+
+        got = _gl2_kernel(n)(_as_gradient(make_f(logs[0]), n), z0, 0.1, k0, k0, 1e-13)
+        want = _loop_gl2_step(make_f(logs[1]), z0, 0.1, k0, k0, 1e-13)
+        assert_same_bits(got[0], want[0])
+        assert_same_bits(got[1], want[1])
+        assert_same_bits(logs[0], logs[1])  # the same stage inputs, as many
+        logs = ([], [])
+        got = _rk4_kernel(n)(_as_gradient(make_f(logs[0]), n), z0, 0.1)
+        assert_same_bits(got, _loop_rk4_step(make_f(logs[1]), z0, 0.1))
+        assert_same_bits(logs[0], logs[1])
 
 
 def _reference_rk4_step(f, q, p, h):
@@ -555,14 +765,15 @@ def test_stacked_steppers_are_bitwise_the_split_form(method, n_steps):
 
 def _count_gradient_calls(monkeypatch):
     """Wrap HamiltonianSpec.gradient_qp on the class, as the benchmark's
-    tracer does, and its one-point evaluator under it.  Returns the counts:
-    public calls, their one-point share and evaluator calls made outside a
-    public call."""
+    tracer does, and every one-point kernel bound after this call under it.
+    Returns the counts: public calls, their one-point share and kernel calls
+    made outside a public call."""
+    from superint import core
     from superint.core import HamiltonianSpec
 
     counts = {"calls": 0, "one_point": 0, "bypass": 0}
     depth = [0]
-    public, private = HamiltonianSpec.gradient_qp, HamiltonianSpec._gradient_at
+    public, compiled = HamiltonianSpec.gradient_qp, core._one_point_gradient
 
     def gradient_qp(self, q, p):
         counts["calls"] += 1
@@ -573,12 +784,22 @@ def _count_gradient_calls(monkeypatch):
         finally:
             depth[0] -= 1
 
-    def gradient_at(self, q, p):
-        counts["bypass"] += depth[0] == 0
-        return private(self, q, p)
+    def one_point_gradient(n, sites):
+        make = compiled(n, sites)
+
+        def counting_make(*bound):
+            kernel = make(*bound)
+
+            def gradient_at(q, p):
+                counts["bypass"] += depth[0] == 0
+                return kernel(q, p)
+
+            return gradient_at
+
+        return counting_make
 
     monkeypatch.setattr(HamiltonianSpec, "gradient_qp", gradient_qp)
-    monkeypatch.setattr(HamiltonianSpec, "_gradient_at", gradient_at)
+    monkeypatch.setattr(core, "_one_point_gradient", one_point_gradient)
     return counts
 
 
