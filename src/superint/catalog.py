@@ -7,9 +7,15 @@ chart coordinates on the constant-curvature space of curvature kappa.
 
 Central potentials are given as radial profiles F of the squared
 tangent-distance, which is J- itself in the flat and Beltrami cases and
-4 J- / (1 - kappa J-)^2 in the Poincare chart.  Each `h` also takes stacked
-generators, real or complex, its domain checks reducing the real part over
-the stack; `h_partials` takes one point and keeps its scalar checks.
+4 J- / (1 - kappa J-)^2 in the Poincare chart.  Each `h` is one formula,
+pure arithmetic in the generators: it takes stacked generators, real or
+complex, and H's partials are derived from it (`tape`), so no family writes
+a partial by hand.  Its domain conditions (the stereographic equator, the
+attractive center, a positive mass profile) are `Domain`s that h passes its
+quantities through: each is one test, checked over a whole stack by the
+real part, and recorded once for the partials, which raise the same error.
+Profiles are plain functions of one argument under the same rule; a config
+gives them as polynomial coefficients (`poly_profile`).
 
 `FAMILIES` holds one `Family` record per family: its parameter defaults,
 profiles, spaces, builder and, where it has them, extra integrals.  `build`
@@ -26,9 +32,11 @@ from typing import Callable, Iterable, Mapping, Optional
 import numpy as np
 
 from . import integrals
-from .core import ConservedQuantity, Guard, HamiltonianSpec, SL2Realization, _as_vector
+from .core import (COMPLEX_STEP, ConservedQuantity, Guard, HamiltonianSpec, SL2Realization,
+                   _as_vector)
 from .errors import ConfigError, DimensionMismatch, DomainError
 from .geometry import BELTRAMI, EUCLIDEAN, POINCARE, SPACES, check_space, squared_chart_radius
+from .tape import Domain
 
 Profile = Callable[[float], float]
 
@@ -102,66 +110,48 @@ def _realization(desc: SystemDescriptor) -> SL2Realization:
 
 
 def _kinetic(space: str, kappa: float, mass: float):
-    """Kinetic part and its (xi-, xi+, xi3) partials for the given space."""
+    """Kinetic part T(J-, J+, J3) for the given space."""
     inv2m = 1.0 / (2.0 * mass)
     if space == EUCLIDEAN:
-        return (lambda jm, jp, j3: jp * inv2m), (lambda jm, jp, j3: (0.0, inv2m, 0.0))
+        return lambda jm, jp, j3: jp * inv2m
     if space == POINCARE:
 
-        def t_val(jm, jp, j3):
-            return (1.0 + kappa * jm) * (1.0 + kappa * jm) * jp * inv2m
-
-        def t_par(jm, jp, j3):
+        def kinetic(jm, jp, j3):
             one = 1.0 + kappa * jm
-            return (kappa / mass) * one * jp, one ** 2 * inv2m, 0.0
+            return one * one * jp * inv2m
 
-        return t_val, t_par
+        return kinetic
+    return lambda jm, jp, j3: (1.0 + kappa * jm) * (jp + kappa * (j3 * j3)) * inv2m
 
-    def t_val(jm, jp, j3):
-        return (1.0 + kappa * jm) * (jp + kappa * (j3 * j3)) * inv2m
 
-    def t_par(jm, jp, j3):
-        one = 1.0 + kappa * jm
-        return (
-            kappa * (jp + kappa * j3 ** 2) * inv2m,
-            one * inv2m,
-            kappa * j3 * one / mass,
-        )
-
-    return t_val, t_par
+# The domain conditions of the families, shared by h's value and its partials.
+EQUATOR = Domain("kappa q^2 = 1: stereographic equator image", 1e-12, absolute=True)
+CENTER = Domain("attractive center reached (q^2 = 0)")
+POSITIVE_MASS = Domain("mass profile must stay positive, got {low}")
 
 
 def _radial_argument(space: str, kappa: float):
-    """Map J- to the squared tangent-distance argument s of radial profiles:
-    s_val(J-) and, at one point, s_par(J-) = (s, ds/dJ-)."""
+    """Map J- to the squared tangent-distance argument s of radial profiles."""
     if space != POINCARE:
-        return (lambda jm: jm), (lambda jm: (jm, 1.0))
-    equator = "kappa q^2 = 1: stereographic equator image"
+        return lambda jm: jm
 
-    def s_val(jm):
-        denom = 1.0 - kappa * jm
-        if np.minimum.reduce(np.abs(denom), axis=None) < 1e-12:
-            raise DomainError(equator)
+    def radial(jm):
+        denom = EQUATOR(1.0 - kappa * jm)
         return 4.0 * jm / (denom * denom)
 
-    def s_par(jm):
-        denom = 1.0 - kappa * jm
-        if abs(denom) < 1e-12:
-            raise DomainError(equator)
-        return 4.0 * jm / denom ** 2, 4.0 * (1.0 + kappa * jm) / denom ** 3
-
-    return s_val, s_par
+    return radial
 
 
 def _guards(space: str, kappa: float, *, origin: bool = False) -> tuple[Guard, ...]:
+    """The guards of a system, as functions of J-."""
     guards = []
     if origin:
-        guards.append(Guard("origin", lambda q: float(np.sqrt(q @ q))))
+        guards.append(Guard("origin", math.sqrt))
     if squared_chart_radius(space, kappa) is not None:
-        guards.append(Guard("chart_boundary", lambda q: 1.0 - abs(kappa) * float(q @ q)))
+        guards.append(Guard("chart_boundary", lambda jm: 1.0 - abs(kappa) * jm))
     elif space == BELTRAMI and kappa > 0.0:
         # the equator sits at |z| -> inf; clearance is the ambient height x0^2
-        guards.append(Guard("chart_boundary", lambda q: 1.0 / (1.0 + kappa * float(q @ q))))
+        guards.append(Guard("chart_boundary", lambda jm: 1.0 / (1.0 + kappa * jm)))
     return tuple(guards)
 
 
@@ -170,24 +160,19 @@ def _guards(space: str, kappa: float, *, origin: bool = False) -> tuple[Guard, .
 # family's profiles are functions, those functions
 # ---------------------------------------------------------------------------
 
-def _radial_spec(desc: SystemDescriptor, profile: Profile, profile_deriv: Profile, *,
+def _radial_spec(desc: SystemDescriptor, profile: Profile, *,
                  origin_guard: bool = False) -> HamiltonianSpec:
     """Kinetic term plus a radial profile of the tangent-distance squared
     (the evans builder, and the common form of the other radial families)."""
     space, kappa = desc.space, desc.kappa
-    t_val, t_par = _kinetic(space, kappa, desc.params["mass"])
-    s_val, s_par = _radial_argument(space, kappa)
+    kinetic = _kinetic(space, kappa, desc.params["mass"])
+    radial = _radial_argument(space, kappa)
 
     def h(jm, jp, j3):
-        return t_val(jm, jp, j3) + profile(s_val(jm))
+        return kinetic(jm, jp, j3) + profile(radial(jm))
 
-    def h_partials(jm, jp, j3):
-        tm, tp, t3 = t_par(jm, jp, j3)
-        s, ds = s_par(jm)
-        return tm + profile_deriv(s) * ds, tp, t3
-
-    return HamiltonianSpec(f"{desc.family}.{space}", _realization(desc), h, h_partials,
-                           desc, _guards(space, kappa, origin=origin_guard))
+    return HamiltonianSpec(f"{desc.family}.{space}", _realization(desc), h, desc,
+                           _guards(space, kappa, origin=origin_guard))
 
 
 def _oscillator(desc: SystemDescriptor) -> HamiltonianSpec:
@@ -203,85 +188,50 @@ def _oscillator(desc: SystemDescriptor) -> HamiltonianSpec:
             val += d * sk
         return val
 
-    def fp(s):
-        val = w2
-        sk = 1.0
-        for j, d in enumerate(ds, start=1):
-            sk *= s
-            val += (j + 1) * d * sk
-        return val
-
-    return _radial_spec(desc, f, fp)
+    return _radial_spec(desc, f)
 
 
 def _garnier(desc: SystemDescriptor) -> HamiltonianSpec:
     w2, d = desc.params["omega"] ** 2, desc.params["delta"]
-    return _radial_spec(desc, lambda s: w2 * s + d * s * s, lambda s: w2 + 2.0 * d * s)
+    return _radial_spec(desc, lambda s: w2 * s + d * s * s)
 
 
 def _kepler_coulomb(desc: SystemDescriptor) -> HamiltonianSpec:
     kc = desc.params["k"]
-
-    def f(s):
-        if np.minimum.reduce(s.real, axis=None) <= 0.0:
-            raise DomainError("attractive center reached (q^2 = 0)")
-        return -kc / np.sqrt(s)
-
-    def fp(s):
-        if s <= 0.0:
-            raise DomainError("attractive center reached (q^2 = 0)")
-        return 0.5 * kc * s ** -1.5
-
-    return _radial_spec(desc, f, fp, origin_guard=True)
+    return _radial_spec(desc, lambda s: -kc / CENTER(s) ** 0.5, origin_guard=True)
 
 
-def _electromagnetic(desc: SystemDescriptor, f: Profile, fp: Profile,
-                     g: Profile, gp: Profile) -> HamiltonianSpec:
+def _electromagnetic(desc: SystemDescriptor, f: Profile, g: Profile) -> HamiltonianSpec:
     mass, e = desc.params["mass"], desc.params["charge"]
     inv2m = 1.0 / (2.0 * mass)
 
     def h(jm, jp, j3):
         return jp * inv2m - (e / mass) * j3 * g(jm) + e * f(jm)
 
-    def h_partials(jm, jp, j3):
-        return -(e / mass) * j3 * gp(jm) + e * fp(jm), inv2m, -(e / mass) * g(jm)
-
-    return HamiltonianSpec("electromagnetic.euclidean", _realization(desc), h, h_partials, desc)
+    return HamiltonianSpec("electromagnetic.euclidean", _realization(desc), h, desc)
 
 
-def _variable_mass(desc: SystemDescriptor, mpro: Profile, mder: Profile,
-                   f: Profile, fp: Profile) -> HamiltonianSpec:
-    def mass_at(jm):
-        mval = mpro(jm)
-        low = np.minimum.reduce(mval.real, axis=None)
-        if low <= 0.0:
-            raise DomainError(f"mass profile must stay positive, got {low}")
-        return mval
-
+def _variable_mass(desc: SystemDescriptor, mpro: Profile, f: Profile) -> HamiltonianSpec:
     def h(jm, jp, j3):
-        return jp / (2.0 * mass_at(jm)) + f(jm)
+        return jp / (2.0 * POSITIVE_MASS(mpro(jm))) + f(jm)
 
-    def h_partials(jm, jp, j3):
-        mval = mass_at(jm)
-        return -jp * mder(jm) / (2.0 * mval ** 2) + fp(jm), 1.0 / (2.0 * mval), 0.0
-
-    return HamiltonianSpec("variable_mass.euclidean", SL2Realization(desc.b_tilde),
-                           h, h_partials, desc)
+    return HamiltonianSpec("variable_mass.euclidean", SL2Realization(desc.b_tilde), h, desc)
 
 
 # ---------------------------------------------------------------------------
 # Keyword constructors
 # ---------------------------------------------------------------------------
 
-def make_evans(space: str, profile: Profile, profile_deriv: Profile, *,
-               mass: float = 1.0, b_tilde, kappa: float = 0.0) -> HamiltonianSpec:
+def make_evans(space: str, profile: Profile, *, mass: float = 1.0, b_tilde,
+               kappa: float = 0.0) -> HamiltonianSpec:
     """Central potential F(r_t^2) plus N centrifugal barriers.
 
-    The caller supplies the radial profile and its derivative; the argument
-    is the squared tangent-distance (plain q^2 in the flat case).
+    The caller supplies the radial profile, pure arithmetic in its argument
+    (its derivative is derived from it); the argument is the squared
+    tangent-distance (plain q^2 in the flat case).
     """
     desc = SystemDescriptor("evans", space, {"mass": mass, "kappa": kappa}, b_tilde)
-    return _radial_spec(desc, profile, profile_deriv)
+    return _radial_spec(desc, profile)
 
 
 def make_sw(space: str = EUCLIDEAN, *, mass: float = 1.0, omega: float = 1.0,
@@ -325,26 +275,27 @@ def make_kepler_coulomb(space: str = EUCLIDEAN, *, mass: float = 1.0, k: float =
 
 
 def make_electromagnetic(*, mass: float = 1.0, charge: float = 1.0,
-                         scalar_profile: Profile, scalar_profile_deriv: Profile,
-                         vector_profile: Profile, vector_profile_deriv: Profile,
+                         scalar_profile: Profile, vector_profile: Profile,
                          b_tilde) -> HamiltonianSpec:
-    """Flat momenta-dependent family J+/2m - (e/m) J3 G(J-) + e F(J-)."""
+    """Flat momenta-dependent family J+/2m - (e/m) J3 G(J-) + e F(J-).
+
+    The profiles F and G are pure arithmetic in their argument.
+    """
     desc = SystemDescriptor("electromagnetic", EUCLIDEAN,
                             {"mass": mass, "charge": charge}, b_tilde)
-    return _electromagnetic(desc, scalar_profile, scalar_profile_deriv,
-                            vector_profile, vector_profile_deriv)
+    return _electromagnetic(desc, scalar_profile, vector_profile)
 
 
-def make_variable_mass(*, mass_profile: Profile, mass_profile_deriv: Profile,
-                       potential: Profile, potential_deriv: Profile, b) -> HamiltonianSpec:
+def make_variable_mass(*, mass_profile: Profile, potential: Profile, b) -> HamiltonianSpec:
     """Coordinate-dependent mass family J+ / (2 M(J-)) + F(J-).
 
-    `b` is given directly (not bt = b/m) since there is no constant mass.
-    The chart kinetic energies are the special cases M = m/(1 + kappa s)^2
-    (Poincare) of this form.
+    The profiles M and F are pure arithmetic in their argument; M must stay
+    positive.  `b` is given directly (not bt = b/m) since there is no
+    constant mass.  The chart kinetic energies are the special cases
+    M = m/(1 + kappa s)^2 (Poincare) of this form.
     """
     desc = SystemDescriptor("variable_mass", EUCLIDEAN, {}, _as_vector(b, "b"))
-    return _variable_mass(desc, mass_profile, mass_profile_deriv, potential, potential_deriv)
+    return _variable_mass(desc, mass_profile, potential)
 
 
 # ---------------------------------------------------------------------------
@@ -360,14 +311,13 @@ class EMFields:
 
 
 def em_fields(q, *, mass: float = 1.0, charge: float = 1.0,
-              scalar_profile: Profile, scalar_profile_deriv: Profile,
-              vector_profile: Profile, vector_profile_deriv: Profile,
-              b_tilde) -> EMFields:
+              scalar_profile: Profile, vector_profile: Profile, b_tilde) -> EMFields:
     """Static fields of the electromagnetic family at a position in R^3.
 
     psi = F(q^2) - (e/2m) q^2 G(q^2)^2 + sum bt_i / (2 e q_i^2),
     A = q G(q^2); the magnetic field of this radial A vanishes identically
-    and E = -grad psi in closed form.
+    and E = -grad psi in closed form, the profiles' derivatives taken by
+    complex step.
     """
     q = _as_vector(q, "q")
     desc = SystemDescriptor("electromagnetic", EUCLIDEAN,
@@ -379,8 +329,8 @@ def em_fields(q, *, mass: float = 1.0, charge: float = 1.0,
         raise ConfigError("charge must be nonzero to form the potentials")
     q2 = float(q @ q)
     g = vector_profile(q2)
-    gp = vector_profile_deriv(q2)
-    fp = scalar_profile_deriv(q2)
+    gp, fp = (f(complex(q2, COMPLEX_STEP)).imag / COMPLEX_STEP
+              for f in (vector_profile, scalar_profile))
     psi = scalar_profile(q2) - (e / (2.0 * m)) * q2 * g * g
     barrier = np.zeros(3)
     active = bt != 0.0
@@ -398,21 +348,29 @@ def em_fields(q, *, mass: float = 1.0, charge: float = 1.0,
 # The family registry
 # ---------------------------------------------------------------------------
 
-def poly_profile(coeffs) -> tuple[Profile, Profile]:
-    """Polynomial profile (value, derivative) from ascending coefficients."""
-    poly = np.polynomial.Polynomial(list(coeffs))
-    der = poly.deriv()
-    return poly, der
+def poly_profile(coeffs) -> Profile:
+    """Polynomial profile from ascending coefficients c_0, c_1, ..., by
+    Horner's rule c_0 + x (c_1 + x (c_2 + ...)), innermost first, as
+    numpy's polyval evaluates it."""
+    *rest, top = (float(c) for c in coeffs)
+
+    def profile(x):
+        value = top
+        for c in reversed(rest):
+            value = c + value * x
+        return value
+
+    return profile
 
 
 def _poly(descriptor: SystemDescriptor, *keys: str) -> tuple[Profile, ...]:
-    """(value, derivative) of each named polynomial profile, in order."""
+    """Each named polynomial profile, in order."""
     out: list[Profile] = []
     for key in keys:
         coeffs = descriptor.profiles.get(key)
         if not coeffs:
             raise ConfigError(f"family {descriptor.family!r} needs profile {key!r}")
-        out.extend(poly_profile(coeffs))
+        out.append(poly_profile(coeffs))
     return tuple(out)
 
 

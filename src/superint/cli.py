@@ -3,8 +3,9 @@
 Exit codes: 0 all asserted properties pass, 1 verification/simulation
 failure (a simulation halted by a singular approach or a stage iteration
 that does not converge still writes its trajectory up to the halt), 2
-configuration or usage error, or output that cannot be written (e.g. --out
-below a regular file).  Reports and trajectories are plain text
+configuration or usage error (a size out of range included, such as more
+steps than a trajectory can store), or output that cannot be written (e.g.
+--out below a regular file).  Reports and trajectories are plain text
 with round-trip-safe floats (shortest repr by default, hexadecimal with
 --hex-floats), so identical config + seed gives byte identical output.
 """
@@ -27,6 +28,7 @@ from .errors import (
     ConfigError,
     InsufficientData,
     NonConvergence,
+    RangeError,
     SingularApproach,
     SuperintError,
 )
@@ -259,6 +261,9 @@ def main(argv=None) -> int:
         return cmd_simulate(args.config, out_dir, args.seed, args.hex_floats)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except RangeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except SuperintError as exc:
         print(f"error: {exc}", file=sys.stderr)

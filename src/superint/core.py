@@ -10,7 +10,9 @@ pairs (q, p),
 which close the Poisson brackets {J3, J+} = 2 J+, {J3, J-} = -2 J-,
 {J-, J+} = 4 J3.  A Hamiltonian is any smooth function H(J-, J+, J3); its
 phase-space gradient is assembled exactly by the chain rule from the three
-partials of H and the analytic gradients of the J's.
+partials of H and the analytic gradients of the J's.  The partials are not
+written by hand: they are derived from h itself, which `tape.derive` runs
+once on a recording forward-mode dual, on a spec's first gradient call.
 
 `sl2_kernel` evaluates the three generators and dJ+/dq, the only gradient
 that is not q or p times a constant, in one pass over raw arrays; the
@@ -29,13 +31,16 @@ Over a stack the kernel runs once, its sums are sequential loops
 stacks), and only the scalar partials of h run once per point.  At one
 point, a GL2 or RK4 stage given as Python lists, numpy dispatch would cost
 more than the arithmetic, and so would a Python loop over the sites:
-`gradient_qp` runs the same sums and the chain rule as straight-line code on
-Python floats, returns lists, and gets the stacked call's bits; an (N,)
-array takes the same path and gets arrays back.  That kernel's source is
-generated and compiled once per shape, keyed by N and the barrier sites
-(`_one_point_gradient`); it holds only names and site indices, and each
-spec binds its own b_i, -2 b_i and h partials to it by name on its first
-one-point call, so building or certifying a spec compiles nothing.  BLAS dots and
+`gradient_qp` runs the same sums, h's taped partials and the chain rule as
+straight-line code on Python floats, returns lists, and gets the stacked
+call's bits; an (N,) array takes the same path and gets arrays back.  That
+kernel's source is generated and compiled once per shape and partials' text,
+keyed by N, the barrier sites and the taped lines (`_one_point_gradient`);
+the stacked path runs the same lines compiled on their own
+(`_partials_function`).  Both hold only names and site indices, and each
+spec binds its own b_i, -2 b_i and h's constants to them by name on its
+first gradient call, so two specs of one family, space and shape share their
+code, and building a spec tapes and compiles nothing.  BLAS dots and
 `np.add.reduce` (pairwise from eight terms) are not left to right, and
 `x ** 3` rounds differently in numpy and in Python (as does a Python
 `x ** 2`; numpy's is x * x), so neither appears on these paths.  Dot
@@ -55,7 +60,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DimensionMismatch, DomainError
+from .errors import ConfigError, DimensionMismatch, DomainError
+from .tape import Derivative, derive, overflowed
 
 # Below this |q_i| (with b_i != 0) the centrifugal term is treated as singular.
 AXIS_GUARD_RADIUS = 1e-10
@@ -250,11 +256,11 @@ def sl2_kernel(realization: SL2Realization, q: np.ndarray, p: np.ndarray,
 
 @dataclass(frozen=True)
 class Guard:
-    """Named clearance function q -> float; dynamics halts when it dips
-    below the guard radius."""
+    """Named clearance as a function of J- (a float); dynamics halts when
+    it dips below the guard radius."""
 
     label: str
-    clearance: Callable[[np.ndarray], float]
+    clearance: Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -262,15 +268,17 @@ class HamiltonianSpec:
     """A Hamiltonian H = h(J-, J+, J3) over a fixed realization.
 
     `h` maps the three generator values, scalars or equal-shape arrays, to
-    the energy; `h_partials` returns (dh/dxi-, dh/dxi+, dh/dxi3) at scalar
-    arguments.  Phase-space gradients are assembled by the chain rule, so
-    they are exact whenever the partials are.
+    the energy, with pure arithmetic (+ - * / and ** by a constant) and its
+    domain conditions passed through `tape.Domain`.  Its partials
+    (dh/dxi-, dh/dxi+, dh/dxi3) are derived from it, taped on the first
+    gradient call (`h_partials`), so phase-space gradients are exact to
+    rounding by the chain rule.  An h that cannot be taped is a ConfigError
+    at that call.
     """
 
     name: str
     realization: SL2Realization
     h: Callable[..., float]
-    h_partials: Callable[[float, float, float], tuple[float, float, float]]
     descriptor: Optional[object] = None
     guards: tuple[Guard, ...] = ()
 
@@ -289,15 +297,15 @@ class HamiltonianSpec:
         dH/dp = (h- * 0 + (2 h+) * p) + h3 * q, summed left to right; (2 h) * q
         rounds the same exact product as h * (2 q) unless 2 h overflows.  The
         h- * 0 term keeps the signed zeros (and NaNs) that a zero dJ-/dp
-        vector would give.  The partials take Python floats, cheaper than
-        numpy scalars.  One point comes as Python lists (a GL2 or RK4 stage)
-        or as (N,) arrays and goes back the same way; over a stack (..., N)
-        the kernel runs once, the partials once per point, and the chain rule
-        takes them as (..., 1) columns.  One point runs the same sums and
-        products in Python floats (`_gradient_at`): straight-line code
-        compiled once per (N, barrier sites) and bound to this spec's b_i,
-        -2 b_i and partials, so every point's rows are bitwise its own call
-        whichever way it comes.
+        vector would give.  One point comes as Python lists (a GL2 or RK4
+        stage) or as (N,) arrays and goes back the same way; over a stack
+        (..., N) the kernel runs once, `h_partials` once per point, and the
+        chain rule takes them as (..., 1) columns.  One point runs the same
+        sums, the same partials' lines and the same products in Python floats
+        (`_gradient_at`): straight-line code compiled once per (N, barrier
+        sites, partials' text) and bound to this spec's b_i, -2 b_i and
+        constants, so every point's rows are bitwise its own call whichever
+        way it comes.
         """
         if isinstance(q, list):
             return self._gradient_at(q, p)
@@ -313,32 +321,67 @@ class HamiltonianSpec:
         return dq, dp
 
     @cached_property
+    def _derivative(self) -> Derivative:
+        try:
+            return derive(self.h)
+        except TypeError as exc:
+            raise ConfigError(f"{self.name}: the partials of h cannot be derived: {exc}") \
+                from exc
+
+    @cached_property
+    def h_partials(self) -> Callable[[float, float, float], tuple[float, float, float]]:
+        """(dh/dxi-, dh/dxi+, dh/dxi3) at one point of Python floats: the
+        taped lines, compiled once per text and bound to this spec's
+        constants."""
+        d = self._derivative
+        return _partials_function(d.lines, d.names)(d.values)
+
+    @cached_property
     def _gradient_at(self) -> Callable[[list, list], tuple[list, list]]:
         """gradient_qp at one real point given as lists of N floats, returned
-        as lists: the kernel of the realization's shape, bound on the first
-        one-point call to this spec's barrier coefficients and h_partials."""
-        barriers = self.realization.barriers
-        make = _one_point_gradient(self.n, tuple(i for i, _, _ in barriers))
-        return make(self.h_partials, self.realization,
+        as lists: the kernel of the realization's shape and h's partials'
+        text, bound on the first one-point call to this spec's barrier
+        coefficients and constants."""
+        barriers, d = self.realization.barriers, self._derivative
+        make = _one_point_gradient(self.n, tuple(i for i, _, _ in barriers), d.lines, d.names)
+        return make(self.realization, d.values,
                     *(x for _, b, minus_2b in barriers for x in (b, minus_2b)))
 
 
-@cache
-def _one_point_gradient(n: int, sites: tuple[int, ...]) -> Callable:
-    """Compile, once per shape (N and the barrier sites), the factory of
-    `HamiltonianSpec._gradient_at`.  Its source holds only names and site
-    indices: the factory binds h_partials, the realization (for the exact
-    guard) and each barrier's b_i and -2 b_i as arguments.
+def _bind(constants: tuple[str, ...]) -> list[str]:
+    """The factory line that unpacks the bound constants, if there are any."""
+    return [f"    {''.join(f'{c}, ' for c in constants)}= consts"] if constants else []
 
-    The kernel is `sl2_kernel` and the chain rule of `gradient_qp` on
-    Python floats, unrolled over the sites in the same order: J-, J3 and
-    p.p are t_0 + t_1 + ... (the stacked sums start from the first term,
-    as a sum from -0.0 would), the barrier sum is added to p.p as one term,
-    and dJ+/dq_i is -2 b_i / (q_i**2 * q_i) on a barrier site, 0.0 (as
-    h+ * 0.0) elsewhere.  A barrier square below _NEAR_AXIS_SQ (or NaN)
-    runs the exact guard before any division.  The partials are coerced to
-    Python floats, so no numpy scalar reaches the result (or the stage
-    built from it).
+
+@cache
+def _partials_function(lines: tuple[str, ...], constants: tuple[str, ...]) -> Callable:
+    """Compile, once per text, the factory of `HamiltonianSpec.h_partials`:
+    the taped lines as a function of (jm, jp, j3) returning (hm, hp, h3),
+    its constants bound by the factory."""
+    return compile_kernel(
+        ["def make(consts):", *_bind(constants), "    def partials(jm, jp, j3):",
+         *(f"        {line}" for line in lines), "        return hm, hp, h3",
+         "    return partials"],
+        "make", "h_partials", overflowed=overflowed)
+
+
+@cache
+def _one_point_gradient(n: int, sites: tuple[int, ...], lines: tuple[str, ...],
+                        constants: tuple[str, ...]) -> Callable:
+    """Compile, once per shape (N and the barrier sites) and partials' text,
+    the factory of `HamiltonianSpec._gradient_at`.  Its source holds only
+    names and site indices: the factory binds the realization (for the
+    exact guard), h's constants and each barrier's b_i and -2 b_i as
+    arguments.
+
+    The kernel is `sl2_kernel`, h's taped partials and the chain rule of
+    `gradient_qp` on Python floats, unrolled over the sites in the same
+    order: J-, J3 and p.p are t_0 + t_1 + ... (the stacked sums start from
+    the first term, as a sum from -0.0 would), the barrier sum is added to
+    p.p as one term, and dJ+/dq_i is -2 b_i / (q_i**2 * q_i) on a barrier
+    site, 0.0 (as h+ * 0.0) elsewhere.  A barrier square below _NEAR_AXIS_SQ
+    (or NaN) runs the exact guard before any division.  The partials' lines
+    are `h_partials`' own, so a stacked row is bitwise its one-point call.
     """
     idx = range(n)
 
@@ -347,8 +390,9 @@ def _one_point_gradient(n: int, sites: tuple[int, ...]) -> Callable:
 
     dq = [f"hm2 * q{i} + hp * (m{i} / (s{i} * q{i})) + h3 * p{i}" if i in sites
           else f"hm2 * q{i} + hp0 + h3 * p{i}" for i in idx]
-    lines = [
-        f"def make(h_partials, realization{''.join(f', b{i}, m{i}' for i in sites)}):",
+    source = [
+        f"def make(realization, consts{''.join(f', b{i}, m{i}' for i in sites)}):",
+        *_bind(constants),
         "    def gradient_at(qs, ps):",
         f"        {names('q', idx)}= qs",
         f"        {names('p', idx)}= ps",
@@ -357,22 +401,22 @@ def _one_point_gradient(n: int, sites: tuple[int, ...]) -> Callable:
         f"        jp = {left_sum(f'p{i} * p{i}' for i in idx)}",
     ]
     if sites:
-        lines += [f"        s{i} = q{i} * q{i}" for i in sites]
-        lines += [
+        source += [f"        s{i} = q{i} * q{i}" for i in sites]
+        source += [
             f"        if not ({' and '.join(f's{i} >= NEAR' for i in sites)}):",
             "            guard_axes(realization, np.array(qs))",
             f"        jp += {left_sum(f'b{i} / s{i}' for i in sites)}",
         ]
-    lines += [
-        "        hm, hp, h3 = h_partials(jm, jp, j3)",
-        "        hm, hp, h3 = float(hm), float(hp), float(h3)",
+    source += [
+        *(f"        {line}" for line in lines),
         "        hm2, hp2, hm0, hp0 = 2.0 * hm, 2.0 * hp, hm * 0.0, hp * 0.0",
         f"        return [{', '.join(dq)}], "
         f"[{', '.join(f'hm0 + hp2 * p{i} + h3 * q{i}' for i in idx)}]",
         "    return gradient_at",
     ]
-    return compile_kernel(lines, "make", f"gradient_at N={n} sites={sites}",
-                          NEAR=_NEAR_AXIS_SQ, guard_axes=guard_axes, np=np)
+    return compile_kernel(source, "make", f"gradient_at N={n} sites={sites}",
+                          NEAR=_NEAR_AXIS_SQ, guard_axes=guard_axes, np=np,
+                          overflowed=overflowed)
 
 
 def names(prefix: str, indices) -> str:

@@ -30,13 +30,13 @@ RK4 step are straight-line code, generated and compiled once per N
 (`_gl2_kernel`, `_seeds_kernel`, `_rk4_kernel`).  Their source holds only
 names and entry indices; the Butcher and seed weights are bound by name.
 
-Every accepted state is checked against one tuple of `Guard`s: the
-coordinate-plane barrier (`SL2Realization.clearance`, exact on the Python
-state) first, then the spec's own guards (origin, chart boundary) on the
-state's numpy row.  The same tuple decides whether a stage-iteration
-failure, or a stage evaluation that overflows, counts as a singular
-approach.  Every stage evaluation, GL2's first seed f(z0) included, runs
-inside its step's halt handling.
+Every accepted state is checked on its Python floats: the coordinate-plane
+barrier (`SL2Realization.clearance`) first, then the spec's own `Guard`s
+(origin, chart boundary), functions of the state's J-, summed left to right
+as everywhere in the library (`_jm_kernel`, compiled once per N).  The same
+guards decide whether a stage-iteration failure, or a stage evaluation that
+overflows, counts as a singular approach.  Every stage evaluation, GL2's
+first seed f(z0) included, runs inside its step's halt handling.
 
 Monitors are evaluated after the run, one `value_fn` call per monitor on
 all the states at once; each series is keyed by the monitor's name.
@@ -51,9 +51,9 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import (ConservedQuantity, Guard, HamiltonianSpec, PhasePoint, compile_kernel,
-                   names)
-from .errors import DomainError, InsufficientData, NonConvergence, SingularApproach
+from .core import ConservedQuantity, HamiltonianSpec, PhasePoint, compile_kernel, names
+from .errors import (DomainError, InsufficientData, NonConvergence, RangeError,
+                     SingularApproach)
 
 _SQRT3 = math.sqrt(3.0)
 # the GL2 Butcher matrix, applied entry by entry as a(i, 1) k1 + a(i, 2) k2
@@ -206,6 +206,17 @@ def _seeds_kernel(n):
 
 
 @cache
+def _jm_kernel(n):
+    """J- of the state z = [q, p], a list of 2N floats: z0 * z0 + z1 * z1
+    + ..., left to right over its first N entries, as every J- of the
+    library is summed.  Compiled once per N."""
+    return compile_kernel(
+        ["def square_sum(z):",
+         f"    return {' + '.join(f'z[{i}] * z[{i}]' for i in range(n))}"],
+        "square_sum", f"square_sum N={n}")
+
+
+@cache
 def _rk4_kernel(n):
     """One classical RK4 step of the state z = [q, p], a list of 2N floats:
     rk4_step(grad, z, h) with grad = spec.gradient_qp, one call per stage,
@@ -254,7 +265,8 @@ def integrate(
 
     Runs whole_steps(t_final, step) fixed-size steps (none for t_final = 0)
     and records every accepted state; a t_final that is not a whole number
-    of steps is a ValueError.  Halts with SingularApproach if a
+    of steps is a ValueError, and more steps than the trajectory's array can
+    hold a RangeError.  Halts with SingularApproach if a
     guarded singularity comes within the guard radius.  Every halt
     (SingularApproach or NonConvergence) carries the last accepted state as
     `err.state` and the trajectory up to it as `err.trajectory`.
@@ -269,29 +281,35 @@ def integrate(
     if len({mon.name for mon in monitors}) != len(monitors):
         raise ValueError(f"monitor names must be distinct, got {[m.name for m in monitors]}")
     spec.realization.check_point(x0)
-    barrier = Guard("coordinate-plane barrier", spec.realization.clearance)
-    guards = (barrier, *spec.guards)
     n, h = x0.n, cfg.step
-    zs = np.empty((n_steps + 1, 2 * n))
+    try:
+        zs = np.empty((n_steps + 1, 2 * n))
+    except (MemoryError, ValueError) as exc:
+        raise RangeError(f"{n_steps} steps of {cfg.step} are more than can be stored: "
+                         f"{exc}") from None
     zs[0, :n], zs[0, n:] = x0.q, x0.p
     z = zs[0].tolist()
+    barrier, guards, square_sum = spec.realization.clearance, spec.guards, _jm_kernel(n)
 
-    def check_guards(z, idx, t, last=None):
-        """Halt if the state z (a list), row idx of zs, is within the guard
-        radius of a guarded set.  The barrier clearance is exact on z's
-        Python floats; the spec's guards read the numpy row, since a Python
-        sum is not bitwise their q @ q."""
-        for guard in guards:
-            if guard.clearance(z if guard is barrier else zs[idx, :n]) <= GUARD_RADIUS:
-                raise SingularApproach(
-                    f"{guard.label} reached at t = {t:.6g}", time=t, state=last
-                )
+    def check_guards(z, t, last=None):
+        """Halt if the state z (a list) is within the guard radius of a
+        guarded set: the barrier clearance, exact on z's Python floats, then
+        the spec's guards on its J-."""
+        if barrier(z) <= GUARD_RADIUS:
+            raise SingularApproach(f"coordinate-plane barrier reached at t = {t:.6g}",
+                                   time=t, state=last)
+        if guards:
+            jm = square_sum(z)
+            for guard in guards:
+                if guard.clearance(jm) <= GUARD_RADIUS:
+                    raise SingularApproach(f"{guard.label} reached at t = {t:.6g}",
+                                           time=t, state=last)
 
     def stalled(exc, step_idx):
-        """exc, or a SingularApproach if the last accepted state is within
+        """exc, or a SingularApproach if the last accepted state z is within
         APPROACH_HORIZON of a guarded set: the stiffness is the singularity."""
-        last_q = zs[step_idx - 1, :n]
-        if min(g.clearance(last_q) for g in guards) >= APPROACH_HORIZON:
+        jm = square_sum(z)
+        if min([barrier(z), *(g.clearance(jm) for g in guards)]) >= APPROACH_HORIZON:
             return exc
         return SingularApproach(
             f"stage iteration broke down near a guarded singularity "
@@ -300,7 +318,7 @@ def integrate(
         )
 
     try:
-        check_guards(z, 0, 0.0, x0)
+        check_guards(z, 0.0, x0)
     except SingularApproach as err:
         err.trajectory = _finish(zs[:1], n, h, monitors)
         raise
@@ -331,7 +349,7 @@ def integrate(
                     f"singular evaluation during step to t = {t:.6g}: {exc}",
                     time=(step_idx - 1) * h,
                 )
-            except OverflowError as exc:  # a family's Python-float partials
+            except OverflowError as exc:  # h's partials, or a Python ** in them
                 raise stalled(NonConvergence(f"stage evaluation overflowed: {exc}"),
                               step_idx) from exc
             except NonConvergence as exc:
@@ -339,7 +357,7 @@ def integrate(
             if not all(map(math.isfinite, z)):
                 raise SingularApproach(f"state became non-finite at t = {t:.6g}", time=t)
             zs[step_idx] = z
-            check_guards(z, step_idx, t)
+            check_guards(z, t)
         except (SingularApproach, NonConvergence) as err:
             err.state = PhasePoint(zs[step_idx - 1, :n].copy(), zs[step_idx - 1, n:].copy())
             err.trajectory = _finish(zs[:step_idx], n, h, monitors)

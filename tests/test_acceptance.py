@@ -56,22 +56,19 @@ def catalog_instances(rng):
     def bt(n):
         return rng.uniform(0.1, 1.0, n)
 
-    f_pot, fp_pot = poly_profile([0.0, 0.3, 0.0, 0.1])
-    f_sc, fp_sc = poly_profile([0.0, 0.0, 1.0])
-    g_vec, gp_vec = poly_profile([0.0, 0.3])
+    f_pot = poly_profile([0.0, 0.3, 0.0, 0.1])
+    f_sc = poly_profile([0.0, 0.0, 1.0])
+    g_vec = poly_profile([0.0, 0.3])
     return [
         make_sw("euclidean", mass=1.2, omega=0.9, b_tilde=bt(2)),
         make_garnier("euclidean", mass=1.0, omega=1.1, delta=0.3, b_tilde=bt(3)),
         make_kepler_coulomb("euclidean", mass=1.0, k=0.8, b_tilde=bt(4)),
         make_electromagnetic(mass=1.1, charge=0.7,
-                             scalar_profile=f_sc, scalar_profile_deriv=fp_sc,
-                             vector_profile=g_vec, vector_profile_deriv=gp_vec,
-                             b_tilde=bt(6)),
+                             scalar_profile=f_sc, vector_profile=g_vec, b_tilde=bt(6)),
         make_variable_mass(mass_profile=lambda s: 1.0 + 0.5 * s,
-                           mass_profile_deriv=lambda s: 0.5,
                            potential=lambda s: 0.4 * s,
-                           potential_deriv=lambda s: 0.4, b=bt(3)),
-        make_evans("euclidean", f_pot, fp_pot, mass=1.3, b_tilde=bt(4)),
+                           b=bt(3)),
+        make_evans("euclidean", f_pot, mass=1.3, b_tilde=bt(4)),
         make_sw("beltrami", mass=1.0, omega=0.8, b_tilde=bt(4), kappa=1.0),
         make_sw("poincare", mass=1.1, omega=1.0, b_tilde=bt(3), kappa=-0.5),
         make_kepler_coulomb("beltrami", mass=1.0, k=1.2, b_tilde=bt(6), kappa=-0.5),
@@ -248,7 +245,7 @@ def test_c07_legendre_consistency():
     for kappa in (0.7, -0.7):
         for chart in ("poincare", "beltrami"):
             # the kinetic term every catalog Hamiltonian uses
-            kinetic_spec = make_evans(chart, lambda s: 0.0, lambda s: 0.0, mass=mass,
+            kinetic_spec = make_evans(chart, lambda s: 0.0, mass=mass,
                                       b_tilde=np.zeros(3), kappa=kappa)
             count = 0
             while count < 100:
@@ -327,7 +324,7 @@ def test_c09_closure_separates_ms_from_qms():
 def test_c10_flat_limits():
     rng = np.random.default_rng(SEED + 10)
     bt = [0.5, 0.0, 0.8]
-    f, fp = poly_profile([0.0, 0.4, 0.1])
+    f = poly_profile([0.0, 0.4, 0.1])
     pairs = [
         (make_sw("beltrami", mass=1.1, omega=0.9, b_tilde=bt, kappa=0.0),
          make_sw("euclidean", mass=1.1, omega=0.9, b_tilde=bt),
@@ -340,9 +337,9 @@ def test_c10_flat_limits():
         (make_kepler_coulomb("beltrami", mass=1.0, k=0.8, b_tilde=bt, kappa=0.0),
          make_kepler_coulomb("euclidean", mass=1.0, k=0.8, b_tilde=bt),
          make_kepler_coulomb("beltrami", mass=1.0, k=0.8, b_tilde=bt, kappa=1e-6)),
-        (make_evans("beltrami", f, fp, mass=1.2, b_tilde=bt, kappa=0.0),
-         make_evans("euclidean", f, fp, mass=1.2, b_tilde=bt),
-         make_evans("beltrami", f, fp, mass=1.2, b_tilde=bt, kappa=1e-6)),
+        (make_evans("beltrami", f, mass=1.2, b_tilde=bt, kappa=0.0),
+         make_evans("euclidean", f, mass=1.2, b_tilde=bt),
+         make_evans("beltrami", f, mass=1.2, b_tilde=bt, kappa=1e-6)),
     ]
     exact = True
     worst_near = 0.0

@@ -5,6 +5,7 @@ import pytest
 
 from superint import (
     ConfigError,
+    IntegratorConfig,
     DimensionMismatch,
     DomainError,
     PhasePoint,
@@ -13,6 +14,7 @@ from superint import (
     em_fields,
     energy_quantity,
     extra_integral,
+    integrate,
     make_electromagnetic,
     make_evans,
     make_garnier,
@@ -66,7 +68,7 @@ def test_garnier_values():
 def test_evans_with_quadratic_profile_is_oscillator(space, kappa):
     w2 = 1.21
     bt = [0.3, 0.0, 0.6]
-    evans = make_evans(space, lambda s: w2 * s, lambda s: w2,
+    evans = make_evans(space, lambda s: w2 * s,
                        mass=1.1, b_tilde=bt, kappa=kappa)
     sw = make_sw(space, mass=1.1, omega=1.1, b_tilde=bt, kappa=kappa)
     evans, sw = energy_quantity(evans), energy_quantity(sw)
@@ -79,7 +81,7 @@ def test_evans_with_quadratic_profile_is_oscillator(space, kappa):
 
 
 def test_free_profile_gives_kinetic_only():
-    spec = make_evans("euclidean", lambda s: 0.0, lambda s: 0.0,
+    spec = make_evans("euclidean", lambda s: 0.0,
                       mass=2.0, b_tilde=[0.4, 0.0])
     x = PhasePoint([0.5, 0.7], [1.0, -1.0])
     expected = (1.0 + 1.0 + 2.0 * 0.4 / 0.25) / 4.0
@@ -109,21 +111,18 @@ def test_series_oscillator_matches_quartic_truncation():
 
 def test_electromagnetic_reductions():
     bt = [0.3, 0.0, 0.2]
-    f, fp = poly_profile([0.0, 0.4, 0.1])
+    f = poly_profile([0.0, 0.4, 0.1])
     zero = lambda s: 0.0
     em = make_electromagnetic(mass=1.2, charge=1.0,
-                              scalar_profile=f, scalar_profile_deriv=fp,
-                              vector_profile=zero, vector_profile_deriv=zero,
-                              b_tilde=bt)
-    evans = make_evans("euclidean", f, fp, mass=1.2, b_tilde=bt)
+                              scalar_profile=f, vector_profile=zero, b_tilde=bt)
+    evans = make_evans("euclidean", f, mass=1.2, b_tilde=bt)
     q, p = split(sample_regular_points(10, 3, RNG))
     assert em.value_qp(q, p) == pytest.approx(evans.value_qp(q, p), rel=1e-14)
 
     c = 0.7
     em_const = make_electromagnetic(mass=1.0, charge=2.0,
-                                    scalar_profile=f, scalar_profile_deriv=fp,
-                                    vector_profile=lambda s: c,
-                                    vector_profile_deriv=zero, b_tilde=bt)
+                                    scalar_profile=f, vector_profile=lambda s: c,
+                                    b_tilde=bt)
     q, p = split(sample_regular_points(10, 3, RNG))
     q2 = (q * q).sum(-1)
     barriers = sum(b / (2.0 * qi ** 2) for b, qi in zip(bt, q.T) if b != 0.0)
@@ -133,12 +132,10 @@ def test_electromagnetic_reductions():
 
 def test_electromagnetic_keeps_universal_integrals():
     bt = [0.3, 0.1, 0.2]
-    g, gp = poly_profile([0.0, 1.0])
-    f, fp = poly_profile([0.0, 0.0, 1.0])
+    g = poly_profile([0.0, 1.0])
+    f = poly_profile([0.0, 0.0, 1.0])
     em = make_electromagnetic(mass=1.0, charge=0.8,
-                              scalar_profile=f, scalar_profile_deriv=fp,
-                              vector_profile=g, vector_profile_deriv=gp,
-                              b_tilde=bt)
+                              scalar_profile=f, vector_profile=g, b_tilde=bt)
     h = energy_quantity(em)
     points = sample_regular_points(20, 3, RNG)
     for c in universal_set(em.realization).all:
@@ -148,32 +145,26 @@ def test_electromagnetic_keeps_universal_integrals():
 
 def test_em_fields_trivial_profile():
     zero = lambda s: 0.0
-    f, fp = poly_profile([0.0, 1.0])
+    f = poly_profile([0.0, 1.0])
     fields = em_fields([0.3, -0.5, 0.8], mass=1.0, charge=1.0,
-                       scalar_profile=f, scalar_profile_deriv=fp,
-                       vector_profile=zero, vector_profile_deriv=zero,
-                       b_tilde=[0.0, 0.0, 0.0])
+                       scalar_profile=f, vector_profile=zero, b_tilde=[0.0, 0.0, 0.0])
     assert np.allclose(fields.E, -2.0 * np.array([0.3, -0.5, 0.8]))
     assert np.array_equal(fields.H, np.zeros(3))
     assert np.array_equal(fields.A, np.zeros(3))
 
 
 def test_em_fields_match_difference_gradient_of_psi():
-    f, fp = poly_profile([0.0, 0.5, 0.2])
-    g, gp = poly_profile([0.0, 1.0])
+    f = poly_profile([0.0, 0.5, 0.2])
+    g = poly_profile([0.0, 1.0])
     bt = [0.4, 0.0, 0.7]
 
     def psi_at(q):
         return em_fields(q, mass=1.3, charge=0.9,
-                         scalar_profile=f, scalar_profile_deriv=fp,
-                         vector_profile=g, vector_profile_deriv=gp,
-                         b_tilde=bt).psi
+                         scalar_profile=f, vector_profile=g, b_tilde=bt).psi
 
     for q in split(sample_regular_points(10, 3, RNG))[0]:
         fields = em_fields(q, mass=1.3, charge=0.9,
-                           scalar_profile=f, scalar_profile_deriv=fp,
-                           vector_profile=g, vector_profile_deriv=gp,
-                           b_tilde=bt)
+                           scalar_profile=f, vector_profile=g, b_tilde=bt)
         grad = np.zeros(3)
         for i in range(3):
             h = 1e-6 * max(1.0, abs(q[i]))
@@ -186,14 +177,12 @@ def test_em_fields_match_difference_gradient_of_psi():
 
 
 def test_em_vector_potential_is_curl_free():
-    g, gp = poly_profile([0.2, 0.8])
+    g = poly_profile([0.2, 0.8])
 
     def a_at(q):
         zero = lambda s: 0.0
         return em_fields(q, mass=1.0, charge=1.0,
-                         scalar_profile=zero, scalar_profile_deriv=zero,
-                         vector_profile=g, vector_profile_deriv=gp,
-                         b_tilde=[0.0, 0.0, 0.0]).A
+                         scalar_profile=zero, vector_profile=g, b_tilde=[0.0, 0.0, 0.0]).A
 
     for q in split(sample_regular_points(10, 3, RNG))[0]:
         jac = np.zeros((3, 3))
@@ -212,11 +201,10 @@ def test_em_vector_potential_is_curl_free():
 @pytest.mark.parametrize("key", ["mass", "charge"])
 @pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
 def test_em_fields_reject_non_finite_parameters(key, value):
-    f, fp = poly_profile([0.0, 1.0])
+    f = poly_profile([0.0, 1.0])
     params = {"mass": 1.0, "charge": 1.0, key: value}
     with pytest.raises(ConfigError, match=f"{key} must be finite"):
-        em_fields([0.3, -0.5, 0.8], scalar_profile=f, scalar_profile_deriv=fp,
-                  vector_profile=f, vector_profile_deriv=fp, b_tilde=[0.0, 0.0, 0.0],
+        em_fields([0.3, -0.5, 0.8], scalar_profile=f, vector_profile=f, b_tilde=[0.0, 0.0, 0.0],
                   **params)
 
 
@@ -224,18 +212,15 @@ def test_em_fields_need_three_dimensions():
     zero = lambda s: 0.0
     with pytest.raises(DimensionMismatch):
         em_fields([1.0, 2.0], mass=1.0, charge=1.0,
-                  scalar_profile=zero, scalar_profile_deriv=zero,
-                  vector_profile=zero, vector_profile_deriv=zero,
-                  b_tilde=[0.0, 0.0])
+                  scalar_profile=zero, vector_profile=zero, b_tilde=[0.0, 0.0])
 
 
 def test_variable_mass_constant_profile_is_evans():
     m = 1.4
-    f, fp = poly_profile([0.0, 0.6])
+    f = poly_profile([0.0, 0.6])
     bt = np.array([0.5, 0.2])
-    vm = make_variable_mass(mass_profile=lambda s: m, mass_profile_deriv=lambda s: 0.0,
-                            potential=f, potential_deriv=fp, b=m * bt)
-    evans = make_evans("euclidean", f, fp, mass=m, b_tilde=bt)
+    vm = make_variable_mass(mass_profile=lambda s: m, potential=f, b=m * bt)
+    evans = make_evans("euclidean", f, mass=m, b_tilde=bt)
     q, p = split(sample_regular_points(10, 2, RNG))
     assert vm.value_qp(q, p) == pytest.approx(evans.value_qp(q, p), rel=1e-14)
 
@@ -244,11 +229,9 @@ def test_variable_mass_reproduces_chart_kinetic():
     m, kappa = 1.2, 0.7
     vm = make_variable_mass(
         mass_profile=lambda s: m / (1.0 + kappa * s) ** 2,
-        mass_profile_deriv=lambda s: -2.0 * kappa * m / (1.0 + kappa * s) ** 3,
-        potential=lambda s: 0.0, potential_deriv=lambda s: 0.0,
-        b=[0.0, 0.0, 0.0],
+        potential=lambda s: 0.0, b=[0.0, 0.0, 0.0],
     )
-    chart = make_evans("poincare", lambda s: 0.0, lambda s: 0.0, mass=m,
+    chart = make_evans("poincare", lambda s: 0.0, mass=m,
                        b_tilde=[0.0, 0.0, 0.0], kappa=kappa)
     q, p = split(sample_regular_points(10, 3, RNG, kappa=kappa, space="poincare"))
     assert vm.value_qp(q, p) == pytest.approx(chart.value_qp(q, p), rel=1e-13)
@@ -256,9 +239,7 @@ def test_variable_mass_reproduces_chart_kinetic():
 
 def test_variable_mass_keeps_universal_integrals():
     vm = make_variable_mass(
-        mass_profile=lambda s: 1.0 + s, mass_profile_deriv=lambda s: 1.0,
-        potential=lambda s: 0.3 * s, potential_deriv=lambda s: 0.3,
-        b=[0.4, 0.0, 0.6],
+        mass_profile=lambda s: 1.0 + s, potential=lambda s: 0.3 * s, b=[0.4, 0.0, 0.6],
     )
     h = energy_quantity(vm)
     points = sample_regular_points(20, 3, RNG)
@@ -269,9 +250,7 @@ def test_variable_mass_keeps_universal_integrals():
 
 def test_variable_mass_positivity_guard():
     vm = make_variable_mass(
-        mass_profile=lambda s: 1.0 - s, mass_profile_deriv=lambda s: -1.0,
-        potential=lambda s: 0.0, potential_deriv=lambda s: 0.0,
-        b=[0.0, 0.0],
+        mass_profile=lambda s: 1.0 - s, potential=lambda s: 0.0, b=[0.0, 0.0],
     )
     with pytest.raises(DomainError):
         energy_quantity(vm).value(PhasePoint([1.0, 1.0], [0.0, 0.0]))
@@ -308,7 +287,7 @@ def test_constructor_validation():
 # family -> (constructor, keyword arguments); every argument but `space` is
 # a parameter or profile the descriptor must see as finite
 _FINITE_CASES = {
-    "evans": (lambda **kw: make_evans(profile=lambda s: s, profile_deriv=lambda s: 1.0, **kw),
+    "evans": (lambda **kw: make_evans(profile=lambda s: s, **kw),
               {"space": "beltrami", "mass": 1.0, "kappa": 0.5}),
     "sw": (make_sw, {"space": "beltrami", "mass": 1.0, "omega": 1.0, "kappa": 0.5}),
     "garnier": (make_garnier, {"space": "poincare", "mass": 1.0, "omega": 1.0,
@@ -319,8 +298,7 @@ _FINITE_CASES = {
                                              "kappa": -0.5}),
     "electromagnetic": (
         lambda **kw: make_electromagnetic(
-            scalar_profile=lambda s: s, scalar_profile_deriv=lambda s: 1.0,
-            vector_profile=lambda s: s, vector_profile_deriv=lambda s: 1.0, **kw),
+            scalar_profile=lambda s: s, vector_profile=lambda s: s, **kw),
         {"mass": 1.0, "charge": 1.0}),
 }
 
@@ -567,8 +545,31 @@ def test_stacked_values_keep_their_domain_checks():
     with pytest.raises(DomainError, match="equator"):
         sw.value_qp(equator, ps)
     vm = make_variable_mass(
-        mass_profile=lambda s: 1.0 - s, mass_profile_deriv=lambda s: -1.0,
-        potential=lambda s: 0.0, potential_deriv=lambda s: 0.0, b=[0.0, 0.0],
+        mass_profile=lambda s: 1.0 - s, potential=lambda s: 0.0, b=[0.0, 0.0],
     )
     with pytest.raises(DomainError, match="mass profile must stay positive"):
         vm.value_qp(equator, ps)
+
+
+@pytest.mark.parametrize("profile", [
+    lambda s: math.exp(s),
+    lambda s: np.exp(s),
+    lambda s: s if s > 1.0 else 2.0 * s,
+    lambda s: 0.0 * s if s == 0.0 else s,
+    lambda s: abs(s),
+    lambda s: 2.0 ** s,
+    lambda s: s ** s,
+], ids=["math.exp", "np.exp", "branch", "equality", "abs", "constant base", "dual exponent"])
+def test_profile_that_cannot_be_taped_is_rejected_at_the_first_gradient_call(profile):
+    # H's partials are derived by taping h on duals; a profile that is not
+    # + - * / and ** by a constant on its argument is rejected there, never
+    # differentiated wrongly
+    spec = make_evans("euclidean", profile, mass=1.0, b_tilde=[0.3, 0.0])
+    q, p = np.array([0.6, 0.5]), np.array([0.1, -0.2])
+    calls = (lambda: spec.gradient_qp(q, p),
+             lambda: spec.gradient_qp(np.array([q, q]), np.array([p, p])),
+             lambda: integrate(spec, PhasePoint(q, p), 0.01, IntegratorConfig()))
+    for call in calls:
+        with pytest.raises(ConfigError, match=r"^evans\.euclidean: the partials of h "
+                                              r"cannot be derived: "):
+            call()

@@ -271,6 +271,16 @@ step = 0.002
     assert any(line.startswith("# halted = stage evaluation overflowed") for line in lines)
 
 
+def test_simulate_rejects_more_steps_than_a_trajectory_can_store(tmp_path, capsys):
+    # 1e21 steps: numpy refuses the array's shape without allocating it
+    cfg = write(tmp_path, "long.cfg", SW_N4.replace("t_final = 1.0", "t_final = 1e18"))
+    assert main(["--out", str(tmp_path), "simulate", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: 1000000000000000000000 steps of 0.001 are more than")
+    assert len(err.splitlines()) == 1
+    assert not (tmp_path / "long.traj.txt").exists()
+
+
 @pytest.mark.parametrize("old, new", [
     ("step = 0.001", "step = inf"),
     ("step = 0.001", "step = nan"),

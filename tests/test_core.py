@@ -153,7 +153,7 @@ def test_casimir_commutes_with_generators():
 
 
 def test_free_particle_value_and_gradient():
-    spec = make_evans("euclidean", lambda s: 0.0, lambda s: 0.0,
+    spec = make_evans("euclidean", lambda s: 0.0,
                       mass=1.0, b_tilde=[0.0, 0.0])
     h = energy_quantity(spec)
     x = PhasePoint([0.4, -0.2], [3.0, 4.0])
@@ -185,8 +185,7 @@ def test_chain_rule_matches_differences():
         make_sw("euclidean", mass=1.3, omega=0.9, b_tilde=bt),
         make_garnier("beltrami", mass=0.8, omega=1.1, delta=0.3, b_tilde=bt, kappa=-0.4),
         make_kepler_coulomb("poincare", mass=1.0, k=0.7, b_tilde=bt, kappa=0.6),
-        make_evans("euclidean", lambda s: np.sin(s), lambda s: np.cos(s),
-                   mass=1.0, b_tilde=bt),
+        make_evans("euclidean", lambda s: s / (1.0 + s * s), mass=1.0, b_tilde=bt),
     ]
     for spec in specs:
         space = spec.descriptor.space
@@ -287,7 +286,7 @@ def _orbit_states(spec, seed):
 def test_gradient_qp_is_bitwise_the_tuple_form(b_tilde):
     # with h- = h3 = 0 (free particle) dH/dp_i = (0*0 + h+ * 2 p_i) + 0*q_i,
     # which is +0 at p_i = -0, q_i < 0 only if the h- * 0 term is kept
-    free = make_evans("euclidean", lambda s: 0.0, lambda s: 0.0,
+    free = make_evans("euclidean", lambda s: 0.0,
                       mass=1.0, b_tilde=b_tilde)
     checked = 0
     for seed, spec in enumerate((*catalog_specs(b_tilde), free)):
@@ -323,7 +322,7 @@ def test_one_point_gradient_is_the_stacked_row_bitwise(n, barriers):
     # stack are two evaluators of one definition: every row agrees in value
     # and sign bit, with signed zeros in p on a negative-q site and at p = 0
     b_tilde = _barrier_patterns(n)[barriers]
-    free = make_evans("euclidean", lambda s: 0.0, lambda s: 0.0,
+    free = make_evans("euclidean", lambda s: 0.0,
                       mass=1.0, b_tilde=b_tilde)
     checked = 0
     for seed, spec in enumerate((*catalog_specs(b_tilde), free)):
@@ -370,13 +369,15 @@ def test_gradient_kernel_is_the_reference_bitwise(n, barriers):
     # Partials of either sign and an infinite h+ (h+ * 0.0 is then NaN off
     # the barriers) check the zero dJ+/dq terms.
     b_tilde = _barrier_patterns(n)[barriers]
-    free = make_evans("euclidean", lambda s: 0.0, lambda s: 0.0,
+    free = make_evans("euclidean", lambda s: 0.0,
                       mass=1.0, b_tilde=b_tilde)
-    signed = HamiltonianSpec("signed partials", free.realization, lambda *j: 0.0,
-                             lambda jm, jp, j3: (-1.5, -2.0 if j3 < 0.0 else math.inf, -0.5))
+    signed = HamiltonianSpec("signed partials", free.realization,
+                             lambda jm, jp, j3: -1.5 * jm - 2.0 * jp - 0.5 * j3)
+    infinite = HamiltonianSpec("infinite h+", free.realization,
+                               lambda jm, jp, j3: 1.5 * jm + math.inf * jp - 0.5 * j3)
     rng = np.random.default_rng(n)
     outcomes = set()
-    for seed, spec in enumerate((*catalog_specs(b_tilde), free, signed)):
+    for seed, spec in enumerate((*catalog_specs(b_tilde), free, signed, infinite)):
         desc = spec.descriptor or free.descriptor
         qs, ps = split(sample_regular_points(3, n, seed, kappa=desc.kappa, space=desc.space))
         points = [*zip(qs, ps)]
@@ -409,22 +410,30 @@ def test_gradient_kernel_is_the_reference_bitwise(n, barriers):
     assert outcomes == {True, False}  # finite rows and NaN or inf rows were both met
 
 
-def test_gradient_kernels_compile_once_per_shape():
-    # a kernel is compiled on the first one-point call of a shape (N and the
-    # barrier sites), never while building or certifying: two specs of one
-    # shape, with other barrier values and other partials, share its code
-    # and each gets its own bits
+def test_gradient_kernels_compile_once_per_shape(monkeypatch):
+    # h is taped on a spec's first gradient call, never while building it,
+    # and a one-point kernel is compiled on the first one-point call of a
+    # shape (N and the barrier sites) and partials' text, never while
+    # building or certifying: two specs of one family, space and shape, with
+    # other parameters and barrier values, share its code and each gets its
+    # own bits
     from superint import SystemDescriptor, build, certify
     from superint import core
 
-    compiled = core._one_point_gradient
+    taped = []
+    derive = core.derive
+    monkeypatch.setattr(core, "derive", lambda h: taped.append(h) or derive(h))
+    compiled, partials = core._one_point_gradient, core._partials_function
     compiled.cache_clear()
+    partials.cache_clear()
     bt_a, bt_b = [0.3, 0.0, 0.2, 0.0, 0.0], [0.5, 0.0, 0.1, 0.0, 0.0]
     spec_a = make_sw("poincare", mass=1.0, omega=1.1, b_tilde=bt_a, kappa=0.4)
-    spec_b = make_garnier("euclidean", mass=1.2, omega=0.9, delta=0.2, b_tilde=bt_b)
+    spec_b = make_sw("poincare", mass=1.3, omega=0.8, b_tilde=bt_b, kappa=-0.6)
     desc = SystemDescriptor("sw", "beltrami", {"mass": 1.0, "omega": 1.0, "kappa": -0.3}, bt_b)
-    certify(desc, extra_axes=[1], rng=1)
     build(desc)
+    assert taped == []
+    certify(desc, extra_axes=[1], rng=1)  # H's stacked gradient tapes it
+    assert len(taped) == 1 and partials.cache_info().misses == 1
     assert compiled.cache_info().misses == 0
     q, p = np.array([0.3, -0.2, 0.25, 0.1, -0.15]), np.array([0.1, -0.0, 0.2, 0.0, -0.3])
     for spec in (spec_a, spec_b, spec_a):
@@ -432,8 +441,10 @@ def test_gradient_kernels_compile_once_per_shape():
         rq, rp = reference_gradient_qp(spec, q, p)
         assert_same_bits(np.array(dq), rq)
         assert_same_bits(np.array(dp), rp)
-    assert compiled.cache_info().misses == 1
-    make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.3, 0.1, 0.2, 0.0, 0.0]).gradient_qp(q, p)
+    assert len(taped) == 3  # once per spec
+    assert compiled.cache_info().misses == 1 and partials.cache_info().misses == 2
+    make_garnier("poincare", mass=1.0, omega=1.0, delta=0.1, b_tilde=bt_a,
+                 kappa=0.4).gradient_qp(q, p)
     assert compiled.cache_info().misses == 2
 
 

@@ -9,6 +9,7 @@ from superint import (
     IntegratorConfig,
     NonConvergence,
     PhasePoint,
+    RangeError,
     SingularApproach,
     SystemDescriptor,
     Trajectory,
@@ -30,7 +31,7 @@ from conftest import left_to_right
 
 
 def test_free_particle_is_exact():
-    spec = make_evans("euclidean", lambda s: 0.0, lambda s: 0.0,
+    spec = make_evans("euclidean", lambda s: 0.0,
                       mass=2.0, b_tilde=[0.0, 0.0])
     x0 = PhasePoint([0.5, -0.3], [1.0, 0.8])
     traj = integrate(spec, x0, 1.0, IntegratorConfig(step=0.01))
@@ -174,15 +175,15 @@ def test_first_stage_failure_halts_with_the_one_state_run(method):
     # negative at x0 halts as a singular approach, partials that overflow at
     # x0 as a non-convergence, and both carry x0 and the one-state run
     negative_mass = make_variable_mass(
-        mass_profile=lambda s: 1.0 - s, mass_profile_deriv=lambda s: -1.0,
-        potential=lambda s: 0.0, potential_deriv=lambda s: 0.0, b=[0.0, 0.0])
-    overflowing = make_evans("euclidean", lambda s: 0.0, lambda s: math.exp(1e3 * s),
+        mass_profile=lambda s: 1.0 - s, potential=lambda s: 0.0, b=[0.0, 0.0])
+    overflowing = make_evans("euclidean", lambda s: 1e200 * s * (1e200 * s),
                              mass=1.0, b_tilde=[0.0, 0.0])
     x0 = PhasePoint([1.0, 0.5], [0.1, 0.2])
     for spec, error, message in (
         (negative_mass, SingularApproach, r"^singular evaluation during step to t = 0\.001: "
                                           r"mass profile must stay positive, got -0\.25$"),
-        (overflowing, NonConvergence, "^stage evaluation overflowed: math range error$"),
+        (overflowing, NonConvergence,
+         "^stage evaluation overflowed: the partials of h overflowed$"),
     ):
         with pytest.raises(error, match=message) as info:
             integrate(spec, x0, 0.01, IntegratorConfig(method=method))
@@ -192,6 +193,13 @@ def test_first_stage_failure_halts_with_the_one_state_run(method):
             assert np.array_equal(got, x0.q)
         for got in (traj.p[0], state.p):
             assert np.array_equal(got, x0.p)
+
+
+def test_step_count_beyond_storage_is_a_range_error():
+    spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.0, 0.0])
+    x0 = PhasePoint([1.0, 0.5], [0.1, 0.2])
+    with pytest.raises(RangeError, match=r"^1000000000000000000000 steps of 0\.001 are more "):
+        integrate(spec, x0, 1e18, IntegratorConfig(step=1e-3))
 
 
 def test_step_count_does_not_overrun_t_final():
@@ -259,11 +267,10 @@ def test_gl2_step_stops_on_a_nan_stage(stage, site):
 
 
 def test_nan_gradient_halts_as_non_finite():
-    # dF/ds turns NaN once the orbit leaves |q|**2 < 1.5
-    spec = make_evans("euclidean", lambda s: 0.5 * s,
-                      lambda s: 0.5 if s < 1.5 else math.nan,
-                      mass=1.0, b_tilde=[0.0, 0.0])
-    x0 = PhasePoint([1.0, 0.0], [1.0, 0.5])
+    # an inverted oscillator carries the state past the largest float at
+    # t = ln(1.8e308 / 1e307), near 2.9; its stages turn inf, then NaN
+    spec = make_evans("euclidean", lambda s: -0.5 * s, mass=1.0, b_tilde=[0.0, 0.0])
+    x0 = PhasePoint([1e307, 0.0], [1e307, 0.5])
     for method in ("gl2", "rk4"):
         with pytest.raises(SingularApproach, match="state became non-finite") as info:
             integrate(spec, x0, 3.0, IntegratorConfig(method=method, step=1e-2))
@@ -784,8 +791,8 @@ def _count_gradient_calls(monkeypatch):
         finally:
             depth[0] -= 1
 
-    def one_point_gradient(n, sites):
-        make = compiled(n, sites)
+    def one_point_gradient(*shape):
+        make = compiled(*shape)
 
         def counting_make(*bound):
             kernel = make(*bound)
@@ -827,24 +834,19 @@ def test_integrate_makes_one_gradient_qp_call_per_stage(monkeypatch, method):
 
 @pytest.mark.parametrize("space, kappa", [("euclidean", 0.0), ("beltrami", 0.5),
                                           ("poincare", -0.4)])
-def test_gl2_stage_seeds_and_stop_rule_cut_sweeps_not_accuracy(space, kappa):
+def test_gl2_stage_seeds_and_stop_rule_cut_sweeps_not_accuracy(monkeypatch, space, kappa):
     # per-stage history seeds plus the contraction-rate stop: at most 4 stage
     # evaluations per step (previous-stage seeds and the plain d <= tol stop
     # need about 10, cubic collocation seeds 4.0 to 5.1), with the same
     # trajectory to 1e-12
-    evals = []
-
-    def counting_fp(s):
-        evals.append(s)
-        return 0.5
-
-    spec = make_evans(space, lambda s: 0.5 * s, counting_fp, mass=1.0,
+    counts = _count_gradient_calls(monkeypatch)
+    spec = make_evans(space, lambda s: 0.5 * s, mass=1.0,
                       b_tilde=[0.5, 0.3, 0.0], kappa=kappa)
     x0 = PhasePoint([0.6, 0.5, 0.4], [0.2, -0.3, 0.4])
     cfg, n_steps = IntegratorConfig(step=1e-3), 2000
     traj = integrate(spec, x0, n_steps * cfg.step, cfg)
     assert traj.n_states == n_steps + 1
-    assert len(evals) / n_steps <= 4.0
+    assert counts["calls"] / n_steps <= 4.0
     qs, ps = _reference_states(spec, x0, n_steps, cfg, legacy=True)
     assert np.max(np.abs(traj.q - qs)) <= 1e-12
     assert np.max(np.abs(traj.p - ps)) <= 1e-12

@@ -148,7 +148,7 @@ def test_far_hemisphere_rejected_on_the_chart_route():
 def chart_kinetic(chart, kappa, mass, b_tilde=(0.0, 0.0, 0.0)):
     """The kinetic term every Hamiltonian of the catalog uses: a built Evans
     system with no potential."""
-    return make_evans(chart, lambda s: 0.0, lambda s: 0.0, mass=mass, b_tilde=b_tilde,
+    return make_evans(chart, lambda s: 0.0, mass=mass, b_tilde=b_tilde,
                       kappa=kappa)
 
 
