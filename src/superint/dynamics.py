@@ -6,8 +6,8 @@ which matters here because the curved kinetic terms couple q and p, so no
 explicit splitting applies.  Stages are solved by fixed-point iteration,
 from f(z0) on the first step and later from each stage's own polynomial in
 the step index through its converged values at the last SEED_DEGREE + 1
-steps (fewer at the start), one step on: a weighted sum, newest first,
-over the list of those stages.  The stage error is smooth in t, so it
+steps (fewer at the start), one step on: a weighted sum of those stages,
+newest first.  The stage error is smooth in t, so it
 cancels: the seed error is O(h^6), not the stage order O(h^3) of
 collocation seeds (Hairer, Lubich & Wanner, GNI, VIII.6.1).
 A step stops when the largest stage change d_k is at most
@@ -17,26 +17,29 @@ theta / (1 - theta) * d_k is at most `fixed_point_tol` (Hairer & Wanner,
 Solving ODEs II, IV.8).  A classical RK4 is provided as a
 non-symplectic reference.
 
-Both steppers work on one state z = [q, p], a Python list of 2N floats,
-with stage vectors k = [dH/dp, -dH/dq] from one `spec.gradient_qp` call
-each on lists.  At the small N of an orbit, numpy dispatch would cost more
-than the arithmetic, so only the accepted state is written into the
-trajectory's array.  The arithmetic is entry by entry, in the order of the
-array expressions z + h (a_i1 k_1 + a_i2 k_2) and z + (h / 2) (k_1 + k_2)
-(RK4: z + (h / 6) (((k_1 + 2 k_2) + 2 k_3) + k_4)), so every number is the
-same as with separate q and p arrays.  A Python loop over the entries would
-cost more than the arithmetic too: the GL2 step, the stage seeds and the
-RK4 step are straight-line code, generated and compiled once per N
-(`_gl2_kernel`, `_seeds_kernel`, `_rk4_kernel`).  Their source holds only
-names and entry indices; the Butcher and seed weights are bound by name.
+A whole run is one generated function per method (`_run_kernel`), compiled
+once per N and barrier sites, that takes every step in one frame: at the
+small N of an orbit, numpy dispatch would cost more than the arithmetic,
+and so would a Python loop over the entries or a call per step.  The state
+z = [q, p] is 2N local floats, and each stage is one `spec.gradient_qp` call
+on lists, k = [dH/dp, -dH/dq].  GL2 keeps the converged stages of its last
+SEED_DEGREE + 1 steps as locals too.  The arithmetic is entry by entry, in
+the order of the array expressions z + h (a_i1 k_1 + a_i2 k_2) and
+z + (h / 2) (k_1 + k_2) (RK4: z + (h / 6) (((k_1 + 2 k_2) + 2 k_3) + k_4)),
+so every number is the same as with separate q and p arrays.  The source
+holds only names and entry indices; the Butcher and seed weights are bound
+by name.  Only the accepted state is written into the trajectory's array.
 
-Every accepted state is checked on its Python floats: the coordinate-plane
-barrier (`SL2Realization.clearance`) first, then the spec's own `Guard`s
-(origin, chart boundary), functions of the state's J-, summed left to right
-as everywhere in the library (`_jm_kernel`, compiled once per N).  The same
-guards decide whether a stage-iteration failure, or a stage evaluation that
-overflows, counts as a singular approach.  Every stage evaluation, GL2's
-first seed f(z0) included, runs inside its step's halt handling.
+Every accepted state is checked in the kernel, on its Python floats: it must
+be finite, then stay out of the guard radius of the coordinate-plane
+barriers (-R <= q_i <= R on the barrier sites is a halt) and of the spec's
+own `Guard`s (origin, chart boundary), functions of the state's J-, summed
+left to right as everywhere in the library.  The kernel returns the steps it
+took and why it stopped; `integrate` turns a stop into the one exception it
+raises.  The same guards decide whether a stage-iteration failure, or a
+stage evaluation that overflows, counts as a singular approach.  Every stage
+evaluation, GL2's first seed f(z0) included, is counted, and the count and
+GL2's most sweeps in a step go on the trajectory.
 
 Monitors are evaluated after the run, one `value_fn` call per monitor on
 all the states at once; each series is keyed by the monitor's name.
@@ -51,7 +54,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ConservedQuantity, HamiltonianSpec, PhasePoint, compile_kernel, names
+from .core import ConservedQuantity, HamiltonianSpec, PhasePoint, compile_kernel, dot, names
 from .errors import (DomainError, InsufficientData, NonConvergence, RangeError,
                      SingularApproach)
 
@@ -95,7 +98,10 @@ class IntegratorConfig:
 class Trajectory:
     """Discrete trajectory with monitor time series and normalized drifts.
 
-    drift[name] = max_t |F(t) - F(0)| / (1 + |F(0)|).
+    drift[name] = max_t |F(t) - F(0)| / (1 + |F(0)|).  stage_evaluations
+    counts the run's evaluations of H's gradient, each at one state (GL2's
+    first seed f(z0), and those of a step that halted, included), and
+    max_sweeps is the most fixed-point sweeps a GL2 step took (0 for RK4).
     """
 
     times: np.ndarray
@@ -103,141 +109,161 @@ class Trajectory:
     p: np.ndarray
     monitors: dict[str, np.ndarray] = field(default_factory=dict)
     drift: dict[str, float] = field(default_factory=dict)
+    stage_evaluations: int = 0
+    max_sweeps: int = 0
 
     @property
     def n_states(self) -> int:
         return self.times.size
 
 
-def _stage_lines(indent, name, n):
-    """Unpack one gradient_qp result (dq, dp) into the stage vector
-    name_0 ... name_2N-1 = [dH/dp, -dH/dq]."""
-    return [f"{indent}{names(name, range(n))}= dp",
-            f"{indent}{names(name, range(n, 2 * n))}= dq",
-            *(f"{indent}{name}{i} = -{name}{i}" for i in range(n, 2 * n))]
+def _stage_call(indent, n, entry, stage):
+    """One counted stage evaluation: spec.gradient_qp on the q and p halves
+    of the stage input entry(i), unpacked into the stage vector stage0 ...
+    stage2N-1 = [dH/dp, -dH/dq]."""
+    return [f"{indent}evals += 1",
+            f"{indent}dq, dp = grad([{', '.join(map(entry, range(n)))}], "
+            f"[{', '.join(map(entry, range(n, 2 * n)))}])",
+            f"{indent}{names(stage, range(n))}= dp",
+            f"{indent}{names(stage, range(n, 2 * n))}= dq",
+            *(f"{indent}{stage}{i} = -{stage}{i}" for i in range(n, 2 * n))]
 
 
-def _stage_call(indent, n, entry):
-    """gradient_qp on the q and p halves of the stage input entry(i)."""
-    return (f"{indent}dq, dp = grad([{', '.join(map(entry, range(n)))}], "
-            f"[{', '.join(map(entry, range(n, 2 * n)))}])")
+def _gl2_lines(n, body):
+    """GL2's part of the run kernel: (set-up, step, history update) lines,
+    the last two at the loop body's indent `body`.
 
-
-@cache
-def _gl2_kernel(n):
-    """One GL2 step of the state z = [q, p], a list of 2N floats, from the
-    stage seeds k1, k2 (lists of 2N floats): gl2_step(grad, z, h, k1, k2,
-    tol) with grad = spec.gradient_qp, one call per stage.
-
-    Returns the new state and the converged stages.  Each sweep evaluates
-    both stages from the previous sweep's values.  Its largest stage change
-    d is taken entry by entry, stage 1 then stage 2, and a NaN change ends
-    it as NaN (Python's max() would keep a NaN only in first place); a NaN d
-    ends the iteration at once: the step is then non-finite and integrate
-    halts on it, as it does for RK4.  Compiled once per N, unrolled over the
-    entries; the Butcher weights are bound by name.
-    """
-    m = range(2 * n)
-    lines = [
-        "def gl2_step(grad, z, h, k1, k2, tol):",
-        f"    {names('z', m)}= z",
-        f"    {names('a', m)}= k1",
-        f"    {names('b', m)}= k2",
-        "    d_prev = 0.0  # the contraction test needs two sweeps",
-        "    for _ in range(MAX_ITERS):",
-        _stage_call("        ", n, lambda i: f"z{i} + h * (A11 * a{i} + A12 * b{i})"),
-        *_stage_lines("        ", "c", n),
-        _stage_call("        ", n, lambda i: f"z{i} + h * (A21 * a{i} + A22 * b{i})"),
-        *_stage_lines("        ", "e", n),
-        "        d = 0.0",
-        "        while True:  # one pass; a NaN change breaks out as d",
+    The step seeds its stages a, b from the history (f(z0) on the first
+    step), then sweeps: stage 1 from a and b, stage 2 from the same a and
+    b.  A sweep's largest stage change d is taken entry by entry, stage 1
+    then stage 2, and a NaN change ends it as NaN (Python's max() would keep
+    a NaN only in first place); a NaN d stops the sweeps at once, and the
+    step's state is then non-finite.  The history holds the converged
+    stages of the last SEED_DEGREE + 1 steps as locals u<j>_<i> (stage 1)
+    and v<j>_<i> (stage 2), j steps back, zeros at first; the seed weights
+    w0 ... are those of the number of steps in it, -0.0 past it."""
+    m, rows, inner = range(2 * n), range(SEED_DEGREE + 1), body + "    "
+    setup = [
+        "    A11, A12, A21, A22 = BUTCHER",
+        "    half = 0.5 * h",
+        f"    {' = '.join(f'{s}{j}_{i}' for s in 'uv' for j in rows for i in m)} = 0.0",
+        "    past = 0  # steps in the history",
+    ]
+    step = [
+        f"{body}if past:",
+        *(f"{inner}{a}{i} = {' + '.join(f'w{j} * {s}{j}_{i}' for j in rows)}"
+          for a, s in (("a", "u"), ("b", "v")) for i in m),
+        f"{body}else:  # the first step seeds both stages with f(z0)",
+        *_stage_call(inner, n, lambda i: f"z{i}", "a"),
+        *(f"{inner}b{i} = a{i}" for i in m),
+        f"{body}d_prev = 0.0  # the contraction test needs two sweeps",
+        f"{body}for sweep in SWEEPS:",
+        *_stage_call(inner, n, lambda i: f"z{i} + h * (A11 * a{i} + A12 * b{i})", "c"),
+        *_stage_call(inner, n, lambda i: f"z{i} + h * (A21 * a{i} + A22 * b{i})", "e"),
+        f"{inner}d = nd = 0.0",
+        f"{inner}while True:  # one pass; a NaN change breaks out as d",
     ]
     for new, old in (("c", "a"), ("e", "b")):
         for i in m:
-            lines += [f"            x = abs({new}{i} - {old}{i})",
-                      "            if not x <= d:",
-                      "                d = x",
-                      "                if x != x:",
-                      "                    break"]
-    lines += [
-        "            break",
-        "        if d <= tol or d != d or (d < d_prev and d * d <= tol * (d_prev - d)):",
-        "            half = 0.5 * h",
-        f"            return ([{', '.join(f'z{i} + half * (c{i} + e{i})' for i in m)}], "
-        f"([{names('c', m)}], [{names('e', m)}]))",
-        "        d_prev = d",
-        *(f"        a{i}, b{i} = c{i}, e{i}" for i in m),
-        "    raise NonConvergence(",
-        '        f"stage fixed point did not reach {tol:g} in {MAX_ITERS} iterations"',
-        "    )",
+            step += [f"{inner}    x = {new}{i} - {old}{i}",
+                     f"{inner}    if not nd <= x <= d:",
+                     f"{inner}        if x < 0.0:",
+                     f"{inner}            x = -x",
+                     f"{inner}        d, nd = x, -x",
+                     f"{inner}        if x != x:",
+                     f"{inner}            break"]
+    step += [
+        f"{inner}    break",
+        f"{inner}if d <= tol or d != d or (d < d_prev and d * d <= tol * (d_prev - d)):",
+        f"{inner}    break",
+        f"{inner}d_prev = d",
+        *(f"{inner}a{i}, b{i} = c{i}, e{i}" for i in m),
+        f"{body}else:",
+        f"{inner}return step, NonConvergence(",
+        f'{inner}    f"stage fixed point did not reach {{tol:g}} in {{MAX_ITERS}} iterations"',
+        f"{inner}), evals, most",
+        f"{body}if sweep > most:",
+        f"{inner}most = sweep",
+        *(f"{body}z{i} = z{i} + half * (c{i} + e{i})" for i in m),
     ]
-    return compile_kernel(lines, "gl2_step", f"gl2_step N={n}",
-                          A11=_A11, A12=_A12, A21=_A21, A22=_A22,
-                          MAX_ITERS=MAX_FIXED_POINT_ITERS, NonConvergence=NonConvergence)
+    tail = [f"{body}{s}{j}_{i} = {s}{j - 1}_{i}" if j else f"{body}{s}0_{i} = {new}{i}"
+            for s, new in (("u", "c"), ("v", "e")) for i in m for j in reversed(rows)]
+    tail += [f"{body}if past < ROWS:",
+             f"{inner}past += 1",
+             f"{inner}{names('w', rows)}= WEIGHTS[past - 1]"]
+    return setup, step, tail
 
 
-@cache
-def _seeds_kernel(n):
-    """stage_seeds(past): each stage's polynomial in the step index through
-    its values at the newest m = min(len(past), SEED_DEGREE + 1) steps, one
-    step on.  past holds the (k1, k2) stage pairs of the past steps, newest
-    first; the seed is w_0 s_0 + w_1 s_1 + ..., summed left to right, with
-    weight (-1)^j C(m, j + 1) on the stage s_j of j steps back.  With
-    m <= SEED_DEGREE the sum runs on over zero stages at the padding weight
-    -0.0.  Compiled once per N, unrolled over the entries; the weights are
-    bound by name."""
-    rows = range(SEED_DEGREE + 1)
-
-    def seed(stage, i):
-        return " + ".join(f"w{j} * {stage}{j}[{i}]" for j in rows)
-
-    lines = [
-        "def stage_seeds(past):",
-        f"    {names('w', rows)}= WEIGHTS[min(len(past), ROWS) - 1]",
-        "    rows = past[:ROWS]",
-        "    if len(rows) < ROWS:",
-        "        rows = [*rows, *[(ZERO, ZERO)] * (ROWS - len(rows))]",
-        f"    {''.join(f'(r{j}, s{j}), ' for j in rows)}= rows",
-        f"    return ([{', '.join(seed('r', i) for i in range(2 * n))}], "
-        f"[{', '.join(seed('s', i) for i in range(2 * n))}])",
-    ]
-    return compile_kernel(lines, "stage_seeds", f"stage_seeds N={n}", WEIGHTS=_SEED_WEIGHTS,
-                          ROWS=SEED_DEGREE + 1, ZERO=(0.0,) * (2 * n))
-
-
-@cache
-def _jm_kernel(n):
-    """J- of the state z = [q, p], a list of 2N floats: z0 * z0 + z1 * z1
-    + ..., left to right over its first N entries, as every J- of the
-    library is summed.  Compiled once per N."""
-    return compile_kernel(
-        ["def square_sum(z):",
-         f"    return {' + '.join(f'z[{i}] * z[{i}]' for i in range(n))}"],
-        "square_sum", f"square_sum N={n}")
-
-
-@cache
-def _rk4_kernel(n):
-    """One classical RK4 step of the state z = [q, p], a list of 2N floats:
-    rk4_step(grad, z, h) with grad = spec.gradient_qp, one call per stage,
-    z + (h / 6) (((k_1 + 2 k_2) + 2 k_3) + k_4) entry by entry.  Compiled
-    once per N, unrolled over the entries."""
+def _rk4_lines(n, body):
+    """RK4's part of the run kernel: z + (h / 6) (((k1 + 2 k2) + 2 k3) + k4)
+    entry by entry, from the stages a, b, c, d."""
     m = range(2 * n)
+    step = _stage_call(body, n, lambda i: f"z{i}", "a")
+    for stage, prev, size in (("b", "a", "half"), ("c", "b", "half"), ("d", "c", "h")):
+        step += _stage_call(body, n, lambda i: f"z{i} + {size} * {prev}{i}", stage)
+    step += [f"{body}z{i} = z{i} + sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})"
+             for i in m]
+    return ["    half, sixth = 0.5 * h, h / 6.0"], step, []
+
+
+@cache
+def _run_kernel(method, n, sites):
+    """The whole run of `method` on N sites with barriers at `sites`:
+    run(grad, zs, h, tol, guards) -> (steps, halt, evaluations, sweeps).
+
+    zs is the trajectory's array, zs[0] the initial state; grad is
+    spec.gradient_qp, one call per stage evaluation on Python lists.  Each
+    pass of the loop checks the accepted state z: the barrier clearance as
+    -R <= z_i <= R on the barrier sites, then each guard's clearance of J-
+    (summed left to right), R the guard radius; then it takes a step, tests
+    that the new state is finite and writes it into zs.  `steps` is the
+    number of steps done: all of them (halt None), or the one that halted,
+    with the reason: the label of what the state at it reached, or the
+    exception that ended it (a DomainError or OverflowError of a stage
+    evaluation, or NonConvergence).  `evaluations` counts the stage
+    evaluations, GL2's first seed and a failed one included, and `sweeps`
+    is the most sweeps a GL2 step took (0 for RK4).  Compiled once per
+    method, N and barrier sites, unrolled over the entries; the source holds
+    only names and entry indices, and the weights are bound by name.
+    """
+    m, body = range(2 * n), " " * 12
+    setup, step, tail = (_gl2_lines if method == "gl2" else _rk4_lines)(n, body)
     lines = [
-        "def rk4_step(grad, z, h):",
-        f"    {names('z', m)}= z",
-        "    half = 0.5 * h",
-        _stage_call("    ", n, lambda i: f"z{i}"),
-        *_stage_lines("    ", "a", n),
+        "def run(grad, zs, h, tol, guards):",
+        f"    {names('z', m)}= zs[0].tolist()",
+        "    last, R, NR = len(zs) - 1, RADIUS, -RADIUS",
+        "    out, at = memoryview(zs).cast('B').cast('d'), 0  # zs flat, and the state's offset",
+        *setup,
+        "    step = evals = most = 0",
+        "    try:",
+        "        while True:",
     ]
-    for stage, prev, step in (("b", "a", "half"), ("c", "b", "half"), ("d", "c", "h")):
-        lines += [_stage_call("    ", n, lambda i: f"z{i} + {step} * {prev}{i}"),
-                  *_stage_lines("    ", stage, n)]
+    if sites:
+        lines += [f"{body}if {' or '.join(f'NR <= z{i} <= R' for i in sites)}:",
+                  f"{body}    return step, 'coordinate-plane barrier reached', evals, most"]
     lines += [
-        "    sixth = h / 6.0",
-        f"    return [{', '.join(f'z{i} + sixth * (((a{i} + 2.0 * b{i}) + 2.0 * c{i}) + d{i})' for i in m)}]",
+        f"{body}if guards:",
+        f"{body}    jm = {' + '.join(f'z{i} * z{i}' for i in range(n))}",
+        f"{body}    for guard in guards:",
+        f"{body}        if guard.clearance(jm) <= R:",
+        f"{body}            return step, guard.label + ' reached', evals, most",
+        f"{body}if step == last:",
+        f"{body}    return step, None, evals, most",
+        f"{body}step += 1",
+        *step,
+        f"{body}if not ({' and '.join(f'-INF < z{i} < INF' for i in m)}):",
+        f"{body}    return step, 'state became non-finite', evals, most",
+        f"{body}at += {2 * n}",
+        *(f"{body}out[at{f' + {i}' if i else ''}] = z{i}" for i in m),
+        *tail,
+        "    except (DomainError, OverflowError) as exc:",
+        "        return step, exc, evals, most",
     ]
-    return compile_kernel(lines, "rk4_step", f"rk4_step N={n}")
+    return compile_kernel(
+        lines, "run", f"{method}_run N={n} sites={sites}", RADIUS=GUARD_RADIUS, INF=math.inf,
+        BUTCHER=(_A11, _A12, _A21, _A22), WEIGHTS=_SEED_WEIGHTS, ROWS=SEED_DEGREE + 1,
+        SWEEPS=range(1, MAX_FIXED_POINT_ITERS + 1), MAX_ITERS=MAX_FIXED_POINT_ITERS,
+        NonConvergence=NonConvergence, DomainError=DomainError)
 
 
 def whole_steps(t_final: float, step: float) -> Optional[int]:
@@ -288,84 +314,38 @@ def integrate(
         raise RangeError(f"{n_steps} steps of {cfg.step} are more than can be stored: "
                          f"{exc}") from None
     zs[0, :n], zs[0, n:] = x0.q, x0.p
-    z = zs[0].tolist()
-    barrier, guards, square_sum = spec.realization.clearance, spec.guards, _jm_kernel(n)
-
-    def check_guards(z, t, last=None):
-        """Halt if the state z (a list) is within the guard radius of a
-        guarded set: the barrier clearance, exact on z's Python floats, then
-        the spec's guards on its J-."""
-        if barrier(z) <= GUARD_RADIUS:
-            raise SingularApproach(f"coordinate-plane barrier reached at t = {t:.6g}",
-                                   time=t, state=last)
-        if guards:
-            jm = square_sum(z)
-            for guard in guards:
-                if guard.clearance(jm) <= GUARD_RADIUS:
-                    raise SingularApproach(f"{guard.label} reached at t = {t:.6g}",
-                                           time=t, state=last)
-
-    def stalled(exc, step_idx):
-        """exc, or a SingularApproach if the last accepted state z is within
-        APPROACH_HORIZON of a guarded set: the stiffness is the singularity."""
-        jm = square_sum(z)
-        if min([barrier(z), *(g.clearance(jm) for g in guards)]) >= APPROACH_HORIZON:
-            return exc
-        return SingularApproach(
-            f"stage iteration broke down near a guarded singularity "
-            f"at t = {step_idx * h:.6g}: {exc}",
-            time=(step_idx - 1) * h,
-        )
-
-    try:
-        check_guards(z, 0.0, x0)
-    except SingularApproach as err:
-        err.trajectory = _finish(zs[:1], n, h, monitors)
-        raise
-    gradient_qp = spec.gradient_qp
-    gl2 = cfg.method == "gl2"
-    if gl2:
-        gl2_step, stage_seeds, tol = _gl2_kernel(n), _seeds_kernel(n), cfg.fixed_point_tol
+    realization, guards = spec.realization, spec.guards
+    run = _run_kernel(cfg.method, n, tuple(i for i, _, _ in realization.barriers))
+    steps, halt, evaluations, sweeps = run(spec.gradient_qp, zs, h, cfg.fixed_point_tol,
+                                           guards)
+    if halt is None:
+        return _finish(zs, n, h, monitors, evaluations, sweeps)
+    t = steps * h
+    if isinstance(halt, str):  # the state at t reached a guarded set, or is not finite
+        err = SingularApproach(f"{halt} at t = {t:.6g}", time=t)
+    elif isinstance(halt, DomainError):
+        err = SingularApproach(f"singular evaluation during step to t = {t:.6g}: {halt}",
+                               time=(steps - 1) * h)
     else:
-        rk4_step = _rk4_kernel(n)
-    history = []  # GL2's converged stages of the last SEED_DEGREE + 1 steps, newest first
-
-    for step_idx in range(1, n_steps + 1):
-        t = step_idx * h
-        try:
-            try:
-                if not gl2:
-                    z = rk4_step(gradient_qp, z, h)
-                else:
-                    if history:
-                        k1, k2 = stage_seeds(history)
-                    else:  # the first step seeds both stages with f(z0)
-                        dq, dp = gradient_qp(z[:n], z[n:])
-                        k1 = k2 = dp + [-x for x in dq]
-                    z, stages = gl2_step(gradient_qp, z, h, k1, k2, tol)
-                    history = [stages, *history[:SEED_DEGREE]]
-            except DomainError as exc:
-                raise SingularApproach(
-                    f"singular evaluation during step to t = {t:.6g}: {exc}",
-                    time=(step_idx - 1) * h,
-                )
-            except OverflowError as exc:  # h's partials, or a Python ** in them
-                raise stalled(NonConvergence(f"stage evaluation overflowed: {exc}"),
-                              step_idx) from exc
-            except NonConvergence as exc:
-                raise stalled(exc, step_idx)
-            if not all(map(math.isfinite, z)):
-                raise SingularApproach(f"state became non-finite at t = {t:.6g}", time=t)
-            zs[step_idx] = z
-            check_guards(z, t)
-        except (SingularApproach, NonConvergence) as err:
-            err.state = PhasePoint(zs[step_idx - 1, :n].copy(), zs[step_idx - 1, n:].copy())
-            err.trajectory = _finish(zs[:step_idx], n, h, monitors)
-            raise
-    return _finish(zs, n, h, monitors)
+        if isinstance(halt, OverflowError):  # h's partials, or a Python ** in them
+            halt = NonConvergence(f"stage evaluation overflowed: {halt}")
+        # within APPROACH_HORIZON of a guarded set, the stiffness is the singularity
+        q = zs[steps - 1, :n]
+        jm = float(dot(q, q))
+        err = halt
+        if min([realization.clearance(q), *(g.clearance(jm) for g in guards)]) \
+                < APPROACH_HORIZON:
+            err = SingularApproach(f"stage iteration broke down near a guarded singularity "
+                                   f"at t = {t:.6g}: {halt}", time=(steps - 1) * h)
+    if steps:
+        err.state = PhasePoint(zs[steps - 1, :n].copy(), zs[steps - 1, n:].copy())
+    else:
+        err.state = x0
+    err.trajectory = _finish(zs[:max(steps, 1)], n, h, monitors, evaluations, sweeps)
+    raise err
 
 
-def _finish(zs, n, h, monitors) -> Trajectory:
+def _finish(zs, n, h, monitors, evaluations, sweeps) -> Trajectory:
     """Split the stacked states, evaluate each monitor over them in one
     call, and reduce each series to its normalized drift."""
     qs = zs[:, :n].copy()
@@ -377,7 +357,7 @@ def _finish(zs, n, h, monitors) -> Trajectory:
         series[mon.name] = vals = mon.value_fn(qs, ps)
         f0 = vals[0]
         drift[mon.name] = float(np.max(np.abs(vals - f0)) / (1.0 + abs(f0)))
-    return Trajectory(times, qs, ps, series, drift)
+    return Trajectory(times, qs, ps, series, drift, evaluations, sweeps)
 
 
 @dataclass(frozen=True)

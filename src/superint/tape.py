@@ -20,7 +20,10 @@ than differentiated wrongly.  Where h has a domain, it passes the quantity
 that bounds it through a `Domain`, which checks numbers and arrays at once
 and, on a dual, records the same test as a line, in h's own order: the
 partials then raise the same DomainError as the value, before any division
-that the test guards.
+that the test guards.  A power by a non-integer constant records such a test
+on its base itself (the base must be positive), unless a domain test already
+keeps that base above a floor of at least 0: Python's ** would otherwise turn
+a negative base complex.
 
 A partial that comes out infinite or NaN from J's that are not NaN has
 overflowed (finite numbers give a NaN only through an infinity), in the
@@ -145,6 +148,7 @@ class _Tape:
         # (target, expression, the names it reads); a domain test has no target
         self.lines: list[tuple] = []
         self.constants: list = []
+        self.positive: set[str] = set()  # names a domain test keeps above a floor >= 0
 
     def constant(self, value) -> str:
         self.constants.append(value)
@@ -176,6 +180,8 @@ class _Tape:
         return self.emit(f"-{d}", d)
 
     def check(self, domain: Domain, x: Dual) -> None:
+        if not domain.absolute and domain.floor >= 0.0:
+            self.positive.add(x.name)
         floor, dom = self.constant(float(domain.floor)), self.constant(domain)
         test = f"abs({x.name}) < {floor}" if domain.absolute else f"{x.name} <= {floor}"
         self.lines.append((None, f"if {test}: {dom}.fail({x.name})", (x.name, floor, dom)))
@@ -230,9 +236,12 @@ class _Tape:
         return self.emit(f"({p} - {right}) / {b}", p, v, q, b)
 
     def power(self, x: Dual, c):
-        # d(a ** c) = (c a ** (c - 1)) da
+        # d(a ** c) = (c a ** (c - 1)) da; a non-integer power of a base that
+        # is not positive would be complex (or a ZeroDivisionError) in Python
         if not isinstance(c, Real):
             return x._refuse()
+        if not float(c).is_integer() and x.name not in self.positive:
+            self.check(Domain(f"the base of ** {float(c)!r} must be positive, got {{low}}"), x)
         a, exponent, less = x.name, self.constant(float(c)), self.constant(float(c) - 1.0)
         value = self.emit(f"{a} ** {exponent}", a, exponent)
         slope = self.emit(f"{exponent} * {a} ** {less}", exponent, a, less)

@@ -5,6 +5,7 @@ import pytest
 
 from superint import (
     ClosureReport,
+    DomainError,
     InsufficientData,
     IntegratorConfig,
     NonConvergence,
@@ -195,6 +196,67 @@ def test_first_stage_failure_halts_with_the_one_state_run(method):
             assert np.array_equal(got, x0.p)
 
 
+def test_fractional_power_of_a_negative_base_halts_as_a_singular_approach():
+    # Python's ** takes a negative base to a non-integer power as a complex
+    # number; the taped partials test the base first, one point and stacked,
+    # so the run halts at its first stage evaluation with the one-state run
+    spec = make_evans("euclidean", lambda s: (s - 2.0) ** 0.5, mass=1.0, b_tilde=[0.0, 0.0])
+    message = r"the base of \*\* 0\.5 must be positive, got -0\.75$"
+    for q, p in (([1.0, 0.5], [0.1, 0.2]), (np.array([[1.0, 0.5]]), np.array([[0.1, 0.2]]))):
+        with pytest.raises(DomainError, match="^" + message):
+            spec.gradient_qp(q, p)
+    for method in ("gl2", "rk4"):
+        with pytest.raises(SingularApproach, match=r"^singular evaluation during step to "
+                                                   r"t = 0\.001: " + message) as info:
+            integrate(spec, PhasePoint([1.0, 0.5], [0.1, 0.2]), 0.01,
+                      IntegratorConfig(method=method))
+        assert info.value.trajectory.n_states == 1
+        assert info.value.trajectory.stage_evaluations == 1
+
+
+@pytest.mark.parametrize("method", ["gl2", "rk4"])
+def test_stage_evaluations_are_the_gradient_qp_calls(monkeypatch, method):
+    # the benchmark counts stage evaluations by wrapping
+    # HamiltonianSpec.gradient_qp on the class, so every evaluation a run
+    # reports, in a whole run or one that halts, is one call of it (RK4: 4
+    # per step)
+    from superint.core import HamiltonianSpec
+
+    calls, public = [0], HamiltonianSpec.gradient_qp
+
+    def gradient_qp(self, q, p):
+        calls[0] += 1
+        return public(self, q, p)
+
+    monkeypatch.setattr(HamiltonianSpec, "gradient_qp", gradient_qp)
+    cfg = IntegratorConfig(method=method, step=2e-3)
+    spec = make_sw("poincare", mass=1.0, omega=1.1, b_tilde=[0.3, 0.0, 0.2], kappa=0.4)
+    traj = integrate(spec, PhasePoint([0.5, 0.4, 0.3], [0.2, -0.3, 0.25]), 60 * cfg.step, cfg)
+    assert traj.stage_evaluations == calls[0]
+    if method == "rk4":
+        assert (calls[0], traj.max_sweeps) == (4 * 60, 0)
+    else:
+        assert calls[0] % 2 == 1 and calls[0] >= 1 + 2 * 60
+        assert 2 <= traj.max_sweeps < MAX_FIXED_POINT_ITERS
+    halts = [  # a stage iteration that fails, a state that overflows, a first stage out of
+        # its domain
+        (make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.0, 0.0]), [1.0, 0.2, 0.1, -0.4],
+         IntegratorConfig(method=method, step=10.0), 100.0),
+        (make_evans("euclidean", lambda s: -0.5 * s, mass=1.0, b_tilde=[0.0, 0.0]),
+         [1e307, 0.0, 1e307, 0.5], IntegratorConfig(method=method, step=1e-2), 3.0),
+        (make_variable_mass(mass_profile=lambda s: 1.0 - s, potential=lambda s: 0.0,
+                            b=[0.0, 0.0]), [1.0, 0.5, 0.1, 0.2], cfg, 0.01),
+    ]
+    for spec, z0, run_cfg, t_final in halts:
+        calls[0] = 0
+        try:
+            integrate(spec, PhasePoint(z0[:2], z0[2:]), t_final, run_cfg)
+        except (SingularApproach, NonConvergence) as err:
+            assert err.trajectory.stage_evaluations == calls[0] > 0
+        else:
+            assert method == "rk4" and spec.name.startswith("sw")  # RK4 does not sweep
+
+
 def test_step_count_beyond_storage_is_a_range_error():
     spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.0, 0.0])
     x0 = PhasePoint([1.0, 0.5], [0.1, 0.2])
@@ -241,29 +303,38 @@ def _as_gradient(stage_fn, n):
     return grad
 
 
+def _run(method, n, grad, z0, n_steps, h, tol=1e-13, sites=(), guards=()):
+    """The run kernel of `method` on N = n sites with barriers at `sites`,
+    from the state z0 (a list) for n_steps steps: its result (steps, halt,
+    evaluations, sweeps) and the trajectory array it wrote."""
+    from superint.dynamics import _run_kernel
+
+    zs = np.zeros((n_steps + 1, 2 * n))
+    zs[0] = z0
+    return _run_kernel(method, n, sites)(grad, zs, h, tol, guards), zs
+
+
 @pytest.mark.parametrize("site", [0, 1, 2, 3])
 @pytest.mark.parametrize("stage", [1, 2])
 def test_gl2_step_stops_on_a_nan_stage(stage, site):
-    # a NaN in any stage, in the q or the p half, ends the step at once, and
-    # so does one at the last site of the second stage: the sweep's largest
-    # change is taken so that a NaN from any site is kept (Python's max()
-    # keeps one only in first place).  Every other change is far above the
-    # tolerance, so a stop rule that lost the NaN would sweep again.
-    from superint.dynamics import _gl2_kernel
-
+    # a NaN in either stage of the first sweep, in the q or the p half, ends
+    # the step at once, and so does one at the last site of the second
+    # stage: the sweep's largest change is taken so that a NaN from any site
+    # is kept (Python's max() keeps one only in first place).  Every other
+    # change is far above the tolerance, so a stop rule that lost the NaN
+    # would sweep again.  The step's state is then non-finite: the run halts.
     calls = []
 
     def f(z):
         calls.append(z)
         k = [1.0 + x for x in z]
-        if len(calls) == stage:
+        if len(calls) == 1 + stage:  # the first call is the seed f(z0)
             k[site] = math.nan
         return k
 
-    z0, k0 = [1.0, 0.5, -0.2, 0.3], [0.0] * 4
-    z, _ = _gl2_kernel(2)(_as_gradient(f, 2), z0, 0.1, k0, k0, 1e-13)
-    assert len(calls) == 2
-    assert [math.isnan(x) for x in z] == [i == site for i in range(4)]
+    result, _ = _run("gl2", 2, _as_gradient(f, 2), [1.0, 0.5, -0.2, 0.3], 3, 0.1)
+    assert result == (1, "state became non-finite", 3, 1)
+    assert len(calls) == 3
 
 
 def test_nan_gradient_halts_as_non_finite():
@@ -452,66 +523,92 @@ def _reference_seeds(past):
     return tuple(seeds)
 
 
-def _as_past(stages):
-    """A (steps, 2, 2N) array as the steppers' history: a list, newest first,
-    of (k1, k2) pairs of lists of floats."""
-    return [(k1.tolist(), k2.tolist()) for k1, k2 in stages]
-
-
 _KERNEL_SIZES = [1, 2, 3, 4, 6, 14, 50]
 
 
+def _clock_stages(h, stages, log):
+    """A stage function f(z) = [dH/dp, -dH/dq] for the run kernels whose
+    value is stages[s][k] at every stage s + 1 evaluation of the step from
+    the clock k h: entry 0 of every stage is 1.0, so the state's entry 0 is
+    that clock (exact for h a power of two), and a stage input sits at
+    (k + 0.21) h for stage 1, (k + 0.79) h for stage 2 and at 0 for the
+    first seed f(z0).  Logs every input."""
+
+    def f(z):
+        log.append(list(z))
+        k, frac = divmod(z[0] / h, 1.0)
+        return stages[int(frac > 0.5)][int(k)].tolist()
+
+    return f
+
+
 def test_stage_seeds_extrapolate_their_polynomials_exactly():
-    # past[j] holds the stages j steps back; the seed is the value one step
-    # on of every vector polynomial in the step index of degree at most
-    # min(len(past) - 1, 5), and stages older than six steps are ignored
-    from superint.dynamics import SEED_DEGREE, _seeds_kernel
+    # the seeds of the step from clock k are, through the converged stages
+    # of the min(k, 6) steps before it (older ones are ignored), the value
+    # at k of every vector polynomial in the step index of degree below
+    # min(k, 6): such a step meets the tolerance 1e-12 at its first sweep,
+    # in two stage evaluations, and one whose stages fit no such polynomial
+    # takes two sweeps, four evaluations
+    from superint.dynamics import SEED_DEGREE
 
     assert SEED_DEGREE == 5
     rng = np.random.default_rng(3)
+    h, n_steps = 2.0 ** -6, 12
+    clocks = np.arange(n_steps)[:, None, None]
     for n in _KERNEL_SIZES:
-        stage_seeds = _seeds_kernel(n)
-        for length in range(1, 8):
-            for degree in range(min(length - 1, SEED_DEGREE) + 1):
+        for degree in range(SEED_DEGREE + 1):
+            for noise in (0, 3):  # steps whose stages fit no polynomial
                 coeffs = rng.uniform(-1.0, 1.0, (degree + 1, 2, 2 * n))
+                stages = sum(c * (clocks / 6.0) ** i for i, c in enumerate(coeffs))
+                stages[:noise] = rng.uniform(-1e3, 1e3, (noise, 2, 2 * n))
+                stages[..., 0] = 1.0
+                log = []
+                f = _clock_stages(h, stages.transpose(1, 0, 2), log)
+                result, _ = _run("gl2", n, _as_gradient(f, n), [0.0] * (2 * n), n_steps, h,
+                                 tol=1e-12)
+                assert result[:2] == (n_steps, None)
+                calls = np.bincount([int(z[0] / h) for z in log], minlength=n_steps)
+                for k in range(1, n_steps):
+                    m = min(k, SEED_DEGREE + 1)
+                    exact = k - m >= noise and m > degree
+                    assert calls[k] == (2 if exact else 4), (n, degree, noise, k)
 
-                def g(t):
-                    return sum(c * (t / 6.0) ** i for i, c in enumerate(coeffs))
 
-                past = [g(-j) for j in range(length)]
-                if length > SEED_DEGREE + 1:
-                    past[SEED_DEGREE + 1:] = ([np.full((2, 2 * n), np.nan)]
-                                              * (length - SEED_DEGREE - 1))
-                seeds = stage_seeds(_as_past(past))
-                assert len(seeds) == 2 and all(len(k) == 2 * n for k in seeds)
-                assert np.max(np.abs(np.array(seeds) - g(1))) <= 1e-12, (n, length, degree)
+def _loop_seeds(past):
+    """Each stage's seed from the stages of past steps, newest first: weight
+    (-1)^j C(m, j + 1) on the stage j steps back, m = len(past), added one
+    at a time from the newest, entry by entry as Python floats."""
+    weights = [float((-1) ** j * math.comb(len(past), j + 1)) for j in range(len(past))]
+    return tuple([left_to_right([w * stages[s][i] for w, stages in zip(weights, past)])
+                  for i in range(len(past[0][s]))] for s in (0, 1))
 
 
 def test_stage_seeds_are_the_ordered_sum_bitwise():
     # the seeds equal weight-by-weight addition newest first, signed zeros
-    # included (a sum that starts from +0.0 would turn a one-step -0.0 seed
-    # into +0.0), as Python floats
-    from superint.dynamics import _seeds_kernel
-
+    # included, as Python floats: every stage input of the run kernel's first
+    # steps, which hold the seeds, is the loop's.  The last entry stays -0.0
+    # in the state and the stages, so a one-step seed there shows its sign
+    # (a sum that starts from +0.0 would turn it into +0.0).
     rng = np.random.default_rng(5)
+    h, n_steps = 2.0 ** -6, 9
     for n in _KERNEL_SIZES:
-        stage_seeds = _seeds_kernel(n)
-        for _ in range(60):
-            m = int(rng.integers(1, 7))
-            shape = (m, 2, 2 * n)
-            past = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape)
+        for _ in range(6):
+            shape = (2, n_steps, 2 * n)
+            stages = rng.standard_normal(shape) * 10.0 ** rng.integers(-4, 5, shape)
             zeros = rng.random(shape)
-            past[zeros < 0.3] = -0.0
-            past[zeros > 0.8] = 0.0
-            past[zeros > 0.97] = np.nan
-            want = m * past[0]
-            for j in range(1, m):
-                want = want + (-1) ** j * math.comb(m, j + 1) * past[j]
-            seeds = stage_seeds(_as_past(past))
-            assert all(type(x) is float for k in seeds for x in k)
-            got = np.array(seeds)
-            assert np.array_equal(got, want, equal_nan=True)
-            assert np.array_equal(np.signbit(got), np.signbit(want))
+            stages[zeros < 0.3] = -0.0
+            stages[zeros > 0.8] = 0.0
+            stages[..., 0], stages[..., -1] = 1.0, -0.0
+            z0 = rng.standard_normal(2 * n).tolist()
+            z0[0], z0[-1] = 0.0, -0.0
+            logs = ([], [])
+            f = _clock_stages(h, stages, logs[0])
+            result, zs = _run("gl2", n, _as_gradient(f, n), z0, n_steps, h)
+            states, halt, sweeps = _loop_run(_clock_stages(h, stages, logs[1]), z0, h, 1e-13,
+                                             n_steps)
+            assert result == (n_steps, None, len(logs[1]), sweeps)
+            assert_same_bits(logs[0], logs[1])
+            assert_same_bits(zs, states)
 
 
 def _loop_gl2_step(f, z, h, k1, k2, tol):
@@ -547,6 +644,26 @@ def _loop_rk4_step(f, z, h):
     sixth = h / 6.0
     return [zi + sixth * (((a + 2.0 * b) + 2.0 * c) + d)
             for zi, a, b, c, d in zip(z, k1, k2, k3, k4)]
+
+
+def _loop_run(f, z, h, tol, n_steps, method="gl2"):
+    """A run with no guards as a loop over the steps, from the stage
+    function f: the oracle of the run kernels.  GL2 seeds its first step
+    with f(z0) and the later ones from the stages of the last six steps.
+    Returns the accepted states, the halt (None, or a non-finite state) and
+    the most sweeps a GL2 step took."""
+    states, past, most = [z], [], 0
+    for _ in range(n_steps):
+        if method == "rk4":
+            z = _loop_rk4_step(f, z, h)
+        else:
+            k1, k2 = _loop_seeds(past) if past else (f(z),) * 2
+            z, stages, sweeps = _loop_gl2_step(f, z, h, k1, k2, tol)
+            past, most = [stages, *past[:5]], max(most, sweeps)
+        if not all(map(math.isfinite, z)):
+            return states, "state became non-finite", most
+        states.append(z)
+    return states, None, most
 
 
 def _stage_fn(grad, n):
@@ -589,91 +706,69 @@ def _kernel_state(rng, n):
 
 @pytest.mark.parametrize("n", _KERNEL_SIZES)
 def test_step_kernels_are_the_split_form_and_the_loops_bitwise(n):
-    # each kernel, unrolled for 2N entries, against the numpy split form and
-    # the list loop it replaces, over no, some and all barriers and signed
-    # zeros: states, stages and seeds equal in value and sign bit, with one
-    # gradient_qp call per stage
-    from superint.dynamics import _gl2_kernel, _rk4_kernel, _seeds_kernel
-
+    # each run kernel, unrolled for 2N entries, against the numpy split form
+    # and the list loop, over no, some and all barriers and signed zeros:
+    # the states of its first steps (GL2 from the first seed, then from the
+    # seeds of one to four steps) equal in value and sign bit, with one
+    # gradient_qp call per counted stage evaluation
     rng = np.random.default_rng(n)
-    h, tol = 2e-3, 1e-13
+    h, tol, n_steps = 2e-3, 1e-13, 5
     for barriers, spec in _kernel_specs(n):
+        sites = tuple(i for i, _, _ in spec.realization.barriers)
         calls = []
 
         def grad(q, p):
             calls.append(1)
             return spec.gradient_qp(q, p)
 
-        def f(q, p):
-            dq, dp = spec.gradient_qp(q, p)
-            return dp, -dq
-
-        stage = _stage_fn(spec.gradient_qp, n)
         q, p = _kernel_state(rng, n)
-        z = q.tolist() + p.tolist()
-        k = (stage(z),) * 2
-        k_split = (np.array(k[0][:n]), np.array(k[0][n:])) * 2
-        past = []
-        for _ in range(3):  # from the first seed, then from the seed kernel's
+        for method in ("gl2", "rk4"):
             calls.clear()
-            z_new, stages = _gl2_kernel(n)(grad, z, h, *k, tol)
-            zl, stages_l, sweeps = _loop_gl2_step(stage, z, h, *k, tol)
-            qs, ps, stages_s = _reference_gl2_step(f, q, p, h, k_split, tol,
-                                                   MAX_FIXED_POINT_ITERS)
-            assert len(calls) == 2 * sweeps, barriers
-            assert_same_bits(z_new, zl)
-            assert_same_bits(z_new, np.concatenate((qs, ps)))
-            assert_same_bits(stages, stages_l)
-            assert_same_bits(stages, [np.concatenate(stages_s[:2]), np.concatenate(stages_s[2:])])
-            past = [stages, *past]
-            k = _seeds_kernel(n)(past)
-            k_split = _reference_seeds([tuple(np.array(x) for x in (s1[:n], s1[n:], s2[:n], s2[n:]))
-                                        for s1, s2 in past])
-            assert_same_bits(k, [np.concatenate(k_split[:2]), np.concatenate(k_split[2:])])
-            z, (q, p) = z_new, (qs, ps)
-        calls.clear()
-        z_new = _rk4_kernel(n)(grad, z, h)
-        assert len(calls) == 4
-        assert_same_bits(z_new, _loop_rk4_step(stage, z, h))
-        assert_same_bits(z_new, np.concatenate(_reference_rk4_step(f, q, p, h)))
-        assert all(type(x) is float for x in z_new)
+            (steps, halt, evals, sweeps), zs = _run(method, n, grad, q.tolist() + p.tolist(),
+                                                    n_steps, h, tol, sites, spec.guards)
+            assert (steps, halt, evals) == (n_steps, None, len(calls)), barriers
+            states, _, most = _loop_run(_stage_fn(spec.gradient_qp, n), zs[0].tolist(), h, tol,
+                                        n_steps, method)
+            assert sweeps == most
+            assert_same_bits(zs, states)
+            qs, ps = _reference_states(spec, PhasePoint(q, p), n_steps,
+                                       IntegratorConfig(method=method, step=h,
+                                                        fixed_point_tol=tol))
+            assert_same_bits(zs, np.concatenate((qs, ps), axis=1))
 
 
 @pytest.mark.parametrize("n", _KERNEL_SIZES)
 def test_step_kernels_on_nan_and_overflowing_stages_are_the_loops(n):
-    # a NaN at the first or last entry of either half of either stage, at
-    # the first or a later sweep, ends the GL2 step where the loop ends it;
-    # stages that overflow to inf (inf - inf is a NaN change) do the same,
-    # and RK4 carries NaNs and infs through as the loop does
-    from superint.dynamics import _gl2_kernel, _rk4_kernel
-
+    # a NaN at the first or last entry of either half of the stages, from
+    # GL2's first seed, its first sweep or a later one on, halts the run at
+    # the step where the loop halts it, after the same stage inputs; stages
+    # that overflow to inf (inf - inf is a NaN change) do the same, and RK4
+    # carries NaNs and infs to the same halt as the loop
     z0 = [0.3 + 0.01 * i for i in range(2 * n)]
-    k0 = [0.0] * (2 * n)
-    cases = [(call, site, math.nan) for call in (1, 2, 5)
+    cases = [(call, site, math.nan) for call in (1, 2, 3, 6)
              for site in sorted({0, n - 1, n, 2 * n - 1})]
     cases += [(call, site, 1e308) for call in (1, 4) for site in (0, 2 * n - 1)]
-    for call, site, value in cases:
-        logs = ([], [])
+    for method in ("gl2", "rk4"):
+        for call, site, value in cases:
+            logs = ([], [])
 
-        def make_f(log):
-            def f(z):
-                log.append(list(z))
-                # a contraction towards 1 + z, pulled off at one entry
-                k = [1.0 + 0.5 * x for x in z]
-                if len(log) >= call:
-                    k[site] = value * (1.0 + abs(z[site]))
-                return k
-            return f
+            def make_f(log):
+                def f(z):
+                    log.append(list(z))
+                    # a contraction towards 1 + z, pulled off at one entry
+                    k = [1.0 + 0.5 * x for x in z]
+                    if len(log) >= call:
+                        k[site] = value * (1.0 + abs(z[site]))
+                    return k
+                return f
 
-        got = _gl2_kernel(n)(_as_gradient(make_f(logs[0]), n), z0, 0.1, k0, k0, 1e-13)
-        want = _loop_gl2_step(make_f(logs[1]), z0, 0.1, k0, k0, 1e-13)
-        assert_same_bits(got[0], want[0])
-        assert_same_bits(got[1], want[1])
-        assert_same_bits(logs[0], logs[1])  # the same stage inputs, as many
-        logs = ([], [])
-        got = _rk4_kernel(n)(_as_gradient(make_f(logs[0]), n), z0, 0.1)
-        assert_same_bits(got, _loop_rk4_step(make_f(logs[1]), z0, 0.1))
-        assert_same_bits(logs[0], logs[1])
+            (steps, halt, evals, sweeps), zs = _run(method, n, _as_gradient(make_f(logs[0]), n),
+                                                    z0, 3, 0.1)
+            states, want, most = _loop_run(make_f(logs[1]), z0, 0.1, 1e-13, 3, method)
+            assert halt == want == "state became non-finite", (method, call, site)
+            assert (steps, evals, sweeps) == (len(states), len(logs[1]), most)
+            assert_same_bits(zs[:steps], states)
+            assert_same_bits(logs[0], logs[1])  # the same stage inputs, as many
 
 
 def _reference_rk4_step(f, q, p, h):
