@@ -172,6 +172,9 @@ def cmd_simulate(config_path: Path, out_dir: Path, seed_override, hex_floats: bo
         lines.append(
             f"# max_normalized_drift = {_fmt(max(traj.drift.values()), hex_floats)}"
         )
+    lines.append(f"# stage_evaluations = {traj.stage_evaluations}")
+    if sim.method == "gl2":
+        lines.append(f"# max_sweeps = {traj.max_sweeps}")
     if halted is not None:
         lines.append(f"# halted = {halted}")
     elif sim.closure_tol is not None:

@@ -7,10 +7,13 @@ explicit splitting applies.  Stages are solved by fixed-point iteration,
 from f(z0) on the first step and later from each stage's own polynomial in
 the step index through its converged values at the last SEED_DEGREE + 1
 steps (fewer at the start), one step on: a weighted sum of those stages,
-newest first.  The stage error is smooth in t, so it
-cancels: the seed error is O(h^6), not the stage order O(h^3) of
-collocation seeds (Hairer, Lubich & Wanner, GNI, VIII.6.1).
-A step stops when the largest stage change d_k is at most
+newest first.  The stage error is smooth in t, so it cancels: the seed
+error is O(h^6), not the stage order O(h^3) of collocation seeds (Hairer,
+Lubich & Wanner, GNI, VIII.6.1).  The sweeps run in Gauss-Seidel order:
+stage 2's input z + h (a_21 k_1 + a_22 k_2) takes the k_1 just computed in
+the same sweep.  On the benchmark's sw and garnier orbits that takes 2.1 to
+2.8 sweeps per step where Jacobi order took 2.1 to 3.3 (Kepler-Coulomb: 2.0
+either way).  A step stops when the largest stage change d_k is at most
 `fixed_point_tol` (1e-13 by default), or from the second sweep on when
 theta = d_k / d_{k-1} < 1 and the estimated remaining error
 theta / (1 - theta) * d_k is at most `fixed_point_tol` (Hairer & Wanner,
@@ -134,14 +137,15 @@ def _gl2_lines(n, body):
     the last two at the loop body's indent `body`.
 
     The step seeds its stages a, b from the history (f(z0) on the first
-    step), then sweeps: stage 1 from a and b, stage 2 from the same a and
-    b.  A sweep's largest stage change d is taken entry by entry, stage 1
-    then stage 2, and a NaN change ends it as NaN (Python's max() would keep
-    a NaN only in first place); a NaN d stops the sweeps at once, and the
-    step's state is then non-finite.  The history holds the converged
-    stages of the last SEED_DEGREE + 1 steps as locals u<j>_<i> (stage 1)
-    and v<j>_<i> (stage 2), j steps back, zeros at first; the seed weights
-    w0 ... are those of the number of steps in it, -0.0 past it."""
+    step), then sweeps: stage 1 c from a and b, stage 2 e from c and b
+    (Gauss-Seidel order).  A sweep's largest stage change d is taken entry
+    by entry, stage 1 then stage 2, and a NaN change ends it as NaN
+    (Python's max() would keep a NaN only in first place); a NaN d stops
+    the sweeps at once, and the step's state is then non-finite.  The
+    history holds the converged stages of the last SEED_DEGREE + 1 steps as
+    locals u<j>_<i> (stage 1) and v<j>_<i> (stage 2), j steps back, zeros
+    at first; the seed weights w0 ... are those of the number of steps in
+    it, -0.0 past it."""
     m, rows, inner = range(2 * n), range(SEED_DEGREE + 1), body + "    "
     setup = [
         "    A11, A12, A21, A22 = BUTCHER",
@@ -159,8 +163,8 @@ def _gl2_lines(n, body):
         f"{body}d_prev = 0.0  # the contraction test needs two sweeps",
         f"{body}for sweep in SWEEPS:",
         *_stage_call(inner, n, lambda i: f"z{i} + h * (A11 * a{i} + A12 * b{i})", "c"),
-        *_stage_call(inner, n, lambda i: f"z{i} + h * (A21 * a{i} + A22 * b{i})", "e"),
-        f"{inner}d = nd = 0.0",
+        *_stage_call(inner, n, lambda i: f"z{i} + h * (A21 * c{i} + A22 * b{i})", "e"),
+        f"{inner}d = nd = 0.0  # the largest change so far, and its negative",
         f"{inner}while True:  # one pass; a NaN change breaks out as d",
     ]
     for new, old in (("c", "a"), ("e", "b")):

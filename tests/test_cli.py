@@ -153,6 +153,30 @@ def test_simulate_emits_drift_footer(tmp_path):
     assert drift and float(drift[0].split("=")[1]) < 1e-8
 
 
+@pytest.mark.parametrize("method", ["gl2", "rk4"])
+def test_simulate_prints_the_run_statistics(tmp_path, method):
+    # the stage evaluations and (GL2) the most sweeps of a step, as the
+    # library's trajectory counts them, follow the drift footer
+    from superint import IntegratorConfig, PhasePoint, build, integrate
+    from superint.config import load_config
+
+    text = SW_N4 + f"method = {method}\n"
+    cfg = write(tmp_path, "stats.cfg", text)
+    assert main(["--out", str(tmp_path), "simulate", str(cfg)]) == 0
+    lines = (tmp_path / "stats.traj.txt").read_text().splitlines()
+    loaded = load_config(cfg)
+    x0 = np.array(loaded.simulation.x0)
+    traj = integrate(build(loaded.descriptor), PhasePoint(x0[:4], x0[4:]), 1.0,
+                     IntegratorConfig(method=method, step=0.001))
+    stats = [f"# stage_evaluations = {traj.stage_evaluations}"]
+    if method == "gl2":
+        stats.append(f"# max_sweeps = {traj.max_sweeps}")
+    else:
+        assert traj.stage_evaluations == 4000
+    start = next(i for i, line in enumerate(lines) if line.startswith("# max_normalized_drift"))
+    assert lines[start + 1:] == stats
+
+
 def test_trajectory_rows_round_trip(tmp_path):
     cfg = write(tmp_path, "sw_n4.cfg", SW_N4)
     assert main(["--out", str(tmp_path), "simulate", str(cfg)]) == 0
@@ -245,6 +269,7 @@ def test_simulate_keeps_partial_run_on_nonconvergence(tmp_path, capsys):
     rows = [line for line in lines if not line.startswith("#")]
     assert len(rows) == 1 and rows[0].startswith("0.0 0.7 0.8 0.9 1.0 ")
     assert "# halted = stage fixed point did not reach 1e-13 in 100 iterations" in lines
+    assert "# stage_evaluations = 201" in lines and "# max_sweeps = 0" in lines
 
 
 def test_simulate_keeps_partial_run_on_overflowing_stages(tmp_path, capsys):

@@ -238,8 +238,9 @@ def test_stage_evaluations_are_the_gradient_qp_calls(monkeypatch, method):
     else:
         assert calls[0] % 2 == 1 and calls[0] >= 1 + 2 * 60
         assert 2 <= traj.max_sweeps < MAX_FIXED_POINT_ITERS
-    halts = [  # a stage iteration that fails, a state that overflows, a first stage out of
-        # its domain
+    # a stage iteration that fails, a state that overflows, a first stage
+    # out of its domain
+    halts = [
         (make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.0, 0.0]), [1.0, 0.2, 0.1, -0.4],
          IntegratorConfig(method=method, step=10.0), 100.0),
         (make_evans("euclidean", lambda s: -0.5 * s, mass=1.0, b_tilde=[0.0, 0.0]),
@@ -489,9 +490,9 @@ def _reference_gl2_step(f, q, p, h, k_seed, tol, max_iters, legacy=False):
     for _ in range(max_iters):
         y1q = q + h * (_A11 * k1q + _A12 * k2q)
         y1p = p + h * (_A11 * k1p + _A12 * k2p)
-        y2q = q + h * (_A21 * k1q + _A22 * k2q)
-        y2p = p + h * (_A21 * k1p + _A22 * k2p)
         n1q, n1p = f(y1q, y1p)
+        y2q = q + h * (_A21 * n1q + _A22 * k2q)
+        y2p = p + h * (_A21 * n1p + _A22 * k2p)
         n2q, n2p = f(y2q, y2p)
         delta = max(
             float(np.max(np.abs(n1q - k1q))),
@@ -619,7 +620,7 @@ def _loop_gl2_step(f, z, h, k1, k2, tol):
     d_prev = 0.0
     for sweep in range(1, MAX_FIXED_POINT_ITERS + 1):
         new1 = f([zi + h * (_A11 * a + _A12 * b) for zi, a, b in zip(z, k1, k2)])
-        new2 = f([zi + h * (_A21 * a + _A22 * b) for zi, a, b in zip(z, k1, k2)])
+        new2 = f([zi + h * (_A21 * a + _A22 * b) for zi, a, b in zip(z, new1, k2)])
         d = 0.0
         for x in (abs(a - b) for a, b in zip(new1 + new2, k1 + k2)):
             if not x <= d:
