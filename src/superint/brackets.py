@@ -18,7 +18,8 @@ involution table to every certificate; it is split into q and p views
 only where a `value_fn` or `gradient_fn` is called.  Both certificates
 rest on a gradient tensor G[P, K, 2N], the gradient rows of K quantities
 at the P sample points, from one `gradient_fn` call per quantity over the
-whole sample.  `gradient_tensor` holds H and the universal integrals;
+whole sample (the universal integrals' from one pass of their set).
+`gradient_tensor` holds H and the universal integrals;
 `certify` adds each extra integral's rows;
 `independence_rank` and `max_bracket_residual` take the tensor of the
 quantities they are given.  The brackets of every asserted pair then come
@@ -185,11 +186,19 @@ def gradient_tensor(
     """G[P, K, 2N]: the gradient rows of H, then of integrals.all, at every
     point of a (P, 2N) sample.
 
-    H's and each universal integral's gradient_fn is called once, on the
-    whole sample.  The quantities are evaluated as given, never rebuilt
-    from the realization.
+    H's gradient_fn and the set's `gradients` are each called once, on the
+    whole sample: the set's rows come from one column pass when its members
+    are its realization's own windows, and from each member's gradient_fn
+    otherwise, so the quantities are evaluated as given.
     """
-    return _stacked_tensor([energy_quantity(spec), *integrals.all], sample)
+    sample = np.asarray(sample, dtype=float)
+    h = energy_quantity(spec)
+    n = _sample_ndim([h, *integrals.all], sample)
+    q, p = sample[:, :n], sample[:, n:]
+    G = np.empty((len(sample), 1 + integrals.count, 2 * n))
+    G[:, 0, :n], G[:, 0, n:] = h.gradient_fn(q, p)
+    G[:, 1:, :n], G[:, 1:, n:] = integrals.gradients(q, p)
+    return G
 
 
 @dataclass(frozen=True)

@@ -14,42 +14,38 @@ partials of H and the analytic gradients of the J's.  The partials are not
 written by hand: they are derived from h itself, which `tape.derive` runs
 once on a recording forward-mode dual, on a spec's first gradient call.
 
-`sl2_kernel` evaluates the three generators and dJ+/dq, the only gradient
-that is not q or p times a constant, in one pass over raw arrays; the
-barrier sites it needs are found once per `SL2Realization`.
-`HamiltonianSpec.gradient_qp` folds the chain rule into two vector
-expressions, without building the gradient vectors of the J's.  Values and
-the H gradient take one point (N,) or a stack (..., N), bitwise as one call
-per point.  Dynamics evaluates each monitor over a whole trajectory in one
-call, and a certificate takes H's gradient rows over its whole sample in
-one call.
+Every sl(2) sum (J-, J3, p.p and the barrier sum of the b_i / q_i**2) is a
+left to right sum over the sites, t_0 + t_1 + ..., and every cube is
+q * q * q.  One generator writes these sums (`_sl2_lines`): straight-line
+code unrolled over the sites, run either on Python floats or on numpy
+columns q[..., i], real or complex, with the same lines in both modes but
+the near-axis guard test.  Each elementwise numpy add, multiply and divide
+of real numbers rounds as the Python float operation does, so a stacked row
+is bitwise its one-point evaluation.  A pass may stop at any site and keep its partial
+sums there, as the window Casimirs of `integrals` take them.
 
-Every sl(2) sum (J-, J3, p.p and the barrier sum) is defined as a left to
-right sum over the sites, t_0 + t_1 + ..., and every cube as q * q * q.
-Over a stack the kernel runs once, its sums are sequential loops
-(`np.add.accumulate`, or the columns added one at a time on tall, narrow
-stacks), and only the scalar partials of h run once per point.  At one
-point, a GL2 or RK4 stage given as Python lists, numpy dispatch would cost
-more than the arithmetic, and so would a Python loop over the sites:
-`gradient_qp` runs the same sums, h's taped partials and the chain rule as
-straight-line code on Python floats, returns lists, and gets the stacked
-call's bits; an (N,) array takes the same path and gets arrays back.  That
-kernel's source is generated and compiled once per shape and partials' text,
-keyed by N, the barrier sites and the taped lines (`_one_point_gradient`);
-the stacked path runs the same lines compiled on their own
-(`_partials_function`).  Both hold only names and site indices, and each
-spec binds its own b_i, -2 b_i and h's constants to them by name on its
-first gradient call, so two specs of one family, space and shape share their
-code, and building a spec tapes and compiles nothing.  BLAS dots and
-`np.add.reduce` (pairwise from eight terms) are not left to right, and
-`x ** 3` rounds differently in numpy and in Python (as does a Python
-`x ** 2`; numpy's is x * x), so neither appears on these paths.  Dot
-products are `dot`, which unlike `np.vecdot` is analytic in complex points.
+On Python floats the lines open `HamiltonianSpec._gradient_at`, which goes
+on with h's taped partials and the chain rule: at one point, a GL2 or RK4
+stage given as lists, numpy dispatch would cost more than the arithmetic,
+and a stack of points runs the same kernel row by row.  On columns they
+make `column_sums`, which gives H's value, the window Casimirs and the
+extra integrals' dots and barrier squares at a point, over a stack or over
+the complex-step probes of `complex_step_gradient`.  Each kernel is compiled
+once per shape (N, the barrier sites, the windows and the sums asked for,
+and for H's gradient the text of h's partials).  Its source holds only
+names and site indices; each caller binds its own b_i, -2 b_i and h's
+constants by name, so specs and window sets of one shape share their code,
+and building a spec compiles nothing.  BLAS dots, `np.add.reduce` (pairwise
+from eight terms) and the builtin `sum` (compensated from Python 3.12) do
+not add left to right, and `x ** 3` rounds differently in numpy and in
+Python (as does a Python `x ** 2`; numpy's is x * x), so none of them
+appears on these paths.
 
 The centrifugal terms b_i / q_i**2 make every plane q_i = 0 with b_i != 0
 singular, for H and for every integral built on the same realization.
-`guard_axes` is the one check of that domain condition, and
-`SL2Realization.clearance` is the distance to it that dynamics watches.
+`guard_axes` is the one check of that domain condition, which every kernel
+runs before it divides, and `SL2Realization.clearance` is the distance to
+it that dynamics watches.
 """
 
 from __future__ import annotations
@@ -61,7 +57,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, DomainError
-from .tape import Derivative, derive, overflowed
+from .tape import derive, overflowed
 
 # Below this |q_i| (with b_i != 0) the centrifugal term is treated as singular.
 AXIS_GUARD_RADIUS = 1e-10
@@ -102,44 +98,29 @@ class PhasePoint:
 class SL2Realization:
     """Centrifugal coefficients b = (b_1 ... b_N) of the realization.
 
-    The barrier sites are found once here: `sites` indexes the sites with
-    b_i != 0, `b_active` holds their coefficients (None when there is no
-    barrier), and `barriers` holds the same as Python (i, b_i, -2 b_i)
-    triples for the one-point kernel of `HamiltonianSpec.gradient_qp` and
-    for `clearance`.  The sl(2) kernel and every axis guard read these; `b`
-    is stored as a
-    read-only copy so they cannot go stale.
+    `b` is stored as a read-only copy, and its barrier sites are found once:
+    `sites` holds the indices i with b_i != 0, and `barriers` the same as
+    (i, b_i, -2 b_i) triples of Python floats, which the kernels bind by
+    name.  Every axis guard and `clearance` read these, so they cannot go
+    stale.
     """
 
     b: np.ndarray
-    sites: np.ndarray = field(init=False, repr=False, compare=False)
-    b_active: Optional[np.ndarray] = field(init=False, repr=False, compare=False)
+    sites: tuple[int, ...] = field(init=False, repr=False, compare=False)
     barriers: tuple[tuple[int, float, float], ...] = field(init=False, repr=False,
                                                            compare=False)
 
     def __post_init__(self):
         b = _as_vector(self.b, "b").copy()
         b.flags.writeable = False
-        sites = np.flatnonzero(b)
+        barriers = tuple((int(i), float(b[i]), -2.0 * float(b[i])) for i in np.flatnonzero(b))
         object.__setattr__(self, "b", b)
-        object.__setattr__(self, "sites", sites)
-        object.__setattr__(self, "b_active", b[sites] if sites.size else None)
-        object.__setattr__(self, "barriers", tuple(
-            (int(i), float(b[i]), -2.0 * float(b[i])) for i in sites))
+        object.__setattr__(self, "barriers", barriers)
+        object.__setattr__(self, "sites", tuple(i for i, _, _ in barriers))
 
     @property
     def n(self) -> int:
         return self.b.size
-
-    def at_barriers(self, q: np.ndarray) -> np.ndarray:
-        """q[..., sites], by a take: a mask is slower on the gradient path."""
-        return q.take(self.sites, axis=-1)
-
-    def spread(self, values: np.ndarray) -> np.ndarray:
-        """Inverse of at_barriers: (..., N), zero off the barriers."""
-        full = np.zeros(values.shape[:-1] + (self.n,))
-        full[..., self.sites] = values
-        return full
 
     def clearance(self, q) -> float:
         """min |q_i| over the barrier sites: the distance to the nearest
@@ -155,49 +136,20 @@ class SL2Realization:
             raise DimensionMismatch(
                 f"realization has {self.n} sites but phase point has {x.n}"
             )
-        guard_axes(self, x.q)
+        guard_axes(self.sites, x.q)
 
 
-# From this many stack rows per site on, adding the columns one at a time
-# (one ufunc call per site) beats np.add.accumulate (one inner loop per row).
-# On float and complex stacks of 2 to 50 sites the crossover lies at 4 to 32
-# rows per site; 16 costs the least over that range.
-_COLUMN_SUM_ROWS_PER_SITE = 16
-
-
-def _left_sum(terms: np.ndarray):
-    """terms_0 + terms_1 + ... over the last axis, added left to right from
-    the first term (a one-term -0.0 sum stays -0.0), at one point or over a
-    stack: np.add.accumulate is a sequential loop, and so is adding the
-    columns, which tall, narrow stacks (a trajectory's states) take.  A
-    one-term column sum is a view of terms."""
-    sites = terms.shape[-1]
-    if terms.size < _COLUMN_SUM_ROWS_PER_SITE * sites * sites:
-        return np.add.accumulate(terms, axis=-1)[..., -1]
-    total = terms[..., 0]
-    for j in range(1, sites):
-        total = total + terms[..., j]
-    return total
-
-
-def dot(x: np.ndarray, y: np.ndarray):
-    """sum_i x_i * y_i over the last axis, by `_left_sum`, so that a stack,
-    one point and a Python loop over the sites give the same bits.  x is not
-    conjugated, so the dot is analytic in complex points."""
-    return _left_sum(x * y)
-
-
-def guard_axes(realization: SL2Realization, q: np.ndarray) -> None:
-    """Raise DomainError if a q_i with b_i != 0 is within AXIS_GUARD_RADIUS
-    of its coordinate plane.  q is one point (N,) or a stack (..., N); the
-    message names q_i by its index in the realization (and the point's
-    index in a stack), so windows and one-axis integrals pass the full
-    realization masked to their sites."""
-    qa = realization.at_barriers(q)
+def guard_axes(sites: tuple[int, ...], q) -> None:
+    """Raise DomainError if a q_i on one of the barrier `sites` (b_i != 0)
+    is within AXIS_GUARD_RADIUS of its coordinate plane.  q is one point
+    (an (N,) array or a list) or a stack (..., N); the message names q_i by
+    its index among all N sites (and the point's index in a stack)."""
+    q = np.asarray(q)
+    qa = q.take(sites, axis=-1)
     bad = np.abs(qa) < AXIS_GUARD_RADIUS
     if bad.any():
         idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        i = int(realization.sites[idx[-1]])
+        i = sites[idx[-1]]
         where = f"point {', '.join(map(str, idx[:-1]))}: " if q.ndim > 1 else ""
         raise DomainError(
             f"{where}q_{i + 1} = {float(qa[idx].real)!r} lies on a coordinate plane "
@@ -208,50 +160,88 @@ def guard_axes(realization: SL2Realization, q: np.ndarray) -> None:
 # A barrier coordinate with q_i**2 below this may be within the guard
 # radius; only then is the exact (and slower) guard_axes test run.
 _NEAR_AXIS_SQ = (2.0 * AXIS_GUARD_RADIUS) ** 2
+# The term of each sl(2) sum at site i: J-, J3, p.p and the barrier sum.
+_TERMS = {"jm": "q{i} * q{i}", "j3": "q{i} * p{i}", "pp": "p{i} * p{i}", "bs": "b{i} / s{i}"}
 
 
-def barrier_squares(realization: SL2Realization, q: np.ndarray,
-                    qa: Optional[np.ndarray] = None) -> np.ndarray:
-    """q_i**2 on the barrier sites, after the axis guard has passed.
+def _sl2_lines(column: bool, n: int, sites: tuple[int, ...], windows: tuple,
+               sums: tuple[str, ...]) -> tuple[list[str], dict]:
+    """The one text of the sl(2) sums: lines of a function of (qs, ps),
+    lists of N floats or arrays (..., N) as `column` says, that leave each
+    of `sums` (jm, j3, pp, the barrier sum bs, jp = pp + bs) of each window
+    (lo, hi), sites lo..hi-1, in a local; returns the lines and
+    name[window, sum] ("0.0" for a barrier sum without terms).
 
-    Callers divide by these, so a point (or any point of a stack) on a
-    guarded coordinate plane raises DomainError before any division happens.
-    A caller that has already taken qa = realization.at_barriers(q) passes it.
+    The squares s_i = q_i * q_i of the barrier `sites` (b_i bound as b<i>)
+    come first; if one is below _NEAR_AXIS_SQ or NaN, guard_axes runs
+    before any division.  That test, of each float or of the columns' least
+    real part, is the one line that differs by mode.  Each sum is then
+    t_lo + t_lo+1 + ...; windows with one first site share a pass and take
+    its partial sums, and a term several windows read is computed once.
     """
-    qa2 = (realization.at_barriers(q) if qa is None else qa) ** 2  # x * x, not pow
-    if not np.minimum.reduce(qa2, axis=None).real >= _NEAR_AXIS_SQ:  # or NaN
-        guard_axes(realization, q)
-    return qa2
+    used = sorted({i for lo, hi in windows for i in range(lo, hi)})
+    if column:
+        lines = [f"{names(x, used)}= {', '.join(f'{x}s[..., {i}]' for i in used)}," for x in "qp"]
+    else:
+        lines = [f"{names(x, range(n))}= {x}s" for x in "qp"]
+    lines += [f"s{i} = q{i} * q{i}" for i in sites]
+    if sites:
+        test = (f"MIN(({names('s', sites)}), axis=None).real >= NEAR" if column
+                else " and ".join(f"s{i} >= NEAR" for i in sites))
+        lines += [f"if not ({test}):", f"    guard_axes({sites}, qs)"]
+    kinds = [s for s in _TERMS if s in sums or "jp" in sums and s in ("pp", "bs")]
+    shared = len(windows) > 1
+    term = {(s, i): f"s{i}" if s == "jm" and i in sites else _TERMS[s].format(i=i)
+            for s in kinds for i in used if s != "bs" or i in sites}
+    if shared:
+        lines += [f"{s}_{i} = {text}" for (s, i), text in term.items()]
+        term = {(s, i): f"{s}_{i}" for s, i in term}
+    name = {}
+    for first in sorted({lo for lo, _ in windows}):
+        partial, start = {}, first
+        for hi in sorted(hi for lo, hi in windows if lo == first):
+            suffix = f"_{first}_{hi}" if shared else ""
+            for s in kinds:
+                new = [term[s, i] for i in range(start, hi) if (s, i) in term]
+                if new:
+                    new = [partial[s], *new] if s in partial else new
+                    lines.append(f"{s}{suffix} = {' + '.join(new)}")
+                    partial[s] = s + suffix
+                name[(first, hi), s] = partial.get(s, "0.0")
+            if "jp" in sums:
+                bs = f" + {partial['bs']}" if "bs" in partial else ""
+                lines.append(f"jp{suffix} = {partial['pp']}{bs}")
+                name[(first, hi), "jp"] = "jp" + suffix
+            start = hi
+    return lines, name
 
 
-def sl2_kernel(realization: SL2Realization, q: np.ndarray, p: np.ndarray,
-               gradient: bool = False):
-    """J-, J+, J3 at (q, p) and dJ+/dq, on raw arrays.
+@cache
+def _sums_kernel(column: bool, n: int, sites: tuple[int, ...], windows: tuple,
+                 sums: tuple[str, ...]) -> Callable:
+    """Compile, once per mode and shape, the factory of a `column_sums`
+    kernel: make(b<i>, ...) -> sums(qs, ps), which returns the list of
+    each window's `sums` and the tuple of the barrier squares."""
+    lines, name = _sl2_lines(column, n, sites, windows, sums)
+    rows = ", ".join(f"({''.join(f'{name[w, s]}, ' for s in sums)})" for w in windows)
+    source = [f"def make({names('b', sites)}):", "    def sums(qs, ps):",
+              *(f"        {line}" for line in lines),
+              f"        return [{rows}], ({names('s', sites)})",
+              "    return sums"]
+    return compile_kernel(source, "make", f"sl2_sums N={n} sites={sites} windows={windows}",
+                          NEAR=_NEAR_AXIS_SQ, MIN=np.minimum.reduce, guard_axes=guard_axes)
 
-    Returns (J-, J+, J3, dJ+/dq), the J's of shape (...) for q, p (..., N),
-    real or complex.  H is h(J-, J+, J3) and a window Casimir J- J+ - J3^2
-    of these.  dJ+/dq_i = -2 b_i / q_i**3 is computed, at real points,
-    only when `gradient` is set; it is the scalar 0.0 when there is no
-    barrier (or no gradient was asked for), which broadcasts to the same
-    numbers as a zero vector.  The other gradients are plain: dJ-/dq = 2q,
-    dJ+/dp = 2p, dJ3/dq = p, dJ3/dp = q, dJ-/dp = 0.  J+ is p.p plus the
-    barrier sum, both `_left_sum`s, and q_i**3 is (q_i * q_i) * q_i.  The
-    value, the axis guard and dJ+/dq share one take of the barrier
-    coordinates.  Raises DomainError on a guarded coordinate plane; nothing
-    else is validated.
-    """
-    j_minus = dot(q, q)
-    j3 = dot(q, p)
-    j_plus = dot(p, p)
-    djp_dq = 0.0
-    ba = realization.b_active
-    if ba is not None:
-        qa = realization.at_barriers(q)
-        qa2 = barrier_squares(realization, q, qa)
-        j_plus += _left_sum(ba / qa2)
-        if gradient:
-            djp_dq = realization.spread(-2.0 * ba / (qa2 * qa))
-    return j_minus, j_plus, j3, djp_dq
+
+def column_sums(n: int, barriers, windows, sums) -> Callable:
+    """sums(q, p) -> ([each window's `sums`], barrier squares) on the numpy
+    columns of q, p (N,) or (..., N), real or complex: `_sl2_lines` compiled
+    once per shape and bound to `barriers`, (i, b_i, ...) tuples, less those
+    no window reads.  The squares are in site order; a guarded coordinate
+    plane of those sites raises DomainError."""
+    windows = tuple(windows)
+    kept = [(i, b) for i, b, *_ in barriers if any(lo <= i < hi for lo, hi in windows)]
+    make = _sums_kernel(True, n, tuple(i for i, _ in kept), windows, tuple(sums))
+    return make(*(b for _, b in kept))
 
 
 @dataclass(frozen=True)
@@ -271,9 +261,8 @@ class HamiltonianSpec:
     the energy, with pure arithmetic (+ - * / and ** by a constant) and its
     domain conditions passed through `tape.Domain`.  Its partials
     (dh/dxi-, dh/dxi+, dh/dxi3) are derived from it, taped on the first
-    gradient call (`h_partials`), so phase-space gradients are exact to
-    rounding by the chain rule.  An h that cannot be taped is a ConfigError
-    at that call.
+    gradient call, so phase-space gradients are exact to rounding by the
+    chain rule.  An h that cannot be taped is a ConfigError at that call.
     """
 
     name: str
@@ -287,82 +276,53 @@ class HamiltonianSpec:
         return self.realization.n
 
     def value_qp(self, q: np.ndarray, p: np.ndarray):
-        jm, jp, j3, _ = sl2_kernel(self.realization, q, p)
-        return self.h(jm, jp, j3)
+        """H at a point (N,) or over a stack (..., N): h of the J columns as
+        arrays, 0-d at a point, whose ** rounds as a stack's (a numpy
+        scalar's rounds as libm's pow)."""
+        sums = column_sums(self.n, self.realization.barriers, [(0, self.n)], ("jm", "jp", "j3"))
+        ((jm, jp, j3),), _ = sums(q, p)
+        return self.h(np.asarray(jm), np.asarray(jp), np.asarray(j3))
 
     def gradient_qp(self, q, p):
-        """(dH/dq, dH/dp) by the chain rule through the sl(2) kernel.
+        """(dH/dq, dH/dp) by the chain rule through the sl(2) sums.
 
         dH/dq = (2 h-) * q + h+ * dJ+/dq + h3 * p and
         dH/dp = (h- * 0 + (2 h+) * p) + h3 * q, summed left to right; (2 h) * q
         rounds the same exact product as h * (2 q) unless 2 h overflows.  The
         h- * 0 term keeps the signed zeros (and NaNs) that a zero dJ-/dp
         vector would give.  One point comes as Python lists (a GL2 or RK4
-        stage) or as (N,) arrays and goes back the same way; over a stack
-        (..., N) the kernel runs once, `h_partials` once per point, and the
-        chain rule takes them as (..., 1) columns.  One point runs the same
-        sums, the same partials' lines and the same products in Python floats
-        (`_gradient_at`): straight-line code compiled once per (N, barrier
-        sites, partials' text) and bound to this spec's b_i, -2 b_i and
-        constants, so every point's rows are bitwise its own call whichever
-        way it comes.
+        stage) or as (N,) arrays and goes back the same way.  A stack (...,
+        N) runs `_gradient_at` on each point, so a stacked row is its own
+        call bit for bit, and a stacked point on a barrier plane is named in
+        the DomainError.
         """
         if isinstance(q, list):
             return self._gradient_at(q, p)
         if q.ndim == 1:
             dq, dp = self._gradient_at(q.tolist(), p.tolist())
             return np.array(dq), np.array(dp)
-        jm, jp, j3, djp_dq = sl2_kernel(self.realization, q, p, gradient=True)
-        rows = zip(jm.ravel().tolist(), jp.ravel().tolist(), j3.ravel().tolist())
-        parts = np.array([self.h_partials(*row) for row in rows])
-        hm, hp, h3 = parts.T.reshape(3, *jm.shape, 1)
-        dq = (2.0 * hm) * q + hp * djp_dq + h3 * p
-        dp = (hm * 0.0 + (2.0 * hp) * p) + h3 * q
-        return dq, dp
-
-    @cached_property
-    def _derivative(self) -> Derivative:
+        at, n = self._gradient_at, self.n
         try:
-            return derive(self.h)
-        except TypeError as exc:
-            raise ConfigError(f"{self.name}: the partials of h cannot be derived: {exc}") \
-                from exc
-
-    @cached_property
-    def h_partials(self) -> Callable[[float, float, float], tuple[float, float, float]]:
-        """(dh/dxi-, dh/dxi+, dh/dxi3) at one point of Python floats: the
-        taped lines, compiled once per text and bound to this spec's
-        constants."""
-        d = self._derivative
-        return _partials_function(d.lines, d.names)(d.values)
+            rows = [at(*row) for row in zip(q.reshape(-1, n).tolist(), p.reshape(-1, n).tolist())]
+        except DomainError:
+            guard_axes(self.realization.sites, q)  # names the first stacked point on a plane
+            raise
+        rows = np.array(rows).reshape(-1, 2, n)
+        return rows[:, 0].reshape(q.shape), rows[:, 1].reshape(p.shape)
 
     @cached_property
     def _gradient_at(self) -> Callable[[list, list], tuple[list, list]]:
         """gradient_qp at one real point given as lists of N floats, returned
         as lists: the kernel of the realization's shape and h's partials'
-        text, bound on the first one-point call to this spec's barrier
-        coefficients and constants."""
-        barriers, d = self.realization.barriers, self._derivative
-        make = _one_point_gradient(self.n, tuple(i for i, _, _ in barriers), d.lines, d.names)
-        return make(self.realization, d.values,
-                    *(x for _, b, minus_2b in barriers for x in (b, minus_2b)))
-
-
-def _bind(constants: tuple[str, ...]) -> list[str]:
-    """The factory line that unpacks the bound constants, if there are any."""
-    return [f"    {''.join(f'{c}, ' for c in constants)}= consts"] if constants else []
-
-
-@cache
-def _partials_function(lines: tuple[str, ...], constants: tuple[str, ...]) -> Callable:
-    """Compile, once per text, the factory of `HamiltonianSpec.h_partials`:
-    the taped lines as a function of (jm, jp, j3) returning (hm, hp, h3),
-    its constants bound by the factory."""
-    return compile_kernel(
-        ["def make(consts):", *_bind(constants), "    def partials(jm, jp, j3):",
-         *(f"        {line}" for line in lines), "        return hm, hp, h3",
-         "    return partials"],
-        "make", "h_partials", overflowed=overflowed)
+        text, bound to this spec's b_i, -2 b_i and constants."""
+        try:
+            d = derive(self.h)
+        except TypeError as exc:
+            raise ConfigError(f"{self.name}: the partials of h cannot be derived: {exc}") \
+                from exc
+        barriers = self.realization.barriers
+        make = _one_point_gradient(self.n, self.realization.sites, d.lines, d.names)
+        return make(d.values, *(x for _, b, minus_2b in barriers for x in (b, minus_2b)))
 
 
 @cache
@@ -370,53 +330,30 @@ def _one_point_gradient(n: int, sites: tuple[int, ...], lines: tuple[str, ...],
                         constants: tuple[str, ...]) -> Callable:
     """Compile, once per shape (N and the barrier sites) and partials' text,
     the factory of `HamiltonianSpec._gradient_at`.  Its source holds only
-    names and site indices: the factory binds the realization (for the
-    exact guard), h's constants and each barrier's b_i and -2 b_i as
-    arguments.
+    names and site indices: the factory binds h's constants and each
+    barrier's b_i and -2 b_i as arguments.
 
-    The kernel is `sl2_kernel`, h's taped partials and the chain rule of
-    `gradient_qp` on Python floats, unrolled over the sites in the same
-    order: J-, J3 and p.p are t_0 + t_1 + ... (the stacked sums start from
-    the first term, as a sum from -0.0 would), the barrier sum is added to
-    p.p as one term, and dJ+/dq_i is -2 b_i / (q_i**2 * q_i) on a barrier
-    site, 0.0 (as h+ * 0.0) elsewhere.  A barrier square below _NEAR_AXIS_SQ
-    (or NaN) runs the exact guard before any division.  The partials' lines
-    are `h_partials`' own, so a stacked row is bitwise its one-point call.
+    The kernel is `_sl2_lines` on Python floats for J-, J3 and J+ over all
+    sites, h's taped partials, and the chain rule of `gradient_qp`, unrolled
+    over the sites: dJ+/dq_i is -2 b_i / (q_i**2 * q_i) on a barrier site,
+    0.0 (as h+ * 0.0) elsewhere.
     """
     idx = range(n)
-
-    def left_sum(terms):
-        return " + ".join(terms)
-
+    sums, _ = _sl2_lines(False, n, sites, ((0, n),), ("jm", "j3", "jp"))
     dq = [f"hm2 * q{i} + hp * (m{i} / (s{i} * q{i})) + h3 * p{i}" if i in sites
           else f"hm2 * q{i} + hp0 + h3 * p{i}" for i in idx]
     source = [
-        f"def make(realization, consts{''.join(f', b{i}, m{i}' for i in sites)}):",
-        *_bind(constants),
+        f"def make(consts{''.join(f', b{i}, m{i}' for i in sites)}):",
+        *([f"    {names('', constants)}= consts"] if constants else []),
         "    def gradient_at(qs, ps):",
-        f"        {names('q', idx)}= qs",
-        f"        {names('p', idx)}= ps",
-        f"        jm = {left_sum(f'q{i} * q{i}' for i in idx)}",
-        f"        j3 = {left_sum(f'q{i} * p{i}' for i in idx)}",
-        f"        jp = {left_sum(f'p{i} * p{i}' for i in idx)}",
-    ]
-    if sites:
-        source += [f"        s{i} = q{i} * q{i}" for i in sites]
-        source += [
-            f"        if not ({' and '.join(f's{i} >= NEAR' for i in sites)}):",
-            "            guard_axes(realization, np.array(qs))",
-            f"        jp += {left_sum(f'b{i} / s{i}' for i in sites)}",
-        ]
-    source += [
-        *(f"        {line}" for line in lines),
+        *(f"        {line}" for line in (*sums, *lines)),
         "        hm2, hp2, hm0, hp0 = 2.0 * hm, 2.0 * hp, hm * 0.0, hp * 0.0",
         f"        return [{', '.join(dq)}], "
         f"[{', '.join(f'hm0 + hp2 * p{i} + h3 * q{i}' for i in idx)}]",
         "    return gradient_at",
     ]
     return compile_kernel(source, "make", f"gradient_at N={n} sites={sites}",
-                          NEAR=_NEAR_AXIS_SQ, guard_axes=guard_axes, np=np,
-                          overflowed=overflowed)
+                          NEAR=_NEAR_AXIS_SQ, guard_axes=guard_axes, overflowed=overflowed)
 
 
 def names(prefix: str, indices) -> str:

@@ -39,8 +39,10 @@ barriers (-R <= q_i <= R on the barrier sites is a halt) and of the spec's
 own `Guard`s (origin, chart boundary), functions of the state's J-, summed
 left to right as everywhere in the library.  The kernel returns the steps it
 took and why it stopped; `integrate` turns a stop into the one exception it
-raises.  The same guards decide whether a stage-iteration failure, or a
-stage evaluation that overflows, counts as a singular approach.  Every stage
+raises.  A stage evaluation off h's domain, or one that divides by zero in
+h's partials, is a singular approach; the same guards decide whether a
+stage-iteration failure, or a stage evaluation that overflows, counts as
+one.  Every stage
 evaluation, GL2's first seed f(z0) included, is counted, and the count and
 GL2's most sweeps in a step go on the trajectory.
 
@@ -57,7 +59,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .core import ConservedQuantity, HamiltonianSpec, PhasePoint, compile_kernel, dot, names
+from .core import ConservedQuantity, HamiltonianSpec, PhasePoint, compile_kernel, names
 from .errors import (DomainError, InsufficientData, NonConvergence, RangeError,
                      SingularApproach)
 
@@ -185,7 +187,7 @@ def _gl2_lines(n, body):
         f"{body}else:",
         f"{inner}return step, NonConvergence(",
         f'{inner}    f"stage fixed point did not reach {{tol:g}} in {{MAX_ITERS}} iterations"',
-        f"{inner}), evals, most",
+        f"{inner}), evals, most, jm",
         f"{body}if sweep > most:",
         f"{inner}most = sweep",
         *(f"{body}z{i} = z{i} + half * (c{i} + e{i})" for i in m),
@@ -213,7 +215,7 @@ def _rk4_lines(n, body):
 @cache
 def _run_kernel(method, n, sites):
     """The whole run of `method` on N sites with barriers at `sites`:
-    run(grad, zs, h, tol, guards) -> (steps, halt, evaluations, sweeps).
+    run(grad, zs, h, tol, guards) -> (steps, halt, evaluations, sweeps, jm).
 
     zs is the trajectory's array, zs[0] the initial state; grad is
     spec.gradient_qp, one call per stage evaluation on Python lists.  Each
@@ -223,10 +225,12 @@ def _run_kernel(method, n, sites):
     that the new state is finite and writes it into zs.  `steps` is the
     number of steps done: all of them (halt None), or the one that halted,
     with the reason: the label of what the state at it reached, or the
-    exception that ended it (a DomainError or OverflowError of a stage
-    evaluation, or NonConvergence).  `evaluations` counts the stage
-    evaluations, GL2's first seed and a failed one included, and `sweeps`
-    is the most sweeps a GL2 step took (0 for RK4).  Compiled once per
+    exception that ended it (a DomainError, OverflowError or
+    ZeroDivisionError of a stage evaluation, or NonConvergence).
+    `evaluations` counts the stage evaluations, GL2's first seed and a
+    failed one included, `sweeps` is the most sweeps a GL2 step took (0 for
+    RK4), and jm is the J- of the last state checked against the guards
+    (0.0 without guards), for the approach test of a halt.  Compiled once per
     method, N and barrier sites, unrolled over the entries; the source holds
     only names and entry indices, and the weights are bound by name.
     """
@@ -239,29 +243,30 @@ def _run_kernel(method, n, sites):
         "    out, at = memoryview(zs).cast('B').cast('d'), 0  # zs flat, and the state's offset",
         *setup,
         "    step = evals = most = 0",
+        "    jm = 0.0",
         "    try:",
         "        while True:",
     ]
     if sites:
         lines += [f"{body}if {' or '.join(f'NR <= z{i} <= R' for i in sites)}:",
-                  f"{body}    return step, 'coordinate-plane barrier reached', evals, most"]
+                  f"{body}    return step, 'coordinate-plane barrier reached', evals, most, jm"]
     lines += [
         f"{body}if guards:",
         f"{body}    jm = {' + '.join(f'z{i} * z{i}' for i in range(n))}",
         f"{body}    for guard in guards:",
         f"{body}        if guard.clearance(jm) <= R:",
-        f"{body}            return step, guard.label + ' reached', evals, most",
+        f"{body}            return step, guard.label + ' reached', evals, most, jm",
         f"{body}if step == last:",
-        f"{body}    return step, None, evals, most",
+        f"{body}    return step, None, evals, most, jm",
         f"{body}step += 1",
         *step,
         f"{body}if not ({' and '.join(f'-INF < z{i} < INF' for i in m)}):",
-        f"{body}    return step, 'state became non-finite', evals, most",
+        f"{body}    return step, 'state became non-finite', evals, most, jm",
         f"{body}at += {2 * n}",
         *(f"{body}out[at{f' + {i}' if i else ''}] = z{i}" for i in m),
         *tail,
-        "    except (DomainError, OverflowError) as exc:",
-        "        return step, exc, evals, most",
+        "    except (DomainError, OverflowError, ZeroDivisionError) as exc:",
+        "        return step, exc, evals, most, jm",
     ]
     return compile_kernel(
         lines, "run", f"{method}_run N={n} sites={sites}", RADIUS=GUARD_RADIUS, INF=math.inf,
@@ -319,25 +324,23 @@ def integrate(
                          f"{exc}") from None
     zs[0, :n], zs[0, n:] = x0.q, x0.p
     realization, guards = spec.realization, spec.guards
-    run = _run_kernel(cfg.method, n, tuple(i for i, _, _ in realization.barriers))
-    steps, halt, evaluations, sweeps = run(spec.gradient_qp, zs, h, cfg.fixed_point_tol,
-                                           guards)
+    run = _run_kernel(cfg.method, n, realization.sites)
+    steps, halt, evaluations, sweeps, jm = run(spec.gradient_qp, zs, h, cfg.fixed_point_tol,
+                                               guards)
     if halt is None:
         return _finish(zs, n, h, monitors, evaluations, sweeps)
     t = steps * h
     if isinstance(halt, str):  # the state at t reached a guarded set, or is not finite
         err = SingularApproach(f"{halt} at t = {t:.6g}", time=t)
-    elif isinstance(halt, DomainError):
+    elif isinstance(halt, (DomainError, ZeroDivisionError)):  # off h's domain, or 1 / 0 in it
         err = SingularApproach(f"singular evaluation during step to t = {t:.6g}: {halt}",
                                time=(steps - 1) * h)
     else:
         if isinstance(halt, OverflowError):  # h's partials, or a Python ** in them
             halt = NonConvergence(f"stage evaluation overflowed: {halt}")
         # within APPROACH_HORIZON of a guarded set, the stiffness is the singularity
-        q = zs[steps - 1, :n]
-        jm = float(dot(q, q))
         err = halt
-        if min([realization.clearance(q), *(g.clearance(jm) for g in guards)]) \
+        if min([realization.clearance(zs[steps - 1, :n]), *(g.clearance(jm) for g in guards)]) \
                 < APPROACH_HORIZON:
             err = SingularApproach(f"stage iteration broke down near a guarded singularity "
                                    f"at t = {t:.6g}: {halt}", time=(steps - 1) * h)

@@ -13,6 +13,11 @@ Both Poisson-commute with any Hamiltonian h(J-, J+, J3), and each family is
 in involution.  C^(N) and C_(N) coincide, so there are 2N-3 distinct
 integrals.
 
+The J's of C^(m) are the partial sums, after site m, of the left to right
+pass that gives H's J's, so an `IntegralSet` takes all its members from one
+pass of `core.column_sums`, in which each C_(m) sums its own sites.  A
+member on its own runs the same generator over its one window.
+
 The remaining ("lost") integral of the two maximally superintegrable
 families does not come from this construction; the oscillator-with-barriers
 system has one per axis,
@@ -28,67 +33,73 @@ generalized Laplace-Runge-Lenz component
 One constructor per extra integral takes the space (Euclidean, or the
 Poincare or Beltrami chart of curvature kappa) and picks that space's value
 formula once, at construction; its gradient is `core.complex_step_gradient`
-of that formula.  Each quantity checks its barrier planes with `core.guard_axes`, on the full
-realization masked to the sites it divides by.  Values also take a stack
-(..., N), as the monitor pass of `dynamics` gives it: dots are `core.dot`,
-sums `np.add.reduce` and squares products, bitwise as per point.
+of that formula.  Its dots, barrier squares and barrier sum come from
+`core.column_sums` too, at a point, over a stack (as the monitor pass of
+`dynamics` gives it) or over the complex-step probes, which checks the
+barrier planes it divides by with `core.guard_axes`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Optional
 
 import numpy as np
 
-from .core import (ConservedQuantity, SL2Realization, barrier_squares, complex_step_gradient,
-                   dot, sl2_kernel)
+from .core import ConservedQuantity, SL2Realization, column_sums, complex_step_gradient
 from .errors import ConfigError, DimensionMismatch, DomainError, RangeError
 from .geometry import EUCLIDEAN, POINCARE, check_space
-
-
-def _masked(b: np.ndarray, sites) -> SL2Realization:
-    """The realization with b kept on `sites` (an index or mask) and zero
-    elsewhere: full length, so that its axis guard names global coordinates."""
-    kept = np.zeros(b.size)
-    kept[sites] = b[sites]
-    return SL2Realization(kept)
 
 
 # ---------------------------------------------------------------------------
 # Universal window Casimirs
 # ---------------------------------------------------------------------------
 
-def _window_quantity(realization: SL2Realization, lo: int, hi: int, name: str) -> ConservedQuantity:
-    """C = J- J+ - J3^2 of sites lo..hi-1, at a point (N,) or a stack (M, N).
+class _Windows:
+    """C = J- J+ - J3^2 of the windows (lo, hi), sites lo..hi-1, of one
+    realization, from one `column_sums` pass bound on the first call."""
 
-    The J's are one sl2_kernel call on q and p zeroed off the window, over
-    the realization masked to it (so guards name global coordinates); the
-    gradient is the chain rule dC/dq = 2 J+ q + J- dJ+/dq - 2 J3 p,
-    dC/dp = 2 J- p - 2 J3 q."""
-    w = _masked(realization.b, slice(lo, hi))
+    def __init__(self, realization: SL2Realization, windows):
+        self.realization, self.windows = realization, tuple(windows)
 
-    def generators(q, p):
-        qw, pw = np.zeros_like(q), np.zeros_like(p)
-        qw[..., lo:hi], pw[..., lo:hi] = q[..., lo:hi], p[..., lo:hi]
-        jm, jp, j3, _ = sl2_kernel(w, qw, pw)
-        return qw, pw, jm, jp, j3
+    @cached_property
+    def _kernel(self):
+        """(the pass, inside[K, N], the barrier sites read, their b_i and
+        inside at them)."""
+        n = self.realization.n
+        inside = np.array([[lo <= i < hi for i in range(n)] for lo, hi in self.windows])
+        sites = [i for i in self.realization.sites if inside[:, i].any()]
+        sums = column_sums(n, self.realization.barriers, self.windows, ("jm", "jp", "j3"))
+        return sums, inside, sites, self.realization.b[sites], inside[:, sites]
 
-    def value(q, p):
-        _, _, jm, jp, j3 = generators(q, p)
+    def value(self, q, p):
+        """C of the one window, at a point (N,) or over a stack (..., N)."""
+        ((jm, jp, j3),), _ = self._kernel[0](q, p)
         return jm * jp - j3 * j3
 
-    def gradient(q, p):
-        qw, pw, jm, jp, j3 = generators(q, p)
-        jm, jp, j3 = jm[..., None], jp[..., None], j3[..., None]
-        dq = (2.0 * jp) * qw - (2.0 * j3) * pw
-        dp = (2.0 * jm) * pw - (2.0 * j3) * qw
-        if w.b_active is not None:
-            qa = w.at_barriers(qw)
-            # J- dJ+/dq_i with dJ+/dq_i = -2 b_i / q_i^3, cubed by products
-            dq[..., w.sites] -= (2.0 * jm) * w.b_active / (qa * qa * qa)
-        return dq, dp
+    def gradient(self, q, p):
+        """(dC/dq, dC/dp) of the one window, each shaped like q."""
+        dq, dp = self.gradients(q, p)
+        return dq[..., 0, :], dp[..., 0, :]
 
-    return ConservedQuantity(name, realization.n, value, gradient)
+    def gradients(self, q, p):
+        """(dC/dq, dC/dp) of every window, each (..., K, N), by the chain
+        rule dC/dq = 2 J+ q - 2 J3 p + J- dJ+/dq and dC/dp = 2 J- p - 2 J3 q
+        on the window's sites, with dJ+/dq_i = -2 b_i / q_i**3 on its barrier
+        sites; off the window the same products, of q = p = 0."""
+        sums, inside, sites, b, barred = self._kernel
+        # the windows' (J-, J+, J3) rows, (K, 3, ...), as three (..., K, 1) arrays
+        jm2, jp2, j32 = 2.0 * np.moveaxis(np.array(sums(q, p)[0]), 0, -1)[..., None]
+        qk, pk = q[..., None, :], p[..., None, :]
+        dq = jp2 * qk - j32 * pk
+        dp = jm2 * pk - j32 * qk
+        if sites:
+            qa = qk[..., sites]
+            at = dq[..., sites]
+            dq[..., sites] = np.where(barred, at - jm2 * b / (qa * qa * qa), at)
+        return (np.where(inside, dq, jp2 * 0.0 - j32 * 0.0),
+                np.where(inside, dp, jm2 * 0.0 - j32 * 0.0))
 
 
 def left_integral(realization: SL2Realization, m: int) -> ConservedQuantity:
@@ -96,7 +107,8 @@ def left_integral(realization: SL2Realization, m: int) -> ConservedQuantity:
     n = realization.n
     if not 2 <= m <= n:
         raise RangeError(f"left integral needs 2 <= m <= {n}, got {m}")
-    return _window_quantity(realization, 0, m, f"C^{m}")
+    w = _Windows(realization, [(0, m)])
+    return ConservedQuantity(f"C^{m}", n, w.value, w.gradient)
 
 
 def right_integral(realization: SL2Realization, m: int) -> ConservedQuantity:
@@ -104,7 +116,16 @@ def right_integral(realization: SL2Realization, m: int) -> ConservedQuantity:
     n = realization.n
     if not 2 <= m <= n:
         raise RangeError(f"right integral needs 2 <= m <= {n}, got {m}")
-    return _window_quantity(realization, n - m, n, f"C_{m}")
+    w = _Windows(realization, [(n - m, n)])
+    return ConservedQuantity(f"C_{m}", n, w.value, w.gradient)
+
+
+def _is_window(f: ConservedQuantity, realization: SL2Realization, window) -> bool:
+    """Whether f's gradient is the window's own, as `left_integral` or
+    `right_integral` made it."""
+    kernel = getattr(f.gradient_fn, "__self__", None)
+    return (isinstance(kernel, _Windows) and kernel.realization is realization
+            and kernel.windows == (window,))
 
 
 @dataclass(frozen=True)
@@ -112,14 +133,17 @@ class IntegralSet:
     """The 2N-3 distinct universal integrals of one realization.
 
     `left` holds C^(2)..C^(N); `right` holds C_(2)..C_(N-1) (C_(N) is the
-    same function as C^(N) and is stored once, in `left`).  Every member's
-    `gradient_fn` also takes a stacked sample, q and p of shape (M, N), and
-    returns (M, N) gradients; certification calls it once per sample.
+    same function as C^(N) and is stored once, in `left`).  `gradients`
+    gives every member's gradient over a stacked sample in one call: one
+    column pass when every member is this realization's own window, as
+    `universal_set` makes them, and each member's gradient_fn when one is
+    not (a window of another realization, or a wrapped or altered function).
     """
 
     left: tuple[ConservedQuantity, ...]
     right: tuple[ConservedQuantity, ...]
     realization: SL2Realization
+    _pass: Optional[_Windows] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         n = self.realization.n
@@ -128,6 +152,9 @@ class IntegralSet:
                 f"expected {n - 1} left and {n - 2} right integrals, "
                 f"got {len(self.left)} and {len(self.right)}"
             )
+        windows = [(0, m) for m in range(2, n + 1)] + [(n - m, n) for m in range(2, n)]
+        own = all(_is_window(f, self.realization, w) for f, w in zip(self.all, windows))
+        object.__setattr__(self, "_pass", _Windows(self.realization, windows) if own else None)
 
     @property
     def all(self) -> tuple[ConservedQuantity, ...]:
@@ -136,6 +163,15 @@ class IntegralSet:
     @property
     def count(self) -> int:
         return len(self.left) + len(self.right)
+
+    def gradients(self, q, p):
+        """(dC/dq, dC/dp) of every member of `all`, each (..., K, N), for q
+        and p of shape (..., N)."""
+        if self._pass is not None:
+            return self._pass.gradients(q, p)
+        rows = [f.gradient_fn(q, p) for f in self.all]
+        return (np.stack([dq for dq, _ in rows], axis=-2),
+                np.stack([dp for _, dp in rows], axis=-2))
 
 
 def universal_set(realization: SL2Realization) -> IntegralSet:
@@ -181,27 +217,31 @@ def sw_extra_integral(
     _check_axis(axis, n)
     m, w2, bti, kp = float(mass), float(omega) ** 2, float(bt[axis]), float(kappa)
     i = axis
-    own = _masked(bt, i)
+    # q.p (and q.q on the Poincare chart) and, with a barrier, q_i * q_i
+    sums = column_sums(n, [(i, bti)] if bti != 0.0 else [], [(0, n)],
+                       ("jm", "j3") if space == POINCARE else ("j3",))
 
     if space == POINCARE:
 
         def value(q, p):
+            ((qq, dd),), squares = sums(q, p)
             qi = q[..., i]
-            a = 1.0 - kp * dot(q, q)
-            u = p[..., i] * a + 2.0 * kp * dot(q, p) * qi
+            a = 1.0 - kp * qq
+            u = p[..., i] * a + 2.0 * kp * dd * qi
             val = u * u + 8.0 * m * w2 * (qi * qi) / (a * a)
-            if bti != 0.0:
-                val += m * bti * (a * a) / barrier_squares(own, q)[..., 0]
+            if squares:
+                val += m * bti * (a * a) / squares[0]
             return val
 
     else:  # flat space is the kp = 0 case of the Beltrami value, bit for bit
 
         def value(q, p):
+            ((dd,),), squares = sums(q, p)
             qi = q[..., i]
-            u = p[..., i] + kp * dot(q, p) * qi
+            u = p[..., i] + kp * dd * qi
             val = u * u + 2.0 * m * w2 * (qi * qi)
-            if bti != 0.0:
-                val += m * bti / barrier_squares(own, q)[..., 0]
+            if squares:
+                val += m * bti / squares[0]
             return val
 
     return ConservedQuantity(_extra_name("I", axis, space), n, value,
@@ -212,18 +252,12 @@ def sw_extra_integral(
 # Coulomb extras (Laplace-Runge-Lenz type, valid only where bt_i = 0)
 # ---------------------------------------------------------------------------
 
-def _radius(q: np.ndarray):
-    r = np.sqrt(dot(q, q))
+def _radius(qq):
+    """|q| from q.q, away from the attractive center."""
+    r = np.sqrt(qq)
     if np.minimum.reduce(r.real, axis=None) < 1e-10:
         raise DomainError("phase point at the origin of the attractive center")
     return r
-
-
-def _barrier_sum(bars: SL2Realization, q):
-    """sum_{l != axis} bt_l / q_l^2 over the barriers bars of the other axes."""
-    if bars.b_active is None:
-        return 0.0
-    return np.add.reduce(bars.b_active / barrier_squares(bars, q), axis=-1)
 
 
 def kc_extra_integral(
@@ -242,14 +276,15 @@ def kc_extra_integral(
         )
     m, kc, kp = float(mass), float(k), float(kappa)
     i = axis
-    bars = _masked(bt, np.arange(n) != i)
+    # q.q, q.p, p.p and sum_{l != i} bt_l / q_l^2, each left to right
+    sums = column_sums(n, [(l, b) for l, b in enumerate(bt.tolist()) if b != 0.0], [(0, n)],
+                       ("jm", "j3", "pp", "bs"))
 
     if space == POINCARE:
 
         def value(q, p):
-            r = _radius(q)
-            tsum = _barrier_sum(bars, q)
-            dd, qq, pp = dot(q, p), dot(q, q), dot(p, p)
+            ((qq, dd, pp, tsum),), _ = sums(q, p)
+            r = _radius(qq)
             qi, pi = q[..., i], p[..., i]
             a = 1.0 - kp * qq
             s = a * (dd * pi - qi * pp) + 2.0 * kp * dd * (qq * pi - qi * dd)
@@ -258,9 +293,8 @@ def kc_extra_integral(
     else:  # flat space is the kp = 0 case of the Beltrami value, bit for bit
 
         def value(q, p):
-            r = _radius(q)
-            tsum = _barrier_sum(bars, q)
-            dd, qq, pp, qi = dot(q, p), dot(q, q), dot(p, p), q[..., i]
+            ((qq, dd, pp, tsum),), _ = sums(q, p)
+            r, qi = _radius(qq), q[..., i]
             s = dd * p[..., i] * (1.0 + kp * qq) - qi * (pp + kp * dd * dd)
             return s + kc * m * qi / r - m * qi * tsum
 

@@ -32,9 +32,8 @@ from superint import (
 from superint import brackets
 from superint.brackets import CHART_FILL, P_HIGH, Q_HIGH, Q_LOW, SIGNS, PairResidual
 from superint.catalog import FAMILIES
-from superint.core import sl2_kernel
+from superint.core import HamiltonianSpec
 from superint.geometry import squared_chart_radius
-from superint.integrals import _window_quantity
 from conftest import STACK_PROFILES, central_gradient, phase_points, split
 
 
@@ -76,14 +75,9 @@ def test_antisymmetry_is_exact(rng):
 
 def test_generator_scaling_bracket(rng):
     realization = SL2Realization([0.4, -0.2, 0.7])
-
-    def jp_gradient(q, p):
-        return sl2_kernel(realization, q, p, gradient=True)[3], 2.0 * p
-
-    jp = ConservedQuantity("J+", 3, lambda q, p: sl2_kernel(realization, q, p)[1],
-                           jp_gradient)
-    j3 = ConservedQuantity("J3", 3, lambda q, p: sl2_kernel(realization, q, p)[2],
-                           lambda q, p: (p, q))
+    # J+ and J3 as the Hamiltonians h = xi+ and h = xi3
+    jp = energy_quantity(HamiltonianSpec("J+", realization, lambda jm, jp, j3: jp), "J+")
+    j3 = energy_quantity(HamiltonianSpec("J3", realization, lambda jm, jp, j3: j3), "J3")
     for x in phase_points(sample_regular_points(20, 3, rng)):
         assert abs(poisson_bracket(j3, jp, x) - 2.0 * jp.value(x)) < 1e-9
 
@@ -137,7 +131,8 @@ def test_involution_table_catches_corruption(rng):
     flipped[0] = -flipped[0]
     bad_b = spec.realization.b.copy()
     bad_b[0] = -bad_b[0]
-    corrupted = _window_quantity(SL2Realization(bad_b), 0, 2, "C^2")
+    # a window of another realization: the set evaluates its members one by one
+    corrupted = left_integral(SL2Realization(bad_b), 2)
     bad_set = type(uni)((corrupted,) + uni.left[1:], uni.right, spec.realization)
     table = involution_table(spec, bad_set, 20, rng=rng)
     assert not table.passed

@@ -483,6 +483,39 @@ def test_stacked_hamiltonian_gradient_is_bitwise_the_per_point_one(family):
                         spec.gradient_qp(bad.reshape(2, m // 2, 4), ps.reshape(2, m // 2, 4))
 
 
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_stacked_window_gradients_are_bitwise_the_per_point_ones(family):
+    """The universal set's one column pass over a (M, N) or (2, M/2, N)
+    stack gives, bit for bit, every member's own gradient_fn at each point,
+    on each space and sign of kappa, with zero and with nonzero barriers and
+    signed zeros in p; a stacked point on a barrier plane is named."""
+    info = FAMILIES[family]
+    rng = np.random.default_rng(19)
+    m = 24
+    for space in info.spaces:
+        for kappa in (0.0,) if space == "euclidean" else (0.4, -0.4):
+            for bt in ([0.0] * 4, [0.3, 0.0, 0.2, 0.5]):
+                params = {"kappa": kappa, **{key: 0.9 for key in info.params}}
+                spec = build(SystemDescriptor(family, space, params, bt,
+                                              STACK_PROFILES.get(family, {})))
+                uni = universal_set(spec.realization)
+                qs, ps = split(sample_regular_points(m, 4, rng, kappa=kappa, space=space))
+                ps[:4] = np.where(rng.random((4, 4)) < 0.5, -0.0, 0.0)
+                dq, dp = uni.gradients(qs, ps)
+                for k, f in enumerate(uni.all):
+                    per_point = [f.gradient_fn(q, p) for q, p in zip(qs, ps)]
+                    assert _same_bits(dq[:, k], np.array([g[0] for g in per_point])), f.name
+                    assert _same_bits(dp[:, k], np.array([g[1] for g in per_point])), f.name
+                dq2, dp2 = uni.gradients(qs.reshape(2, m // 2, 4), ps.reshape(2, m // 2, 4))
+                assert _same_bits(dq2, dq.reshape(2, m // 2, -1, 4))
+                assert _same_bits(dp2, dp.reshape(2, m // 2, -1, 4))
+                if any(bt):
+                    bad = qs.copy()
+                    bad[17, 3] = 0.0
+                    with pytest.raises(DomainError, match=r"^point 17: q_4 = 0\.0 lies on"):
+                        uni.gradients(bad, ps)
+
+
 @pytest.mark.parametrize("n", [1, 3])
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_gradient_of_one_point_as_lists_is_lists_of_floats(family, n):

@@ -20,30 +20,32 @@ from superint import (
     poisson_bracket,
     sample_regular_points,
 )
-from superint.core import dot, sl2_kernel
+from superint import core
+from superint.core import compile_kernel
+from superint.tape import derive, overflowed
 from conftest import central_gradient, left_to_right, phase_points, split
 
 RNG = np.random.default_rng(2024)
 
 
+def generator_specs(realization):
+    """J-, J+ and J3 as the Hamiltonians h = xi-, xi+, xi3: their values
+    and gradients come from the one text of the sl(2) sums."""
+    return [HamiltonianSpec(name, realization, h) for name, h in (
+        ("J-", lambda jm, jp, j3: jm), ("J+", lambda jm, jp, j3: jp),
+        ("J3", lambda jm, jp, j3: j3))]
+
+
 def sl2_values(realization, q, p):
-    """(J-, J+, J3) from sl2_kernel, and their (d/dq, d/dp) gradient pairs:
-    the plain ones written out, dJ+/dq from the kernel."""
-    jm, jp, j3, djp_dq = sl2_kernel(realization, q, p, gradient=True)
-    zeros = np.zeros(q.size)
-    return (jm, jp, j3), ((2.0 * q, zeros), (djp_dq + zeros, 2.0 * p), (p, q))
+    """(J-, J+, J3) at one point and their (d/dq, d/dp) gradient pairs."""
+    specs = generator_specs(realization)
+    return (tuple(spec.value_qp(q, p) for spec in specs),
+            tuple(spec.gradient_qp(q, p) for spec in specs))
 
 
 def j_quantity(realization, index, name):
     """Wrap one generator (0: J-, 1: J+, 2: J3) as a ConservedQuantity."""
-
-    def value(q, p):
-        return sl2_values(realization, q, p)[0][index]
-
-    def gradient(q, p):
-        return sl2_values(realization, q, p)[1][index]
-
-    return ConservedQuantity(name, realization.n, value, gradient)
+    return energy_quantity(generator_specs(realization)[index], name)
 
 
 def casimir_quantity(realization):
@@ -72,14 +74,15 @@ def test_phase_point_validation():
 
 
 def test_sl2_direct_sums():
-    jm, jp, j3, djp_dq = sl2_kernel(SL2Realization([0.0, 0.0]), np.array([1.0, 2.0]),
-                                    np.array([3.0, 4.0]), gradient=True)
-    assert (jm, jp, j3, djp_dq) == (5.0, 25.0, 11.0, 0.0)
+    (jm, jp, j3), grads = sl2_values(SL2Realization([0.0, 0.0]), np.array([1.0, 2.0]),
+                                     np.array([3.0, 4.0]))
+    assert (jm, jp, j3) == (5.0, 25.0, 11.0)
+    assert grads[1][0].tolist() == [0.0, 0.0]  # dJ+/dq without barriers
 
 
 def test_sl2_barrier_term():
     q, p, b = [1.0, 2.0], [3.0, 4.0], [1.0, 1.0]
-    _, jp, _, _ = sl2_kernel(SL2Realization(b), np.array(q), np.array(p))
+    (_, jp, _), _ = sl2_values(SL2Realization(b), np.array(q), np.array(p))
     assert jp == pytest.approx(26.25, abs=0.0)
     # independent summation
     expected = sum(pi ** 2 + bi / qi ** 2 for qi, pi, bi in zip(q, p, b))
@@ -91,7 +94,7 @@ def test_casimir_labels_one_site():
         q1 = RNG.uniform(0.2, 2.0) * RNG.choice([-1.0, 1.0])
         p1 = RNG.uniform(-2.0, 2.0)
         b1 = RNG.uniform(-1.5, 1.5)
-        jm, jp, j3, _ = sl2_kernel(SL2Realization([b1]), np.array([q1]), np.array([p1]))
+        (jm, jp, j3), _ = sl2_values(SL2Realization([b1]), np.array([q1]), np.array([p1]))
         casimir = jm * jp - j3 ** 2
         assert casimir == pytest.approx(b1, rel=1e-12, abs=1e-12)
 
@@ -111,22 +114,23 @@ def test_sl2_gradients_match_differences():
 
 def test_sl2_explicit_gradients():
     q, p, b = np.array([0.5, -1.2]), np.array([0.3, 0.9]), np.array([0.8, 0.0])
-    *_, djp_dq = sl2_kernel(SL2Realization(b), q, p, gradient=True)
+    _, (_, (djp_dq, djp_dp), _) = sl2_values(SL2Realization(b), q, p)
     assert np.array_equal(djp_dq, np.array([-2.0 * 0.8 / 0.5 ** 3, 0.0]))
-    *_, no_gradient = sl2_kernel(SL2Realization(b), q, p)
-    assert no_gradient == 0.0
+    assert np.array_equal(djp_dp, 2.0 * p)
 
 
 def test_domain_and_dimension_errors():
     realization = SL2Realization([1.0, 0.0])
     with pytest.raises(DomainError):
         realization.check_point(PhasePoint([0.0, 1.0], [0.0, 0.0]))
-    with pytest.raises(DomainError):
-        sl2_kernel(realization, np.array([0.0, 1.0]), np.zeros(2))
+    for spec in generator_specs(realization):
+        for call in (spec.value_qp, spec.gradient_qp):
+            with pytest.raises(DomainError):
+                call(np.array([0.0, 1.0]), np.zeros(2))
     # a vanishing coordinate is fine when its coefficient is zero
     x = PhasePoint([1.0, 0.0], [0.0, 0.0])
     realization.check_point(x)
-    assert sl2_kernel(realization, x.q, x.p)[1] == pytest.approx(1.0)
+    assert sl2_values(realization, x.q, x.p)[0][1] == pytest.approx(1.0)
     with pytest.raises(DimensionMismatch):
         realization.check_point(PhasePoint([1.0, 1.0, 1.0], [0.0, 0.0, 0.0]))
 
@@ -137,7 +141,7 @@ def test_generator_bracket_closure():
     jp = j_quantity(realization, 1, "J+")
     j3 = j_quantity(realization, 2, "J3")
     for x in phase_points(sample_regular_points(20, 4, RNG)):
-        j_minus, j_plus, j_3, _ = sl2_kernel(realization, x.q, x.p)
+        (j_minus, j_plus, j_3), _ = sl2_values(realization, x.q, x.p)
         assert abs(poisson_bracket(j3, jp, x) - 2.0 * j_plus) < 1e-9
         assert abs(poisson_bracket(j3, jm, x) + 2.0 * j_minus) < 1e-9
         assert abs(poisson_bracket(jm, jp, x) - 4.0 * j_3) < 1e-9
@@ -229,10 +233,19 @@ def reference_gradient_qp(spec, q, p):
         djp_dq[active] = -2.0 * b[active] / (qa * qa * qa)
     gq = (2.0 * q, djp_dq, p.copy())
     gp = (np.zeros(n), 2.0 * p, q.copy())
-    hm, hp, h3 = spec.h_partials(jm, jp, j3)
+    hm, hp, h3 = taped_partials(spec)(jm, jp, j3)
     dq = hm * gq[0] + hp * gq[1] + h3 * gq[2]
     dp = hm * gp[0] + hp * gp[1] + h3 * gp[2]
     return dq, dp
+
+
+def taped_partials(spec):
+    """h's partials at one point of Python floats: the taped lines compiled
+    on their own, with h's constants bound by name."""
+    d = derive(spec.h)
+    return compile_kernel(["def partials(jm, jp, j3):", *(f"    {line}" for line in d.lines),
+                           "    return hm, hp, h3"], "partials", "taped partials",
+                          overflowed=overflowed, **dict(zip(d.names, d.values)))
 
 
 def assert_same_bits(a, b):
@@ -411,48 +424,67 @@ def test_gradient_kernel_is_the_reference_bitwise(n, barriers):
 
 
 def test_gradient_kernels_compile_once_per_shape(monkeypatch):
-    # h is taped on a spec's first gradient call, never while building it,
-    # and a one-point kernel is compiled on the first one-point call of a
-    # shape (N and the barrier sites) and partials' text, never while
-    # building or certifying: two specs of one family, space and shape, with
-    # other parameters and barrier values, share its code and each gets its
-    # own bits
-    from superint import SystemDescriptor, build, certify
-    from superint import core
+    # building compiles and tapes nothing; h is taped on a spec's first
+    # gradient call, and each shape (N and the barrier sites) compiles at
+    # most one gradient kernel per partials' text and one column kernel per
+    # windows and sums: specs and window sets of one family, space and
+    # shape, with other parameters and barrier values, share that code and
+    # each gets its own bits
+    from superint import SystemDescriptor, build, certify, universal_set
 
-    taped = []
-    derive = core.derive
-    monkeypatch.setattr(core, "derive", lambda h: taped.append(h) or derive(h))
-    compiled, partials = core._one_point_gradient, core._partials_function
-    compiled.cache_clear()
-    partials.cache_clear()
+    taped, columns = [], []
+    derive_h, sums_kernel = core.derive, core._sums_kernel
+    monkeypatch.setattr(core, "derive", lambda h: taped.append(h) or derive_h(h))
+
+    def recording(*key):
+        misses = sums_kernel.cache_info().misses
+        make = sums_kernel(*key)
+        if sums_kernel.cache_info().misses > misses:
+            columns.append(key)
+        return make
+
+    monkeypatch.setattr(core, "_sums_kernel", recording)
+    gradient = core._one_point_gradient
+    gradient.cache_clear()
+    sums_kernel.cache_clear()
     bt_a, bt_b = [0.3, 0.0, 0.2, 0.0, 0.0], [0.5, 0.0, 0.1, 0.0, 0.0]
     spec_a = make_sw("poincare", mass=1.0, omega=1.1, b_tilde=bt_a, kappa=0.4)
     spec_b = make_sw("poincare", mass=1.3, omega=0.8, b_tilde=bt_b, kappa=-0.6)
-    desc = SystemDescriptor("sw", "beltrami", {"mass": 1.0, "omega": 1.0, "kappa": -0.3}, bt_b)
+    params = {"mass": 1.0, "omega": 1.0, "kappa": -0.3}
+    desc = SystemDescriptor("sw", "beltrami", params, bt_b)
     build(desc)
-    assert taped == []
-    certify(desc, extra_axes=[1], rng=1)  # H's stacked gradient tapes it
-    assert len(taped) == 1 and partials.cache_info().misses == 1
-    assert compiled.cache_info().misses == 0
+    universal_set(spec_a.realization)
+    assert taped == [] and columns == [] and gradient.cache_info().misses == 0
+    certify(desc, extra_axes=[1], rng=1)  # H's gradient rows tape h
+    assert len(taped) == 1 and gradient.cache_info().misses == 1
+    windows = [key for key in columns if len(key[3]) > 1]
+    assert len(windows) == 1 and windows[0][3] == ((0, 2), (0, 3), (0, 4), (0, 5), (3, 5),
+                                                   (2, 5), (1, 5))
+    assert len(columns) == 2  # the window set's pass and I_2's sums
+    certify(SystemDescriptor("sw", "beltrami", {**params, "mass": 1.4}, bt_a),
+            extra_axes=[1], rng=2)
+    assert len(columns) == 2 and gradient.cache_info().misses == 1
     q, p = np.array([0.3, -0.2, 0.25, 0.1, -0.15]), np.array([0.1, -0.0, 0.2, 0.0, -0.3])
     for spec in (spec_a, spec_b, spec_a):
         dq, dp = spec.gradient_qp(q.tolist(), p.tolist())
         rq, rp = reference_gradient_qp(spec, q, p)
         assert_same_bits(np.array(dq), rq)
         assert_same_bits(np.array(dp), rp)
-    assert len(taped) == 3  # once per spec
-    assert compiled.cache_info().misses == 1 and partials.cache_info().misses == 2
+    assert len(taped) == 4  # once per spec: the two certified, spec_a and spec_b
+    assert gradient.cache_info().misses == 2  # the Poincare partials' text
     make_garnier("poincare", mass=1.0, omega=1.0, delta=0.1, b_tilde=bt_a,
                  kappa=0.4).gradient_qp(q, p)
-    assert compiled.cache_info().misses == 2
+    assert gradient.cache_info().misses == 3
+    for spec in (spec_a, spec_b):
+        spec.value_qp(q, p)
+    assert len(columns) == 3  # one H value kernel of the shape
 
 
 def test_realization_caches_its_barrier_mask():
     realization = SL2Realization([0.5, 0.0, -0.2])
-    assert realization.sites.tolist() == [0, 2]
-    assert realization.b_active.tolist() == [0.5, -0.2]
-    assert SL2Realization([0.0, 0.0]).b_active is None
+    assert realization.sites == (0, 2)
+    assert realization.barriers == ((0, 0.5, -1.0), (2, -0.2, 0.4))
+    assert SL2Realization([0.0, 0.0]).sites == ()
     with pytest.raises(ValueError):
         realization.b[1] = 1.0  # read-only, so the mask cannot go stale
     # the cheap near-axis test still hands over to the exact guard message
@@ -490,53 +522,77 @@ def test_guarded_plane_raises_before_any_division(q3):
         assert str(err.value) == f"point 1: {message}"
 
 
-@pytest.mark.parametrize("sites", [1, 2, 3, 4, 14])
-def test_left_sum_is_left_to_right_on_both_sides_of_the_column_crossover(sites):
-    # short, wide stacks take np.add.accumulate and tall, narrow ones the
-    # column sums; both are the left-to-right sum of every row, real or
-    # complex, with one-term -0.0 sums, signed zeros and NaN rows
-    from superint.core import _COLUMN_SUM_ROWS_PER_SITE, _left_sum
+def _columns_case(rng, n, m, barrier_sites):
+    """An (m, n) q and p: magnitudes over 16 decades (at least 1e-6 on the
+    barrier sites), signed zeros in q off the barrier sites and in p, a NaN
+    in q off them, and a last row with q > 0 and p = -0.0, whose J3 terms
+    are all -0.0."""
+    q = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-8, 9, (m, n))
+    p = rng.standard_normal((m, n)) * 10.0 ** rng.integers(-8, 9, (m, n))
+    mark = rng.random((2, m, n))
+    off = np.ones(n, bool)
+    off[list(barrier_sites)] = False
+    q[:, ~off] = np.copysign(np.maximum(np.abs(q[:, ~off]), 1e-6), q[:, ~off])
+    q[(mark[0] < 0.1) & off] = -0.0
+    q[(mark[0] > 0.9) & off] = 0.0
+    p[mark[1] < 0.1] = -0.0
+    p[mark[1] > 0.9] = 0.0
+    if off.any() and m > 1:
+        q[0, np.flatnonzero(off)[0]] = np.nan
+    q[-1], p[-1] = np.abs(q[-1]) + 0.5, -0.0
+    return q, p
 
-    rng = np.random.default_rng(sites)
-    crossover = _COLUMN_SUM_ROWS_PER_SITE * sites
-    for shape in ((sites,), (crossover - 1, sites), (crossover, sites),
-                  (2, crossover, sites), (3, 2, sites)):
-        terms = rng.standard_normal(shape) * 10.0 ** rng.integers(-8, 9, shape)
-        mark = rng.random(shape)
-        terms[mark < 0.2] = -0.0
-        terms[mark > 0.85] = 0.0
-        rows = terms.reshape(-1, sites)
-        rows[-1] = -0.0
-        rows[0, -1] = np.nan
-        for stack in (terms, terms + 1j * terms[..., ::-1]):
-            got = _left_sum(stack)
-            want = np.array([left_to_right(row) for row in stack.reshape(-1, sites)])
-            assert got.shape == shape[:-1]
-            for part in (np.real, np.imag):
-                assert np.array_equal(part(got).ravel(), part(want), equal_nan=True)
-                assert np.array_equal(np.signbit(part(got)).ravel(), np.signbit(part(want)))
+
+def _grid(rows, m):
+    """A kernel's window sums as one (windows, sums, m) array; a barrier sum
+    without terms is the scalar 0.0."""
+    return np.array([[np.broadcast_to(x, (m,)) for x in row] for row in rows])
+
+
+def assert_same_parts(x, y):
+    """x and y equal, NaNs included, with equal sign bits off the NaNs (a
+    NaN's sign may come from either operand in numpy's vector loops), in
+    both parts of complex numbers."""
+    for part in (np.real, np.imag):
+        a, b = part(x), part(y)
+        assert np.array_equal(a, b, equal_nan=True)
+        known = b == b
+        assert np.array_equal(np.signbit(a)[known], np.signbit(b)[known])
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 6, 14, 50])
-def test_dot_is_a_left_to_right_sum_bitwise(n):
-    # x_0 y_0 + x_1 y_1 + ... from the first term, real or complex, at one
-    # point and over a stack, signed zeros included
+@pytest.mark.parametrize("barriers", ["no", "some", "all"])
+def test_column_mode_is_float_mode_bitwise(n, barriers):
+    # the one text of the sl(2) sums over numpy columns gives, row by row,
+    # the bits of the same lines on Python floats: every sum of every
+    # window (all left and right ones, one-term ones included) at M = 1, 20,
+    # 701 and 1024 rows, with signed zeros, NaNs and one-term -0.0 sums.
+    # On complex columns each row is the same kernel on that row alone
+    # (numpy's vector loops may fuse a complex product, Python's does not),
+    # and a complex step in q_j gives d(J-)/dq_j, as nothing is conjugated.
+    b = _barrier_patterns(n)[barriers]
+    sites = tuple(i for i in range(n) if b[i])
+    windows = tuple([(0, hi) for hi in range(1, n + 1)] + [(lo, n) for lo in range(1, n)])
+    bound = [b[i] for i in sites]
+    column, point = (core._sums_kernel(mode, n, sites, windows, ("jm", "j3", "pp", "bs", "jp"))
+                     (*bound) for mode in (True, False))
     rng = np.random.default_rng(n)
-    for _ in range(200):
-        x, y = (rng.standard_normal(n) * 10.0 ** rng.integers(-8, 9, n) for _ in range(2))
-        x[rng.random(n) < 0.2] = 0.0
-        y[rng.random(n) < 0.2] = -0.0
-        for a, b in ((x, y), (x + 1j * y[::-1], y - 1j * x[::-1])):
-            got, want = dot(a, b), left_to_right(a * b)
-            stacked = dot(np.array([a, b, a]), np.array([b, a, a]))[0]
-            for part in (np.real, np.imag):
-                for value in (got, stacked):
-                    assert np.array_equal(part(value), part(want))
-                    assert np.signbit(part(value)) == np.signbit(part(want))
-    assert np.signbit(dot(np.array([1.0]), np.array([-0.0])))  # no + 0.0 start
-    # and it does not conjugate: a complex step in x_j returns d(x.x)/dx_j
-    x = rng.standard_normal(n)
+    for m in (1, 20, 701, 1024):
+        q, p = _columns_case(rng, n, m, sites)
+        rows, squares = column(q, p)
+        got = _grid(rows, m)
+        for r in range(m):
+            want, want_squares = point(q[r].tolist(), p[r].tolist())
+            assert_same_parts(got[..., r], np.array(want, dtype=float))
+            assert tuple(s[r] for s in squares) == want_squares
+        assert np.signbit(got[:, 1, -1]).all()  # J3 of -0.0 terms, one-term ones too
+        z, w = q + 1j * np.flip(p, -1), p - 1j * q
+        got = _grid(column(z, w)[0], m)
+        for r in range(0, m, max(1, m // 8)):
+            assert_same_parts(got[..., r], _grid(column(z[r:r + 1], w[r:r + 1])[0], 1)[..., 0])
+    x = rng.uniform(0.2, 1.5, n)
     for j in range(n):
         step = np.zeros(n, complex)
         step[j] = 1e-100j
-        assert dot(x + step, x + step).imag / 1e-100 == pytest.approx(2.0 * x[j], rel=1e-15)
+        jm = column(x + step, x)[0][n - 1][0]  # J- of the window of all sites
+        assert jm.imag / 1e-100 == pytest.approx(2.0 * x[j], rel=1e-15)

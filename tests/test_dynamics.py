@@ -196,6 +196,34 @@ def test_first_stage_failure_halts_with_the_one_state_run(method):
             assert np.array_equal(got, x0.p)
 
 
+@pytest.mark.parametrize("method", ["gl2", "rk4"])
+def test_division_by_zero_in_the_partials_halts_as_a_singular_approach(method):
+    # the taped partials of 1 / J- divide by zero at J- = 0 on Python
+    # floats; the run halts on that as on a DomainError, with the one-state
+    # run, instead of letting the ZeroDivisionError escape
+    spec = make_evans("euclidean", lambda s: 1.0 / s, mass=1.0, b_tilde=[0.0, 0.0])
+    x0 = PhasePoint([0.0, 0.0], [0.1, 0.2])
+    with pytest.raises(SingularApproach, match=r"^singular evaluation during step to "
+                                               r"t = 0\.001: float division by zero$") as info:
+        integrate(spec, x0, 0.01, IntegratorConfig(method=method))
+    assert info.value.time == 0.0 and info.value.trajectory.n_states == 1
+    assert np.array_equal(info.value.state.q, x0.q) and np.array_equal(info.value.state.p, x0.p)
+
+
+def test_stage_breakdown_within_the_approach_horizon_is_a_singular_approach():
+    # a stage iteration that does not converge is a singular approach when
+    # the last state's clearance of a guard (here the origin's, sqrt(J-) of
+    # the J- the run kernel summed) is below APPROACH_HORIZON, and a
+    # NonConvergence farther out
+    spec = make_kepler_coulomb("euclidean", mass=1.0, k=1.0, b_tilde=[0.0, 0.0])
+    cfg = IntegratorConfig(step=0.3)
+    with np.errstate(all="ignore"), pytest.raises(
+            SingularApproach, match="^stage iteration broke down near a guarded singularity"):
+        integrate(spec, PhasePoint([0.09, 0.0], [0.0, 0.3]), 1.2, cfg)
+    with np.errstate(all="ignore"), pytest.raises(NonConvergence):
+        integrate(spec, PhasePoint([0.15, 0.0], [0.0, 0.3]), 1.2, cfg)
+
+
 def test_fractional_power_of_a_negative_base_halts_as_a_singular_approach():
     # Python's ** takes a negative base to a non-integer power as a complex
     # number; the taped partials test the base first, one point and stacked,
@@ -307,12 +335,14 @@ def _as_gradient(stage_fn, n):
 def _run(method, n, grad, z0, n_steps, h, tol=1e-13, sites=(), guards=()):
     """The run kernel of `method` on N = n sites with barriers at `sites`,
     from the state z0 (a list) for n_steps steps: its result (steps, halt,
-    evaluations, sweeps) and the trajectory array it wrote."""
+    evaluations, sweeps) and the trajectory array it wrote; the J- it
+    also returns, for a halt's approach test, is left out."""
     from superint.dynamics import _run_kernel
 
     zs = np.zeros((n_steps + 1, 2 * n))
     zs[0] = z0
-    return _run_kernel(method, n, sites)(grad, zs, h, tol, guards), zs
+    *result, _ = _run_kernel(method, n, sites)(grad, zs, h, tol, guards)
+    return tuple(result), zs
 
 
 @pytest.mark.parametrize("site", [0, 1, 2, 3])
