@@ -12,23 +12,17 @@ gradient rows at sampled points: independence is a generic-point property,
 so the certificate takes the maximum rank over the sample.
 
 A sample is one (P, 2N) array whose rows are phase points [q | p], the
-layout of a trajectory's stacked states.  `sample_regular_points` draws it
-point by point into that array, and it passes unchanged from the
-involution table to every certificate; it is split into q and p views
-only where a `value_fn` or `gradient_fn` is called.  Both certificates
-rest on a gradient tensor G[P, K, 2N], the gradient rows of K quantities
-at the P sample points, from one `gradient_fn` call per quantity over the
-whole sample (the universal integrals' from one pass of their set).
-`gradient_tensor` holds H and the universal integrals;
-`certify` adds each extra integral's rows;
-`independence_rank` and `max_bracket_residual` take the tensor of the
-quantities they are given.  The brackets of every asserted pair then come
-from one bracket matrix per point, summed left to right over the
-coordinates, and each rank is one batched SVD.  `certify` draws one
-sample, in its involution table, and takes every number of a verify report
-from the one tensor on it: the table, the rank of H with the universal
-integrals, each extra integral's bracket with H and rank, and the flat
-oscillator's sum identity, from one stacked value call per quantity.
+layout of a trajectory's stacked states.  `sample_regular_points` fills it
+from one generator call; it passes unchanged from the involution table to
+every certificate and is split into q and p views only where a `value_fn`
+or `gradient_fn` is called.  Every certificate rests on a gradient tensor
+G[P, K, 2N], the gradient rows of K quantities at the P sample points,
+from one `gradient_fn` call per quantity over the whole sample (the
+universal integrals' from one pass of their set).  The brackets of the
+asserted pairs come from one bracket matrix per point, summed left to
+right over the coordinates (an extra's with H from H's and the extras'
+rows alone), and each rank is one batched SVD.  `certify` takes every
+number of a verify report from one sample and its tensor.
 """
 
 from __future__ import annotations
@@ -42,15 +36,13 @@ import numpy as np
 from .catalog import SystemDescriptor, build, extra_integral
 from .config import VerificationSettings
 from .core import ConservedQuantity, HamiltonianSpec, energy_quantity
-from .errors import DimensionMismatch, DomainError, SamplingError
+from .errors import DimensionMismatch, DomainError, RangeError, SamplingError
 from .geometry import EUCLIDEAN, squared_chart_radius
 from .integrals import IntegralSet, universal_set
 
 Q_LOW, Q_HIGH = 0.2, 1.5
 P_HIGH = 1.5
 CHART_FILL = 0.8  # fraction of the squared chart radius the sampler may fill
-# SIGNS[gen.integers(0, 2)] draws what gen.choice([-1.0, 1.0]) draws, at half the cost
-SIGNS = np.array([-1.0, 1.0])
 
 
 def poisson_bracket(f: ConservedQuantity, g: ConservedQuantity, x) -> float:
@@ -110,15 +102,17 @@ def sample_regular_points(
     """Random phase points away from coordinate planes and chart boundaries,
     as one (n_points, 2 ndim) array of rows [q | p].
 
-    |q_i| is uniform in [0.2, 1.5] with random sign and p_i uniform in
-    [-1.5, 1.5].  On a bounded chart q is scaled by s <= 1 to fit and p by
+    |q_i| is uniform in [0.2, 1.5) with random sign and p_i uniform in
+    [-1.5, 1.5).  On a bounded chart q is scaled by s <= 1 to fit and p by
     1/s: the chart bounds only q, and the (q_i p_j - q_j p_i)^2 terms of the
     window Casimirs would otherwise shrink like s^2 against the
     scale-free barrier terms, until their gradient rows look dependent.
     s is at most sqrt(CHART_FILL R^2 / (N 1.5^2)), for R^2 the squared
     chart radius, so q.q <= CHART_FILL R^2 up to rounding and every draw
-    lies inside the chart.  Each point is drawn in turn, magnitudes, signs,
-    then p, so a seed fixes the first points of a sample at every size.
+    lies inside the chart.  One Generator.random call fills a (n_points,
+    3 ndim) block: per row ndim magnitudes, ndim signs (u < 1/2 gives -),
+    then p, so a seed fixes the first points of a sample at every size.  A
+    sample too large to store is a RangeError before anything is drawn.
     """
     if n_points < 1:
         raise SamplingError(f"a sample needs at least one point, got {n_points}")
@@ -129,11 +123,15 @@ def sample_regular_points(
     scale = 1.0
     if q2_limit is not None:
         scale = min(1.0, np.sqrt(CHART_FILL * q2_limit / (ndim * Q_HIGH ** 2)))
-    sample = np.empty((n_points, 2 * ndim))
-    for row in sample:
-        mag = gen.uniform(Q_LOW * scale, Q_HIGH * scale, size=ndim)
-        row[:ndim] = mag * SIGNS[gen.integers(0, 2, size=ndim)]
-        row[ndim:] = gen.uniform(-P_HIGH / scale, P_HIGH / scale, size=ndim)
+    try:
+        u, sample = np.empty((n_points, 3 * ndim)), np.empty((n_points, 2 * ndim))
+    except (MemoryError, ValueError):
+        raise RangeError(f"{n_points} points are more sample points than can be stored") from None
+    gen.random(out=u)  # below, low + (high - low) u rounds as Generator.uniform does
+    q_low, q_high = Q_LOW * scale, Q_HIGH * scale
+    np.copysign(q_low + (q_high - q_low) * u[:, :ndim], u[:, ndim:2 * ndim] - 0.5,
+                out=sample[:, :ndim])
+    sample[:, ndim:] = -P_HIGH / scale + 2.0 * P_HIGH / scale * u[:, 2 * ndim:]
     return sample
 
 
@@ -369,8 +367,9 @@ def certify(
     [H, universal integrals]; the requested extras add one row each, from
     one gradient call on the stacked sample.  That one tensor gives the
     rank 2N-2 of H with the universal integrals, and for each extra its
-    bracket with H and the rank 2N-1 with it added.  On the flat oscillator the sample also checks the
-    exact identity sum_i I_i = 2 m H over all N axes.
+    bracket with H, from H's row and its own, and the rank 2N-1 with it
+    added.  On the flat oscillator the sample also checks the exact identity
+    sum_i I_i = 2 m H over all N axes.
     """
     spec = build(descriptor)
     uni = universal_set(spec.realization)
@@ -386,8 +385,8 @@ def certify(
 
     rank = _rank(G, universal_rows, names, settings.rank_tol)
     checks = []
-    raw, normalized = _max_residuals(G, [0] * len(extras),
-                                     list(range(len(names), G.shape[1])))
+    h_extras = G[:, [0, *range(len(names), G.shape[1])]]
+    raw, normalized = _max_residuals(h_extras, [0] * len(extras), range(1, len(extras) + 1))
     for j, extra in enumerate(extras):
         row = len(names) + j
         with_extra = _rank(G, universal_rows + [row], names + [extra.name], settings.rank_tol)

@@ -11,6 +11,7 @@ Sections and keys (see README for the full reference):
     [simulation]    x0 (2N floats), t_final, step, method, monitors,
                     output_stride, closure_tol, fixed_point_tol
 
+Values are read as written: `%` is a literal character, not interpolation.
 Unknown sections or keys are rejected so typos fail loudly.  [system]
 reads only the parameters and profiles its family's `FAMILIES` entry
 names; parameters left out take that entry's defaults.
@@ -107,7 +108,7 @@ def load_config(path) -> ExperimentConfig:
     path = Path(path)
     if not path.is_file():
         raise ConfigError(f"config file not found: {path}")
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#",))
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#",), interpolation=None)
     try:
         parser.read(path)
     except configparser.Error as exc:

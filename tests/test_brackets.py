@@ -10,6 +10,7 @@ from superint import (
     DomainError,
     IntegralSet,
     PhasePoint,
+    RangeError,
     SamplingError,
     SL2Realization,
     SystemDescriptor,
@@ -30,7 +31,7 @@ from superint import (
     universal_set,
 )
 from superint import brackets
-from superint.brackets import CHART_FILL, P_HIGH, Q_HIGH, Q_LOW, SIGNS, PairResidual
+from superint.brackets import CHART_FILL, P_HIGH, Q_HIGH, Q_LOW, PairResidual
 from superint.catalog import FAMILIES
 from superint.core import HamiltonianSpec
 from superint.geometry import squared_chart_radius
@@ -209,6 +210,12 @@ def test_involution_table_exact_and_one_gradient_per_point(n, space, kappa, monk
         for k, f in enumerate((h, *uni.all)):
             for s, x in enumerate(points):
                 assert np.array_equal(G[s, k], np.concatenate(f.gradient(x)))
+        # the extras' brackets with H are the full bracket matrix's entries
+        full = np.concatenate([G, brackets._stacked_tensor(extras, pts)], axis=1)
+        raw, normalized = brackets._max_residuals(full, [0] * len(axes),
+                                                  range(G.shape[1], full.shape[1]))
+        assert [(e.max_raw, e.max_normalized) for e in cert.extras] == \
+            list(zip(raw.tolist(), normalized.tolist()))
 
         expected = [(h, c) for c in uni.all]
         expected += combinations(uni.left, 2)
@@ -298,6 +305,54 @@ def test_certify_keeps_full_rank_at_large_n_on_both_charts(n, space, kappa):
     assert cert.table.passed
 
 
+def _best_kept_ratio(sigmas, rank):
+    """max over the sample points of s[rank-1] / s[0], the margin of the
+    best point above the rank cut."""
+    return max(s[rank - 1] / s[0] for s in sigmas if s[0] > 0.0)
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_certify_sweep_over_spaces_signs_sizes_and_barriers(family):
+    """Seeded certificates across the parameter space: every space and
+    sign(kappa), N in {2, 3, 4, 6, 14}, all-zero and mixed barriers, and the
+    extras on the first and last axis that carry one, at 3 seeds.  Each
+    passes with rank 2N-2 (2N-1 with an extra), and its best point keeps
+    s[r-1]/s[0] at least 10 rank_tol above the cut."""
+    info = FAMILIES[family]
+    settings = VerificationSettings()
+    for seed in (1, 2, 3):
+        gen = np.random.default_rng(seed)
+        for space in info.spaces:
+            for sign in (0.0,) if space == "euclidean" else (1.0, -1.0):
+                for n in (2, 3, 4, 6, 14):
+                    params = {"kappa": sign * gen.uniform(0.3, 0.9),
+                              **{key: gen.uniform(0.6, 1.4) for key in info.params}}
+                    mixed = gen.uniform(0.1, 0.8, n)
+                    mixed[0] = 0.0
+                    for bt in (np.zeros(n), mixed):
+                        desc = SystemDescriptor(family, space, params, bt,
+                                                STACK_PROFILES.get(family, {}))
+                        axes = sorted({desc.ms_axes[0], desc.ms_axes[-1]}) \
+                            if desc.ms_axes else []
+                        cert = certify(desc, settings, extra_axes=axes, rng=seed)
+                        assert cert.passed, desc
+                        rank = cert.independence
+                        assert rank.numerical_rank == 2 * n - 2, desc
+                        kept = [_best_kept_ratio(rank.singular_values, 2 * n - 2)]
+                        assert [e.rank for e in cert.extras] == [2 * n - 1] * len(axes)
+                        if axes:
+                            G = np.concatenate([
+                                cert.table.gradients,
+                                brackets._stacked_tensor(
+                                    [extra_integral(desc, a) for a in axes],
+                                    cert.table.points)], axis=1)
+                            for j in range(len(axes)):
+                                rows = [*range(2 * n - 2), 2 * n - 2 + j]
+                                sigmas = np.linalg.svd(G[:, rows], compute_uv=False)
+                                kept.append(_best_kept_ratio(sigmas, 2 * n - 1))
+                        assert min(kept) >= 10.0 * settings.rank_tol, (desc, kept)
+
+
 def _per_point_tensor(functions, sample):
     """G[P, K, 2N] from one gradient_fn call per function and sample row."""
     return np.array([[np.concatenate(f.gradient_fn(q, p)) for f in functions]
@@ -358,51 +413,63 @@ def test_sampling_respects_bounds_and_charts(rng):
         assert np.all(1.0 - abs(kappa) * q2 > 0.0)
 
 
-def _per_point_sample(n_points, ndim, rng, kappa, space):
-    """Reference sampler: a rejection loop that draws and validates one
-    PhasePoint at a time, which the array sampler must match bit for bit."""
+def _per_row_sample(n_points, ndim, rng, kappa, space):
+    """Reference sampler: each row's 3N uniforms drawn in turn, N magnitudes
+    by Generator.uniform, N signs (u < 1/2 gives -), N momenta by
+    Generator.uniform, each point validated as a PhasePoint; the one-call
+    array sampler must match it bit for bit."""
     gen = np.random.default_rng(rng)
     q2_limit = squared_chart_radius(space, kappa)
     scale = 1.0
     if q2_limit is not None:
         scale = min(1.0, np.sqrt(CHART_FILL * q2_limit / (ndim * Q_HIGH ** 2)))
     points = []
-    while len(points) < n_points:
+    for _ in range(n_points):
         mag = gen.uniform(Q_LOW * scale, Q_HIGH * scale, size=ndim)
-        sign = SIGNS[gen.integers(0, 2, size=ndim)]
-        q = mag * sign
+        sign = np.where(gen.random(ndim) < 0.5, -1.0, 1.0)
         p = gen.uniform(-P_HIGH / scale, P_HIGH / scale, size=ndim)
-        if q2_limit is not None and float(q @ q) > 0.9 * q2_limit:
-            continue
-        points.append(PhasePoint(q, p))
+        points.append(PhasePoint(mag * sign, p))
     return points
 
 
-@pytest.mark.parametrize("space,kappa", [
+SAMPLER_SPACES = [
     ("euclidean", 0.0), ("beltrami", 0.6), ("poincare", 0.6),
     ("poincare", -0.6), ("beltrami", -0.6),
-])
+]
+
+
+@pytest.mark.parametrize("space,kappa", SAMPLER_SPACES)
 def test_sample_array_is_bitwise_the_per_point_draws(space, kappa):
     for n in (1, 2, 4, 14, 50):
         for seed in (0, 7, 931):
             got = sample_regular_points(25, n, seed, kappa=kappa, space=space)
             want = [np.concatenate([x.q, x.p])
-                    for x in _per_point_sample(25, n, seed, kappa, space)]
+                    for x in _per_row_sample(25, n, seed, kappa, space)]
             assert got.shape == (25, 2 * n) and got.dtype == np.float64
             assert np.array_equal(got, want), (space, kappa, n, seed)
 
 
-def test_sampler_signs_are_the_choice_stream():
-    """SIGNS[gen.integers(0, 2)] draws the same stream and the same values as
-    gen.choice([-1.0, 1.0]), so every seeded sample is unchanged by it."""
-    for seed in range(20):
-        for n in (1, 2, 3, 4, 14, 50):
-            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
-            for _ in range(3):
-                got = brackets.SIGNS[a.integers(0, 2, size=n)]
-                want = b.choice([-1.0, 1.0], size=n)
-                assert np.array_equal(got, want) and got.dtype == want.dtype
-            assert a.uniform() == b.uniform()
+@pytest.mark.parametrize("space,kappa", SAMPLER_SPACES)
+def test_sample_prefix_is_the_smaller_sample(space, kappa):
+    """A seed fixes the first points of a sample at every size."""
+    for n in (1, 3, 14):
+        for seed in (0, 5):
+            whole = sample_regular_points(40, n, seed, kappa=kappa, space=space)
+            for k in (1, 2, 17, 39):
+                head = sample_regular_points(k, n, seed, kappa=kappa, space=space)
+                assert np.array_equal(whole[:k], head), (space, kappa, n, seed, k)
+
+
+@pytest.mark.parametrize("space,kappa", SAMPLER_SPACES)
+def test_sampler_advances_a_passed_generator_by_one_block(space, kappa):
+    """A passed-in Generator moves on by exactly one (P, 3N) draw, so what
+    it draws next is what it would draw after that block."""
+    for n_points, n in ((1, 1), (20, 4), (7, 14)):
+        gen, twin = np.random.default_rng(8), np.random.default_rng(8)
+        sample_regular_points(n_points, n, gen, kappa=kappa, space=space)
+        twin.random((n_points, 3 * n))
+        assert gen.bit_generator.state == twin.bit_generator.state
+        assert gen.random() == twin.random()
 
 
 def test_sample_size_has_no_draw_budget(rng):
@@ -428,6 +495,15 @@ def test_sampler_rejects_empty_sizes_before_drawing(space, kappa):
     spec = make_sw(space, mass=1.0, omega=1.0, b_tilde=[0.1, 0.1], kappa=kappa)
     with pytest.raises(SamplingError):
         involution_table(spec, universal_set(spec.realization), 0, rng=gen)
+
+
+def test_sampler_refuses_a_sample_too_large_to_store_before_drawing():
+    # 10**30 rows: numpy refuses the block's shape without allocating it
+    gen = np.random.default_rng(3)
+    state = gen.bit_generator.state
+    with pytest.raises(RangeError, match="more sample points than can be stored"):
+        sample_regular_points(10 ** 30, 3, gen)
+    assert gen.bit_generator.state == state
 
 
 def test_sample_passed_in_is_checked(rng):

@@ -306,6 +306,27 @@ def test_simulate_rejects_more_steps_than_a_trajectory_can_store(tmp_path, capsy
     assert not (tmp_path / "long.traj.txt").exists()
 
 
+def test_verify_rejects_a_sample_too_large_to_store(tmp_path, capsys):
+    # 1e30 points: numpy refuses the sample's shape without allocating it
+    cfg = write(tmp_path, "huge.cfg", SW_N4.replace("sample_points = 20", "sample_points = 1e30"))
+    assert main(["--out", str(tmp_path), "verify", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error: 1000000000000000019884624838656 points are more sample points "
+                   "than can be stored\n")
+    assert not (tmp_path / "huge.report.txt").exists()
+
+
+@pytest.mark.parametrize("value", ["50%", "5%%0"])
+def test_percent_in_a_value_is_literal(tmp_path, capsys, value):
+    """A `%` is not interpolation: each value is read as written and fails as
+    a number."""
+    cfg = write(tmp_path, "pct.cfg", SW_N4.replace("omega = 1.0", f"omega = {value}"))
+    assert main(["--out", str(tmp_path), "verify", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: omega: expected floats, got {value!r}\n"
+    assert not (tmp_path / "pct.report.txt").exists()
+
+
 @pytest.mark.parametrize("old, new", [
     ("step = 0.001", "step = inf"),
     ("step = 0.001", "step = nan"),
