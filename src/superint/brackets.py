@@ -17,12 +17,12 @@ from one generator call; it passes unchanged from the involution table to
 every certificate and is split into q and p views only where a `value_fn`
 or `gradient_fn` is called.  Every certificate rests on a gradient tensor
 G[P, K, 2N], the gradient rows of K quantities at the P sample points,
-from one `gradient_fn` call per quantity over the whole sample (the
-universal integrals' from one pass of their set).  The brackets of the
-asserted pairs come from one bracket matrix per point, summed left to
-right over the coordinates (an extra's with H from H's and the extras'
-rows alone), and each rank is one batched SVD.  `certify` takes every
-number of a verify report from one sample and its tensor.
+which `gradient_tensor` alone builds (one gradient call per quantity, or
+per set of universal integrals, over the whole sample) and checks finite.
+The brackets of the asserted pairs come from one bracket matrix per point,
+summed left to right over the coordinates (an extra's with H from H's and
+the extras' rows alone), and each rank is one batched SVD.  `certify` takes
+every number of a verify report from one sample and its tensor.
 """
 
 from __future__ import annotations
@@ -144,59 +144,47 @@ def sample_for_spec(spec: HamiltonianSpec, n_points: int, rng=0) -> np.ndarray:
     return sample_regular_points(n_points, spec.n, rng, kappa=desc.kappa, space=desc.space)
 
 
-def _sample_ndim(functions: Sequence[ConservedQuantity], sample: np.ndarray) -> int:
-    """The N the functions share, once the sample passed in is checked to
-    be a finite (P, 2N) array with P >= 1."""
-    ndims = {f.ndim for f in functions}
+def gradient_tensor(sample: np.ndarray, *quantities) -> np.ndarray:
+    """G[P, K, 2N], the gradient rows of the quantities in order at each
+    point of a finite (P, 2N) sample, P >= 1: one gradient_fn call per
+    ConservedQuantity and one `gradients` call per IntegralSet (its K rows,
+    as the set evaluates them), each on the whole sample.  A non-finite
+    entry of G is a DomainError that names its quantity and sample point."""
+    sample = np.asarray(sample, dtype=float)
+    members = [g for f in quantities for g in (f.all if isinstance(f, IntegralSet) else (f,))]
+    ndims = {f.ndim for f in members}
     if len(ndims) != 1:
         raise DimensionMismatch(f"functions live on different dimensions: {ndims}")
-    ndim = ndims.pop()
-    if sample.ndim != 2 or sample.shape[1] != 2 * ndim:
+    n = ndims.pop()
+    if sample.ndim != 2 or sample.shape[1] != 2 * n:
         raise DimensionMismatch(
-            f"functions on {ndim} sites need a (P, {2 * ndim}) sample, got shape {sample.shape}")
+            f"functions on {n} sites need a (P, {2 * n}) sample, got shape {sample.shape}")
     if len(sample) < 1:
         raise SamplingError("a gradient tensor needs at least one sample point")
     if not np.all(np.isfinite(sample)):
         raise DomainError("sample contains non-finite entries")
-    return ndim
-
-
-def _stacked_tensor(functions: Sequence[ConservedQuantity], sample) -> np.ndarray:
-    """G[P, K, 2N] of the functions on a (P, 2N) sample, one gradient_fn
-    call each on its q and p views."""
-    sample = np.asarray(sample, dtype=float)
-    n = _sample_ndim(functions, sample)
     q, p = sample[:, :n], sample[:, n:]
-    return np.stack([np.concatenate(f.gradient_fn(q, p), axis=-1) for f in functions], axis=1)
+    with np.errstate(all="ignore"):  # a non-finite entry is named below
+        blocks = [f.gradients(q, p) if isinstance(f, IntegralSet)
+                  else [x[:, None] for x in f.gradient_fn(q, p)] for f in quantities]
+    # G is allocated after the gradient calls: a live G of about 128 KB (N =
+    # 14) made glibc trim the heap top as their temporaries were freed and
+    # fault it back in (M_TRIM_THRESHOLD), 20 % of the build.
+    G, end = np.empty((len(sample), len(members), 2 * n)), 0
+    for dq, dp in blocks:
+        k, end = end, end + dq.shape[1]
+        G[:, k:end, :n], G[:, k:end, n:] = dq, dp
+    if not np.all(np.isfinite(G)):
+        s, k, _ = np.argwhere(~np.isfinite(G))[0]
+        raise DomainError(f"the gradient of {members[k].name} is not finite at sample "
+                          f"point {s}, [q | p] = {sample[s].tolist()}")
+    return G
 
 
 def max_bracket_residual(f, g, sample: np.ndarray):
     """Max raw and normalized |{f, g}| over a (P, 2N) sample."""
-    raw, normalized = _max_residuals(_stacked_tensor([f, g], sample), [0], [1])
+    raw, normalized = _max_residuals(gradient_tensor(sample, f, g), [0], [1])
     return float(raw[0]), float(normalized[0])
-
-
-def gradient_tensor(
-    spec: HamiltonianSpec,
-    integrals: IntegralSet,
-    sample: np.ndarray,
-) -> np.ndarray:
-    """G[P, K, 2N]: the gradient rows of H, then of integrals.all, at every
-    point of a (P, 2N) sample.
-
-    H's gradient_fn and the set's `gradients` are each called once, on the
-    whole sample: the set's rows come from one column pass when its members
-    are its realization's own windows, and from each member's gradient_fn
-    otherwise, so the quantities are evaluated as given.
-    """
-    sample = np.asarray(sample, dtype=float)
-    h = energy_quantity(spec)
-    n = _sample_ndim([h, *integrals.all], sample)
-    q, p = sample[:, :n], sample[:, n:]
-    G = np.empty((len(sample), 1 + integrals.count, 2 * n))
-    G[:, 0, :n], G[:, 0, n:] = h.gradient_fn(q, p)
-    G[:, 1:, :n], G[:, 1:, n:] = integrals.gradients(q, p)
-    return G
 
 
 @dataclass(frozen=True)
@@ -212,8 +200,8 @@ class BracketResidualTable:
     """Max |{A, B}| over a sample, for every asserted pair.
 
     `points` and `gradients` are the (P, 2N) sample and its gradient tensor
-    over [H, *integrals.all] the residuals come from, kept so that a
-    certificate can rank and bracket more quantities on the same sample.
+    over [H, *integrals.all, *extras] the residuals come from, kept so that a
+    certificate can rank and bracket the extras on the same sample.
     """
 
     pairs: tuple[PairResidual, ...]
@@ -238,16 +226,17 @@ def involution_table(
     *,
     rng=0,
     tolerance: float = 1e-9,
+    extras: Sequence[ConservedQuantity] = (),
 ) -> BracketResidualTable:
     """Residuals of every asserted bracket: H against each universal
     integral, and all pairs within the left and within the right family,
     over a sample drawn for the spec, from one gradient tensor.
 
     Cross-family pairs are not asserted (they need not vanish) and are not
-    tabulated.
+    tabulated, nor are the `extras`: their rows follow in the tensor.
     """
     points = sample_for_spec(spec, sample_points, rng)
-    G = gradient_tensor(spec, integrals, points)
+    G = gradient_tensor(points, energy_quantity(spec), integrals, *extras)
     n_left = len(integrals.left)
     left = list(range(1, n_left + 1))
     # C_(N) coincides with C^(N): the right family in involution includes it.
@@ -256,14 +245,13 @@ def involution_table(
     jobs += combinations(left, 2)
     jobs += combinations(right, 2)
     a, b = (list(rows) for rows in zip(*jobs))
-    raw, normalized = _max_residuals(G, a, b)
+    raw, normalized = _max_residuals(G[:, :1 + integrals.count], a, b)  # not the extras
     names = ["H", *(c.name for c in integrals.all)]
     pairs = tuple(
         PairResidual(names[i], names[j], float(r), float(m))
         for (i, j), r, m in zip(jobs, raw, normalized)
     )
     return BracketResidualTable(pairs, len(points), tolerance, points, G)
-
 
 
 @dataclass(frozen=True)
@@ -306,7 +294,7 @@ def independence_rank(
 ) -> IndependenceCertificate:
     """Certify functional independence of a set of observables on a (P, 2N)
     sample."""
-    G = _stacked_tensor(functions, sample)
+    G = gradient_tensor(sample, *functions)
     return _rank(G, range(len(functions)), [f.name for f in functions], rank_tolerance)
 
 
@@ -364,8 +352,7 @@ def certify(
     """Certify a system on one sample of settings.sample_points points.
 
     The involution table draws the sample and its gradient tensor over
-    [H, universal integrals]; the requested extras add one row each, from
-    one gradient call on the stacked sample.  That one tensor gives the
+    [H, universal integrals, requested extras].  That one tensor gives the
     rank 2N-2 of H with the universal integrals, and for each extra its
     bracket with H, from H's row and its own, and the rank 2N-1 with it
     added.  On the flat oscillator the sample also checks the exact identity
@@ -375,10 +362,8 @@ def certify(
     uni = universal_set(spec.realization)
     extras = [extra_integral(descriptor, axis) for axis in extra_axes]
     table = involution_table(spec, uni, settings.sample_points, rng=rng,
-                             tolerance=settings.bracket_tol)
+                             tolerance=settings.bracket_tol, extras=extras)
     G = table.gradients
-    if extras:
-        G = np.concatenate([G, _stacked_tensor(extras, table.points)], axis=1)
     names = ["H", *(c.name for c in uni.all)]
     universal_rows = list(range(len(names)))
     n = spec.n

@@ -77,6 +77,10 @@ class SystemDescriptor:
                 raise ConfigError(f"{key} must be a number, got {value!r}") from None
             if not math.isfinite(params[key]):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
+        try:  # the oscillators and their extras are built on omega ** 2
+            params.get("omega", 0.0) ** 2
+        except OverflowError:
+            raise ConfigError(f"omega ** 2 overflows, got omega = {params['omega']!r}") from None
         object.__setattr__(self, "params", params)
         for key, coeffs in self.profiles.items():
             if not all(map(math.isfinite, coeffs)):

@@ -291,22 +291,23 @@ class HamiltonianSpec:
         rounds the same exact product as h * (2 q) unless 2 h overflows.  The
         h- * 0 term keeps the signed zeros (and NaNs) that a zero dJ-/dp
         vector would give.  One point comes as Python lists (a GL2 or RK4
-        stage) or as (N,) arrays and goes back the same way.  A stack (...,
-        N) runs `_gradient_at` on each point, so a stacked row is its own
-        call bit for bit, and a stacked point on a barrier plane is named in
-        the DomainError.
+        stage) and goes back the same way.  An array, one point (N,) or a
+        stack (..., N), runs `_gradient_at` on each point, so a stacked row
+        is its own call bit for bit; a stacked point on a barrier plane, or
+        one where h's partials overflow, is named in the DomainError.
         """
         if isinstance(q, list):
             return self._gradient_at(q, p)
-        if q.ndim == 1:
-            dq, dp = self._gradient_at(q.tolist(), p.tolist())
-            return np.array(dq), np.array(dp)
-        at, n = self._gradient_at, self.n
+        at, n, rows = self._gradient_at, self.n, []
         try:
-            rows = [at(*row) for row in zip(q.reshape(-1, n).tolist(), p.reshape(-1, n).tolist())]
+            for row in zip(q.reshape(-1, n).tolist(), p.reshape(-1, n).tolist()):
+                rows.append(at(*row))
         except DomainError:
             guard_axes(self.realization.sites, q)  # names the first stacked point on a plane
             raise
+        except OverflowError as exc:  # h's partials at the point after the rows done
+            where = ", ".join(map(str, np.unravel_index(len(rows), q.shape[:-1])))
+            raise DomainError(f"point {where}: {exc}" if where else str(exc)) from None
         rows = np.array(rows).reshape(-1, 2, n)
         return rows[:, 0].reshape(q.shape), rows[:, 1].reshape(p.shape)
 

@@ -354,16 +354,18 @@ def integrate(
 
 def _finish(zs, n, h, monitors, evaluations, sweeps) -> Trajectory:
     """Split the stacked states, evaluate each monitor over them in one
-    call, and reduce each series to its normalized drift."""
+    call, and reduce each series to its normalized drift (NaN, with no
+    numpy warning, where a monitor overflows on the run's states)."""
     qs = zs[:, :n].copy()
     ps = zs[:, n:].copy()
     times = h * np.arange(qs.shape[0])
     series: dict[str, np.ndarray] = {}
     drift: dict[str, float] = {}
-    for mon in monitors:
-        series[mon.name] = vals = mon.value_fn(qs, ps)
-        f0 = vals[0]
-        drift[mon.name] = float(np.max(np.abs(vals - f0)) / (1.0 + abs(f0)))
+    with np.errstate(all="ignore"):
+        for mon in monitors:
+            series[mon.name] = vals = mon.value_fn(qs, ps)
+            f0 = vals[0]
+            drift[mon.name] = float(np.max(np.abs(vals - f0)) / (1.0 + abs(f0)))
     return Trajectory(times, qs, ps, series, drift, evaluations, sweeps)
 
 

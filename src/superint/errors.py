@@ -27,7 +27,8 @@ class ConfigError(SuperintError):
 
 
 class SamplingError(SuperintError):
-    """No regular sample point found within the draw budget."""
+    """A sample with no points: a sampler asked for none, or an empty sample
+    given to a gradient tensor."""
 
 
 class NonConvergence(SuperintError):

@@ -19,6 +19,7 @@ from superint import (
     certify,
     energy_quantity,
     extra_integral,
+    gradient_tensor,
     independence_rank,
     involution_table,
     left_integral,
@@ -210,10 +211,11 @@ def test_involution_table_exact_and_one_gradient_per_point(n, space, kappa, monk
         for k, f in enumerate((h, *uni.all)):
             for s, x in enumerate(points):
                 assert np.array_equal(G[s, k], np.concatenate(f.gradient(x)))
-        # the extras' brackets with H are the full bracket matrix's entries
-        full = np.concatenate([G, brackets._stacked_tensor(extras, pts)], axis=1)
-        raw, normalized = brackets._max_residuals(full, [0] * len(axes),
-                                                  range(G.shape[1], full.shape[1]))
+        # the extras' rows follow, and their brackets with H are the full
+        # bracket matrix's entries
+        assert np.array_equal(G[:, 1 + uni.count:], brackets.gradient_tensor(pts, *extras))
+        raw, normalized = brackets._max_residuals(G, [0] * len(axes),
+                                                  range(1 + uni.count, G.shape[1]))
         assert [(e.max_raw, e.max_normalized) for e in cert.extras] == \
             list(zip(raw.tolist(), normalized.tolist()))
 
@@ -341,11 +343,7 @@ def test_certify_sweep_over_spaces_signs_sizes_and_barriers(family):
                         kept = [_best_kept_ratio(rank.singular_values, 2 * n - 2)]
                         assert [e.rank for e in cert.extras] == [2 * n - 1] * len(axes)
                         if axes:
-                            G = np.concatenate([
-                                cert.table.gradients,
-                                brackets._stacked_tensor(
-                                    [extra_integral(desc, a) for a in axes],
-                                    cert.table.points)], axis=1)
+                            G = cert.table.gradients
                             for j in range(len(axes)):
                                 rows = [*range(2 * n - 2), 2 * n - 2 + j]
                                 sigmas = np.linalg.svd(G[:, rows], compute_uv=False)
@@ -522,3 +520,21 @@ def test_sample_passed_in_is_checked(rng):
     bad[2, 4] = np.nan
     with pytest.raises(DomainError, match="non-finite"):
         max_bracket_residual(functions[0], functions[1], bad)
+
+
+def test_gradient_tensor_writes_each_quantity_in_order_and_refuses_non_finite_rows(rng):
+    """Quantities and sets write their rows in the order given, each as its
+    own tensor would; a non-finite entry names its quantity and point."""
+    spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.1, 0.2, 0.3])
+    uni = universal_set(spec.realization)
+    h = energy_quantity(spec)
+    sample = sample_regular_points(5, 3, rng)
+    G = gradient_tensor(sample, h, uni, uni.left[0])
+    assert G.shape == (5, 2 + uni.count, 6)
+    assert np.array_equal(G[:, :1], gradient_tensor(sample, h))
+    assert np.array_equal(G[:, 1:-1], gradient_tensor(sample, uni))
+    assert np.array_equal(G[:, -1], G[:, 1])
+    sample[3, 4] = 1e200  # p_2 at point 3: H's row stays finite, dC^2/dq = 2 J+ q does not
+    with pytest.raises(DomainError, match=r"^the gradient of C\^2 is not finite at sample "
+                                          r"point 3, \[q \| p\] = \[.*, 1e\+200, "):
+        gradient_tensor(sample, h, uni)

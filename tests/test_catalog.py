@@ -316,6 +316,17 @@ def test_constructors_reject_non_finite_parameters(family, key, bad):
         make(b_tilde=[0.2, 0.0, 0.3], **kwargs)
 
 
+@pytest.mark.parametrize("family", ["sw", "garnier", "oscillator"])
+def test_an_omega_whose_square_overflows_is_a_config_error(family):
+    # the builders and the sw extras take omega ** 2 (Python's pow, which
+    # raises on overflow); a finite omega with no finite square is refused
+    # with the descriptor, before anything is built
+    assert SystemDescriptor(family, "beltrami", {"omega": -1e150, "kappa": 0.3},
+                            [0.1, 0.2]).params["omega"] == -1e150
+    with pytest.raises(ConfigError, match=r"^omega \*\* 2 overflows, got omega = -1e\+200$"):
+        SystemDescriptor(family, "beltrami", {"omega": -1e200, "kappa": 0.3}, [0.1, 0.2])
+
+
 def test_descriptor_extra_axes():
     sw = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.2, 0.3, 0.4])
     assert sw.descriptor.ms_axes == (0, 1, 2)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -314,6 +316,46 @@ def test_verify_rejects_a_sample_too_large_to_store(tmp_path, capsys):
     assert err == ("error: 1000000000000000019884624838656 points are more sample points "
                    "than can be stored\n")
     assert not (tmp_path / "huge.report.txt").exists()
+
+
+@pytest.mark.parametrize("command, old, new, code, message", [
+    ("verify", "space = euclidean", "space = beltrami\nkappa = 1e300", 1,
+     "error: point 0: the partials of h overflowed\n"),
+    ("verify", "omega = 1.0", "omega = 1.2e154", 1,
+     "error: the gradient of H is not finite at sample point 0, [q | p] = ["),
+    ("verify", "omega = 1.0", "omega = 1e200", 2,
+     "config error: omega ** 2 overflows, got omega = 1e+200\n"),
+    ("simulate", "omega = 1.0", "omega = 1e200", 2,
+     "config error: omega ** 2 overflows, got omega = 1e+200\n"),
+], ids=["kappa-1e300", "omega-1.2e154", "omega-1e200-verify", "omega-1e200-simulate"])
+def test_overflowing_parameters_end_in_one_message_line(tmp_path, capsys, command, old, new,
+                                                       code, message):
+    # parameters whose squares, partials or gradients overflow: an exit code
+    # and one line on stderr, no traceback, no numpy warning, no output file
+    cfg = write(tmp_path, "big.cfg", SW_N4.replace(old, new))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--out", str(tmp_path), command, str(cfg)]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(message) and len(err.splitlines()) == 1
+    assert "Traceback" not in err
+    assert list(tmp_path.iterdir()) == [cfg]
+
+
+def test_simulate_with_overflowing_monitors_reads_nan_drifts_without_warnings(tmp_path, capsys):
+    # p_1 = 1e200: H, the windows C^m that read p_1 and I_1 overflow on the
+    # states, so their drifts read nan; the run itself is finite
+    cfg = write(tmp_path, "big.cfg",
+                SW_N4.replace("x0 = 0.7 0.8 0.9 1.0  0.1", "x0 = 0.7 0.8 0.9 1.0  1e200"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["--out", str(tmp_path), "simulate", str(cfg)]) == 0
+    assert capsys.readouterr().err == ""
+    lines = (tmp_path / "big.traj.txt").read_text().splitlines()
+    drifts = [line.split(" = ") for line in lines if line.startswith("# drift ")]
+    assert [name for name, value in drifts if value == "nan"] == \
+        ["# drift H", "# drift C^2", "# drift C^3", "# drift C^4", "# drift I_1"]
+    assert "# max_normalized_drift = nan" in lines
 
 
 @pytest.mark.parametrize("value", ["50%", "5%%0"])

@@ -596,3 +596,22 @@ def test_column_mode_is_float_mode_bitwise(n, barriers):
         step[j] = 1e-100j
         jm = column(x + step, x)[0][n - 1][0]  # J- of the window of all sites
         assert jm.imag / 1e-100 == pytest.approx(2.0 * x[j], rel=1e-15)
+
+
+def test_partials_that_overflow_on_an_array_are_a_domain_error_naming_the_point():
+    # an array, one point or a stack, runs the one-point kernel per row; its
+    # OverflowError becomes a DomainError that names the stacked point, while
+    # a stage given as lists keeps the OverflowError that integrate halts on
+    spec = make_evans("euclidean", lambda s: 1e200 * s * (1e200 * s), mass=1.0,
+                      b_tilde=[0.0, 0.0])
+    q, p = np.array([[1e-300, 0.0], [1.0, 0.5]]), np.zeros((2, 2))
+    with pytest.raises(DomainError, match=r"^point 1: the partials of h overflowed$"):
+        spec.gradient_qp(q, p)
+    with pytest.raises(DomainError, match=r"^point 0, 1: the partials of h overflowed$"):
+        spec.gradient_qp(q[None], p[None])
+    with pytest.raises(DomainError, match=r"^the partials of h overflowed$"):
+        spec.gradient_qp(q[1], p[1])
+    with pytest.raises(OverflowError, match=r"^the partials of h overflowed$"):
+        spec.gradient_qp(q[1].tolist(), p[1].tolist())
+    dq, dp = spec.gradient_qp(q[0], p[0])
+    assert dq.shape == dp.shape == (2,)
