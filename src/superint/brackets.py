@@ -27,7 +27,6 @@ every number of a verify report from one sample and its tensor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Optional, Sequence
 
@@ -35,14 +34,16 @@ import numpy as np
 
 from .catalog import SystemDescriptor, build, extra_integral
 from .config import VerificationSettings
-from .core import ConservedQuantity, HamiltonianSpec, energy_quantity
+from .core import AXIS_GUARD_RADIUS, ConservedQuantity, HamiltonianSpec, energy_quantity
 from .errors import DimensionMismatch, DomainError, RangeError, SamplingError
 from .geometry import EUCLIDEAN, squared_chart_radius
 from .integrals import IntegralSet, universal_set
+from .records import Record, setfield
 
 Q_LOW, Q_HIGH = 0.2, 1.5
 P_HIGH = 1.5
 CHART_FILL = 0.8  # fraction of the squared chart radius the sampler may fill
+_FLOAT_MAX = float(np.finfo(float).max)
 
 
 def poisson_bracket(f: ConservedQuantity, g: ConservedQuantity, x) -> float:
@@ -119,10 +120,7 @@ def sample_regular_points(
     if ndim < 1:
         raise DimensionMismatch(f"a phase point needs at least one canonical pair, got {ndim}")
     gen = np.random.default_rng(rng)
-    q2_limit = squared_chart_radius(space, kappa)
-    scale = 1.0
-    if q2_limit is not None:
-        scale = min(1.0, np.sqrt(CHART_FILL * q2_limit / (ndim * Q_HIGH ** 2)))
+    scale = _chart_scale(ndim, kappa, space)
     try:
         u, sample = np.empty((n_points, 3 * ndim)), np.empty((n_points, 2 * ndim))
     except (MemoryError, ValueError):
@@ -135,12 +133,26 @@ def sample_regular_points(
     return sample
 
 
+def _chart_scale(ndim: int, kappa: float, space: str) -> float:
+    """The factor s <= 1 of `sample_regular_points` that fits q to the chart."""
+    q2_limit = squared_chart_radius(space, kappa)
+    if q2_limit is None:
+        return 1.0
+    return min(1.0, np.sqrt(CHART_FILL * q2_limit / (ndim * Q_HIGH ** 2)))
+
+
 def sample_for_spec(spec: HamiltonianSpec, n_points: int, rng=0) -> np.ndarray:
     """Regular sample respecting the spec's space and curvature (flat space
-    when the spec has no descriptor)."""
+    when the spec has no descriptor).  A chart so small that sampled q_i
+    could lie within the axis guard radius of a barrier plane is a
+    RangeError before anything is drawn: the guard would blame the system."""
     desc = spec.descriptor
     if desc is None:
         return sample_regular_points(n_points, spec.n, rng)
+    if spec.realization.sites and \
+            Q_LOW * _chart_scale(spec.n, desc.kappa, desc.space) < AXIS_GUARD_RADIUS:
+        raise RangeError(f"kappa = {desc.kappa!r} leaves the {desc.space} chart too small "
+                         "to sample q_i clear of the barrier planes")
     return sample_regular_points(n_points, spec.n, rng, kappa=desc.kappa, space=desc.space)
 
 
@@ -149,7 +161,9 @@ def gradient_tensor(sample: np.ndarray, *quantities) -> np.ndarray:
     point of a finite (P, 2N) sample, P >= 1: one gradient_fn call per
     ConservedQuantity and one `gradients` call per IntegralSet (its K rows,
     as the set evaluates them), each on the whole sample.  A non-finite
-    entry of G is a DomainError that names its quantity and sample point."""
+    entry of G, or else a row whose norm overflows (as a sum of squares; the
+    normalized brackets would read 0), is a DomainError that names its
+    quantity and sample point."""
     sample = np.asarray(sample, dtype=float)
     members = [g for f in quantities for g in (f.all if isinstance(f, IntegralSet) else (f,))]
     ndims = {f.ndim for f in members}
@@ -174,10 +188,18 @@ def gradient_tensor(sample: np.ndarray, *quantities) -> np.ndarray:
     for dq, dp in blocks:
         k, end = end, end + dq.shape[1]
         G[:, k:end, :n], G[:, k:end, n:] = dq, dp
-    if not np.all(np.isfinite(G)):
-        s, k, _ = np.argwhere(~np.isfinite(G))[0]
-        raise DomainError(f"the gradient of {members[k].name} is not finite at sample "
-                          f"point {s}, [q | p] = {sample[s].tolist()}")
+    # 2N squares of entries this small sum below the largest float: only a
+    # larger entry, an inf or a NaN needs the exact test
+    if not np.abs(G).max() <= (_FLOAT_MAX / (4 * n)) ** 0.5:
+        with np.errstate(over="ignore"):  # the squared norms as _split takes them
+            finite = np.isfinite((G * G).sum(axis=-1))
+        if not finite.all():
+            rows = np.isfinite(G).all(axis=-1)
+            what, bad = ("is not finite", ~rows) if not rows.all() else \
+                ("is too large to normalize", ~finite)
+            s, k = np.argwhere(bad)[0]
+            raise DomainError(f"the gradient of {members[k].name} {what} at sample point "
+                              f"{s}, [q | p] = {sample[s].tolist()}")
     return G
 
 
@@ -187,16 +209,17 @@ def max_bracket_residual(f, g, sample: np.ndarray):
     return float(raw[0]), float(normalized[0])
 
 
-@dataclass(frozen=True)
-class PairResidual:
-    name_a: str
-    name_b: str
-    max_raw: float
-    max_normalized: float
+class PairResidual(Record):
+    __slots__ = ("name_a", "name_b", "max_raw", "max_normalized")
+
+    def __init__(self, name_a: str, name_b: str, max_raw: float, max_normalized: float):
+        setfield(self, "name_a", name_a)
+        setfield(self, "name_b", name_b)
+        setfield(self, "max_raw", max_raw)
+        setfield(self, "max_normalized", max_normalized)
 
 
-@dataclass(frozen=True)
-class BracketResidualTable:
+class BracketResidualTable(Record):
     """Max |{A, B}| over a sample, for every asserted pair.
 
     `points` and `gradients` are the (P, 2N) sample and its gradient tensor
@@ -204,11 +227,16 @@ class BracketResidualTable:
     certificate can rank and bracket the extras on the same sample.
     """
 
-    pairs: tuple[PairResidual, ...]
-    samples: int
-    tolerance: float
-    points: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    gradients: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    __slots__ = ("pairs", "samples", "tolerance", "points", "gradients")
+    hidden = ("points", "gradients")
+
+    def __init__(self, pairs: tuple[PairResidual, ...], samples: int, tolerance: float,
+                 points: Optional[np.ndarray] = None, gradients: Optional[np.ndarray] = None):
+        setfield(self, "pairs", pairs)
+        setfield(self, "samples", samples)
+        setfield(self, "tolerance", tolerance)
+        setfield(self, "points", points)
+        setfield(self, "gradients", gradients)
 
     @property
     def passed(self) -> bool:
@@ -254,15 +282,20 @@ def involution_table(
     return BracketResidualTable(pairs, len(points), tolerance, points, G)
 
 
-@dataclass(frozen=True)
-class IndependenceCertificate:
+class IndependenceCertificate(Record):
     """Numerical rank of the stacked gradients at sampled points."""
 
-    functions: tuple[str, ...]
-    num_points: int
-    singular_values: tuple[np.ndarray, ...]
-    numerical_rank: int
-    rank_tolerance: float
+    __slots__ = ("functions", "num_points", "singular_values", "numerical_rank",
+                 "rank_tolerance")
+
+    def __init__(self, functions: tuple[str, ...], num_points: int,
+                 singular_values: tuple[np.ndarray, ...], numerical_rank: int,
+                 rank_tolerance: float):
+        setfield(self, "functions", functions)
+        setfield(self, "num_points", num_points)
+        setfield(self, "singular_values", singular_values)
+        setfield(self, "numerical_rank", numerical_rank)
+        setfield(self, "rank_tolerance", rank_tolerance)
 
     @property
     def passed(self) -> bool:
@@ -301,32 +334,40 @@ def independence_rank(
 IDENTITY_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class ExtraCheck:
+class ExtraCheck(Record):
     """One extra integral: max |{H, I}| over the sample and the rank of the
     universal rows with I added."""
 
-    name: str
-    max_raw: float
-    max_normalized: float
-    rank: int
-    passed: bool
+    __slots__ = ("name", "max_raw", "max_normalized", "rank", "passed")
+
+    def __init__(self, name: str, max_raw: float, max_normalized: float, rank: int,
+                 passed: bool):
+        setfield(self, "name", name)
+        setfield(self, "max_raw", max_raw)
+        setfield(self, "max_normalized", max_normalized)
+        setfield(self, "rank", rank)
+        setfield(self, "passed", passed)
 
 
-@dataclass(frozen=True)
-class Certificate:
+class Certificate(Record):
     """Everything `superint verify` reports, computed on one shared sample.
 
     `identity_residual` is the worst relative residual of sum_i I_i = 2 m H
     on the flat oscillator and None for every other system.
     """
 
-    universal_count: int
-    table: BracketResidualTable
-    independence: IndependenceCertificate
-    expected_rank: int
-    extras: tuple[ExtraCheck, ...]
-    identity_residual: Optional[float]
+    __slots__ = ("universal_count", "table", "independence", "expected_rank", "extras",
+                 "identity_residual")
+
+    def __init__(self, universal_count: int, table: BracketResidualTable,
+                 independence: IndependenceCertificate, expected_rank: int,
+                 extras: tuple[ExtraCheck, ...], identity_residual: Optional[float]):
+        setfield(self, "universal_count", universal_count)
+        setfield(self, "table", table)
+        setfield(self, "independence", independence)
+        setfield(self, "expected_rank", expected_rank)
+        setfield(self, "extras", extras)
+        setfield(self, "identity_residual", identity_residual)
 
     @property
     def rank_passed(self) -> bool:

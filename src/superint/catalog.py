@@ -26,7 +26,6 @@ descriptor and calls its family's builder with the caller's profiles.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, Mapping, Optional
 
 import numpy as np
@@ -36,60 +35,63 @@ from .core import (COMPLEX_STEP, ConservedQuantity, Guard, HamiltonianSpec, SL2R
                    _as_vector)
 from .errors import ConfigError, DimensionMismatch, DomainError
 from .geometry import BELTRAMI, EUCLIDEAN, POINCARE, SPACES, check_space, squared_chart_radius
+from .records import Record, setfield
 from .tape import Domain
 
 Profile = Callable[[float], float]
 
 
-@dataclass(frozen=True)
-class SystemDescriptor:
+class SystemDescriptor(Record):
     """What a catalog system is: family, space, parameters, barriers.
 
     Construction validates it against FAMILIES: a known family on one of
     its spaces, no parameter the family lacks (kappa aside), kappa = 0 on
     flat space, finite parameters and profile coefficients, and a positive
     mass where the family has one.  Parameters left out take the family
-    default (kappa 0.0); all are stored as floats.
+    default (kappa 0.0); all are stored as floats.  With no `profiles`
+    given, each descriptor gets its own empty dict.
     """
 
-    family: str
-    space: str
-    params: Mapping[str, float]
-    b_tilde: np.ndarray
-    profiles: Mapping[str, tuple[float, ...]] = field(default_factory=dict)
+    __slots__ = ("family", "space", "params", "b_tilde", "profiles")
 
-    def __post_init__(self):
-        object.__setattr__(self, "b_tilde", _as_vector(self.b_tilde, "b_tilde"))
-        info = FAMILIES.get(self.family)
+    def __init__(self, family: str, space: str, params: Mapping[str, float],
+                 b_tilde: np.ndarray, profiles: Optional[Mapping[str, tuple[float, ...]]] = None):
+        b_tilde = _as_vector(b_tilde, "b_tilde")
+        profiles = {} if profiles is None else profiles
+        info = FAMILIES.get(family)
         if info is None:
-            raise ConfigError(f"unknown family {self.family!r}; known: {sorted(FAMILIES)}")
+            raise ConfigError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
         defaults = {**info.params, "kappa": 0.0}
-        unknown = sorted(set(self.params) - set(defaults))
+        unknown = sorted(set(params) - set(defaults))
         if unknown:
-            raise ConfigError(f"family {self.family!r} has no parameters {unknown}; "
+            raise ConfigError(f"family {family!r} has no parameters {unknown}; "
                               f"known: {sorted(defaults)}")
-        params = {}
+        values = {}
         for key, default in defaults.items():
-            value = self.params.get(key, default)
+            value = params.get(key, default)
             try:
-                params[key] = float(value)
+                values[key] = float(value)
             except (TypeError, ValueError):
                 raise ConfigError(f"{key} must be a number, got {value!r}") from None
-            if not math.isfinite(params[key]):
+            if not math.isfinite(values[key]):
                 raise ConfigError(f"{key} must be finite, got {value!r}")
         try:  # the oscillators and their extras are built on omega ** 2
-            params.get("omega", 0.0) ** 2
+            values.get("omega", 0.0) ** 2
         except OverflowError:
-            raise ConfigError(f"omega ** 2 overflows, got omega = {params['omega']!r}") from None
-        object.__setattr__(self, "params", params)
-        for key, coeffs in self.profiles.items():
+            raise ConfigError(f"omega ** 2 overflows, got omega = {values['omega']!r}") from None
+        for key, coeffs in profiles.items():
             if not all(map(math.isfinite, coeffs)):
                 raise ConfigError(f"{key} must be finite, got {coeffs!r}")
-        check_space(self.space, self.kappa)
-        if self.space not in info.spaces:
-            raise ConfigError(f"family {self.family!r} is not defined on space {self.space!r}")
-        if params.get("mass", 1.0) <= 0.0:
-            raise ConfigError(f"mass must be positive, got {params['mass']}")
+        check_space(space, values["kappa"])
+        if space not in info.spaces:
+            raise ConfigError(f"family {family!r} is not defined on space {space!r}")
+        if values.get("mass", 1.0) <= 0.0:
+            raise ConfigError(f"mass must be positive, got {values['mass']}")
+        setfield(self, "family", family)
+        setfield(self, "space", space)
+        setfield(self, "params", values)
+        setfield(self, "b_tilde", b_tilde)
+        setfield(self, "profiles", profiles)
 
     @property
     def n(self) -> int:
@@ -306,12 +308,14 @@ def make_variable_mass(*, mass_profile: Profile, potential: Profile, b) -> Hamil
 # Electromagnetic field data (N = 3)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EMFields:
-    E: np.ndarray
-    H: np.ndarray
-    psi: float
-    A: np.ndarray
+class EMFields(Record):
+    __slots__ = ("E", "H", "psi", "A")
+
+    def __init__(self, E: np.ndarray, H: np.ndarray, psi: float, A: np.ndarray):
+        setfield(self, "E", E)
+        setfield(self, "H", H)
+        setfield(self, "psi", psi)
+        setfield(self, "A", A)
 
 
 def em_fields(q, *, mass: float = 1.0, charge: float = 1.0,
@@ -378,8 +382,7 @@ def _poly(descriptor: SystemDescriptor, *keys: str) -> tuple[Profile, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class Family:
+class Family(Record):
     """What a family is and how to build it.
 
     `params` maps each parameter to its default; `profiles` names the
@@ -389,13 +392,20 @@ class Family:
     axis, and `extra_axes`, the axes that carry one given b_tilde.
     """
 
-    params: Mapping[str, float]
-    profiles: tuple[str, ...]
-    spaces: tuple[str, ...]
-    ms: str
-    spec: Callable[[SystemDescriptor], HamiltonianSpec]
-    extra: Optional[Callable[[SystemDescriptor, int], ConservedQuantity]] = None
-    extra_axes: Optional[Callable[[np.ndarray], Iterable[int]]] = None
+    __slots__ = ("params", "profiles", "spaces", "ms", "spec", "extra", "extra_axes")
+
+    def __init__(self, params: Mapping[str, float], profiles: tuple[str, ...],
+                 spaces: tuple[str, ...], ms: str,
+                 spec: Callable[[SystemDescriptor], HamiltonianSpec],
+                 extra: Optional[Callable[[SystemDescriptor, int], ConservedQuantity]] = None,
+                 extra_axes: Optional[Callable[[np.ndarray], Iterable[int]]] = None):
+        setfield(self, "params", params)
+        setfield(self, "profiles", profiles)
+        setfield(self, "spaces", spaces)
+        setfield(self, "ms", ms)
+        setfield(self, "spec", spec)
+        setfield(self, "extra", extra)
+        setfield(self, "extra_axes", extra_axes)
 
 
 # The extras name integrals.sw_extra_integral / kc_extra_integral at call

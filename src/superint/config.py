@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
@@ -31,6 +30,7 @@ from .catalog import FAMILIES, SystemDescriptor
 from .dynamics import METHODS, whole_steps
 from .errors import ConfigError
 from .geometry import EUCLIDEAN
+from .records import Record, setfield
 
 _SECTIONS = {"run", "system", "verification", "simulation"}
 _RUN_KEYS = {"seed"}
@@ -46,32 +46,48 @@ _SIMULATION_KEYS = {
 _MONITOR_TOKENS = {"energy", "universal", "extras"}
 
 
-@dataclass(frozen=True)
-class VerificationSettings:
-    sample_points: int = 20
-    bracket_tol: float = 1e-9
-    rank_tol: float = 1e-8
+class VerificationSettings(Record):
+    __slots__ = ("sample_points", "bracket_tol", "rank_tol")
+
+    def __init__(self, sample_points: int = 20, bracket_tol: float = 1e-9,
+                 rank_tol: float = 1e-8):
+        setfield(self, "sample_points", sample_points)
+        setfield(self, "bracket_tol", bracket_tol)
+        setfield(self, "rank_tol", rank_tol)
 
 
-@dataclass(frozen=True)
-class SimulationSettings:
-    x0: np.ndarray
-    t_final: float
-    step: float
-    method: str = "gl2"
-    monitors: tuple[str, ...] = ("energy", "universal")
-    output_stride: int = 1
-    closure_tol: Optional[float] = None
-    fixed_point_tol: float = 1e-13
+class SimulationSettings(Record):
+    __slots__ = ("x0", "t_final", "step", "method", "monitors", "output_stride", "closure_tol",
+                 "fixed_point_tol")
+
+    def __init__(self, x0: np.ndarray, t_final: float, step: float, method: str = "gl2",
+                 monitors: tuple[str, ...] = ("energy", "universal"), output_stride: int = 1,
+                 closure_tol: Optional[float] = None, fixed_point_tol: float = 1e-13):
+        setfield(self, "x0", x0)
+        setfield(self, "t_final", t_final)
+        setfield(self, "step", step)
+        setfield(self, "method", method)
+        setfield(self, "monitors", monitors)
+        setfield(self, "output_stride", output_stride)
+        setfield(self, "closure_tol", closure_tol)
+        setfield(self, "fixed_point_tol", fixed_point_tol)
 
 
-@dataclass(frozen=True)
-class ExperimentConfig:
-    descriptor: SystemDescriptor
-    seed: int = 0
-    extra_axes: tuple[int, ...] = ()
-    verification: VerificationSettings = field(default_factory=VerificationSettings)
-    simulation: Optional[SimulationSettings] = None
+class ExperimentConfig(Record):
+    """A parsed config; with no `verification` given, the default settings."""
+
+    __slots__ = ("descriptor", "seed", "extra_axes", "verification", "simulation")
+
+    def __init__(self, descriptor: SystemDescriptor, seed: int = 0,
+                 extra_axes: tuple[int, ...] = (),
+                 verification: Optional[VerificationSettings] = None,
+                 simulation: Optional[SimulationSettings] = None):
+        setfield(self, "descriptor", descriptor)
+        setfield(self, "seed", seed)
+        setfield(self, "extra_axes", extra_axes)
+        setfield(self, "verification",
+                 VerificationSettings() if verification is None else verification)
+        setfield(self, "simulation", simulation)
 
     @property
     def n(self) -> int:

@@ -50,13 +50,14 @@ it that dynamics watches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Callable, Optional
 
 import numpy as np
 
 from .errors import ConfigError, DimensionMismatch, DomainError
+from .records import Record, setfield
 from .tape import derive, overflowed
 
 # Below this |q_i| (with b_i != 0) the centrifugal term is treated as singular.
@@ -72,30 +73,28 @@ def _as_vector(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class PhasePoint:
+class PhasePoint(Record):
     """Canonical state (q, p) with q.len == p.len == N."""
 
-    q: np.ndarray
-    p: np.ndarray
+    __slots__ = ("q", "p")
 
-    def __post_init__(self):
-        object.__setattr__(self, "q", _as_vector(self.q, "q"))
-        object.__setattr__(self, "p", _as_vector(self.p, "p"))
-        if self.q.shape != self.p.shape:
+    def __init__(self, q: np.ndarray, p: np.ndarray):
+        q, p = _as_vector(q, "q"), _as_vector(p, "p")
+        if q.shape != p.shape:
             raise DimensionMismatch(
-                f"q and p must have equal length, got {self.q.size} and {self.p.size}"
+                f"q and p must have equal length, got {q.size} and {p.size}"
             )
-        if self.q.size < 1:
+        if q.size < 1:
             raise DimensionMismatch("phase point needs at least one canonical pair")
+        setfield(self, "q", q)
+        setfield(self, "p", p)
 
     @property
     def n(self) -> int:
         return self.q.size
 
 
-@dataclass(frozen=True)
-class SL2Realization:
+class SL2Realization(Record):
     """Centrifugal coefficients b = (b_1 ... b_N) of the realization.
 
     `b` is stored as a read-only copy, and its barrier sites are found once:
@@ -105,18 +104,16 @@ class SL2Realization:
     stale.
     """
 
-    b: np.ndarray
-    sites: tuple[int, ...] = field(init=False, repr=False, compare=False)
-    barriers: tuple[tuple[int, float, float], ...] = field(init=False, repr=False,
-                                                           compare=False)
+    __slots__ = ("b", "sites", "barriers")
+    hidden = ("sites", "barriers")
 
-    def __post_init__(self):
-        b = _as_vector(self.b, "b").copy()
+    def __init__(self, b: np.ndarray):
+        b = _as_vector(b, "b").copy()
         b.flags.writeable = False
         barriers = tuple((int(i), float(b[i]), -2.0 * float(b[i])) for i in np.flatnonzero(b))
-        object.__setattr__(self, "b", b)
-        object.__setattr__(self, "barriers", barriers)
-        object.__setattr__(self, "sites", tuple(i for i, _, _ in barriers))
+        setfield(self, "b", b)
+        setfield(self, "barriers", barriers)
+        setfield(self, "sites", tuple(i for i, _, _ in barriers))
 
     @property
     def n(self) -> int:
@@ -244,17 +241,18 @@ def column_sums(n: int, barriers, windows, sums) -> Callable:
     return make(*(b for _, b in kept))
 
 
-@dataclass(frozen=True)
-class Guard:
+class Guard(Record):
     """Named clearance as a function of J- (a float); dynamics halts when
     it dips below the guard radius."""
 
-    label: str
-    clearance: Callable[[float], float]
+    __slots__ = ("label", "clearance")
+
+    def __init__(self, label: str, clearance: Callable[[float], float]):
+        setfield(self, "label", label)
+        setfield(self, "clearance", clearance)
 
 
-@dataclass(frozen=True)
-class HamiltonianSpec:
+class HamiltonianSpec(Record):
     """A Hamiltonian H = h(J-, J+, J3) over a fixed realization.
 
     `h` maps the three generator values, scalars or equal-shape arrays, to
@@ -263,13 +261,19 @@ class HamiltonianSpec:
     (dh/dxi-, dh/dxi+, dh/dxi3) are derived from it, taped on the first
     gradient call, so phase-space gradients are exact to rounding by the
     chain rule.  An h that cannot be taped is a ConfigError at that call.
+    The kernel bound to them is the cached `_gradient_at`, which the
+    instance `__dict__` holds.
     """
 
-    name: str
-    realization: SL2Realization
-    h: Callable[..., float]
-    descriptor: Optional[object] = None
-    guards: tuple[Guard, ...] = ()
+    __slots__ = ("name", "realization", "h", "descriptor", "guards", "__dict__")
+
+    def __init__(self, name: str, realization: SL2Realization, h: Callable[..., float],
+                 descriptor: Optional[object] = None, guards: tuple[Guard, ...] = ()):
+        setfield(self, "name", name)
+        setfield(self, "realization", realization)
+        setfield(self, "h", h)
+        setfield(self, "descriptor", descriptor)
+        setfield(self, "guards", guards)
 
     @property
     def n(self) -> int:

@@ -53,7 +53,6 @@ all the states at once; each series is keyed by the monitor's name.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import cache
 from typing import Optional, Sequence
 
@@ -62,6 +61,7 @@ import numpy as np
 from .core import ConservedQuantity, HamiltonianSpec, PhasePoint, compile_kernel, names
 from .errors import (DomainError, InsufficientData, NonConvergence, RangeError,
                      SingularApproach)
+from .records import Record, setfield
 
 _SQRT3 = math.sqrt(3.0)
 # the GL2 Butcher matrix, applied entry by entry as a(i, 1) k1 + a(i, 2) k2
@@ -86,36 +86,43 @@ APPROACH_HORIZON = 0.1
 METHODS = ("gl2", "rk4")
 
 
-@dataclass(frozen=True)
-class IntegratorConfig:
-    method: str = "gl2"
-    step: float = 1e-3
-    fixed_point_tol: float = 1e-13
+class IntegratorConfig(Record):
+    __slots__ = ("method", "step", "fixed_point_tol")
 
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
-        if not all(0.0 < v < math.inf for v in (self.step, self.fixed_point_tol)):
+    def __init__(self, method: str = "gl2", step: float = 1e-3, fixed_point_tol: float = 1e-13):
+        if method not in METHODS:
+            raise ValueError(f"method must be one of {METHODS}, got {method!r}")
+        if not all(0.0 < v < math.inf for v in (step, fixed_point_tol)):
             raise ValueError("step and fixed_point_tol must be finite and positive")
+        setfield(self, "method", method)
+        setfield(self, "step", step)
+        setfield(self, "fixed_point_tol", fixed_point_tol)
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(Record):
     """Discrete trajectory with monitor time series and normalized drifts.
 
     drift[name] = max_t |F(t) - F(0)| / (1 + |F(0)|).  stage_evaluations
     counts the run's evaluations of H's gradient, each at one state (GL2's
     first seed f(z0), and those of a step that halted, included), and
     max_sweeps is the most fixed-point sweeps a GL2 step took (0 for RK4).
+    With no `monitors` or `drift` given, each trajectory gets its own empty
+    dict.
     """
 
-    times: np.ndarray
-    q: np.ndarray
-    p: np.ndarray
-    monitors: dict[str, np.ndarray] = field(default_factory=dict)
-    drift: dict[str, float] = field(default_factory=dict)
-    stage_evaluations: int = 0
-    max_sweeps: int = 0
+    __slots__ = ("times", "q", "p", "monitors", "drift", "stage_evaluations", "max_sweeps")
+
+    def __init__(self, times: np.ndarray, q: np.ndarray, p: np.ndarray,
+                 monitors: Optional[dict[str, np.ndarray]] = None,
+                 drift: Optional[dict[str, float]] = None, stage_evaluations: int = 0,
+                 max_sweeps: int = 0):
+        setfield(self, "times", times)
+        setfield(self, "q", q)
+        setfield(self, "p", p)
+        setfield(self, "monitors", {} if monitors is None else monitors)
+        setfield(self, "drift", {} if drift is None else drift)
+        setfield(self, "stage_evaluations", stage_evaluations)
+        setfield(self, "max_sweeps", max_sweeps)
 
     @property
     def n_states(self) -> int:
@@ -369,13 +376,16 @@ def _finish(zs, n, h, monitors, evaluations, sweeps) -> Trajectory:
     return Trajectory(times, qs, ps, series, drift, evaluations, sweeps)
 
 
-@dataclass(frozen=True)
-class ClosureReport:
+class ClosureReport(Record):
     """First-return analysis of a trajectory against its initial state."""
 
-    period_estimate: Optional[float]
-    closure_distance: float
-    is_closed: bool
+    __slots__ = ("period_estimate", "closure_distance", "is_closed")
+
+    def __init__(self, period_estimate: Optional[float], closure_distance: float,
+                 is_closed: bool):
+        setfield(self, "period_estimate", period_estimate)
+        setfield(self, "closure_distance", closure_distance)
+        setfield(self, "is_closed", is_closed)
 
 
 def detect_closure(traj: Trajectory, tol: float) -> ClosureReport:

@@ -54,8 +54,9 @@ class Domain:
     probe is checked at its real point); DomainError carries `message`,
     formatted with the lowest offending value as {low}.  On a dual the test
     is recorded for the partials, which raise the same error.  (A plain
-    class, as `Derivative` is: making a dataclass costs about 0.9 ms of
-    every import, which each cold CLI run pays.)
+    class, as `Derivative` and every `records.Record` are: making a
+    dataclass costs about 1 ms of every import, which each cold CLI run
+    pays.)
     """
 
     __slots__ = ("message", "floor", "absolute")

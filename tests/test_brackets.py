@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 from itertools import combinations
 
@@ -34,7 +35,7 @@ from superint import (
 from superint import brackets
 from superint.brackets import CHART_FILL, P_HIGH, Q_HIGH, Q_LOW, PairResidual
 from superint.catalog import FAMILIES
-from superint.core import HamiltonianSpec
+from superint.core import AXIS_GUARD_RADIUS, HamiltonianSpec
 from superint.geometry import squared_chart_radius
 from conftest import STACK_PROFILES, central_gradient, phase_points, split
 
@@ -411,6 +412,24 @@ def test_sampling_respects_bounds_and_charts(rng):
         assert np.all(1.0 - abs(kappa) * q2 > 0.0)
 
 
+
+def test_a_chart_too_small_to_clear_the_barrier_planes_is_refused_before_drawing():
+    # at N = 4 the chart's scale puts Q_LOW below the axis guard radius from
+    # |kappa| = 3.6e17 on; a system without barriers has no plane to clear
+    gen = np.random.default_rng(3)
+    state = gen.bit_generator.state
+    for space, kappa in (("poincare", 4e17), ("poincare", -1e300), ("beltrami", -4e17)):
+        spec = make_sw(space, b_tilde=[0.5, 0.0, 0.0, 0.0], kappa=kappa)
+        message = f"kappa = {kappa!r} leaves the {space} chart too small to sample q_i clear"
+        with pytest.raises(RangeError, match="^" + re.escape(message)):
+            sample_for_spec(spec, 20, gen)
+        assert gen.bit_generator.state == state
+        free = make_sw(space, b_tilde=[0.0] * 4, kappa=kappa)
+        assert sample_for_spec(free, 2, gen).shape == (2, 8)
+        state = gen.bit_generator.state
+    spec = make_sw("poincare", b_tilde=[0.5, 0.0, 0.0, 0.0], kappa=3e17)
+    assert np.all(np.abs(sample_for_spec(spec, 20, gen)[:, 0]) >= AXIS_GUARD_RADIUS)
+
 def _per_row_sample(n_points, ndim, rng, kappa, space):
     """Reference sampler: each row's 3N uniforms drawn in turn, N magnitudes
     by Generator.uniform, N signs (u < 1/2 gives -), N momenta by
@@ -524,7 +543,8 @@ def test_sample_passed_in_is_checked(rng):
 
 def test_gradient_tensor_writes_each_quantity_in_order_and_refuses_non_finite_rows(rng):
     """Quantities and sets write their rows in the order given, each as its
-    own tensor would; a non-finite entry names its quantity and point."""
+    own tensor would; a non-finite entry, or a row whose norm overflows,
+    names its quantity and point."""
     spec = make_sw("euclidean", mass=1.0, omega=1.0, b_tilde=[0.1, 0.2, 0.3])
     uni = universal_set(spec.realization)
     h = energy_quantity(spec)
@@ -538,3 +558,7 @@ def test_gradient_tensor_writes_each_quantity_in_order_and_refuses_non_finite_ro
     with pytest.raises(DomainError, match=r"^the gradient of C\^2 is not finite at sample "
                                           r"point 3, \[q \| p\] = \[.*, 1e\+200, "):
         gradient_tensor(sample, h, uni)
+    sample[3, 4] = 1e155  # H's row is finite, but its squares are not
+    with pytest.raises(DomainError, match=r"^the gradient of H is too large to normalize at "
+                                          r"sample point 3, \[q \| p\] = \[.*, 1e\+155, "):
+        gradient_tensor(sample, h)

@@ -323,15 +323,29 @@ def test_verify_rejects_a_sample_too_large_to_store(tmp_path, capsys):
      "error: point 0: the partials of h overflowed\n"),
     ("verify", "omega = 1.0", "omega = 1.2e154", 1,
      "error: the gradient of H is not finite at sample point 0, [q | p] = ["),
+    ("verify", "omega = 1.0", "omega = 1e150", 1,
+     "error: the gradient of H is too large to normalize at sample point 0, [q | p] = ["),
     ("verify", "omega = 1.0", "omega = 1e200", 2,
      "config error: omega ** 2 overflows, got omega = 1e+200\n"),
     ("simulate", "omega = 1.0", "omega = 1e200", 2,
      "config error: omega ** 2 overflows, got omega = 1e+200\n"),
-], ids=["kappa-1e300", "omega-1.2e154", "omega-1e200-verify", "omega-1e200-simulate"])
+    ("verify", "space = euclidean", "space = poincare\nkappa = 1e300", 2,
+     "error: kappa = 1e+300 leaves the poincare chart too small to sample q_i clear of the "
+     "barrier planes\n"),
+    ("verify", "space = euclidean", "space = poincare\nkappa = -1e300", 2,
+     "error: kappa = -1e+300 leaves the poincare chart too small to sample q_i clear of the "
+     "barrier planes\n"),
+    ("verify", "space = euclidean", "space = beltrami\nkappa = -1e300", 2,
+     "error: kappa = -1e+300 leaves the beltrami chart too small to sample q_i clear of the "
+     "barrier planes\n"),
+], ids=["kappa-1e300", "omega-1.2e154", "omega-1e150", "omega-1e200-verify",
+        "omega-1e200-simulate", "poincare-kappa-1e300", "poincare-kappa--1e300",
+        "beltrami-kappa--1e300"])
 def test_overflowing_parameters_end_in_one_message_line(tmp_path, capsys, command, old, new,
                                                        code, message):
-    # parameters whose squares, partials or gradients overflow: an exit code
-    # and one line on stderr, no traceback, no numpy warning, no output file
+    # parameters whose squares, partials or gradients overflow, or that
+    # shrink a chart below the axis guard radius: an exit code and one line
+    # on stderr, no traceback, no numpy warning, no output file
     cfg = write(tmp_path, "big.cfg", SW_N4.replace(old, new))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
